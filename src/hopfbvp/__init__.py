@@ -12,7 +12,6 @@ computed profiles.
 
 from .core import (
     BlowUpError,
-    ConstraintViolation,
     ConvergenceError,
     DomainError,
     Grid,
@@ -44,14 +43,11 @@ from .closed_forms import (
 )
 from .variational import (
     DiscreteEnergy,
-    FunctionalSpec,
     GluedSolution,
     MinimizeResult,
-    eval_functional,
     exterior_grid,
     glue,
     interior_grid,
-    jump_via_integral,
     minimize_exterior,
     minimize_interior,
 )

@@ -60,6 +60,8 @@ class ScanRow:
     converged: bool
     J_interior: float = math.nan
     J_exterior: float = math.nan
+    # why the glued solve failed; empty for converged rows, not written to CSV
+    reason: str = ""
 
 
 @dataclass
@@ -116,7 +118,7 @@ def _glue_row(s: float, params: HopfParams, opts: dict) -> ScanRow:
             J_interior=g.J_interior,
             J_exterior=g.J_exterior,
         )
-    except ConvergenceError:
+    except ConvergenceError as exc:
         return ScanRow(
             s=s,
             l=math.nan,
@@ -125,6 +127,7 @@ def _glue_row(s: float, params: HopfParams, opts: dict) -> ScanRow:
             I_s1=math.nan,
             I_s2=math.nan,
             converged=False,
+            reason=str(exc),
         )
 
 
@@ -261,7 +264,7 @@ def find_solution(
         except ConvergenceError as exc:
             return SolveOutcome(
                 "failed", None, None, scan,
-                message=f"glued solve failed at s={mid}: {exc}",
+                message=f"glued solve failed at s={mid}, bisection stopped: {exc}",
             )
         if abs(glued_mid.l) <= root_tol:
             scan.s_star = mid

@@ -41,7 +41,6 @@ class RunConfig:
     n: int = 2000
     grading: float = 2.0
     offset: float = 1e-7
-    gradient_tol: float = 1e-10
     root_tol: float = 1e-6
     s_min: float = 0.02
     s_max: float = 1.5
@@ -51,7 +50,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.n < 16:
             raise ValueError(f"grid size n must be >= 16, got {self.n}")
-        for name in ("gradient_tol", "root_tol", "offset"):
+        for name in ("root_tol", "offset"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0")
         if not (0.0 < self.s_min < self.s_max < math.pi / 2):
@@ -82,7 +81,9 @@ def _read_config(path: str | None) -> dict:
             raise ValueError(f"config line without '=': {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        out[key] = _CASTS.get(key, float)(value) if key in DEFAULTS else value
+        if key not in DEFAULTS:
+            raise ValueError(f"unknown config key {key!r} in {path}")
+        out[key] = _CASTS.get(key, float)(value)
     return out
 
 
@@ -143,7 +144,6 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n", type=int, help="grid nodes per side (default 2000)")
     sp.add_argument("--grading", type=float, help="mesh grading exponent")
     sp.add_argument("--offset", type=float, help="distance of end nodes from 0, pi/2")
-    sp.add_argument("--gradient-tol", dest="gradient_tol", type=float)
     sp.add_argument("--root-tol", dest="root_tol", type=float)
     sp.add_argument("--s-min", dest="s_min", type=float)
     sp.add_argument("--s-max", dest="s_max", type=float)
@@ -229,7 +229,6 @@ def _solve_settings(cfg: RunConfig) -> dict:
         jobs=cfg.jobs,
         grading=cfg.grading,
         offset=cfg.offset,
-        gtol=cfg.gradient_tol,
     )
 
 
@@ -297,7 +296,6 @@ def cmd_scan_jump(ns: argparse.Namespace) -> int:
         jobs=cfg.jobs,
         grading=cfg.grading,
         offset=cfg.offset,
-        gtol=cfg.gradient_tol,
     )
     analysis.write_scan_csv(scan, out_dir / "scan.csv")
     summary = {
@@ -357,7 +355,7 @@ def cmd_blowup(ns: argparse.Namespace) -> int:
     for s in s_values:
         dist = analysis.blowup_compare(
             s, params, ns.eps, grid_n=cfg.n,
-            grading=cfg.grading, offset=cfg.offset, gtol=cfg.gradient_tol,
+            grading=cfg.grading, offset=cfg.offset,
         )
         rows.append((s, dist))
     lines = ["s,sup_distance"] + [f"{s:.17g},{d:.17g}" for s, d in rows]
@@ -386,7 +384,7 @@ def cmd_compare(ns: argparse.Namespace) -> int:
         t0 = t0 if t0 is not None else t0_auto
     report = analysis.comparison_check(
         s, d, t0, params, grid_n=cfg.n,
-        grading=cfg.grading, offset=cfg.offset, gtol=cfg.gradient_tol,
+        grading=cfg.grading, offset=cfg.offset,
     )
     summary = {
         "command": "compare",

@@ -28,10 +28,6 @@ class DomainError(ValueError):
     """An evaluation point lies outside the operator's domain."""
 
 
-class ConstraintViolation(ValueError):
-    """A profile violates a boundary or junction constraint."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to reach its tolerance."""
 

@@ -22,8 +22,9 @@ so l = I_s / (f(s)^2 * (d_plus + d_minus)), and sign(l) = sign(I_s).
 Discretization: piecewise-linear elements on a graded grid with 4-point
 Gauss-Legendre quadrature per element (the discrete energy is then exact to
 quadrature precision for profiles linear in t).  Minimization: damped Newton
-on the tridiagonal system with a monotone line search and a Levenberg shift
-fallback.
+on the tridiagonal system with a Levenberg shift where the Hessian is not
+positive definite, a strictly decreasing line search, and a single stopping
+rule on the Newton decrement.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from scipy.linalg import LinAlgError, solveh_banded
 
 from .core import (
     HALF_PI,
-    ConstraintViolation,
     ConvergenceError,
     Grid,
     HopfParams,
@@ -50,17 +50,14 @@ from .core import (
 from .ode import coeff_Q, weight_f
 
 __all__ = [
-    "FunctionalSpec",
     "GluedSolution",
     "MinimizeResult",
     "DiscreteEnergy",
     "interior_grid",
     "exterior_grid",
-    "eval_functional",
     "minimize_interior",
     "minimize_exterior",
     "glue",
-    "jump_via_integral",
 ]
 
 DEFAULT_N = 2000
@@ -69,10 +66,15 @@ DEFAULT_GRADING = 2.0
 # boundary there perturbs the solution by ~ c * offset**min(r0, r1), which
 # must stay below the exact-recovery tolerances
 DEFAULT_OFFSET = 1e-7
-DEFAULT_GTOL = 1e-10
-# gradient level still accepted when rounding stalls the line search
-STALL_GTOL = 1e-8
-DEFAULT_MAX_ITER = 200
+MAX_ITER = 200
+# Newton stops once it predicts a decrease below DECREMENT_TOL*(1+|E|).  The
+# float64 energy is off by up to about 1.5*eps*(1+|E|) here (measured against
+# extended precision for n = 500..16000), so a decrease of a few eps*(1+|E|)
+# cannot be confirmed by comparing two energies; 8*eps keeps the test above
+# that floor, and the line search can then always demand a strict decrease.
+DECREMENT_TOL = 8.0 * float(np.finfo(float).eps)
+# Levenberg shifts tried per Newton direction: 0, then 1e-10 growing tenfold
+MAX_SHIFTS = 30
 ATTACH_TOL = 1e-2
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
@@ -102,31 +104,6 @@ def exterior_grid(
     if not (0.0 < s < HALF_PI - offset):
         raise ValueError(f"need 0 < s < pi/2 - offset, got s={s}, offset={offset}")
     return Grid(graded_grid(s, HALF_PI - offset, n, grading), grading, junction_index=0)
-
-
-@dataclass(frozen=True)
-class FunctionalSpec:
-    """One side of the split energy: which interval, junction angle, grid, data."""
-
-    side: str  # "interior" or "exterior"
-    s: float
-    grid: Grid
-    params: HopfParams
-
-    def __post_init__(self) -> None:
-        if self.side not in ("interior", "exterior"):
-            raise ValueError(f"side must be 'interior' or 'exterior', got {self.side!r}")
-        nodes = self.grid.nodes
-        pin = nodes[-1] if self.side == "interior" else nodes[0]
-        if abs(pin - self.s) > 1e-12 * (1.0 + abs(self.s)):
-            raise ValueError(
-                f"{self.side} grid must terminate at the junction s={self.s}, "
-                f"found {pin}"
-            )
-
-    @property
-    def junction_index(self) -> int:
-        return self.grid.n - 1 if self.side == "interior" else 0
 
 
 class DiscreteEnergy:
@@ -192,22 +169,34 @@ class DiscreteEnergy:
         diag[1:] += d11
         return diag, d01  # d01[i] couples nodes i and i+1
 
-    def newton_direction(self, v: np.ndarray, g: np.ndarray, shift: float) -> np.ndarray:
-        """Solve (H + shift*diag(|H_ii|+1)) d = -g on the free nodes."""
+    def newton_direction(self, v: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+        """Descent direction d and the Levenberg shift that produced it.
+
+        Solves (H + shift*diag(|H_ii|+1)) d = -g on the free nodes, with shift
+        0 first and then 1e-10, 1e-9, ... until the shifted Hessian is
+        positive definite and d is finite.  Raises :class:`ConvergenceError`
+        after MAX_SHIFTS attempts.
+        """
         diag, off = self._hessian_parts(v)
         sl = self.free
-        dr = diag[sl].copy()
-        if shift > 0.0:
-            dr += shift * (np.abs(dr) + 1.0)
+        dr = diag[sl]
         offr = off[sl][:-1] if sl.start == 0 else off[sl.start :]
-        m = dr.size
-        ab = np.zeros((2, m))
-        ab[1] = dr
+        rhs = -g[sl]
+        ab = np.zeros((2, dr.size))
         ab[0, 1:] = offr
-        sol = solveh_banded(ab, -g[sl], lower=False)
-        d = np.zeros(self.n)
-        d[sl] = sol
-        return d
+        shift = 0.0
+        for _ in range(MAX_SHIFTS):
+            ab[1] = dr + shift * (np.abs(dr) + 1.0)
+            try:
+                sol = solveh_banded(ab, rhs, lower=False)
+            except LinAlgError:
+                sol = None
+            if sol is not None and np.all(np.isfinite(sol)) and np.dot(sol, rhs) >= 0.0:
+                d = np.zeros(self.n)
+                d[sl] = sol
+                return d, shift
+            shift = max(10.0 * shift, 1e-10)
+        raise ConvergenceError(f"no descent direction after {MAX_SHIFTS} Levenberg shifts")
 
 
 @dataclass
@@ -224,78 +213,50 @@ class MinimizeResult:
     side: str = ""
 
 
-def _minimize(disc: DiscreteEnergy, v0: np.ndarray, gtol: float,
-              max_iter: int) -> tuple[np.ndarray, float, float, int, bool, np.ndarray]:
+def _minimize(disc: DiscreteEnergy, v0: np.ndarray,
+              what: str) -> tuple[np.ndarray, float, float, int, np.ndarray]:
+    """Damped Newton from v0; returns (v, energy, grad_norm, iterations, history).
+
+    The one stopping rule is the Newton decrement of Boyd & Vandenberghe,
+    Convex Optimization, section 9.5.1: stop when the unshifted step predicts
+    a decrease lambda^2/2 = -d.g/2 of at most DECREMENT_TOL*(1+|E|), i.e. one
+    that the float64 energy cannot resolve.  Every other end raises
+    :class:`ConvergenceError` naming ``what`` and the exit that fired.
+    """
     v = np.asarray(v0, dtype=float).copy()
     v[disc.pinned_index] = disc.pinned_value
     e = disc.energy(v)
     history = [e]
-    gnorm = math.inf
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         g = disc.gradient(v)
         gnorm = float(np.max(np.abs(g[disc.free]), initial=0.0))
-        scale = 1.0 + abs(e)
-        if gnorm <= gtol * scale:
-            converged = True
-            break
-        stepped = False
-        at_floor = False
-        shift = 0.0
-        for _ in range(30):
-            try:
-                d = disc.newton_direction(v, g, shift)
-            except LinAlgError:
-                shift = max(10.0 * shift, 1e-10)
-                continue
-            descent = float(np.dot(d[disc.free], g[disc.free]))
-            if not np.all(np.isfinite(d)) or descent >= 0.0:
-                shift = max(10.0 * shift, 1e-10)
-                continue
-            if shift == 0.0 and float(np.max(np.abs(d))) <= 1e-15 * (
-                1.0 + float(np.max(np.abs(v)))
-            ):
-                # the Newton step is below the value resolution: the iterate
-                # already represents the discrete minimizer to machine precision
-                at_floor = True
+        where = f"at iteration {it}, gradient norm {gnorm:.3e}"
+        try:
+            d, shift = disc.newton_direction(v, g)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"{what}: {exc} {where}", grad_norm=gnorm) from None
+        decrement = -0.5 * float(np.dot(d, g))
+        if shift == 0.0 and decrement <= DECREMENT_TOL * (1.0 + abs(e)):
+            return v, e, gnorm, it, np.asarray(history)
+        step = 1.0
+        for _ in range(60):
+            vt = v + step * d
+            et = disc.energy(vt)
+            if et < e:  # False for NaN as well
                 break
-            step = 1.0
-            for _ in range(60):
-                vt = v + step * d
-                et = disc.energy(vt)
-                if np.isfinite(et) and et <= e:
-                    v, e = vt, et
-                    stepped = True
-                    break
-                step *= 0.5
-            if stepped:
-                break
-            shift = max(10.0 * shift, 1e-10)
-        if at_floor:
-            converged = gnorm <= STALL_GTOL * scale
-            break
-        if not stepped:
-            # last resort: steepest descent with backtracking
-            d = -g
-            step = 1.0 / (1.0 + gnorm)
-            for _ in range(60):
-                vt = v + step * d
-                et = disc.energy(vt)
-                if np.isfinite(et) and et < e:
-                    v, e = vt, et
-                    stepped = True
-                    break
-                step *= 0.5
-        if not stepped:
-            # no decrease representable: at the numerical floor of the energy
-            converged = gnorm <= STALL_GTOL * scale
-            break
+            step *= 0.5
+        else:
+            raise ConvergenceError(
+                f"{what}: no strict decrease along the Newton direction "
+                f"(decrement {decrement:.3e}, shift {shift:.0e}) {where}",
+                grad_norm=gnorm,
+            )
+        v, e = vt, et
         history.append(e)
-    if not converged:
-        gnorm = float(np.max(np.abs(disc.gradient(v)[disc.free]), initial=0.0))
-        converged = gnorm <= gtol * (1.0 + abs(e))
-    return v, e, gnorm, it, converged, np.asarray(history)
+    raise ConvergenceError(
+        f"{what}: reached the iteration cap of {MAX_ITER} with gradient norm {gnorm:.3e}",
+        grad_norm=gnorm,
+    )
 
 
 def minimize_interior(
@@ -305,15 +266,13 @@ def minimize_interior(
     n: int = DEFAULT_N,
     grading: float = DEFAULT_GRADING,
     offset: float = DEFAULT_OFFSET,
-    gtol: float = DEFAULT_GTOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> MinimizeResult:
     """Minimize the energy over (0, s] with alpha(s) = pi/2 pinned.
 
     The value at the innermost node is free (natural boundary); for p = 1 the
     minimizer attaches to 0 there on its own, since the constant pi/2 has
-    divergent energy.  Raises :class:`ConvergenceError` if the gradient
-    tolerance is not met.
+    divergent energy.  Raises :class:`ConvergenceError` if Newton stops
+    before its decrement test is met.
     """
     if grid is None:
         grid = interior_grid(s, n, grading, offset)
@@ -322,19 +281,13 @@ def minimize_interior(
         raise ValueError("interior grid must end exactly at the junction")
     v0 = HALF_PI * np.minimum(1.0, (t / s) ** params.r0)
     disc = DiscreteEnergy(grid, params, pinned_index=t.size - 1)
-    v, e, gnorm, it, ok, hist = _minimize(disc, v0, gtol, max_iter)
-    if not ok:
-        raise ConvergenceError(
-            f"interior minimization at s={s} stalled after {it} iterations "
-            f"with gradient norm {gnorm:.3e}",
-            grad_norm=gnorm,
-        )
+    v, e, gnorm, it, hist = _minimize(disc, v0, f"interior minimization at s={s}")
     return MinimizeResult(
         profile=Profile(grid, v),
         energy=e,
         grad_norm=gnorm,
         iterations=it,
-        converged=ok,
+        converged=True,
         energy_history=hist,
         attached=bool(v[0] <= ATTACH_TOL),
         side="interior",
@@ -348,8 +301,6 @@ def minimize_exterior(
     n: int = DEFAULT_N,
     grading: float = DEFAULT_GRADING,
     offset: float = DEFAULT_OFFSET,
-    gtol: float = DEFAULT_GTOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> MinimizeResult:
     """Minimize the energy over [s, pi/2) with alpha(s) = pi/2 pinned.
 
@@ -367,41 +318,17 @@ def minimize_exterior(
         math.pi,
     )
     disc = DiscreteEnergy(grid, params, pinned_index=0)
-    v, e, gnorm, it, ok, hist = _minimize(disc, v0, gtol, max_iter)
-    if not ok:
-        raise ConvergenceError(
-            f"exterior minimization at s={s} stalled after {it} iterations "
-            f"with gradient norm {gnorm:.3e}",
-            grad_norm=gnorm,
-        )
+    v, e, gnorm, it, hist = _minimize(disc, v0, f"exterior minimization at s={s}")
     return MinimizeResult(
         profile=Profile(grid, v),
         energy=e,
         grad_norm=gnorm,
         iterations=it,
-        converged=ok,
+        converged=True,
         energy_history=hist,
         attached=bool(v[-1] >= math.pi - ATTACH_TOL),
         side="exterior",
     )
-
-
-def eval_functional(spec: FunctionalSpec, profile: Profile) -> float:
-    """Value of the split energy for a profile on the spec's grid.
-
-    Raises :class:`ConstraintViolation` unless the junction value is pi/2.
-    """
-    if profile.grid.n != spec.grid.n or not np.array_equal(
-        profile.t, spec.grid.nodes
-    ):
-        raise ValueError("profile is not defined on the spec's grid")
-    j = spec.junction_index
-    if abs(profile.values[j] - HALF_PI) > 1e-9:
-        raise ConstraintViolation(
-            f"profile({spec.s}) = {profile.values[j]} != pi/2"
-        )
-    disc = DiscreteEnergy(spec.grid, spec.params, pinned_index=j)
-    return disc.energy(profile.values)
 
 
 @dataclass
@@ -522,8 +449,6 @@ def glue(
     n: int = DEFAULT_N,
     grading: float = DEFAULT_GRADING,
     offset: float = DEFAULT_OFFSET,
-    gtol: float = DEFAULT_GTOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     grids: Optional[tuple[Grid, Grid]] = None,
 ) -> GluedSolution:
     """Solve both sides at junction s and assemble the glued curve.
@@ -534,8 +459,8 @@ def glue(
         interior_grid(s, n, grading, offset),
         exterior_grid(s, n, grading, offset),
     )
-    res_i = minimize_interior(s, params, grid=gi, gtol=gtol, max_iter=max_iter)
-    res_e = minimize_exterior(s, params, grid=ge, gtol=gtol, max_iter=max_iter)
+    res_i = minimize_interior(s, params, grid=gi)
+    res_e = minimize_exterior(s, params, grid=ge)
     ti, vi = res_i.profile.t, res_i.profile.values
     te, ve = res_e.profile.t, res_e.profile.values
     d_minus = _one_sided_slope(ti[-3:], vi[-3:], s)
@@ -544,6 +469,8 @@ def glue(
     a_union = np.concatenate([vi, ve[1:]])
     i_s, i1, i2 = jump_integrals(t_union, a_union, params)
     l = d_plus - d_minus
+    # the square on f(s) comes from multiplying the conservation form by
+    # f*alpha' and integrating by parts on each side of the junction
     denom = weight_f(s, params) ** 2 * (d_plus + d_minus)
     l_tilde = i_s / denom if abs(denom) > 1e-300 else math.nan
     return GluedSolution(
@@ -566,18 +493,3 @@ def glue(
         monotone_interior=bool(np.all(np.diff(vi) >= -1e-12)),
         monotone_exterior=bool(np.all(np.diff(ve) >= -1e-12)),
     )
-
-
-def jump_via_integral(glued: GluedSolution, params: HopfParams) -> float:
-    """Cross-check value of the jump from the integral identity.
-
-    l_tilde = I_s / (f(s)^2 * (d_plus + d_minus)); the square on f(s) comes
-    from multiplying the conservation form by f*alpha' and integrating by
-    parts on each side of the junction.
-    """
-    denom_slopes = glued.d_plus + glued.d_minus
-    if abs(denom_slopes) < 1e-12:
-        raise ValueError(
-            "degenerate junction: one-sided slopes sum to (nearly) zero"
-        )
-    return glued.I_s / (weight_f(glued.s, params) ** 2 * denom_slopes)

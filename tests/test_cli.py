@@ -201,6 +201,18 @@ class TestConfig:
         assert summary["config"]["s_min"] == 0.3  # from config file
         assert summary["config"]["n"] == 250  # flag overrides config
 
+    def test_unknown_config_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 300\ngradient_tol = 1e-10\n")
+        rc = run(
+            tmp_path, "scan-jump", "--p", "1", "--q", "1", "--lambda", "1",
+            "--mu", "1", "--config", str(cfg),
+        )
+        assert rc == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["verdict"] == "error"
+        assert "unknown config key 'gradient_tol'" in summary["error"]
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOPF_OUT_DIR", str(tmp_path / "envout"))
         rc = main(["verify"])

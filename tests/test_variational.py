@@ -2,19 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hopfbvp.closed_forms import phi_limit
-from hopfbvp.core import HALF_PI, ConstraintViolation, HopfParams, Profile
+from hopfbvp import variational
+from hopfbvp.analysis import scan_jump
+from hopfbvp.core import HALF_PI, ConvergenceError, HopfParams
 from hopfbvp.ode import coeff_Q, weight_f
 from hopfbvp.variational import (
     DiscreteEnergy,
-    FunctionalSpec,
-    eval_functional,
     exterior_grid,
     glue,
     interior_grid,
-    jump_via_integral,
     minimize_exterior,
     minimize_interior,
 )
@@ -53,24 +54,18 @@ class TestDiscreteEnergy:
 
 
 class TestEvalFunctional:
+    """The discrete energy J, evaluated through DiscreteEnergy.energy."""
+
     def test_matches_adaptive_quadrature_on_straight_profile(self, params_flat):
         s = math.pi / 4.0
         grid = interior_grid(s, n=2000, offset=1e-6)
-        prof = Profile(grid, 2.0 * grid.nodes)
-        spec = FunctionalSpec("interior", s, grid, params_flat)
-        value = eval_functional(spec, prof)
+        disc = DiscreteEnergy(grid, params_flat, pinned_index=grid.n - 1)
+        value = disc.energy(2.0 * grid.nodes)
         integrand = lambda t: (
             4.0 + coeff_Q(t, params_flat) * math.sin(2 * t) ** 2
         ) * weight_f(t, params_flat)
         expected = quad(integrand, 1e-6, s, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
         assert value == pytest.approx(expected, abs=1e-8)
-
-    def test_constraint_violation(self, params_flat):
-        s = math.pi / 4.0
-        grid = interior_grid(s, n=64)
-        prof = Profile(grid, np.zeros(64))
-        with pytest.raises(ConstraintViolation):
-            eval_functional(FunctionalSpec("interior", s, grid, params_flat), prof)
 
     def test_half_pi_profile_diverges_with_offset(self, params_main):
         # J(pi/2) grows without bound as the innermost node approaches 0,
@@ -79,9 +74,8 @@ class TestEvalFunctional:
         vals = []
         for offset in (1e-3, 1e-4, 1e-5):
             grid = interior_grid(s, n=2000, offset=offset)
-            prof = Profile(grid, np.full(2000, HALF_PI))
-            spec = FunctionalSpec("interior", s, grid, params_main)
-            vals.append(eval_functional(spec, prof))
+            disc = DiscreteEnergy(grid, params_main, pinned_index=grid.n - 1)
+            vals.append(disc.energy(np.full(2000, HALF_PI)))
         assert vals[0] < vals[1] < vals[2]
         per_decade = params_main.lam * math.log(10.0)
         assert vals[1] - vals[0] == pytest.approx(per_decade, rel=1e-4)
@@ -93,8 +87,8 @@ class TestEvalFunctional:
         rng = np.random.default_rng(11)
         v = np.clip(HALF_PI + np.abs(rng.normal(size=300)), HALF_PI, math.pi)
         v[0] = HALF_PI
-        spec = FunctionalSpec("exterior", s, grid, params_main)
-        assert eval_functional(spec, Profile(grid, v)) >= 0.0
+        disc = DiscreteEnergy(grid, params_main, pinned_index=0)
+        assert disc.energy(v) >= 0.0
 
 
 class TestMinimizers:
@@ -126,8 +120,8 @@ class TestMinimizers:
         s = 0.5
         grid = interior_grid(s, n=600)
         res = minimize_interior(s, params_main, grid=grid)
-        spec = FunctionalSpec("interior", s, grid, params_main)
-        base = eval_functional(spec, res.profile)
+        disc = DiscreteEnergy(grid, params_main, pinned_index=grid.n - 1)
+        base = disc.energy(res.profile.values)
         rng = np.random.default_rng(5)
         t = grid.nodes
         ramp = (t - t[0]) * (s - t) / s**2  # vanishes at the pinned junction
@@ -136,7 +130,7 @@ class TestMinimizers:
             amp = rng.uniform(-0.4, 0.4)
             cand = res.profile.values + amp * ramp * np.sin(k * math.pi * t / s)
             cand[-1] = HALF_PI
-            assert eval_functional(spec, Profile(grid, cand)) >= base - 1e-12
+            assert disc.energy(cand) >= base - 1e-12
 
     def test_exterior_attaches_to_pi_for_small_s(self, params_main):
         res = minimize_exterior(0.05, params_main, n=2000, offset=1e-4)
@@ -147,9 +141,8 @@ class TestMinimizers:
         s = 0.05
         grid = exterior_grid(s, n=1000)
         res = minimize_exterior(s, params_main, grid=grid)
-        spec = FunctionalSpec("exterior", s, grid, params_main)
-        flat = Profile(grid, np.full(grid.n, HALF_PI))
-        assert res.energy < eval_functional(spec, flat)
+        disc = DiscreteEnergy(grid, params_main, pinned_index=0)
+        assert res.energy < disc.energy(np.full(grid.n, HALF_PI))
 
     def test_interior_boundary_attachment_under_refinement(self, params_main):
         # the innermost value decreases as the grid reaches further toward 0
@@ -159,6 +152,56 @@ class TestMinimizers:
         ]
         assert vals[1] < vals[0]
         assert vals[1] < 1e-4
+
+
+# (p, q, lam, mu) sets for the stopping-rule sweep: the flat and main regimes,
+# an unsolvable mu, lam < 1, and p, q > 1
+STOP_PARAMS = [
+    HopfParams(p=1, q=1, lam=1.0, mu=1.0),
+    HopfParams(p=1, q=2, lam=1.0, mu=4.0),
+    HopfParams(p=1, q=2, lam=1.0, mu=1.5),
+    HopfParams(p=1, q=3, lam=0.5, mu=6.0),
+    HopfParams(p=2, q=2, lam=2.0, mu=2.0),
+]
+
+
+class TestStoppingRule:
+    def test_bisection_midpoint_of_main_regime_converges(self, params_main):
+        # the interior solve here used to take equal-energy steps until the
+        # iteration cap: its gradient cannot fall below the mesh's rounding floor
+        res = minimize_interior(0.48410442684534505, params_main, n=2000)
+        assert res.converged
+        assert res.iterations <= 20
+        assert np.all(np.diff(res.energy_history) < 0.0)
+
+    @given(
+        s=st.floats(0.01, 1.5),
+        n=st.integers(500, 4000),
+        side=st.sampled_from([minimize_interior, minimize_exterior]),
+        params=st.sampled_from(STOP_PARAMS),
+    )
+    # decrements just above eps*(1+|E|), where a full step raised the float64
+    # energy by one ulp: they need the stopping test above the rounding floor
+    @example(s=0.5, n=655, side=minimize_interior, params=STOP_PARAMS[1])
+    @example(s=1.014417460537714, n=1781, side=minimize_interior, params=STOP_PARAMS[1])
+    @settings(derandomize=True, deadline=None)
+    def test_converges_with_strict_decrease(self, s, n, side, params):
+        res = side(s, params, n=n)
+        assert res.converged
+        assert res.iterations <= 20
+        assert np.all(np.diff(res.energy_history) < 0.0)
+
+    def test_iteration_cap_reason_reaches_scan_row(self, params_main, monkeypatch):
+        monkeypatch.setattr(variational, "MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="iteration cap of 1") as info:
+            minimize_interior(0.3, params_main, n=400)
+        assert "interior minimization at s=0.3" in str(info.value)
+        assert "gradient norm" in str(info.value)
+        assert info.value.grad_norm > 0.0
+        row = scan_jump(params_main, 0.3, 0.5, 2, grid_n=400).rows[0]
+        assert row.s == 0.3
+        assert not row.converged and math.isnan(row.l)
+        assert row.reason == str(info.value)
 
 
 class TestGlue:
@@ -208,9 +251,9 @@ class TestJumpIntegral:
     def test_cross_check_tolerance(self, params_main):
         for s in (0.05, 0.3, 0.9, 1.4):
             g = glue(s, params_main, n=1500)
-            lt = jump_via_integral(g, params_main)
-            assert abs(lt - g.l) <= max(1e-4, 1e-2 * abs(g.l))
-            assert lt == g.l_tilde
+            assert abs(g.l_tilde - g.l) <= max(1e-4, 1e-2 * abs(g.l))
+            denom = weight_f(s, params_main) ** 2 * (g.d_plus + g.d_minus)
+            assert g.l_tilde == g.I_s / denom
 
     def test_decomposition_identity(self, params_main):
         g = glue(0.3, params_main, n=1200)
