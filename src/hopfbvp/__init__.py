@@ -23,12 +23,9 @@ from .core import (
 )
 from .ode import (
     coeff_Q,
-    comparison_residual,
-    flux_residual,
-    limit_residual,
     read_profile_csv,
-    rescaled_residual,
     residual,
+    stencil_residual,
     weight_f,
     write_profile_csv,
 )

@@ -171,7 +171,6 @@ def _certify(
     params: HopfParams,
     margin: float = RESIDUAL_MARGIN,
     n_cert: int = 700,
-    h_floor: float = 1e-5,
 ) -> tuple[float, float, float]:
     """Max equation residual away from the endpoints, plus boundary errors.
 
@@ -179,7 +178,8 @@ def _certify(
     n_cert per side), keeping the exact solver values but widening the
     stencils: the finest graded spacings (~1e-7 at the junction) would
     otherwise amplify value rounding by 1/h^2 and swamp the true residual.
-    The junction node is kept and marked so its kinked stencil is skipped.
+    The junction node is kept and marked so its kinked stencil is skipped;
+    :func:`residual` also skips the stencils still finer than ``H_FLOOR``.
     """
     from .core import Grid, Profile
 
@@ -202,12 +202,6 @@ def _certify(
     )
     res = residual(sub, params)
     ts = t[idx]
-    hs = np.diff(ts)
-    # below h_floor the stencil amplifies value rounding (eps/h^2) past the
-    # certification level, so those near-junction stencils are skipped
-    noisy = np.zeros(ts.size, dtype=bool)
-    noisy[1:-1] = np.minimum(hs[:-1], hs[1:]) < h_floor
-    res[noisy] = np.nan
     band = (ts > margin) & (ts < HALF_PI - margin)
     vals = np.abs(res[band])
     max_res = float(np.nanmax(vals)) if vals.size else math.nan

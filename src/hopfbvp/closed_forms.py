@@ -20,10 +20,15 @@ import warnings
 import numpy as np
 from scipy.integrate import quad
 
-from .core import HALF_PI, DomainError, HopfParams, OutsideProvenRegimeWarning
+from .core import (
+    HALF_PI,
+    DomainError,
+    HopfParams,
+    OutsideProvenRegimeWarning,
+    _maybe_scalar,
+)
 
 __all__ = [
-    "ClosedFormKind",
     "phi_limit",
     "psi_comparison",
     "psi_derivative_identity",
@@ -32,32 +37,6 @@ __all__ = [
     "blowup_constant_exact",
     "identity_solution",
 ]
-
-
-from dataclasses import dataclass
-from typing import Optional
-
-
-@dataclass(frozen=True)
-class ClosedFormKind:
-    """Tag for one member of the closed-form catalogue."""
-
-    tag: str  # one of {"limit_phi", "comparison_psi", "identity_2t"}
-    s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.tag not in ("limit_phi", "comparison_psi", "identity_2t"):
-            raise ValueError(f"unknown closed-form tag {self.tag!r}")
-        if self.tag == "limit_phi" and not (self.s is not None and self.s > 0):
-            raise ValueError("limit_phi requires a scale s > 0")
-        if self.tag == "comparison_psi" and not (
-            self.s is not None and 0 < self.s < HALF_PI
-        ):
-            raise ValueError("comparison_psi requires s in (0, pi/2)")
-
-
-def _maybe_scalar(out, like):
-    return float(out) if np.ndim(like) == 0 else out
 
 
 def phi_limit(t, s: float, lam: float):

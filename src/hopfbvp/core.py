@@ -24,6 +24,11 @@ import numpy as np
 HALF_PI = math.pi / 2.0
 
 
+def _maybe_scalar(out, like):
+    """``out`` as a float when the argument ``like`` was a scalar."""
+    return float(out) if np.ndim(like) == 0 else out
+
+
 class DomainError(ValueError):
     """An evaluation point lies outside the operator's domain."""
 
@@ -238,34 +243,40 @@ def fd3_second_weights(t0, t1, t2):
     return w0, w1, w2
 
 
-def fd_weights(nodes: np.ndarray, x0: float, max_order: int) -> np.ndarray:
+def fd_weights(nodes: np.ndarray, x0, max_order: int) -> np.ndarray:
     """Finite-difference weights on arbitrary nodes (Fornberg's recursion).
 
     Returns an array W of shape (max_order + 1, len(nodes)) such that
     ``W[m] @ y`` approximates the m-th derivative at x0 of the function with
     values y at the nodes; exact for polynomials of degree < len(nodes).
+
+    Broadcasts over leading axes: nodes of shape (..., k) and x0 of shape
+    (...) give W of shape (..., max_order + 1, k), one stencil per window,
+    with every entry bit-identical to the per-window call.
     """
     nodes = np.asarray(nodes, dtype=float)
-    n = nodes.size
-    w = np.zeros((max_order + 1, n))
-    w[0, 0] = 1.0
+    n = nodes.shape[-1]
+    w = np.zeros(nodes.shape[:-1] + (max_order + 1, n))
+    w[..., 0, 0] = 1.0
     c1 = 1.0
-    c4 = nodes[0] - x0
+    c4 = nodes[..., 0] - x0
     for i in range(1, n):
         mn = min(i, max_order)
         c2 = 1.0
         c5 = c4
-        c4 = nodes[i] - x0
+        c4 = nodes[..., i] - x0
         for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
+            c3 = nodes[..., i] - nodes[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 for m in range(mn, 0, -1):
-                    w[m, i] = c1 * (m * w[m - 1, i - 1] - c5 * w[m, i - 1]) / c2
-                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
+                    w[..., m, i] = (
+                        c1 * (m * w[..., m - 1, i - 1] - c5 * w[..., m, i - 1]) / c2
+                    )
+                w[..., 0, i] = -c1 * c5 * w[..., 0, i - 1] / c2
             for m in range(mn, 0, -1):
-                w[m, j] = (c4 * w[m, j] - m * w[m - 1, j]) / c3
-            w[0, j] = c4 * w[0, j] / c3
+                w[..., m, j] = (c4 * w[..., m, j] - m * w[..., m - 1, j]) / c3
+            w[..., 0, j] = c4 * w[..., 0, j] / c3
         c1 = c2
     return w
 

@@ -1,52 +1,59 @@
-"""Coefficient functions and finite-difference residual evaluators.
+"""Coefficient functions and the finite-difference residual of the equations.
 
-Four forms of the governing equation are supported:
+Every equation checked in this package has the form
 
-* original:  alpha'' + (p*cot t - q*tan t) alpha' - Q sin(alpha) cos(alpha) = 0
-* flux:      (f alpha')' - f Q sin(alpha) cos(alpha) = 0,  f = sin^p t cos^q t
-* rescaled:  gamma(t) = alpha(s t), the same equation in the stretched variable
-* limit:     phi'' + phi'/t - (lambda/t^2) sin(phi) cos(phi) = 0 on (0, inf)
+    y'' + a(t) y' - b(t) sin(y) cos(y) = 0
 
-plus the comparison equation
-  psi'' + cot(t) psi' - lambda sin(psi) cos(psi) / (sin^2 t cos^2 t) = 0,
-whose explicit solutions serve as supersolutions above the threshold angle.
+and :func:`stencil_residual` evaluates its left-hand side for given drift a
+and potential b on any strictly increasing grid:
 
-All evaluators use 3-point stencils on arbitrary strictly increasing grids and
-return NaN at the two boundary nodes (no full stencil) and at a junction node
-whose one-sided derivatives differ (the curve has a corner there, so the
-two-sided stencil does not apply).
+* original:  a = p*cot t - q*tan t,  b = Q = lambda/sin^2 t + mu/cos^2 t
+  (:func:`residual`);
+* rescaled:  gamma(t) = alpha(s t) solves it with a = s*a(s t), b = s^2 Q(s t);
+* limit:     a = 1/t, b = lambda/t^2 on (0, inf), solved by ``phi_limit``;
+* comparison: a = cot t - tan t, b = lambda/(sin t cos t)^2 on (0, pi/2),
+  solved by ``psi_comparison``.  In x = log(tan t) it is the autonomous
+  pendulum psi_xx = lambda sin(psi) cos(psi), whose heteroclinic orbits are
+  the closed-form family.  (With a bare cot t drift the family's slope
+  identity psi' = sqrt(lambda) sin(psi)/(sin t cos t) would leave a
+  nonvanishing defect sqrt(lambda) sin(psi)/cos^2 t.)
+
+The 3-point stencil (closed-form weights, exact for quadratics) serves the
+glued profiles; the 5-point stencil (Fornberg weights, fourth order) serves
+the shooting and closed-form checks, whose wide logarithmic grids would
+squeeze a 3-point stencil between truncation and rounding near the ends.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     HALF_PI,
     DomainError,
     HopfParams,
     Profile,
+    _maybe_scalar,
     fd3_first_weights,
     fd3_second_weights,
-    nodal_first_derivative,
+    fd_weights,
 )
 
 __all__ = [
+    "H_FLOOR",
     "coeff_Q",
     "weight_f",
     "drift_coeff",
+    "stencil_residual",
     "residual",
-    "flux_residual",
-    "limit_residual",
-    "comparison_residual",
-    "rescaled_residual",
     "write_profile_csv",
     "read_profile_csv",
 ]
 
-
-def _maybe_scalar(out, like):
-    return float(out) if np.ndim(like) == 0 else out
+# below this adjacent spacing the 3-point stencil amplifies value rounding
+# (eps/h^2) past any meaningful residual level
+H_FLOOR = 1e-5
 
 
 def coeff_Q(t, params: HopfParams):
@@ -80,128 +87,59 @@ def drift_coeff(t, params: HopfParams):
     return _maybe_scalar(out, t)
 
 
-def _stencil_derivatives(t: np.ndarray, y: np.ndarray):
-    """(d1, d2) at interior nodes t[1:-1] via 3-point nonuniform stencils."""
-    tm, t0, tp = t[:-2], t[1:-1], t[2:]
-    ym, y0, yp = y[:-2], y[1:-1], y[2:]
-    w0, w1, w2 = fd3_first_weights(tm, t0, tp, t0)
-    d1 = w0 * ym + w1 * y0 + w2 * yp
-    v0, v1, v2 = fd3_second_weights(tm, t0, tp)
-    d2 = v0 * ym + v1 * y0 + v2 * yp
-    return d1, d2
+def stencil_residual(t, y, drift, potential, width: int = 3) -> np.ndarray:
+    """``y'' + drift*y' - potential*sin(y)*cos(y)`` at every node.
 
-
-def _mask_junction(res: np.ndarray, profile: Profile) -> np.ndarray:
-    res[0] = np.nan
-    res[-1] = np.nan
-    j = profile.grid.junction_index
-    if j is not None and profile.has_kink():
-        res[j] = np.nan
+    ``drift`` and ``potential`` hold the coefficients at the nodes (or are
+    scalars).  Derivatives come from centred stencils of odd ``width`` on the
+    strictly increasing grid t; the ``width // 2`` nodes at each end, which
+    have no full stencil, get NaN.  Width 3 uses the closed-form weights,
+    wider stencils Fornberg's, computed for all windows in one call.
+    """
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if width < 3 or width % 2 == 0:
+        raise ValueError(f"stencil width must be odd and >= 3, got {width}")
+    if t.size < width:
+        raise ValueError(f"a {width}-point residual needs at least {width} nodes")
+    h = width // 2
+    mid = slice(h, t.size - h)
+    if width == 3:
+        tm, t0, tp = t[:-2], t[1:-1], t[2:]
+        ym, y0, yp = y[:-2], y[1:-1], y[2:]
+        w0, w1, w2 = fd3_first_weights(tm, t0, tp, t0)
+        d1 = w0 * ym + w1 * y0 + w2 * yp
+        v0, v1, v2 = fd3_second_weights(tm, t0, tp)
+        d2 = v0 * ym + v1 * y0 + v2 * yp
+    else:
+        w = fd_weights(sliding_window_view(t, width), t[mid], 2)
+        d = (w * sliding_window_view(y, width)[:, None, :]).sum(axis=-1)
+        d1, d2 = d[:, 1], d[:, 2]
+    a = np.broadcast_to(drift, t.shape)[mid]
+    b = np.broadcast_to(potential, t.shape)[mid]
+    res = np.full(t.shape, np.nan)
+    res[mid] = d2 + a * d1 - b * np.sin(y[mid]) * np.cos(y[mid])
     return res
 
 
 def residual(profile: Profile, params: HopfParams) -> np.ndarray:
-    """Pointwise residual of the original equation at interior grid nodes."""
-    t, y = profile.t, profile.values
-    if t.size < 3:
-        raise ValueError("residual needs at least 3 nodes")
-    if t[0] <= 0.0 or t[-1] >= HALF_PI:
-        raise DomainError("profile nodes must lie in (0, pi/2)")
-    d1, d2 = _stencil_derivatives(t, y)
-    t0 = t[1:-1]
-    res = np.empty_like(y)
-    res[1:-1] = (
-        d2
-        + drift_coeff(t0, params) * d1
-        - coeff_Q(t0, params) * np.sin(y[1:-1]) * np.cos(y[1:-1])
-    )
-    return _mask_junction(res, profile)
+    """Pointwise 3-point residual of the original equation.
 
-
-def flux_residual(profile: Profile, params: HopfParams) -> np.ndarray:
-    """Residual of the conservation form ``(f alpha')' - f Q sin cos``.
-
-    The product f*alpha' is formed from nodal finite-difference slopes and
-    differentiated again, so this is a genuinely different discretization from
-    ``weight_f * residual``; the two agree up to O(h^2).
+    NaN at the two boundary nodes (no full stencil), at a junction node whose
+    one-sided derivatives differ (the curve has a corner there, so the
+    two-sided stencil does not apply), and where an adjacent spacing is below
+    :data:`H_FLOOR`.
     """
-    t, y = profile.t, profile.values
-    if t.size < 3:
-        raise ValueError("flux_residual needs at least 3 nodes")
-    if t[0] <= 0.0 or t[-1] >= HALF_PI:
-        raise DomainError("profile nodes must lie in (0, pi/2)")
-    w = weight_f(t, params) * nodal_first_derivative(t, y)
-    dflux, _ = _stencil_derivatives(t, w)
-    t0 = t[1:-1]
-    res = np.empty_like(y)
-    res[1:-1] = dflux - weight_f(t0, params) * coeff_Q(t0, params) * np.sin(
-        y[1:-1]
-    ) * np.cos(y[1:-1])
-    return _mask_junction(res, profile)
-
-
-def limit_residual(profile: Profile, lam: float) -> np.ndarray:
-    """Residual of the small-t limit equation on a positive radial grid."""
-    t, y = profile.t, profile.values
-    if t.size < 3:
-        raise ValueError("limit_residual needs at least 3 nodes")
-    if t[0] <= 0.0:
-        raise DomainError("limit grid nodes must be positive")
-    d1, d2 = _stencil_derivatives(t, y)
-    t0 = t[1:-1]
-    res = np.empty_like(y)
-    res[1:-1] = d2 + d1 / t0 - (lam / t0**2) * np.sin(y[1:-1]) * np.cos(y[1:-1])
-    return _mask_junction(res, profile)
-
-
-def comparison_residual(profile: Profile, lam: float) -> np.ndarray:
-    """Residual of the comparison equation on (0, pi/2).
-
-    The equation is ``psi'' + (cot t - tan t) psi' - lam sin(psi) cos(psi) /
-    (sin^2 t cos^2 t) = 0``: in x = log(tan t) it is the autonomous pendulum
-    ``psi_xx = lam sin(psi) cos(psi)``, whose heteroclinic orbits are the
-    closed-form comparison family.  (With a bare ``cot t`` drift the family's
-    slope identity psi' = sqrt(lam) sin(psi)/(sin t cos t) would leave a
-    nonvanishing defect sqrt(lam) sin(psi)/cos^2 t.)
-    """
-    t, y = profile.t, profile.values
-    if t.size < 3:
-        raise ValueError("comparison_residual needs at least 3 nodes")
-    if t[0] <= 0.0 or t[-1] >= HALF_PI:
-        raise DomainError("profile nodes must lie in (0, pi/2)")
-    d1, d2 = _stencil_derivatives(t, y)
-    t0 = t[1:-1]
-    sc = np.sin(t0) * np.cos(t0)
-    res = np.empty_like(y)
-    res[1:-1] = (
-        d2
-        + (np.cos(t0) / np.sin(t0) - np.tan(t0)) * d1
-        - (lam / sc**2) * np.sin(y[1:-1]) * np.cos(y[1:-1])
+    t = profile.t
+    res = stencil_residual(
+        t, profile.values, drift_coeff(t, params), coeff_Q(t, params)
     )
-    return _mask_junction(res, profile)
-
-
-def rescaled_residual(profile: Profile, s: float, params: HopfParams) -> np.ndarray:
-    """Residual of the stretched equation for ``gamma(t) = alpha(s*t)``.
-
-    The grid carries the stretched variable; every s*t must lie in (0, pi/2).
-    """
-    t, y = profile.t, profile.values
-    if t.size < 3:
-        raise ValueError("rescaled_residual needs at least 3 nodes")
-    st = s * t
-    if st[0] <= 0.0 or st[-1] >= HALF_PI:
-        raise DomainError("rescaled nodes s*t must lie in (0, pi/2)")
-    d1, d2 = _stencil_derivatives(t, y)
-    st0 = st[1:-1]
-    drift = s * (params.p * np.cos(st0) / np.sin(st0) - params.q * np.tan(st0))
-    res = np.empty_like(y)
-    res[1:-1] = (
-        d2
-        + drift * d1
-        - s**2 * coeff_Q(st0, params) * np.sin(y[1:-1]) * np.cos(y[1:-1])
-    )
-    return _mask_junction(res, profile)
+    h = np.diff(t)
+    res[1:-1][np.minimum(h[:-1], h[1:]) < H_FLOOR] = np.nan
+    j = profile.grid.junction_index
+    if j is not None and profile.has_kink():
+        res[j] = np.nan
+    return res
 
 
 # --- profile serialization ----------------------------------------------------
@@ -213,19 +151,14 @@ def write_profile_csv(profile: Profile, params: HopfParams, path) -> None:
     """Write ``t,alpha,dalpha,residual`` rows with 17 significant digits.
 
     At a junction node with distinct one-sided slopes, dalpha records their
-    mean and the residual column is NaN.  The residual column is also NaN
-    where an adjacent grid spacing is below 1e-5: there the 3-point stencil
-    amplifies value rounding (eps/h^2) past any meaningful residual level.
+    mean.  The residual column is :func:`residual`, NaN wherever its stencil
+    does not apply or is dominated by rounding.
     """
     d = profile.derivative()
     j = profile.grid.junction_index
     if j is not None and profile.d_left is not None and profile.d_right is not None:
         d[j] = 0.5 * (profile.d_left + profile.d_right)
     res = residual(profile, params)
-    h = np.diff(profile.t)
-    noisy = np.zeros(profile.t.size, dtype=bool)
-    noisy[1:-1] = np.minimum(h[:-1], h[1:]) < 1e-5
-    res[noisy] = np.nan
     lines = [_CSV_HEADER]
     for ti, ai, di, ri in zip(profile.t, profile.values, d, res):
         lines.append(f"{ti:.17g},{ai:.17g},{di:.17g},{ri:.17g}")

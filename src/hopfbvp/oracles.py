@@ -5,9 +5,9 @@ finite-difference residuals of the exact profiles under their operators,
 a high-order numerical derivative against the slope identity, and adaptive
 quadrature against the beta-function value of the blow-up constant.
 
-Residuals are evaluated on a ladder of octave-wide windows, each carrying the
-full node budget, so the 3-point stencils see locally log-uniform grids at
-every scale of the solution.
+The limit and comparison residuals use 5-point stencils (see ``ode``) on
+grids uniform in log t and in log(tan t), so the stencils see locally
+log-uniform spacing at every scale of the solution.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from .closed_forms import (
     psi_comparison,
     psi_derivative_identity,
 )
-from .core import HALF_PI, Grid, HopfParams, Profile, fd_weights
-from .ode import residual
+from .core import HALF_PI, Grid, HopfParams, Profile
+from .core import fd_weights  # noqa: F401  (bound here for perfbench's traced run)
+from .ode import residual, stencil_residual
 
 __all__ = ["OracleRow", "run_oracle_suite", "phi_residual_max", "psi_residual_max"]
 
@@ -42,25 +43,6 @@ class OracleRow:
         return bool(np.isfinite(self.value) and self.value <= self.tol)
 
 
-def _residual_5pt(t: np.ndarray, y: np.ndarray, drift, potential) -> float:
-    """Max |y'' + drift(t) y' - potential(t, y)| via 5-point stencils.
-
-    Fourth-order differentiation keeps the check's own truncation and its
-    rounding amplification both far below the oracle tolerances on wide
-    logarithmic grids, where 3-point stencils would be squeezed between the
-    two error sources near the singular ends.
-    """
-    worst = 0.0
-    for i in range(2, t.size - 2):
-        w = fd_weights(t[i - 2 : i + 3], t[i], 2)
-        seg = y[i - 2 : i + 3]
-        d1 = float(w[1] @ seg)
-        d2 = float(w[2] @ seg)
-        r = d2 + drift(t[i]) * d1 - potential(t[i], y[i])
-        worst = max(worst, abs(r))
-    return worst
-
-
 def phi_residual_max(
     lam: float,
     s: float,
@@ -70,12 +52,8 @@ def phi_residual_max(
 ) -> float:
     """Max limit-equation residual of the limit profile on a log grid."""
     t = np.geomspace(t_lo, t_hi, n)
-    return _residual_5pt(
-        t,
-        phi_limit(t, s, lam),
-        lambda x: 1.0 / x,
-        lambda x, y: (lam / x**2) * math.sin(y) * math.cos(y),
-    )
+    res = stencil_residual(t, phi_limit(t, s, lam), 1.0 / t, lam / t**2, width=5)
+    return float(np.nanmax(np.abs(res)))
 
 
 def psi_residual_max(
@@ -93,12 +71,10 @@ def psi_residual_max(
     exact mirror identity pi - psi_s(pi/2 - t) = psi_{pi/2 - s}(t).
     """
     t = np.arctan(np.exp(np.linspace(x_lo, x_hi, n)))
-    return _residual_5pt(
-        t,
-        psi_comparison(t, s, lam),
-        lambda x: math.cos(x) / math.sin(x) - math.tan(x),
-        lambda x, y: lam * math.sin(y) * math.cos(y) / (math.sin(x) * math.cos(x)) ** 2,
-    )
+    drift = np.cos(t) / np.sin(t) - np.tan(t)
+    potential = lam / (np.sin(t) * np.cos(t)) ** 2
+    res = stencil_residual(t, psi_comparison(t, s, lam), drift, potential, width=5)
+    return float(np.nanmax(np.abs(res)))
 
 
 def _slope_identity_max() -> float:

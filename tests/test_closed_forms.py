@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hopfbvp.closed_forms import (
-    ClosedFormKind,
     blowup_constant,
     blowup_constant_exact,
     identity_solution,
@@ -188,17 +187,3 @@ class TestIdentitySolution:
         assert identity_solution(0.0) == 0.0
         assert identity_solution(HALF_PI) == pytest.approx(math.pi, abs=1e-15)
 
-
-class TestClosedFormKind:
-    def test_valid(self):
-        ClosedFormKind("limit_phi", 2.0)
-        ClosedFormKind("comparison_psi", 0.3)
-        ClosedFormKind("identity_2t")
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            ClosedFormKind("nope")
-        with pytest.raises(ValueError):
-            ClosedFormKind("limit_phi", -1.0)
-        with pytest.raises(ValueError):
-            ClosedFormKind("comparison_psi", 2.0)

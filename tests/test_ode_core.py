@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hopfbvp.closed_forms import phi_limit, psi_comparison
 from hopfbvp.core import (
@@ -12,23 +13,35 @@ from hopfbvp.core import (
     Grid,
     HopfParams,
     Profile,
+    fd3_first_weights,
+    fd3_second_weights,
     fd_weights,
     graded_grid,
     indicial_exponents,
 )
 from hopfbvp.ode import (
+    H_FLOOR,
     coeff_Q,
-    comparison_residual,
-    flux_residual,
-    limit_residual,
+    drift_coeff,
     read_profile_csv,
-    rescaled_residual,
     residual,
+    stencil_residual,
     weight_f,
     write_profile_csv,
 )
 
 from conftest import uniform_profile
+
+
+def limit_equation(t, y, lam):
+    """Residual of the small-t limit equation phi'' + phi'/t - lam/t^2 sin cos."""
+    return stencil_residual(t, y, 1.0 / t, lam / t**2)
+
+
+def comparison_equation(t, y, lam):
+    """Residual of psi'' + (cot - tan) psi' - lam sin cos / (sin t cos t)^2."""
+    drift = np.cos(t) / np.sin(t) - np.tan(t)
+    return stencil_residual(t, y, drift, lam / (np.sin(t) * np.cos(t)) ** 2)
 
 
 class TestParams:
@@ -140,13 +153,37 @@ class TestResidual:
         prof2 = Profile(Grid(t, junction_index=50), 2 * t, d_left=2.0, d_right=2.0)
         assert not np.isnan(residual(prof2, params_flat)[50])
 
+    def test_bit_identical_to_three_point_formula(self, params_main):
+        # reference: the 3-point formula with closed-form weights, terms summed
+        # left to right, then the boundary, kinked-junction and H_FLOOR masks
+        t = graded_grid(0.01, 1.5, 3000, 2.0)
+        y = t + 0.3 * np.sin(4.0 * t)
+        prof = Profile(Grid(t, junction_index=1400), y, d_left=1.0, d_right=3.0)
+        tm, t0, tp = t[:-2], t[1:-1], t[2:]
+        w0, w1, w2 = fd3_first_weights(tm, t0, tp, t0)
+        d1 = w0 * y[:-2] + w1 * y[1:-1] + w2 * y[2:]
+        v0, v1, v2 = fd3_second_weights(tm, t0, tp)
+        d2 = v0 * y[:-2] + v1 * y[1:-1] + v2 * y[2:]
+        ref = np.full_like(y, np.nan)
+        ref[1:-1] = (
+            d2
+            + drift_coeff(t0, params_main) * d1
+            - coeff_Q(t0, params_main) * np.sin(y[1:-1]) * np.cos(y[1:-1])
+        )
+        ref[1400] = np.nan
+        h = np.diff(t)
+        ref[1:-1][np.minimum(h[:-1], h[1:]) < H_FLOOR] = np.nan
+        got = residual(prof, params_main)
+        assert np.isnan(got).sum() > 3  # the H_FLOOR mask is exercised
+        assert got.tobytes() == ref.tobytes()
+
     def test_order_on_limit_profile(self):
         # genuine h^2 content: the limit profile under the limit operator
         errs = []
         for n in (500, 1000, 2000):
             t = np.geomspace(0.2, 5.0, n)
-            prof = Profile(Grid(t, upper=np.inf), phi_limit(t, 1.0, 2.25))
-            errs.append(np.nanmax(np.abs(limit_residual(prof, 2.25))))
+            y = phi_limit(t, 1.0, 2.25)
+            errs.append(np.nanmax(np.abs(limit_equation(t, y, 2.25))))
         order1 = math.log2(errs[0] / errs[1])
         order2 = math.log2(errs[1] / errs[2])
         assert order1 > 1.9 and order2 > 1.9
@@ -155,52 +192,53 @@ class TestResidual:
         errs = []
         for n in (500, 1000, 2000):
             t = np.linspace(0.3, 1.2, n)
-            prof = Profile(Grid(t), psi_comparison(t, 0.7, 1.0))
-            errs.append(np.nanmax(np.abs(comparison_residual(prof, 1.0))))
+            y = psi_comparison(t, 0.7, 1.0)
+            errs.append(np.nanmax(np.abs(comparison_equation(t, y, 1.0))))
         assert math.log2(errs[0] / errs[1]) > 1.9
         assert math.log2(errs[1] / errs[2]) > 1.9
 
 
-class TestFluxResidual:
-    def test_straight_solution(self, params_flat):
-        prof = uniform_profile(lambda t: 2.0 * t, 1e-3, HALF_PI - 1e-3, 2000)
-        assert np.nanmax(np.abs(flux_residual(prof, params_flat))) < 1e-6
+class TestStencilResidual:
+    def test_width5_exact_on_quartic(self):
+        # zero coefficients leave y'', which 5-point weights reproduce exactly
+        # for quartics on any grid, up to rounding
+        gaps = np.random.default_rng(3).uniform(0.02, 0.05, 59)
+        t = 0.1 + np.concatenate([[0.0], np.cumsum(gaps)])
+        y = t**4 - 2.0 * t**3 + 0.5 * t
+        res = stencil_residual(t, y, 0.0, 0.0, width=5)
+        assert np.all(np.isnan(res[:2])) and np.all(np.isnan(res[-2:]))
+        exact = 12.0 * t**2 - 12.0 * t
+        assert np.max(np.abs(res[2:-2] - exact[2:-2])) < 1e-9
 
-    def test_constant_half_pi(self, params_main):
-        prof = uniform_profile(lambda t: np.full_like(t, HALF_PI), 0.01, 1.5, 501)
-        assert np.nanmax(np.abs(flux_residual(prof, params_main))) < 1e-8
+    def test_width3_default_and_ends(self):
+        t = np.linspace(0.1, 1.0, 20)
+        res = stencil_residual(t, t**2, 1.0, 0.0)
+        assert np.isnan(res[0]) and np.isnan(res[-1])
+        assert np.allclose(res[1:-1], 2.0 + 2.0 * t[1:-1], rtol=0, atol=1e-10)
 
-    def test_agrees_with_f_times_residual(self, params_main):
-        # generic smooth profile: the two discretizations differ at O(h^2)
-        # away from the ends (the one-sided slope stencils at the two outer
-        # nodes inject an O(h) layer into the two adjacent differences)
-        fn = lambda t: t + 0.3 * np.sin(4.0 * t)
-        diffs = []
-        for n in (400, 800, 1600):
-            prof = uniform_profile(fn, 0.1, HALF_PI - 0.1, n)
-            gap = flux_residual(prof, params_main) - weight_f(
-                prof.t, params_main
-            ) * residual(prof, params_main)
-            diffs.append(np.nanmax(np.abs(gap[3:-3])))
-        assert diffs[2] < diffs[1] < diffs[0]
-        assert math.log2(diffs[0] / diffs[2]) / 2.0 > 1.9
+    def test_width_validation(self):
+        t = np.linspace(0.1, 1.0, 4)
+        with pytest.raises(ValueError):
+            stencil_residual(t, t, 0.0, 0.0, width=4)
+        with pytest.raises(ValueError):
+            stencil_residual(t, t, 0.0, 0.0, width=5)  # fewer nodes than width
 
 
 class TestLimitResidual:
     def test_limit_profile_is_solution(self):
         t = np.geomspace(0.01, 100.0, 2000)
-        prof = Profile(Grid(t, upper=np.inf), phi_limit(t, 1.0, 1.0))
-        assert np.nanmax(np.abs(limit_residual(prof, 1.0))) < 1e-4
+        y = phi_limit(t, 1.0, 1.0)
+        assert np.nanmax(np.abs(limit_equation(t, y, 1.0))) < 1e-4
 
     def test_scaled_member(self):
         t = np.geomspace(0.1, 30.0, 2000)
-        prof = Profile(Grid(t, upper=np.inf), phi_limit(t, 3.0, 1.0))
-        assert np.nanmax(np.abs(limit_residual(prof, 1.0))) < 1e-5
+        y = phi_limit(t, 3.0, 1.0)
+        assert np.nanmax(np.abs(limit_equation(t, y, 1.0))) < 1e-5
 
     def test_constant_half_pi(self):
         t = np.geomspace(0.1, 10.0, 301)
-        prof = Profile(Grid(t, upper=np.inf), np.full_like(t, HALF_PI))
-        assert np.nanmax(np.abs(limit_residual(prof, 1.0))) < 1e-8
+        y = np.full_like(t, HALF_PI)
+        assert np.nanmax(np.abs(limit_equation(t, y, 1.0))) < 1e-8
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -213,16 +251,17 @@ class TestRescaledResidual:
         # stretched equation vanishes up to stencil rounding
         s = 0.3
         t = np.linspace(0.05, 3.0, 1500)
-        prof = Profile(Grid(t, upper=np.inf), 2.0 * s * t)
-        assert np.nanmax(np.abs(rescaled_residual(prof, s, params_flat))) < 1e-8
+        res = stencil_residual(
+            t,
+            2.0 * s * t,
+            s * drift_coeff(s * t, params_flat),
+            s**2 * coeff_Q(s * t, params_flat),
+        )
+        assert np.nanmax(np.abs(res)) < 1e-8
 
     def test_small_s_drift_limit(self, params_main):
         s = 1e-4
-        st_ = s * 1.0
-        drift = s * (
-            params_main.p * math.cos(st_) / math.sin(st_)
-            - params_main.q * math.tan(st_)
-        )
+        drift = s * drift_coeff(s * 1.0, params_main)
         assert abs(drift - 1.0) < 1e-6
 
     def test_small_s_potential_limit(self, params_main):
@@ -231,10 +270,11 @@ class TestRescaledResidual:
         assert abs(val - params_main.lam) < 1e-6
 
     def test_domain_error(self, params_main):
-        t = np.linspace(0.5, 20.0, 100)
-        prof = Profile(Grid(t, upper=np.inf), np.ones_like(t))
+        st_ = 0.2 * np.linspace(0.5, 20.0, 100)  # s*t exceeds pi/2
         with pytest.raises(DomainError):
-            rescaled_residual(prof, 0.2, params_main)  # s*t exceeds pi/2
+            drift_coeff(st_, params_main)
+        with pytest.raises(DomainError):
+            coeff_Q(st_, params_main)
 
 
 class TestGrids:
@@ -270,6 +310,30 @@ class TestFdWeights:
         w = fd_weights(np.arange(-2.0, 3.0), 0.0, 2)
         assert np.allclose(w[1] * 12, [1, -8, 0, 8, -1])
         assert np.allclose(w[2] * 12, [-1, 16, -30, 16, -1])
+
+    @given(
+        gaps=st.lists(
+            st.floats(min_value=1e-3, max_value=10.0), min_size=2, max_size=40
+        ),
+        start=st.floats(min_value=-50.0, max_value=50.0),
+        width=st.sampled_from([2, 3, 5, 7]),
+        max_order=st.integers(min_value=0, max_value=3),
+        shift=st.floats(min_value=-1.0, max_value=1.0),
+    )
+    @settings(derandomize=True, deadline=None)
+    def test_broadcast_matches_per_window_calls(
+        self, gaps, start, width, max_order, shift
+    ):
+        nodes = start + np.concatenate([[0.0], np.cumsum(gaps)])
+        if nodes.size < width:
+            return
+        windows = sliding_window_view(nodes, width)
+        x0 = windows[:, width // 2] + shift
+        w = fd_weights(windows, x0, max_order)
+        assert w.shape == (windows.shape[0], max_order + 1, width)
+        for i in range(windows.shape[0]):
+            one = fd_weights(windows[i], x0[i], max_order)
+            assert w[i].tobytes() == one.tobytes()
 
 
 class TestProfileCsv:
