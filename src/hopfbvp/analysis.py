@@ -47,6 +47,8 @@ __all__ = [
 
 ROOT_TOL = 1e-6
 RESIDUAL_MARGIN = 0.05  # "away from endpoints" band for residual certification
+MAP_GRID_N = 1000  # mesh size per map cell; the CLI caps its --n here
+MAP_N_SCAN = 14
 
 
 @dataclass
@@ -557,8 +559,8 @@ def solvability_map(
     mu_range: tuple[float, float],
     n_lambda: int,
     n_mu: int,
-    grid_n: int = 1000,
-    n_scan: int = 14,
+    grid_n: int = MAP_GRID_N,
+    n_scan: int = MAP_N_SCAN,
     jobs: int = 1,
     **find_opts,
 ) -> list[SolvabilityCell]:

@@ -317,6 +317,8 @@ def cmd_map(ns: argparse.Namespace) -> int:
     cfg = _settings(ns)
     lam_lo, lam_hi, n_lam = _parse_range(ns.lam)
     mu_lo, mu_hi, n_mu = _parse_range(ns.mu)
+    # the map runs its cells on coarser meshes and scans than a single solve
+    used = {"n": min(cfg.n, analysis.MAP_GRID_N), "n_scan": analysis.MAP_N_SCAN}
     cells = analysis.solvability_map(
         ns.p,
         ns.q,
@@ -324,11 +326,14 @@ def cmd_map(ns: argparse.Namespace) -> int:
         (mu_lo, mu_hi),
         n_lam,
         n_mu,
-        grid_n=min(cfg.n, 1000),
+        grid_n=used["n"],
+        n_scan=used["n_scan"],
         jobs=cfg.jobs,
         s_min=cfg.s_min,
         s_max=cfg.s_max,
         root_tol=cfg.root_tol,
+        grading=cfg.grading,
+        offset=cfg.offset,
     )
     analysis.write_map_csv(cells, out_dir / "map.csv")
     verdicts = [c.verdict for c in cells]
@@ -336,6 +341,7 @@ def cmd_map(ns: argparse.Namespace) -> int:
         "command": "map",
         "params": {"p": ns.p, "q": ns.q, "lambda": ns.lam, "mu": ns.mu},
         "config": cfg.to_dict(),
+        "used": used,
         "verdict": "done",
         "n_solution_found": verdicts.count("solution_found"),
         "n_no_sign_change": verdicts.count("no_sign_change"),

@@ -7,23 +7,27 @@ each endpoint with those expansions turns the singular BVP into a two-
 parameter matching problem: find (c0, c1) such that the forward and backward
 trajectories agree in value and slope at a matching point.
 
-A coarse log-grid scan over (c0, c1) locates candidate basins (forward shots
-depend only on c0 and backward shots only on c1, so the scan costs one sweep
-of each); a derivative-free root finder then polishes cells around which the
-mismatch vector field winds.  "No root" is reported only when no scan cell
-carries a winding and every polish attempt fails -- numerical evidence of
-unsolvability, distinct from a solver failure.
+The forward end state (alpha, alpha') at the matching point depends only on
+c0 and the backward one only on c1, so a matching pair is a crossing of two
+planar curves, Gamma_f(c0) and Gamma_b(c1).  Both curves are sampled once on
+a log grid of amplitudes; each crossing of the two polylines seeds a Newton
+iteration in (log c0, log c1) whose separable Jacobian costs one extra shot
+per side.  "No root" means that the sampled curves do not cross and the
+balanced diagonal c0 = c1 holds no bracket -- numerical evidence of
+unsolvability, distinct from a polish that fails.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import root
+from scipy.optimize import brentq
+from scipy.optimize import root  # noqa: F401  (bound here for perfbench's traced run)
 
 from .core import (
     HALF_PI,
@@ -49,6 +53,7 @@ DEFAULT_T_OFFSET = 1e-4
 DEFAULT_RTOL = 1e-11
 DEFAULT_ATOL = 1e-12
 MISMATCH_TOL = 1e-8
+POLISH_MAX_ITER = 20
 ALPHA_LOW = -math.pi
 ALPHA_HIGH = 2.0 * math.pi
 
@@ -90,9 +95,7 @@ def _rhs(params: HopfParams) -> Callable:
     return rhs
 
 
-def _series_seed(
-    c: float, p: int, q: int, lam: float, mu: float, t0: float
-) -> tuple[float, float]:
+def _series_seed(c: float, params: HopfParams, t0: float) -> tuple[float, float]:
     """(value, slope) of the three-term endpoint expansion at t0.
 
     Near the regular singular point the branch attaching to 0 expands as
@@ -104,9 +107,9 @@ def _series_seed(
 
     Both denominators are positive (their arguments exceed the positive
     indicial root), so the expansion never degenerates.  The pi/2 end uses the
-    same formulas with (p, q, lam, mu) -> (q, p, mu, lam), which is the exact
-    symmetry t -> pi/2 - t, alpha -> pi - alpha of the equation.
+    same formulas on the mirrored problem (see :func:`_shoot`).
     """
+    p, q, lam, mu = params.p, params.q, params.lam, params.mu
     r = 0.5 * (-(p - 1) + math.sqrt((p - 1) ** 2 + 4.0 * lam))
 
     def char(x: float) -> float:
@@ -123,16 +126,6 @@ def _series_seed(
     return value, slope
 
 
-def _seed_from_zero(c0: float, params: HopfParams, t_start: float):
-    return _series_seed(c0, params.p, params.q, params.lam, params.mu, t_start)
-
-
-def _seed_from_pi2(c1: float, params: HopfParams, t_offset: float):
-    """State (alpha, dalpha/dt) at pi/2 - t_offset for amplitude c1."""
-    value, slope = _series_seed(c1, params.q, params.p, params.mu, params.lam, t_offset)
-    return math.pi - value, slope
-
-
 def _band_events():
     def low(t, y):
         return y[0] - ALPHA_LOW
@@ -143,6 +136,13 @@ def _band_events():
     low.terminal = True
     high.terminal = True
     return [low, high]
+
+
+def _band_exit(exit_time: float) -> BlowUpError:
+    return BlowUpError(
+        f"trajectory left [{ALPHA_LOW:.4f}, {ALPHA_HIGH:.4f}] at t={exit_time:.6g}",
+        exit_time=exit_time,
+    )
 
 
 def _solve(params: HopfParams, t0: float, y0, t1: float, rtol: float, atol: float):
@@ -160,13 +160,46 @@ def _solve(params: HopfParams, t0: float, y0, t1: float, rtol: float, atol: floa
         exit_time = float(
             min((te[0] for te in sol.t_events if te.size), default=sol.t[-1])
         )
-        raise BlowUpError(
-            f"trajectory left [{ALPHA_LOW:.4f}, {ALPHA_HIGH:.4f}] at t={exit_time:.6g}",
-            exit_time=exit_time,
-        )
+        raise _band_exit(exit_time)
     if sol.status != 0:
         raise RuntimeError(f"integrator failed: {sol.message}")
     return sol
+
+
+def _shoot(
+    params: HopfParams,
+    c: float,
+    t_offset: float,
+    t_end: float,
+    rtol: float,
+    atol: float,
+    backward: bool = False,
+) -> tuple[np.ndarray, Callable]:
+    """Shoot the branch of amplitude c from t_offset off its end to t_end.
+
+    Returns the integrator's step times in increasing t and the dense state
+    ``t -> (alpha, alpha')``.  A backward shot integrates the mirrored problem
+    beta(tau) = pi - alpha(pi/2 - tau) with (p, q, lam, mu) -> (q, p, mu, lam),
+    an exact symmetry of the equation, forward from its seed ``c tau**r1``.
+    That keeps the seed's deviation from pi to full relative precision;
+    seeding ``pi - c tau**r1`` directly rounds c to eps*pi/(c tau**r1), about
+    1e-7 relative for c = 0.5 at r1 = 2, and the matched amplitudes inherit
+    that noise.
+    """
+    if not backward:
+        sol = _solve(params, t_offset, _series_seed(c, params, t_offset), t_end, rtol, atol)
+        return sol.t, sol.sol
+    mirror = HopfParams(p=params.q, q=params.p, lam=params.mu, mu=params.lam)
+    try:
+        times, state = _shoot(mirror, c, t_offset, HALF_PI - t_end, rtol, atol)
+    except BlowUpError as exc:
+        raise _band_exit(HALF_PI - exc.exit_time) from None
+
+    def mirrored(t):
+        beta, dbeta = state(HALF_PI - np.asarray(t))
+        return np.array([math.pi - beta, dbeta])
+
+    return HALF_PI - times[::-1], mirrored
 
 
 def integrate_from_zero(
@@ -188,11 +221,10 @@ def integrate_from_zero(
         raise ValueError("amplitude c0 must be positive")
     if not (0.0 < t_start < t_end < HALF_PI):
         raise ValueError("need 0 < t_start < t_end < pi/2")
-    sol = _solve(params, t_start, _seed_from_zero(c0, params, t_start), t_end, rtol, atol)
+    times, state = _shoot(params, c0, t_start, t_end, rtol, atol)
     if grid is None:
-        t = sol.t if sol.t.size >= 3 else np.linspace(t_start, t_end, 5)
-        grid = Grid(t)
-    return Profile(grid, sol.sol(grid.nodes)[0])
+        grid = Grid(times if times.size >= 3 else np.linspace(t_start, t_end, 5))
+    return Profile(grid, state(grid.nodes)[0])
 
 
 def integrate_from_pi2(
@@ -208,17 +240,17 @@ def integrate_from_pi2(
 
     The seed state at pi/2 - t_offset comes from the mirrored series
     expansion, with leading behavior ``pi - c1 * tau**r1``, tau = pi/2 - t.
+    Raises :class:`BlowUpError` like :func:`integrate_from_zero`.
     """
     if c1 <= 0:
         raise ValueError("amplitude c1 must be positive")
     t0 = HALF_PI - t_offset
     if not (0.0 < t_start < t0):
         raise ValueError("need 0 < t_start < pi/2 - t_offset")
-    sol = _solve(params, t0, _seed_from_pi2(c1, params, t_offset), t_start, rtol, atol)
+    times, state = _shoot(params, c1, t_offset, t_start, rtol, atol, backward=True)
     if grid is None:
-        t = sol.t[::-1] if sol.t.size >= 3 else np.linspace(t_start, t0, 5)
-        grid = Grid(t)
-    return Profile(grid, sol.sol(grid.nodes)[0])
+        grid = Grid(times if times.size >= 3 else np.linspace(t_start, t0, 5))
+    return Profile(grid, state(grid.nodes)[0])
 
 
 def _scaled_residual(
@@ -250,19 +282,37 @@ def _merged_values(
     nodes: np.ndarray,
 ) -> np.ndarray:
     """Evaluate the matched trajectory pair on the given nodes."""
-    fwd = _solve(
-        params, t_offset, _seed_from_zero(state.c0, params, t_offset),
-        state.t_match, rtol, atol,
-    )
-    bwd = _solve(
-        params, HALF_PI - t_offset, _seed_from_pi2(state.c1, params, t_offset),
-        state.t_match, rtol, atol,
-    )
+    _, fwd = _shoot(params, state.c0, t_offset, state.t_match, rtol, atol)
+    _, bwd = _shoot(params, state.c1, t_offset, state.t_match, rtol, atol, backward=True)
     return np.where(
         nodes <= state.t_match,
-        fwd.sol(np.minimum(nodes, state.t_match))[0],
-        bwd.sol(np.maximum(nodes, state.t_match))[0],
+        fwd(np.minimum(nodes, state.t_match))[0],
+        bwd(np.maximum(nodes, state.t_match))[0],
     )
+
+
+def _crossings(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int, float, float]]:
+    """Crossings of the polylines ``a`` (m, 2) and ``b`` (n, 2).
+
+    Returns ``(i, j, s, u)`` for each pair where segment ``a[i] a[i+1]`` at
+    fraction s meets segment ``b[j] b[j+1]`` at fraction u (both in [0, 1]).
+    A segment with a NaN vertex (a band exit) and a parallel pair never cross.
+    """
+    da = np.diff(a, axis=0)[:, None, :]
+    db = np.diff(b, axis=0)[None, :, :]
+    r = b[None, :-1, :] - a[:-1, None, :]
+
+    def cross(x, y):
+        return x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
+
+    den = cross(da, db)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = cross(r, db) / den
+        u = cross(r, da) / den
+    hit = (den != 0.0) & (s >= 0.0) & (s <= 1.0) & (u >= 0.0) & (u <= 1.0)
+    return [
+        (int(i), int(j), float(s[i, j]), float(u[i, j])) for i, j in zip(*np.nonzero(hit))
+    ]
 
 
 def match_shooting(
@@ -274,113 +324,49 @@ def match_shooting(
     mismatch_tol: float = MISMATCH_TOL,
     c_range: tuple[float, float] = (1e-3, 1e3),
     scan_points: int = 13,
-    max_seeds: int = 8,
     profile_n: int = 2001,
 ) -> MatchResult:
     """Two-parameter match of forward and backward shots at ``t_match``.
 
     Returns a :class:`MatchResult` whose verdict is ``"solution"`` (state,
-    merged profile, and residual check populated), ``"no_root"`` (scan plus
-    polish found no admissible pair), or ``"failed"`` (ambiguous map but no
-    converged polish).
+    merged profile, and residual check populated), ``"no_root"`` (the sampled
+    end-state curves do not cross and the diagonal holds no bracket), or
+    ``"failed"`` (crossings or brackets exist but no polish was accepted).
 
     The boundary problem can carry several genuine trajectory pairs, and in
-    degenerate cases a whole curve of them, so every converged root is
+    degenerate cases a whole curve of them, so every accepted root is
     collected; the returned one is the increasing, in-band profile with the
     most balanced amplitudes (smallest ``|log(c0/c1)|``, ties to smaller c0).
-    A bisection along the balanced diagonal c0 = c1 pins the symmetric member
-    of a degenerate family exactly.
+    The balanced diagonal c0 = c1 is searched first: a root there pins the
+    symmetric member of a degenerate family, and when admissible no other
+    root can beat it.
     """
     if not (t_offset < t_match < HALF_PI - t_offset):
         raise ValueError("t_match must lie strictly between the seed offsets")
-    # scanning and polishing run at a staged (looser) tolerance; the returned
-    # root and profile are re-verified at the full contract tolerance
-    rtol_stage = max(rtol, 1e-9)
-    atol_stage = max(atol, 1e-10)
 
-    caches: dict[tuple, Optional[tuple[float, float]]] = {}
+    end_states: dict[tuple[bool, float], np.ndarray] = {}
 
-    def end_state(side: str, c: float, tight: bool) -> Optional[tuple[float, float]]:
-        key = (side, c, tight)
-        if key not in caches:
-            rt = rtol if tight else rtol_stage
-            at = atol if tight else atol_stage
+    def end_state(backward: bool, c: float) -> np.ndarray:
+        """(alpha, alpha') at t_match, NaN when the shot leaves the band."""
+        key = (backward, c)
+        if key not in end_states:
             try:
-                if side == "fwd":
-                    sol = _solve(
-                        params, t_offset, _seed_from_zero(c, params, t_offset),
-                        t_match, rt, at,
-                    )
-                else:
-                    sol = _solve(
-                        params, HALF_PI - t_offset, _seed_from_pi2(c, params, t_offset),
-                        t_match, rt, at,
-                    )
-                y = sol.sol(t_match)
-                caches[key] = (float(y[0]), float(y[1]))
+                _, state = _shoot(params, c, t_offset, t_match, rtol, atol, backward)
+                end_states[key] = state(t_match)
             except (BlowUpError, RuntimeError):
-                caches[key] = None
-        return caches[key]
+                end_states[key] = np.full(2, np.nan)
+        return end_states[key]
 
-    def mismatch(c0: float, c1: float, tight: bool = False):
-        f = end_state("fwd", c0, tight)
-        b = end_state("bwd", c1, tight)
-        if f is None or b is None:
-            return None
-        return (b[0] - f[0], b[1] - f[1])
+    def mismatch(c0: float, c1: float) -> np.ndarray:
+        return end_state(True, c1) - end_state(False, c0)
 
-    # coarse scan: one sweep per side thanks to the caches
+    # the two end-state curves, sampled once; the map is their difference
     cs = np.geomspace(c_range[0], c_range[1], scan_points)
-    da = np.full((scan_points, scan_points), np.nan)
-    dd = np.full((scan_points, scan_points), np.nan)
-    for i, c0 in enumerate(cs):
-        for j, c1 in enumerate(cs):
-            m = mismatch(float(c0), float(c1))
-            if m is not None:
-                da[i, j], dd[i, j] = m
-
-    # cells around whose boundary the mismatch vector winds: a nonzero
-    # winding certifies a zero of the map inside, sign flips alone do not
-    candidate_cells = []
-    for i in range(scan_points - 1):
-        for j in range(scan_points - 1):
-            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-            if any(np.isnan(da[c]) or np.isnan(dd[c]) for c in corners):
-                continue
-            angles = [math.atan2(dd[c], da[c]) for c in corners]
-            total = 0.0
-            for k in range(4):
-                dth = angles[(k + 1) % 4] - angles[k]
-                while dth > math.pi:
-                    dth -= 2.0 * math.pi
-                while dth <= -math.pi:
-                    dth += 2.0 * math.pi
-                total += dth
-            if abs(total) > math.pi:
-                candidate_cells.append((i, j))
-
-    norms = np.maximum(np.abs(da), np.abs(dd))
-    seeds: list[tuple[float, float]] = []
-    for i, j in sorted(
-        candidate_cells,
-        key=lambda ij: np.nanmin(norms[ij[0] : ij[0] + 2, ij[1] : ij[1] + 2]),
-    ):
-        seeds.append(
-            (float(math.sqrt(cs[i] * cs[i + 1])), float(math.sqrt(cs[j] * cs[j + 1])))
-        )
-    if not seeds:
-        for flat in np.argsort(norms, axis=None):
-            i, j = np.unravel_index(flat, norms.shape)
-            if np.isnan(norms[i, j]):
-                continue
-            seeds.append((float(cs[i]), float(cs[j])))
-    seeds = seeds[:max_seeds]
-
-    def objective(z: np.ndarray) -> np.ndarray:
-        m = mismatch(math.exp(z[0]), math.exp(z[1]))
-        if m is None:
-            return np.array([1e3, 1e3]) * (1.0 + float(np.sum(np.abs(z))))
-        return np.asarray(m)
+    zs = np.log(cs)
+    fwd = np.array([end_state(False, float(c)) for c in cs])
+    bwd = np.array([end_state(True, float(c)) for c in cs])
+    da = bwd[None, :, 0] - fwd[:, None, 0]
+    dd = bwd[None, :, 1] - fwd[:, None, 1]
 
     def as_root(c0: float, c1: float) -> Optional[ShootState]:
         # amplitudes outside the scanned box are rejected: ever-steeper
@@ -390,113 +376,113 @@ def match_shooting(
             return None
         if not (0.99 * c_range[0] <= c1 <= 1.01 * c_range[1]):
             return None
-        m = mismatch(c0, c1, tight=True)
-        if m is None or float(np.max(np.abs(m))) > mismatch_tol:
+        m = mismatch(c0, c1)
+        if not float(np.max(np.abs(m))) <= mismatch_tol:
             return None
-        return ShootState(c0=c0, c1=c1, t_match=t_match, mismatch=m)
+        return ShootState(c0=c0, c1=c1, t_match=t_match, mismatch=(float(m[0]), float(m[1])))
 
     roots: list[ShootState] = []
+    admissible: list[ShootState] = []
+    ends: Counter = Counter()
 
-    def add_root(state: Optional[ShootState]) -> None:
+    def add_root(state: Optional[ShootState], failure: str) -> None:
         if state is None:
+            ends[failure] += 1
             return
-        if all(
-            abs(math.log(state.c0 / r.c0)) + abs(math.log(state.c1 / r.c1)) > 1e-6
+        if any(
+            abs(math.log(state.c0 / r.c0)) + abs(math.log(state.c1 / r.c1)) <= 1e-6
             for r in roots
         ):
-            roots.append(state)
-
-    # balanced-diagonal bisection: both components must flip across the same
-    # diagonal segment, which happens where a degenerate root curve crosses it
-    diag = [mismatch(float(c), float(c)) for c in cs]
-    for k in range(scan_points - 1):
-        m_lo, m_hi = diag[k], diag[k + 1]
-        if m_lo is None or m_hi is None:
-            continue
-        if m_lo[0] * m_hi[0] >= 0.0 or m_lo[1] * m_hi[1] >= 0.0:
-            continue
-        lo, hi, f_lo = float(cs[k]), float(cs[k + 1]), m_lo[0]
-        for _ in range(80):
-            mid = math.sqrt(lo * hi)
-            m_mid = mismatch(mid, mid)
-            if m_mid is None:
-                break
-            if abs(m_mid[0]) < 0.25 * mismatch_tol or hi / lo < 1.0 + 1e-14:
-                add_root(as_root(mid, mid))
-                break
-            if f_lo * m_mid[0] < 0.0:
-                hi = mid
-            else:
-                lo, f_lo = mid, m_mid[0]
-
-    # derivative-free polish from the candidate cells; a balanced root from
-    # the diagonal already wins the selection, so keep the polish short then
-    max_polish = 2 if roots else len(seeds)
-    for c0_seed, c1_seed in seeds[:max_polish]:
-        sol = root(
-            objective,
-            np.log([c0_seed, c1_seed]),
-            method="hybr",
-            options={"xtol": 1e-13},
-        )
-        state = as_root(math.exp(sol.x[0]), math.exp(sol.x[1]))
-        if state is None and float(np.max(np.abs(objective(sol.x)))) <= 100.0 * mismatch_tol:
-            # converged at the staged tolerance; re-polish tightly
-            tight_obj = lambda z: (
-                np.asarray(mismatch(math.exp(z[0]), math.exp(z[1]), tight=True))
-                if mismatch(math.exp(z[0]), math.exp(z[1]), tight=True) is not None
-                else np.array([1e3, 1e3])
+            return
+        roots.append(state)
+        try:
+            probe = _merged_values(
+                params, state, t_offset, rtol, atol,
+                graded_grid(t_offset, HALF_PI - t_offset, 401),
             )
-            sol = root(tight_obj, sol.x, method="hybr", options={"xtol": 1e-13})
-            state = as_root(math.exp(sol.x[0]), math.exp(sol.x[1]))
-        add_root(state)
+        except (BlowUpError, RuntimeError):
+            return
+        monotone = bool(np.all(np.diff(probe) >= -1e-8))
+        in_band = bool(np.all((probe > -0.1) & (probe < math.pi + 0.1)))
+        if monotone and in_band:
+            admissible.append(state)
 
-    best: Optional[ShootState] = None
-    if roots:
-        admissible = []
-        for state in roots:
+    # balanced diagonal: the value mismatch flips sign, and the slope
+    # mismatch flips too or vanishes to tolerance at both ends (for an exactly
+    # symmetric family it is pure rounding noise there)
+    diag = bwd - fwd
+    brackets = [
+        k for k in range(scan_points - 1)
+        if diag[k, 0] * diag[k + 1, 0] < 0.0
+        and (
+            diag[k, 1] * diag[k + 1, 1] < 0.0
+            or max(abs(diag[k, 1]), abs(diag[k + 1, 1])) <= mismatch_tol
+        )
+    ]
+
+    def diag_value(z: float) -> float:
+        value = float(mismatch(math.exp(z), math.exp(z))[0])
+        if math.isnan(value):
+            raise BlowUpError("a diagonal shot left the band", exit_time=math.nan)
+        return value
+
+    for k in brackets:
+        try:
+            z = brentq(diag_value, zs[k], zs[k + 1])
+        except RuntimeError as exc:  # a band exit or no convergence
+            ends[str(exc)] += 1
+            continue
+        add_root(as_root(math.exp(z), math.exp(z)), "a diagonal root was not accepted")
+
+    # forward-difference step in log c: balances truncation against the
+    # integrator's relative error
+    h = math.sqrt(rtol)
+    z_lo, z_hi = math.log(0.99 * c_range[0]), math.log(1.01 * c_range[1])
+
+    def polish(z0: float, z1: float) -> tuple[Optional[ShootState], str]:
+        """Newton on the mismatch in (log c0, log c1) from a crossing."""
+        for _ in range(POLISH_MAX_ITER):
+            c0, c1 = math.exp(z0), math.exp(z1)
+            f, b = end_state(False, c0), end_state(True, c1)
+            m = b - f
+            if not np.all(np.isfinite(m)):
+                return None, "a shot left the band"
+            if float(np.max(np.abs(m))) <= mismatch_tol:
+                return as_root(c0, c1), "the root left the scanned box"
+            jac = np.column_stack((
+                (f - end_state(False, math.exp(z0 + h))) / h,
+                (end_state(True, math.exp(z1 + h)) - b) / h,
+            ))
+            if not np.all(np.isfinite(jac)):
+                return None, "a shot left the band"
             try:
-                probe = _merged_values(
-                    params, state, t_offset, rtol_stage, atol_stage,
-                    graded_grid(t_offset, HALF_PI - t_offset, 401),
-                )
-            except (BlowUpError, RuntimeError):
-                continue
-            monotone = bool(np.all(np.diff(probe) >= -1e-8))
-            in_band = bool(np.all((probe > -0.1) & (probe < math.pi + 0.1)))
-            if monotone and in_band:
-                admissible.append(state)
-        pool = admissible if admissible else roots
-        best = min(pool, key=lambda r: (abs(math.log(r.c0 / r.c1)), r.c0))
+                step = np.linalg.solve(jac, -m)
+            except np.linalg.LinAlgError:
+                return None, "the Jacobian was singular"
+            z0, z1 = z0 + float(step[0]), z1 + float(step[1])
+            if not (z_lo <= z0 <= z_hi and z_lo <= z1 <= z_hi):
+                return None, "a step left the scanned box"
+        return None, f"no convergence in {POLISH_MAX_ITER} Newton steps"
 
-    if best is None:
-        if candidate_cells:
-            return MatchResult(
-                verdict="failed",
-                state=None,
-                profile=None,
-                c0_scan=cs,
-                c1_scan=cs,
-                dalpha_map=da,
-                ddalpha_map=dd,
-                message=(
-                    f"{len(candidate_cells)} ambiguous scan cells but no polish "
-                    f"converged from {len(seeds)} seeds"
-                ),
-            )
-        return MatchResult(
-            verdict="no_root",
-            state=None,
-            profile=None,
-            c0_scan=cs,
-            c1_scan=cs,
-            dalpha_map=da,
-            ddalpha_map=dd,
-            message=(
-                "no cell of the mismatch map carries a sign change in both "
-                f"components and no polish converged from {len(seeds)} seeds"
-            ),
-        )
+    crossings = _crossings(fwd, bwd)
+    if not admissible:
+        for i, j, s, u in crossings:
+            add_root(*polish(zs[i] + s * (zs[i + 1] - zs[i]), zs[j] + u * (zs[j + 1] - zs[j])))
+
+    scan = dict(c0_scan=cs, c1_scan=cs, dalpha_map=da, ddalpha_map=dd)
+    pool = admissible or roots
+    if not pool and (crossings or brackets):
+        return MatchResult("failed", None, None, **scan, message=(
+            f"{len(crossings)} curve crossings and {len(brackets)} diagonal "
+            "brackets, but no polish was accepted: "
+            + "; ".join(f"{n}x {reason}" for reason, n in ends.items())
+        ))
+    if not pool:
+        return MatchResult("no_root", None, None, **scan, message=(
+            "the forward and backward end-state curves do not cross in the "
+            "scanned box and the diagonal c0 = c1 holds no bracket"
+        ))
+    best = min(pool, key=lambda r: (abs(math.log(r.c0 / r.c1)), r.c0))
 
     # merged profile on a graded grid, forward branch up to t_match
     nodes = graded_grid(t_offset, HALF_PI - t_offset, profile_n)
@@ -504,15 +490,7 @@ def match_shooting(
     profile = Profile(grid, _merged_values(params, best, t_offset, rtol, atol, nodes))
     max_scaled = _scaled_residual(profile, params, seam=t_match)
     return MatchResult(
-        verdict="solution",
-        state=best,
-        profile=profile,
-        c0_scan=cs,
-        c1_scan=cs,
-        dalpha_map=da,
-        ddalpha_map=dd,
-        message="matched",
-        max_scaled_residual=max_scaled,
+        "solution", best, profile, **scan, message="matched", max_scaled_residual=max_scaled
     )
 
 

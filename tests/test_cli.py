@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hopfbvp import analysis
 from hopfbvp.cli import _parse_range, main
 
 
@@ -127,6 +128,28 @@ class TestMap:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["n_solution_found"] == 2
         assert summary["n_no_sign_change"] == 2
+
+    def test_forwards_mesh_settings_and_records_used(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def fake_map(p, q, lam_range, mu_range, n_lam, n_mu, **opts):
+            seen.update(opts)
+            return [analysis.SolvabilityCell(lam=1.0, mu=1.0, verdict="no_sign_change")]
+
+        monkeypatch.setattr(analysis, "solvability_map", fake_map)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grading = 3.0\noffset = 1e-6\n")
+        rc = run(
+            tmp_path, "map", "--p", "1", "--q", "2", "--lambda", "1:1:1",
+            "--mu", "1:1:1", "--config", str(cfg), "--offset", "1e-5",
+            "--n", "4000", "--n-scan", "6",
+        )
+        assert rc == 0
+        assert seen["grading"] == 3.0  # from the config file
+        assert seen["offset"] == 1e-5  # the flag overrides the config
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["used"] == {"n": seen["grid_n"], "n_scan": seen["n_scan"]}
+        assert summary["used"] == {"n": analysis.MAP_GRID_N, "n_scan": analysis.MAP_N_SCAN}
 
     def test_bad_range(self, tmp_path):
         rc = run(tmp_path, "map", "--p", "1", "--q", "2", "--lambda", "1:2",

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from hopfbvp import shooting
 from hopfbvp.core import HALF_PI, BlowUpError, Grid, HopfParams
 from hopfbvp.shooting import (
+    _crossings,
     integrate_from_pi2,
     integrate_from_zero,
     match_shooting,
@@ -63,6 +65,53 @@ class TestIntegrateFromPi2:
             vals.append(prof.values[0])
         assert abs(vals[0] - vals[1]) <= 1e-8
 
+    def test_smooth_in_amplitude(self):
+        # at r1 = 2 a seed written as pi - c1 tau^2 keeps only ~7 digits of
+        # c1; the end value then jitters by ~5e-8 between amplitudes 1e-9
+        # apart, and the matcher's Newton polish cannot reach 1e-8
+        params = HopfParams(p=1, q=2, lam=2.0, mu=6.0)
+        grid = Grid(np.linspace(math.pi / 4, math.pi / 4 + 0.01, 5))
+        ends = [
+            integrate_from_pi2(0.5161739 * (1.0 + k * 1e-9), params, math.pi / 4, grid=grid)
+            .values[0]
+            for k in range(6)
+        ]
+        assert np.max(np.abs(np.diff(ends, 2))) <= 1e-11
+
+    def test_blow_up_reported_in_t(self):
+        # the mirrored integration runs in tau = pi/2 - t; the exit is in t
+        with pytest.raises(BlowUpError) as exc:
+            integrate_from_pi2(1.0, HopfParams(p=2, q=1, lam=2.0, mu=6.0), 1e-3)
+        assert exc.value.exit_time == pytest.approx(0.21333, abs=1e-5)
+        assert str(exc.value).endswith(f"at t={exc.value.exit_time:.6g}")
+
+
+class TestCrossings:
+    def test_one_crossing(self):
+        a = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        b = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, -1.0]])
+        [(i, j, s, u)] = _crossings(a, b)
+        assert (i, j) == (0, 0) and s == pytest.approx(0.5) and u == pytest.approx(0.5)
+
+    def test_no_crossing(self):
+        a = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.5]])
+        b = np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]])
+        assert _crossings(a, b) == []
+
+    def test_nan_gap_skipped(self):
+        # both segments touching the band exit (NaN) are dropped; the
+        # crossing beyond the gap is still found
+        a = np.array([[0.0, 0.0], [np.nan, np.nan], [2.0, 2.0], [3.0, 3.0]])
+        b = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 3.0], [3.0, 2.0]])
+        [(i, j, s, u)] = _crossings(a, b)
+        assert (i, j) == (2, 2) and s == pytest.approx(0.5) and u == pytest.approx(0.5)
+
+    def test_parallel_segments(self):
+        a = np.array([[0.0, 0.0], [1.0, 1.0]])
+        b = np.array([[0.0, 0.0], [2.0, 2.0]])  # collinear and overlapping
+        c = np.array([[0.0, 1.0], [1.0, 2.0]])
+        assert _crossings(a, b) == [] and _crossings(a, c) == []
+
 
 class TestIntegratorAccuracy:
     def test_error_drops_with_tolerance(self, params_flat):
@@ -99,6 +148,56 @@ class TestMatchShooting:
         m = match_shooting(params)
         assert m.verdict == "no_root"
         assert m.state is None and m.profile is None
+
+    @pytest.mark.parametrize("lam, mu", [(2.0, 6.0), (1.0, 4.0)])
+    def test_returns_verdict_without_crossing(self, lam, mu):
+        # the variational pipeline reports no_sign_change here
+        m = match_shooting(HopfParams(p=2, q=1, lam=lam, mu=mu))
+        assert m.verdict == "no_root"
+        assert "do not cross" in m.message
+
+    def test_symmetric_family_balanced_member(self):
+        # p = q, lambda = mu: the slope mismatch on the diagonal is rounding
+        # noise, so only the value mismatch can bracket the balanced member
+        m = match_shooting(HopfParams(p=1, q=1, lam=2.0, mu=2.0))
+        assert m.verdict == "solution"
+        assert m.state.c0 == m.state.c1
+        assert abs(m.state.c0 - 2.0) <= 1e-6
+
+    def test_polish_needs_full_precision_backward_seed(self):
+        # the slope mismatch here jittered at ~1e-7 with a pi - c1 tau^2 seed,
+        # so no polish reached the 1e-8 tolerance; the variational pipeline
+        # finds this solution too
+        m = match_shooting(HopfParams(p=1, q=3, lam=2.0, mu=8.0))
+        assert m.verdict == "solution"
+        assert max(abs(v) for v in m.state.mismatch) <= 1e-8
+
+    def test_failed_polish_reports_why(self, monkeypatch, params_main):
+        monkeypatch.setattr(shooting, "POLISH_MAX_ITER", 1)
+        m = match_shooting(params_main)
+        assert m.verdict == "failed" and m.state is None
+        assert "no polish was accepted" in m.message
+        assert "no convergence in 1 Newton steps" in m.message
+
+    @pytest.mark.parametrize(
+        "params, bound",
+        [
+            (HopfParams(p=1, q=2, lam=1.0, mu=1.5), 2 * 13),  # both curves, nothing more
+            (HopfParams(p=1, q=2, lam=1.0, mu=4.0), 98 - 1),
+            (HopfParams(p=1, q=1, lam=1.0, mu=1.0), 266 - 1),
+        ],
+    )
+    def test_ivp_solves_per_match(self, monkeypatch, params, bound):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_ivp(*args, **kwargs)
+
+        solve_ivp = shooting.solve_ivp
+        monkeypatch.setattr(shooting, "solve_ivp", counted)
+        match_shooting(params)
+        assert len(calls) <= bound
 
     def test_mismatch_csv(self, tmp_path, params_main):
         m = match_shooting(params_main)
