@@ -2,11 +2,11 @@
 
 The glued curve alpha_s solves the full boundary problem exactly when its
 derivative jump l(s) vanishes.  This module scans l over geometrically spaced
-junction values, extracts sign-change brackets, bisects them to a root, and
-turns the asymptotic statements about the small-s regime (convergence of the
-stretched profiles to the limit profile, growth of s^-2 I_s^1, smallness of
-I_s^2 relative to I_s^1, the comparison-family ordering) into finite
-numerical trend checks.
+junction values, extracts sign-change brackets, finds a root in the first one
+by Brent's method, and turns the asymptotic statements about the small-s
+regime (convergence of the stretched profiles to the limit profile, growth of
+s^-2 I_s^1, smallness of I_s^2 relative to I_s^1, the comparison-family
+ordering) into finite numerical trend checks.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import simpson
+from scipy.optimize import brentq
 
 from .closed_forms import phi_limit, psi_comparison, theta_threshold
 from .core import HALF_PI, ConvergenceError, HopfParams
@@ -54,12 +55,12 @@ MAP_N_SCAN = 14
 @dataclass
 class ScanRow:
     s: float
-    l: float
-    l_tilde: float
-    I_s: float
-    I_s1: float
-    I_s2: float
-    converged: bool
+    l: float = math.nan
+    l_tilde: float = math.nan
+    I_s: float = math.nan
+    I_s1: float = math.nan
+    I_s2: float = math.nan
+    converged: bool = False
     J_interior: float = math.nan
     J_exterior: float = math.nan
     # why the glued solve failed; empty for converged rows, not written to CSV
@@ -86,7 +87,7 @@ class ScanResult:
 
 @dataclass
 class SolveOutcome:
-    """Result of the scan-bracket-bisect pipeline for one parameter set."""
+    """Result of the scan-bracket-Brent pipeline for one parameter set."""
 
     verdict: str  # "solution_found", "no_sign_change", or "failed"
     s_star: Optional[float]
@@ -106,7 +107,8 @@ class SolvabilityCell:
     s_star: Optional[float] = None
 
 
-def _glue_row(s: float, params: HopfParams, opts: dict) -> ScanRow:
+def _glue_row(task: tuple[float, HopfParams, dict]) -> ScanRow:
+    s, params, opts = task
     try:
         g = glue(s, params, **opts)
         return ScanRow(
@@ -121,20 +123,7 @@ def _glue_row(s: float, params: HopfParams, opts: dict) -> ScanRow:
             J_exterior=g.J_exterior,
         )
     except ConvergenceError as exc:
-        return ScanRow(
-            s=s,
-            l=math.nan,
-            l_tilde=math.nan,
-            I_s=math.nan,
-            I_s1=math.nan,
-            I_s2=math.nan,
-            converged=False,
-            reason=str(exc),
-        )
-
-
-def _glue_row_star(args) -> ScanRow:
-    return _glue_row(*args)
+        return ScanRow(s=s, reason=str(exc))
 
 
 def scan_jump(
@@ -160,9 +149,9 @@ def scan_jump(
     tasks = [(float(s), params, opts) for s in svals]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_glue_row_star, tasks))
+            rows = list(pool.map(_glue_row, tasks))
     else:
-        rows = [_glue_row_star(t) for t in tasks]
+        rows = [_glue_row(t) for t in tasks]
     result = ScanResult(params=params, rows=rows)
     result.brackets = result.sign_changes()
     return result
@@ -210,6 +199,10 @@ def _certify(
     return max_res, float(abs(v[0])), float(abs(math.pi - v[-1]))
 
 
+class _RootFound(Exception):
+    """Ends the Brent search; carries the first glue that meets the jump tolerance."""
+
+
 def find_solution(
     params: HopfParams,
     s_min: float = 0.02,
@@ -217,16 +210,17 @@ def find_solution(
     n_scan: int = 16,
     grid_n: int = 2000,
     root_tol: float = ROOT_TOL,
-    max_bisect: int = 80,
     jobs: int = 1,
     **glue_opts,
 ) -> SolveOutcome:
-    """Drive l(s) to zero by bisection over a sign-change bracket.
+    """Drive l(s) to zero by Brent's method over the first sign-change bracket.
 
-    Returns ``no_sign_change`` (numerical evidence of unsolvability, not a
-    proof) when the scan shows a single-signed jump, ``failed`` on numerical
-    breakdown, and ``solution_found`` with the residual-certified glued curve
-    otherwise.
+    The search stops at the first glue with ``|l| <= root_tol`` and certifies
+    that glue.  Returns ``no_sign_change`` (numerical evidence of
+    unsolvability, not a proof) when the scan shows a single-signed jump,
+    ``failed`` on numerical breakdown or when the bracket shrinks to rounding
+    without meeting the tolerance, and ``solution_found`` with the
+    residual-certified glued curve otherwise.
     """
     scan = scan_jump(params, s_min, s_max, n_scan, grid_n=grid_n, jobs=jobs, **glue_opts)
     opts = dict(glue_opts)
@@ -250,35 +244,40 @@ def find_solution(
             message="jump kept a single sign over the scanned junctions",
         )
 
-    lo, hi = scan.brackets[0]
-    l_lo = next(r.l for r in scan.rows if r.s == lo)
-    glued_mid: Optional[GluedSolution] = None
-    for _ in range(max_bisect):
-        mid = 0.5 * (lo + hi)
+    # brentq evaluates both ends first; glue is deterministic, so the scan's
+    # values stand in for gluing them again
+    known = {r.s: r.l for r in scan.rows if r.s in scan.brackets[0]}
+    last_l = math.nan
+
+    def jump(s: float) -> float:
+        nonlocal last_l
+        if s in known:
+            return known[s]
         try:
-            glued_mid = glue(mid, params, **opts)
+            g = glue(s, params, **opts)
         except ConvergenceError as exc:
-            return SolveOutcome(
-                "failed", None, None, scan,
-                message=f"glued solve failed at s={mid}, bisection stopped: {exc}",
-            )
-        if abs(glued_mid.l) <= root_tol:
-            scan.s_star = mid
-            max_res, b0, b1 = _certify(glued_mid, params)
-            return SolveOutcome(
-                "solution_found", mid, glued_mid, scan, max_res, b0, b1
-            )
-        if l_lo * glued_mid.l < 0.0:
-            hi = mid
-        else:
-            lo, l_lo = mid, glued_mid.l
-        if hi - lo < 1e-13 * (1.0 + hi):
-            break
+            raise ConvergenceError(
+                f"glued solve failed at s={s}, root search stopped: {exc}"
+            ) from None
+        if abs(g.l) <= root_tol:
+            raise _RootFound(g)
+        last_l = g.l
+        return g.l
+
+    try:
+        brentq(jump, *scan.brackets[0], full_output=True, disp=False)
+    except _RootFound as found:
+        glued = found.args[0]
+        scan.s_star = glued.s
+        max_res, b0, b1 = _certify(glued, params)
+        return SolveOutcome("solution_found", glued.s, glued, scan, max_res, b0, b1)
+    except ConvergenceError as exc:
+        return SolveOutcome("failed", None, None, scan, message=str(exc))
     return SolveOutcome(
         "failed", None, None, scan,
         message=(
-            "bisection exhausted its bracket without reaching the jump "
-            f"tolerance (last |l| = {abs(glued_mid.l) if glued_mid else math.nan:.3e})"
+            "root search shrank its bracket without reaching the jump "
+            f"tolerance (last |l| = {abs(last_l):.3e})"
         ),
     )
 
@@ -564,7 +563,7 @@ def solvability_map(
     jobs: int = 1,
     **find_opts,
 ) -> list[SolvabilityCell]:
-    """Run the scan/bisect pipeline over a (lambda, mu) grid.
+    """Run the scan/Brent pipeline over a (lambda, mu) grid.
 
     Cells are laid out lambda-major in the returned list; per-cell failures
     are marked ``inconclusive`` rather than raised.

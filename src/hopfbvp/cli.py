@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-solve       scan the jump function, bisect a sign change, write the profile
+solve       scan the jump, find its root by Brent's method, write the profile
 scan-jump   tabulate (s, l, l_tilde, I_s, I_s1, I_s2) over junction values
 map         solvability verdicts over a (lambda, mu) grid
 blowup      sup distance of stretched profiles from the limit profile
@@ -87,14 +87,18 @@ def _read_config(path: str | None) -> dict:
     return out
 
 
-def _settings(ns: argparse.Namespace) -> RunConfig:
-    cfg = dict(DEFAULTS)
-    cfg.update(_read_config(getattr(ns, "config", None)))
+def _given(ns: argparse.Namespace) -> dict:
+    """The settings the user gave: the config file, overridden by the flags."""
+    given = _read_config(getattr(ns, "config", None))
     for key in DEFAULTS:
         val = getattr(ns, key, None)
         if val is not None:
-            cfg[key] = val
-    return RunConfig(**cfg)
+            given[key] = val
+    return given
+
+
+def _settings(ns: argparse.Namespace) -> RunConfig:
+    return RunConfig(**{**DEFAULTS, **_given(ns)})
 
 
 def _out_dir(ns: argparse.Namespace) -> Path:
@@ -161,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("solve", help="find a junction with vanishing jump")
+    sp = sub.add_parser("solve", help="find a zero of the jump by scan and Brent's method")
     _add_param_flags(sp)
     _add_common_flags(sp)
     sp.add_argument("--cross-check", action="store_true",
@@ -314,11 +318,14 @@ def cmd_scan_jump(ns: argparse.Namespace) -> int:
 
 def cmd_map(ns: argparse.Namespace) -> int:
     out_dir = _out_dir(ns)
-    cfg = _settings(ns)
+    given = _given(ns)
+    cfg = RunConfig(**{**DEFAULTS, **given})
     lam_lo, lam_hi, n_lam = _parse_range(ns.lam)
     mu_lo, mu_hi, n_mu = _parse_range(ns.mu)
-    # the map runs its cells on coarser meshes and scans than a single solve
-    used = {"n": min(cfg.n, analysis.MAP_GRID_N), "n_scan": analysis.MAP_N_SCAN}
+    # the map runs its cells on coarser meshes than a single solve, and on
+    # fewer scan points unless the user sets n_scan
+    used = {"n": min(cfg.n, analysis.MAP_GRID_N),
+            "n_scan": given.get("n_scan", analysis.MAP_N_SCAN)}
     cells = analysis.solvability_map(
         ns.p,
         ns.q,

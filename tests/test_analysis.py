@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from hopfbvp import analysis
 from hopfbvp.analysis import (
     auto_comparison_config,
     blowup_compare,
@@ -16,7 +18,7 @@ from hopfbvp.analysis import (
     write_map_csv,
     write_scan_csv,
 )
-from hopfbvp.core import HALF_PI, HopfParams
+from hopfbvp.core import HALF_PI, ConvergenceError, HopfParams
 
 
 class TestScanJump:
@@ -95,6 +97,55 @@ class TestFindSolution:
         out = find_solution(params_flat, s_min=0.3, s_max=1.2, n_scan=5, grid_n=800)
         assert out.verdict == "solution_found"
         assert abs(out.glued.l) <= 1e-6
+
+
+class TestRootSearch:
+    """Brent's method on the jump: glue count and the two failure exits."""
+
+    QUICK = dict(s_min=0.05, s_max=1.45, n_scan=8, grid_n=600)
+
+    @staticmethod
+    def record_glues(monkeypatch, fail_after=None):
+        """Record the s of every glue; raise ConvergenceError after fail_after."""
+        seen = []
+        real = analysis.glue
+
+        def glue(s, *args, **kwargs):
+            seen.append(s)
+            if fail_after is not None and len(seen) > fail_after:
+                raise ConvergenceError(f"injected failure at s={s}")
+            return real(s, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "glue", glue)
+        return seen
+
+    def test_main_regime_glue_count(self, params_main, monkeypatch):
+        seen = self.record_glues(monkeypatch)
+        out = find_solution(params_main)
+        assert out.verdict == "solution_found"
+        assert len(seen) <= 20  # 16 scan glues, then the root search
+        scanned = {r.s for r in out.scan.rows}
+        root_glues = seen[len(out.scan.rows):]
+        assert root_glues and scanned.isdisjoint(root_glues)
+        # the glue that met the tolerance is the one certified, not re-glued
+        assert out.s_star == root_glues[-1] == out.glued.s
+
+    def test_convergence_error_at_root_glue(self, params_main, monkeypatch):
+        n_scan = self.QUICK["n_scan"]
+        seen = self.record_glues(monkeypatch, fail_after=n_scan)
+        out = find_solution(params_main, **self.QUICK)
+        assert out.verdict == "failed"
+        assert len(seen) == n_scan + 1  # no retry after the failure
+        assert f"s={seen[-1]}" in out.message
+        assert "root search stopped" in out.message
+        assert "last |l|" not in out.message
+
+    def test_unreachable_tolerance_reports_last_jump(self, params_main):
+        out = find_solution(params_main, root_tol=1e-300, **self.QUICK)
+        assert out.verdict == "failed"
+        assert "root search stopped" not in out.message
+        last = float(re.search(r"last \|l\| = (\S+)\)", out.message).group(1))
+        assert 1e-300 < last < 1e-6
 
 
 class TestBlowupCompare:

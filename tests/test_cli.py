@@ -128,6 +128,7 @@ class TestMap:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["n_solution_found"] == 2
         assert summary["n_no_sign_change"] == 2
+        assert summary["used"]["n_scan"] == 6
 
     def test_forwards_mesh_settings_and_records_used(self, tmp_path, monkeypatch):
         seen = {}
@@ -149,7 +150,24 @@ class TestMap:
         assert seen["offset"] == 1e-5  # the flag overrides the config
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["used"] == {"n": seen["grid_n"], "n_scan": seen["n_scan"]}
-        assert summary["used"] == {"n": analysis.MAP_GRID_N, "n_scan": analysis.MAP_N_SCAN}
+        assert summary["used"] == {"n": analysis.MAP_GRID_N, "n_scan": 6}
+
+    def test_n_scan_from_config_else_map_default(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_map(p, q, lam_range, mu_range, n_lam, n_mu, **opts):
+            seen.append(opts["n_scan"])
+            return [analysis.SolvabilityCell(lam=1.0, mu=1.0, verdict="no_sign_change")]
+
+        monkeypatch.setattr(analysis, "solvability_map", fake_map)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_scan = 5\n")
+        args = ("map", "--p", "1", "--q", "2", "--lambda", "1:1:1", "--mu", "1:1:1")
+        assert run(tmp_path, *args, "--config", str(cfg)) == 0
+        assert run(tmp_path, *args) == 0
+        assert seen == [5, analysis.MAP_N_SCAN]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["used"]["n_scan"] == analysis.MAP_N_SCAN
 
     def test_bad_range(self, tmp_path):
         rc = run(tmp_path, "map", "--p", "1", "--q", "2", "--lambda", "1:2",

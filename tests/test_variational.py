@@ -42,7 +42,7 @@ class TestDiscreteEnergy:
         disc = DiscreteEnergy(grid, params_main, pinned_index=0)
         v = np.clip(HALF_PI + grid.nodes, HALF_PI, math.pi)
         v[0] = HALF_PI
-        diag, off = disc._hessian_parts(v)
+        diag, off = disc._hessian(disc.trig(v)[2])
         h = 1e-6
         for i in (5, 15, 28):
             e1, e2 = v.copy(), v.copy()
@@ -51,6 +51,19 @@ class TestDiscreteEnergy:
             fd = (disc.gradient(e2) - disc.gradient(e1)) / (2 * h)
             assert diag[i] == pytest.approx(fd[i], rel=5e-5, abs=1e-8)
             assert off[i] == pytest.approx(fd[i + 1], rel=5e-5, abs=1e-8)
+
+
+    def test_stored_trig_gives_identical_kernels(self, params_main):
+        grid = interior_grid(0.6, n=200)
+        disc = DiscreteEnergy(grid, params_main, pinned_index=199)
+        v = HALF_PI * np.sqrt(grid.nodes / 0.6)
+        trig = disc.trig(v)
+        assert disc.energy(v, trig) == disc.energy(v)
+        g = disc.gradient(v)
+        assert np.array_equal(disc.gradient(v, trig), g)
+        d, shift = disc.newton_direction(v, g)
+        d_stored, shift_stored = disc.newton_direction(v, g, trig)
+        assert np.array_equal(d_stored, d) and shift_stored == shift
 
 
 class TestEvalFunctional:
