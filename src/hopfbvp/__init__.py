@@ -60,13 +60,10 @@ from .analysis import (
     SolvabilityCell,
     SolveOutcome,
     auto_comparison_config,
-    blowup_compare,
     comparison_check,
-    estimate_Is1_trend,
-    estimate_Is2,
     find_solution,
-    junction_asymptotics_check,
     scan_jump,
+    small_s_report,
     solvability_map,
 )
 from .hopf import (

@@ -4,9 +4,10 @@ The glued curve alpha_s solves the full boundary problem exactly when its
 derivative jump l(s) vanishes.  This module scans l over geometrically spaced
 junction values, extracts sign-change brackets, finds a root in the first one
 by Brent's method, and turns the asymptotic statements about the small-s
-regime (convergence of the stretched profiles to the limit profile, growth of
-s^-2 I_s^1, smallness of I_s^2 relative to I_s^1, the comparison-family
-ordering) into finite numerical trend checks.
+regime into finite numerical trend checks.  :func:`small_s_report` reads
+three of them from one glue per s: convergence of the stretched profiles to
+the limit profile, growth of s^-2 I_s^1, and smallness of I_s^2 relative to
+I_s^1.  :func:`comparison_check` tests the comparison-family ordering.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from scipy.integrate import simpson
 from scipy.optimize import brentq
 
 from .closed_forms import phi_limit, psi_comparison, theta_threshold
-from .core import HALF_PI, ConvergenceError, HopfParams
+from .core import HALF_PI, ConvergenceError, Grid, HopfParams, Profile
 from .ode import residual
 from .variational import GluedSolution, glue
 
@@ -30,17 +31,13 @@ __all__ = [
     "ScanResult",
     "SolveOutcome",
     "SolvabilityCell",
-    "Is2Report",
+    "SmallSRow",
     "ComparisonReport",
-    "JunctionAsymptoticsReport",
     "scan_jump",
     "find_solution",
-    "blowup_compare",
-    "estimate_Is1_trend",
-    "estimate_Is2",
+    "small_s_report",
     "comparison_check",
     "auto_comparison_config",
-    "junction_asymptotics_check",
     "solvability_map",
     "write_scan_csv",
     "write_map_csv",
@@ -50,6 +47,7 @@ ROOT_TOL = 1e-6
 RESIDUAL_MARGIN = 0.05  # "away from endpoints" band for residual certification
 MAP_GRID_N = 1000  # mesh size per map cell; the CLI caps its --n here
 MAP_N_SCAN = 14
+N_BLOWUP_SAMPLES = 2001  # points of [eps, 1/eps] in the blow-up sup distance
 
 
 @dataclass
@@ -65,6 +63,8 @@ class ScanRow:
     J_exterior: float = math.nan
     # why the glued solve failed; empty for converged rows, not written to CSV
     reason: str = ""
+    # the solve behind the row, kept so a root at a scan point is not re-glued
+    glued: Optional[GluedSolution] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -121,6 +121,7 @@ def _glue_row(task: tuple[float, HopfParams, dict]) -> ScanRow:
             converged=g.converged_interior and g.converged_exterior,
             J_interior=g.J_interior,
             J_exterior=g.J_exterior,
+            glued=g,
         )
     except ConvergenceError as exc:
         return ScanRow(s=s, reason=str(exc))
@@ -172,8 +173,6 @@ def _certify(
     The junction node is kept and marked so its kinked stencil is skipped;
     :func:`residual` also skips the stencils still finer than ``H_FLOOR``.
     """
-    from .core import Grid, Profile
-
     prof = glued.merged_profile()
     t, v = prof.t, prof.values
     j = prof.grid.junction_index
@@ -228,15 +227,17 @@ def find_solution(
 
     # a scanned junction may already satisfy the root tolerance (e.g. the
     # q = 1, lambda = mu family, where the jump vanishes identically)
+    hit = next((r for r in scan.rows if r.converged and abs(r.l) <= root_tol), None)
     for row in scan.rows:
-        if row.converged and abs(row.l) <= root_tol:
-            glued = glue(row.s, params, **opts)
-            scan.s_star = row.s
-            max_res, b0, b1 = _certify(glued, params)
-            return SolveOutcome(
-                "solution_found", row.s, glued, scan, max_res, b0, b1,
-                message="scan point already below the jump tolerance",
-            )
+        if row is not hit:
+            row.glued = None  # the outcome keeps only the solve it certifies
+    if hit is not None:
+        scan.s_star = hit.s
+        max_res, b0, b1 = _certify(hit.glued, params)
+        return SolveOutcome(
+            "solution_found", hit.s, hit.glued, scan, max_res, b0, b1,
+            message="scan point already below the jump tolerance",
+        )
 
     if not scan.brackets:
         return SolveOutcome(
@@ -282,85 +283,65 @@ def find_solution(
     )
 
 
-def blowup_compare(
-    s: float,
+@dataclass
+class SmallSRow:
+    """The small-junction checks at one s, all read from a single glue."""
+
+    s: float
+    sup_distance: float  # max |gamma_s - phi| over t in [eps, 1/eps]
+    Is1_scaled: float  # s^-2 * I_s^1
+    Is2_ratio: float  # I_s^2 / I_s^1
+    A_s: float  # part of I_s^2 over t > s/eps
+    B_s: float  # part of I_s^2 over t < s/eps
+    bound_ok: bool  # B_s <= tan(s/eps)^2 * I_s^1
+
+
+def small_s_report(
     params: HopfParams,
+    s_values: Sequence[float],
     eps: float,
     grid_n: int = 2000,
-    n_samples: int = 2001,
     **glue_opts,
-) -> float:
-    """Sup distance between the stretched glued profile and the limit profile.
+) -> list[SmallSRow]:
+    """Blow-up distance and I_s^1, I_s^2 asymptotics from one glue per s.
 
     gamma_s(t) = alpha_s(s*t) is compared with the limit profile pinned at
-    pi/2 at t = 1, over t in [eps, 1/eps].
+    pi/2 at t = 1, over t in [eps, 1/eps].  For lambda > 1, s^-2 I_s^1
+    approaches the finite limit A(lambda); for lambda = 1 it grows without
+    bound as s -> 0.  I_s^2 is split at the outer edge t = s/eps of the
+    blow-up window: the inner integrand equals tan(t)^2 times the I_s^1
+    integrand, so B_s <= tan(s/eps)^2 I_s^1 holds exactly, and the ratio
+    I_s^2/I_s^1 shrinks along s -> 0.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    if s / eps >= HALF_PI:
+    s_values = [float(s) for s in s_values]
+    if any(s / eps >= HALF_PI for s in s_values):
         raise ValueError("s/eps must stay below pi/2")
-    glued = glue(s, params, n=grid_n, **glue_opts)
-    prof = glued.merged_profile()
-    tt = np.geomspace(eps, 1.0 / eps, n_samples)
-    gamma = prof.interpolate(s * tt)
+    tt = np.geomspace(eps, 1.0 / eps, N_BLOWUP_SAMPLES)
     phi = phi_limit(tt, 1.0, params.lam)
-    return float(np.max(np.abs(gamma - phi)))
+    rows = []
+    for s in s_values:
+        glued = glue(s, params, n=grid_n, **glue_opts)
+        prof = glued.merged_profile()
+        cut = s / eps
+        b_s, a_s = _split_Is2(prof, params.q, cut)
+        bound = math.tan(cut) ** 2 * glued.I_s1
+        rows.append(SmallSRow(
+            s=s,
+            sup_distance=float(np.max(np.abs(prof.interpolate(s * tt) - phi))),
+            Is1_scaled=glued.I_s1 / s**2,
+            Is2_ratio=glued.I_s2 / glued.I_s1,
+            A_s=a_s,
+            B_s=b_s,
+            bound_ok=bool(b_s <= bound * (1.0 + 1e-12) + 1e-300),
+        ))
+    return rows
 
 
-def estimate_Is1_trend(
-    params: HopfParams,
-    s_sequence: Sequence[float],
-    grid_n: int = 2000,
-    **glue_opts,
-) -> list[float]:
-    """s^-2 * I_s^1 along a decreasing sequence of junction values.
-
-    For lambda > 1 the values approach the finite limit A(lambda); for
-    lambda = 1 they grow without bound as s -> 0.
-    """
-    out = []
-    for s in s_sequence:
-        g = glue(float(s), params, n=grid_n, **glue_opts)
-        out.append(g.I_s1 / float(s) ** 2)
-    return out
-
-
-@dataclass
-class Is2Report:
-    s: float
-    R: float
-    d: float
-    A_s: float
-    B_s: float
-    I_s1: float
-    I_s2: float
-    ratio: float  # I_s2 / I_s1
-    bound_ok: bool  # B_s <= tan(R*s)^2 * I_s1
-
-
-def estimate_Is2(
-    params: HopfParams,
-    s: float,
-    R: float,
-    d: float,
-    grid_n: int = 2000,
-    **glue_opts,
-) -> Is2Report:
-    """Split I_s^2 at t = R*s into inner (B_s) and outer (A_s) parts.
-
-    The inner integrand equals tan(t)^2 times the I_s^1 integrand, so
-    B_s <= tan(R*s)^2 * I_s^1 holds exactly; the ratio I_s^2/I_s^1 shrinks
-    along s -> 0.
-    """
-    if not (d > 1.0):
-        raise ValueError("d must exceed 1")
-    if not (0.0 < R * s < math.pi / 4.0):
-        raise ValueError("R*s must lie in (0, pi/4)")
-    glued = glue(s, params, n=grid_n, **glue_opts)
-    prof = glued.merged_profile()
+def _split_Is2(prof: Profile, q: int, cut: float) -> tuple[float, float]:
+    """Simpson quadratures of the I_s^2 integrand below and above t = cut."""
     t, v = prof.t, prof.values
-    q = params.q
-    cut = R * s
 
     def chunk(ts: np.ndarray, vs: np.ndarray) -> float:
         g = np.sin(ts) ** 3 * np.cos(ts) ** (2 * q - 3) * np.sin(vs) ** 2
@@ -372,20 +353,7 @@ def estimate_Is2(
     v_in = np.concatenate(([0.0], v[inner_mask], [v_cut]))
     t_out = np.concatenate(([cut], t[~inner_mask], [HALF_PI]))
     v_out = np.concatenate(([v_cut], v[~inner_mask], [math.pi]))
-    b_s = chunk(t_in, v_in)
-    a_s = chunk(t_out, v_out)
-    bound = math.tan(cut) ** 2 * glued.I_s1
-    return Is2Report(
-        s=s,
-        R=R,
-        d=d,
-        A_s=a_s,
-        B_s=b_s,
-        I_s1=glued.I_s1,
-        I_s2=glued.I_s2,
-        ratio=glued.I_s2 / glued.I_s1,
-        bound_ok=bool(b_s <= bound * (1.0 + 1e-12) + 1e-300),
-    )
+    return chunk(t_in, v_in), chunk(t_out, v_out)
 
 
 @dataclass
@@ -486,53 +454,6 @@ def auto_comparison_config(
         s *= 0.5
     raise ValueError(
         f"no comparison scale d in (1, {R}) reaches the threshold for s={s}"
-    )
-
-
-@dataclass
-class JunctionAsymptoticsReport:
-    s: float
-    R: float
-    d: float
-    cos_alpha_at_sR: float
-    alpha_limit: float  # -1 + 2/(1 + R^a)
-    alpha_err: float
-    cos_psi_at_sR: float
-    psi_limit: float  # -1 + 2/(1 + (R/d)^a)
-    psi_err: float
-
-
-def junction_asymptotics_check(
-    s: float,
-    R: float,
-    d: float,
-    params: HopfParams,
-    grid_n: int = 2000,
-    **glue_opts,
-) -> JunctionAsymptoticsReport:
-    """Cosines of the glued and comparison profiles at t = R*s vs their limits.
-
-    cos(alpha_s(R*s)) approaches -1 + 2/(1+R^a) as s -> 0, and
-    cos(psi_{d*s}(R*s)) equals -1 + 2/(1+(R/d)^a) up to O(R^2 s^2).
-    """
-    if not (0.0 < R * s < math.pi / 4.0):
-        raise ValueError("R*s must lie in (0, pi/4)")
-    a = params.a
-    glued = glue(s, params, n=grid_n, **glue_opts)
-    cos_alpha = float(math.cos(glued.merged_profile().interpolate(R * s)))
-    alpha_limit = -1.0 + 2.0 / (1.0 + R**a)
-    cos_psi = float(math.cos(psi_comparison(R * s, d * s, params.lam)))
-    psi_limit = -1.0 + 2.0 / (1.0 + (R / d) ** a)
-    return JunctionAsymptoticsReport(
-        s=s,
-        R=R,
-        d=d,
-        cos_alpha_at_sR=cos_alpha,
-        alpha_limit=alpha_limit,
-        alpha_err=abs(cos_alpha - alpha_limit),
-        cos_psi_at_sR=cos_psi,
-        psi_limit=psi_limit,
-        psi_err=abs(cos_psi - psi_limit),
     )
 
 

@@ -5,7 +5,7 @@ Subcommands
 solve       scan the jump, find its root by Brent's method, write the profile
 scan-jump   tabulate (s, l, l_tilde, I_s, I_s1, I_s2) over junction values
 map         solvability verdicts over a (lambda, mu) grid
-blowup      sup distance of stretched profiles from the limit profile
+blowup      small-s checks: stretched-profile distance, I_s^1 and I_s^2 trends
 compare     supersolution ordering check for one (s, d, t0) configuration
 verify      closed-form oracle table; exit 0 only if every row passes
 hopf-eval   sample a join map built from a profile CSV; report norm errors
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(sp)
     sp.set_defaults(func=cmd_map)
 
-    sp = sub.add_parser("blowup", help="stretched-profile distance from the limit")
+    sp = sub.add_parser("blowup", help="stretched-profile distance and I_s trends")
     _add_param_flags(sp)
     _add_common_flags(sp)
     sp.add_argument("--s-list", dest="s_list", default="0.04,0.02,0.01")
@@ -364,22 +364,21 @@ def cmd_blowup(ns: argparse.Namespace) -> int:
     cfg = _settings(ns)
     params = _params(ns)
     s_values = [float(tok) for tok in ns.s_list.split(",") if tok.strip()]
-    rows = []
-    for s in s_values:
-        dist = analysis.blowup_compare(
-            s, params, ns.eps, grid_n=cfg.n,
-            grading=cfg.grading, offset=cfg.offset,
-        )
-        rows.append((s, dist))
-    lines = ["s,sup_distance"] + [f"{s:.17g},{d:.17g}" for s, d in rows]
+    rows = analysis.small_s_report(
+        params, s_values, ns.eps, grid_n=cfg.n,
+        grading=cfg.grading, offset=cfg.offset,
+    )
+    lines = ["s,sup_distance"] + [f"{r.s:.17g},{r.sup_distance:.17g}" for r in rows]
     (out_dir / "blowup.csv").write_text("\n".join(lines) + "\n")
     summary = {
         "command": "blowup",
         "params": params.to_dict(),
         "config": cfg.to_dict(),
         "eps": ns.eps,
-        "rows": [{"s": s, "sup_distance": d} for s, d in rows],
-        "decreasing": all(b[1] < a[1] for a, b in zip(rows, rows[1:])),
+        "rows": [asdict(r) for r in rows],
+        "decreasing": all(
+            b.sup_distance < a.sup_distance for a, b in zip(rows, rows[1:])
+        ),
         "files_written": ["blowup.csv"],
     }
     _write_summary(out_dir, summary, ns.json)
@@ -450,41 +449,37 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     return 0 if all_pass else 1
 
 
-def _unit_sample(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
 def cmd_hopf_eval(ns: argparse.Namespace) -> int:
     out_dir = _out_dir(ns)
     profile = read_profile_csv(ns.profile)
     mult = multiplication_by_name(ns.kind)
+    if ns.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {ns.samples}")
     rng = np.random.default_rng(ns.seed)
     t_lo, t_hi = profile.t[0], profile.t[-1]
-    worst = 0.0
-    for _ in range(ns.samples):
-        t = rng.uniform(t_lo, t_hi)
-        x = _unit_sample(rng, mult.k)
-        y = _unit_sample(rng, mult.l)
-        u = alpha_hopf_eval(profile, mult, t, x, y)
-        worst = max(worst, abs(1.0 - float(np.linalg.norm(u))))
+    # the random samples (t, x, y each), then a unit pair (x, y) at each pole
+    n, k, l = ns.samples + 2, mult.k, mult.l
+    t, x, y = np.empty(n), np.empty((n, k)), np.empty((n, l))
+    for i in range(n):
+        if i < ns.samples:
+            t[i] = rng.uniform(t_lo, t_hi)
+        x[i] = rng.normal(size=k)
+        y[i] = rng.normal(size=l)
+    t[-2:] = t_lo, t_hi
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    y /= np.linalg.norm(y, axis=-1, keepdims=True)
+    u = alpha_hopf_eval(profile, mult, t, x, y)
+    norm_error = np.abs(1.0 - np.linalg.norm(u[:-2], axis=-1))
     north = np.zeros(mult.n_out + 1)
     north[-1] = 1.0
-    south = -north
-    u0 = alpha_hopf_eval(
-        profile, mult, t_lo, _unit_sample(rng, mult.k), _unit_sample(rng, mult.l)
-    )
-    u1 = alpha_hopf_eval(
-        profile, mult, t_hi, _unit_sample(rng, mult.k), _unit_sample(rng, mult.l)
-    )
     summary = {
         "command": "hopf-eval",
         "kind": ns.kind,
         "samples": ns.samples,
         "seed": ns.seed,
-        "max_norm_error": worst,
-        "north_pole_error": float(np.linalg.norm(u0 - north)),
-        "south_pole_error": float(np.linalg.norm(u1 - south)),
+        "max_norm_error": float(np.max(norm_error, initial=0.0)),
+        "north_pole_error": float(np.linalg.norm(u[-2] - north)),
+        "south_pole_error": float(np.linalg.norm(u[-1] + north)),
         "files_written": [],
     }
     _write_summary(out_dir, summary, ns.json)

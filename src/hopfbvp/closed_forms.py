@@ -77,21 +77,24 @@ def psi_comparison(t, s: float, lam: float):
     return _maybe_scalar(out, t)
 
 
-def psi_derivative_identity(t: float, s: float, lam: float, step: float = 1e-3):
+def psi_derivative_identity(t, s: float, lam: float, step: float = 1e-3):
     """(lhs, rhs) of the slope identity psi' = sqrt(lam) sin(psi)/(sin t cos t).
 
     lhs is a 5-point fourth-order numerical derivative of the comparison
     profile at t; rhs is the analytic right-hand side.  Their difference is a
-    discretization-error diagnostic, vanishing as step -> 0.
+    discretization-error diagnostic, vanishing as step -> 0.  Broadcasts over
+    an array t, each point with its own step kept clear of 0 and pi/2.
     """
-    if not (0.0 < t < HALF_PI):
+    ta = np.asarray(t, dtype=float)
+    if not np.all((ta > 0.0) & (ta < HALF_PI)):
         raise DomainError("psi_derivative_identity requires t in (0, pi/2)")
-    h = min(step, 0.25 * min(t, HALF_PI - t))
-    pts = psi_comparison(t + h * np.array([-2.0, -1.0, 1.0, 2.0]), s, lam)
-    lhs = (pts[0] - 8.0 * pts[1] + 8.0 * pts[2] - pts[3]) / (12.0 * h)
-    psi = psi_comparison(t, s, lam)
-    rhs = math.sqrt(lam) * math.sin(psi) / (math.sin(t) * math.cos(t))
-    return float(lhs), float(rhs)
+    h = np.minimum(step, 0.25 * np.minimum(ta, HALF_PI - ta))
+    offsets = h[..., None] * np.array([-2.0, -1.0, 1.0, 2.0])
+    pts = psi_comparison(ta[..., None] + offsets, s, lam)
+    lhs = (pts[..., 0] - 8.0 * pts[..., 1] + 8.0 * pts[..., 2] - pts[..., 3]) / (12.0 * h)
+    psi = psi_comparison(ta, s, lam)
+    rhs = math.sqrt(lam) * np.sin(psi) / (np.sin(ta) * np.cos(ta))
+    return _maybe_scalar(lhs, t), _maybe_scalar(rhs, t)
 
 
 def theta_threshold(params: HopfParams) -> float:

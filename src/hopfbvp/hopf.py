@@ -13,7 +13,6 @@ the bi-eigenmaps whose angle profiles the solver computes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -306,13 +305,16 @@ class BiEigenmap:
         return out
 
 
-def alpha_hopf_eval(profile: Profile, f_map, t: float, x, y) -> np.ndarray:
+def alpha_hopf_eval(profile: Profile, f_map, t, x, y) -> np.ndarray:
     """Join map value (sin(alpha(t)) * f(x,y), cos(alpha(t))) at angle t.
 
     alpha is interpolated from the profile; x and y are expected on their unit
     spheres, in which case the output lies on the unit sphere exactly up to
-    rounding.  Raises :class:`DomainError` for t outside the profile's grid.
+    rounding.  A batch of N points takes t of shape (N,), x of shape (N, k)
+    and y of shape (N, l), and returns shape (N, n_out + 1); ``f_map`` must
+    then accept batches, as :class:`OrthogonalMultiplication` does.  Raises
+    :class:`DomainError` for t outside the profile's grid.
     """
-    alpha = float(profile.interpolate(t))
+    alpha = profile.interpolate(t)[..., None]
     v = np.asarray(f_map(x, y), dtype=float)
-    return np.concatenate([math.sin(alpha) * v, [math.cos(alpha)]])
+    return np.concatenate([np.sin(alpha) * v, np.cos(alpha)], axis=-1)

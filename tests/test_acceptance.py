@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from hopfbvp.analysis import (
-    blowup_compare,
     comparison_check,
-    estimate_Is1_trend,
     find_solution,
     scan_jump,
+    small_s_report,
     solvability_map,
 )
 from hopfbvp.cli import main as cli_main
@@ -182,9 +181,13 @@ def test_criterion_6_solvability_map():
     assert ok, checks
 
 
+S_SEQUENCE = (0.04, 0.02, 0.01)
+
+
 def test_criterion_7_blowup_convergence():
     params = HopfParams(p=1, q=2, lam=1.0, mu=4.0)
-    dists = [blowup_compare(s, params, 0.1, grid_n=2000) for s in (0.04, 0.02, 0.01)]
+    rows = small_s_report(params, S_SEQUENCE, 0.1, grid_n=2000)
+    dists = [r.sup_distance for r in rows]
     checks = {
         "strictly decreasing": dists[0] > dists[1] > dists[2],
         "final distance <= 0.05": dists[2] <= 0.05,
@@ -196,10 +199,10 @@ def test_criterion_7_blowup_convergence():
 
 def test_criterion_8_is1_asymptotics():
     strong = HopfParams(p=1, q=2, lam=4.0, mu=12.0)
-    vals4 = estimate_Is1_trend(strong, [0.04, 0.02, 0.01], grid_n=2000)
+    vals4 = [r.Is1_scaled for r in small_s_report(strong, S_SEQUENCE, 0.1, grid_n=2000)]
     target = 0.95 * blowup_constant_exact(4.0)  # A(4) = pi/2
     weak = HopfParams(p=1, q=2, lam=1.0, mu=4.0)
-    vals1 = estimate_Is1_trend(weak, [0.04, 0.02, 0.01], grid_n=2000)
+    vals1 = [r.Is1_scaled for r in small_s_report(weak, S_SEQUENCE, 0.1, grid_n=2000)]
     checks = {
         "lam=4: s^-2 I_s1 >= 0.95 A(4)": vals4[-1] >= target,
         "lam=1: strictly increasing": vals1[0] < vals1[1] < vals1[2],

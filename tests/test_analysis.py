@@ -7,13 +7,10 @@ import pytest
 from hopfbvp import analysis
 from hopfbvp.analysis import (
     auto_comparison_config,
-    blowup_compare,
     comparison_check,
-    estimate_Is1_trend,
-    estimate_Is2,
     find_solution,
-    junction_asymptotics_check,
     scan_jump,
+    small_s_report,
     solvability_map,
     write_map_csv,
     write_scan_csv,
@@ -140,6 +137,15 @@ class TestRootSearch:
         assert "root search stopped" in out.message
         assert "last |l|" not in out.message
 
+    def test_root_at_scan_point_glued_once(self, params_flat, monkeypatch):
+        seen = self.record_glues(monkeypatch)
+        out = find_solution(params_flat, s_min=0.3, s_max=1.2, n_scan=5, grid_n=800)
+        assert out.verdict == "solution_found"
+        # the scan's five glues and no sixth for the certified scan point
+        assert seen == [r.s for r in out.scan.rows]
+        assert seen[-1] == 1.2
+        assert out.glued.s == out.s_star
+
     def test_unreachable_tolerance_reports_last_jump(self, params_main):
         out = find_solution(params_main, root_tol=1e-300, **self.QUICK)
         assert out.verdict == "failed"
@@ -150,9 +156,8 @@ class TestRootSearch:
 
 class TestBlowupCompare:
     def test_distance_decreases(self, params_main):
-        d_far = blowup_compare(0.04, params_main, 0.1, grid_n=1200)
-        d_near = blowup_compare(0.02, params_main, 0.1, grid_n=1200)
-        assert d_near < d_far
+        far, near = small_s_report(params_main, [0.04, 0.02], 0.1, grid_n=1200)
+        assert near.sup_distance < far.sup_distance
 
     def test_junction_pinned(self, params_main):
         from hopfbvp.variational import glue
@@ -163,24 +168,29 @@ class TestBlowupCompare:
 
     def test_eps_validation(self, params_main):
         with pytest.raises(ValueError):
-            blowup_compare(0.02, params_main, 1.5)
+            small_s_report(params_main, [0.02], 1.5)
+
+    def test_one_glue_per_s(self, params_main, monkeypatch):
+        seen = TestRootSearch.record_glues(monkeypatch)
+        rows = small_s_report(params_main, [0.04, 0.02, 0.01], 0.1, grid_n=400)
+        assert seen == [r.s for r in rows] == [0.04, 0.02, 0.01]
 
 
 class TestIsTrends:
     def test_is1_positive(self, params_main):
-        vals = estimate_Is1_trend(params_main, [0.04, 0.02], grid_n=800)
-        assert all(v > 0 for v in vals)
+        rows = small_s_report(params_main, [0.04, 0.02], 0.1, grid_n=800)
+        assert all(r.Is1_scaled > 0 for r in rows)
 
     def test_is1_grows_at_lam1(self, params_main):
-        vals = estimate_Is1_trend(params_main, [0.04, 0.02, 0.01], grid_n=1200)
-        assert vals[0] < vals[1] < vals[2]
+        rows = small_s_report(params_main, [0.04, 0.02, 0.01], 0.1, grid_n=1200)
+        assert rows[0].Is1_scaled < rows[1].Is1_scaled < rows[2].Is1_scaled
 
     def test_is2_split(self, params_main):
-        rep = estimate_Is2(params_main, 0.01, 50.0, 3.0, grid_n=1200)
+        # eps = 0.02 splits I_s^2 at t = 50 s
+        rep, rep2 = small_s_report(params_main, [0.01, 0.005], 0.02, grid_n=1200)
         assert rep.bound_ok
-        assert rep.A_s > 0 and rep.B_s > 0 and rep.I_s2 > 0
-        rep2 = estimate_Is2(params_main, 0.005, 50.0, 3.0, grid_n=1200)
-        assert rep2.ratio < rep.ratio
+        assert rep.A_s > 0 and rep.B_s > 0 and rep.Is2_ratio > 0
+        assert rep2.Is2_ratio < rep.Is2_ratio
 
 
 class TestComparison:
@@ -212,22 +222,6 @@ class TestComparison:
         lam, mu, q = params_main.lam, params_main.mu, params_main.q
         val = (lam - mu) * math.cos(theta) - math.sqrt(lam) * (q - 1)
         assert abs(val) < 1e-13
-
-
-class TestJunctionAsymptotics:
-    def test_psi_at_own_scale(self, params_main):
-        rep = junction_asymptotics_check(0.01, 10.0, 10.0, params_main, grid_n=600)
-        assert abs(rep.cos_psi_at_sR) < 1e-12
-
-    def test_frozen_limit_value(self, params_main):
-        rep = junction_asymptotics_check(0.01, 10.0, 3.0, params_main, grid_n=600)
-        assert rep.alpha_limit == pytest.approx(-0.9801980198019802, abs=1e-15)
-
-    def test_psi_error_quarters_when_s_halves(self, params_main):
-        r1 = junction_asymptotics_check(0.01, 10.0, 3.0, params_main, grid_n=600)
-        r2 = junction_asymptotics_check(0.005, 10.0, 3.0, params_main, grid_n=600)
-        ratio = r2.psi_err / r1.psi_err
-        assert abs(ratio - 0.25) <= 0.05
 
 
 class TestSolvabilityMap:

@@ -184,6 +184,8 @@ class TestBlowupAndCompare:
         assert rc == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["decreasing"] is True
+        assert all(r["bound_ok"] and r["Is1_scaled"] > 0 and r["Is2_ratio"] > 0
+                   for r in summary["rows"])
         lines = (tmp_path / "blowup.csv").read_text().splitlines()
         assert lines[0] == "s,sup_distance"
 
@@ -215,6 +217,17 @@ class TestHopfEval:
         assert summary["max_norm_error"] <= 1e-10
         assert summary["north_pole_error"] <= 1e-3
         assert summary["south_pole_error"] <= 1e-3
+
+    def test_sample_count(self, tmp_path):
+        (tmp_path / "p.csv").write_text("t,alpha,dalpha,residual\n0.1,0.2,2,0\n0.2,0.4,2,0\n0.3,0.6,2,0\n")
+        argv = ("hopf-eval", "--profile", str(tmp_path / "p.csv"), "--kind", "complex")
+        assert run(tmp_path, *argv, "--samples", "0") == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["max_norm_error"] == 0.0
+        assert run(tmp_path, *argv, "--samples", "-1") == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["verdict"] == "error"
+        assert "--samples" in summary["error"]
 
     def test_unknown_kind(self, tmp_path):
         (tmp_path / "p.csv").write_text("t,alpha,dalpha,residual\n0.1,0.2,2,0\n0.2,0.4,2,0\n0.3,0.6,2,0\n")

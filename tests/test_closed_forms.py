@@ -120,6 +120,29 @@ class TestSlopeIdentity:
         assert err_fine < 1e-8
 
 
+class TestJunctionAsymptotics:
+    """Cosines of the limit and comparison profiles at t = R*s (lambda = 1, a = 2)."""
+
+    R, LAM, A = 10.0, 1.0, 2.0
+
+    def psi_err(self, s, d):
+        # cos(psi_{d*s}(R*s)) equals -1 + 2/(1 + (R/d)^a) up to O(R^2 s^2)
+        limit = -1.0 + 2.0 / (1.0 + (self.R / d) ** self.A)
+        return abs(math.cos(psi_comparison(self.R * s, d * s, self.LAM)) - limit)
+
+    def test_psi_at_own_scale(self):
+        assert abs(math.cos(psi_comparison(self.R * 0.01, 10.0 * 0.01, self.LAM))) < 1e-12
+
+    def test_frozen_limit_value(self):
+        # cos(phi(R)) = -1 + 2/(1 + R^a)
+        cos_phi = math.cos(phi_limit(self.R, 1.0, self.LAM))
+        assert cos_phi == pytest.approx(-0.9801980198019802, abs=1e-15)
+
+    def test_psi_error_quarters_when_s_halves(self):
+        ratio = self.psi_err(0.005, 3.0) / self.psi_err(0.01, 3.0)
+        assert abs(ratio - 0.25) <= 0.05
+
+
 class TestThetaThreshold:
     def test_frozen_value(self):
         # lam=1 so sqrt(lam) = lam: arccos(-1/3)

@@ -192,16 +192,17 @@ class TestAlphaHopfEval:
         prof = self._straight_profile()
         rng = np.random.default_rng(0)
         m = complex_multiplication()
-        worst = 0.0
-        for _ in range(2000):
-            t = rng.uniform(prof.t[0], prof.t[-1])
-            x = rng.normal(size=2)
-            x /= np.linalg.norm(x)
-            y = rng.normal(size=2)
-            y /= np.linalg.norm(y)
-            u = alpha_hopf_eval(prof, m, t, x, y)
-            worst = max(worst, abs(np.linalg.norm(u) - 1.0))
-        assert worst <= 1e-10
+        t = rng.uniform(prof.t[0], prof.t[-1], size=2000)
+        x = rng.normal(size=(2000, 2))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        y = rng.normal(size=(2000, 2))
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+        loop = np.array([alpha_hopf_eval(prof, m, *point) for point in zip(t, x, y)])
+        batch = alpha_hopf_eval(prof, m, t, x, y)
+        assert batch.shape == loop.shape == (2000, 3)
+        assert np.max(np.abs(batch - loop)) <= 1e-15
+        for u in (loop, batch):
+            assert np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)) <= 1e-10
 
     def test_equator_value(self):
         prof = self._straight_profile()
