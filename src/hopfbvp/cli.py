@@ -11,9 +11,10 @@ verify      closed-form oracle table; exit 0 only if every row passes
 hopf-eval   sample a join map built from a profile CSV; report norm errors
 
 Exit codes: 0 success, 2 no sign change of the jump (solve), 1 failure or bad
-usage.  Every run writes ``summary.json`` into the output directory (env
-``HOPF_OUT_DIR`` or ``--out-dir``), even on failure.  A flat ``key=value``
-config file supplies defaults; command-line flags override it.
+usage.  Every run that gets past argument parsing writes ``summary.json`` into
+the output directory (env ``HOPF_OUT_DIR`` or ``--out-dir``), even on failure;
+a usage error writes none.  A flat ``key=value`` config file supplies
+defaults; command-line flags override it.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ from .ode import read_profile_csv, write_profile_csv
 from .hopf import alpha_hopf_eval, multiplication_by_name
 from .shooting import match_shooting, write_mismatch_csv
 
+
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved solver settings: defaults, then config file, then flags."""
 
     n: int = 2000
-    grading: float = 2.0
     offset: float = 1e-7
     root_tol: float = 1e-6
     s_min: float = 0.02
@@ -55,8 +56,6 @@ class RunConfig:
                 raise ValueError(f"{name} must be > 0")
         if not (0.0 < self.s_min < self.s_max < math.pi / 2):
             raise ValueError("scan range needs 0 < s_min < s_max < pi/2")
-        if self.grading < 1.0:
-            raise ValueError("grading exponent must be >= 1")
         if self.jobs < 1 or self.n_scan < 2:
             raise ValueError("jobs must be >= 1 and n_scan >= 2")
 
@@ -146,7 +145,6 @@ def _add_param_flags(sp: argparse.ArgumentParser) -> None:
 
 def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n", type=int, help="grid nodes per side (default 2000)")
-    sp.add_argument("--grading", type=float, help="mesh grading exponent")
     sp.add_argument("--offset", type=float, help="distance of end nodes from 0, pi/2")
     sp.add_argument("--root-tol", dest="root_tol", type=float)
     sp.add_argument("--s-min", dest="s_min", type=float)
@@ -158,8 +156,16 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--json", action="store_true", help="echo summary.json to stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: argparse's own 2 means "no sign change" here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hopfbvp",
         description="Singular BVP solver for join-type harmonic maps between spheres",
     )
@@ -204,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("verify", help="closed-form oracle table")
-    sp.add_argument("--config", help="flat key=value config file")
     sp.add_argument("--out-dir", dest="out_dir")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_verify)
@@ -215,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="complex | quaternion | octonion | restricted3/5/9")
     sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--config", help="flat key=value config file")
     sp.add_argument("--out-dir", dest="out_dir")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_hopf_eval)
@@ -223,24 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _solve_settings(cfg: RunConfig) -> dict:
-    return dict(
-        s_min=cfg.s_min,
-        s_max=cfg.s_max,
-        n_scan=cfg.n_scan,
-        grid_n=cfg.n,
-        root_tol=cfg.root_tol,
-        jobs=cfg.jobs,
-        grading=cfg.grading,
-        offset=cfg.offset,
-    )
-
-
 def cmd_solve(ns: argparse.Namespace) -> int:
     out_dir = _out_dir(ns)
     cfg = _settings(ns)
     params = _params(ns)
-    outcome = analysis.find_solution(params, **_solve_settings(cfg))
+    outcome = analysis.find_solution(
+        params, cfg.s_min, cfg.s_max, cfg.n_scan, grid_n=cfg.n,
+        root_tol=cfg.root_tol, jobs=cfg.jobs, offset=cfg.offset,
+    )
     files = []
     summary = {
         "command": "solve",
@@ -298,7 +292,6 @@ def cmd_scan_jump(ns: argparse.Namespace) -> int:
         cfg.n_scan,
         grid_n=cfg.n,
         jobs=cfg.jobs,
-        grading=cfg.grading,
         offset=cfg.offset,
     )
     analysis.write_scan_csv(scan, out_dir / "scan.csv")
@@ -339,7 +332,6 @@ def cmd_map(ns: argparse.Namespace) -> int:
         s_min=cfg.s_min,
         s_max=cfg.s_max,
         root_tol=cfg.root_tol,
-        grading=cfg.grading,
         offset=cfg.offset,
     )
     analysis.write_map_csv(cells, out_dir / "map.csv")
@@ -364,10 +356,7 @@ def cmd_blowup(ns: argparse.Namespace) -> int:
     cfg = _settings(ns)
     params = _params(ns)
     s_values = [float(tok) for tok in ns.s_list.split(",") if tok.strip()]
-    rows = analysis.small_s_report(
-        params, s_values, ns.eps, grid_n=cfg.n,
-        grading=cfg.grading, offset=cfg.offset,
-    )
+    rows = analysis.small_s_report(params, s_values, ns.eps, grid_n=cfg.n, offset=cfg.offset)
     lines = ["s,sup_distance"] + [f"{r.s:.17g},{r.sup_distance:.17g}" for r in rows]
     (out_dir / "blowup.csv").write_text("\n".join(lines) + "\n")
     summary = {
@@ -394,10 +383,7 @@ def cmd_compare(ns: argparse.Namespace) -> int:
         s, d_auto, t0_auto = analysis.auto_comparison_config(s, params, R=ns.R)
         d = d if d is not None else d_auto
         t0 = t0 if t0 is not None else t0_auto
-    report = analysis.comparison_check(
-        s, d, t0, params, grid_n=cfg.n,
-        grading=cfg.grading, offset=cfg.offset,
-    )
+    report = analysis.comparison_check(s, d, t0, params, grid_n=cfg.n, offset=cfg.offset)
     summary = {
         "command": "compare",
         "params": params.to_dict(),
@@ -407,20 +393,7 @@ def cmd_compare(ns: argparse.Namespace) -> int:
             if report.hypothesis_met and report.ordering_ok
             else ("hypothesis_not_met" if not report.hypothesis_met else "ordering_violated")
         ),
-        "report": {
-            "s": report.s,
-            "d": report.d,
-            "t0": report.t0,
-            "theta": report.theta,
-            "alpha_t0": report.alpha_t0,
-            "psi_t0": report.psi_t0,
-            "hypothesis_met": report.hypothesis_met,
-            "min_gap": report.min_gap,
-            "ordering_ok": report.ordering_ok,
-            "supersolution_min": report.supersolution_min,
-            "supersolution_ok": report.supersolution_ok,
-            "n_nodes_checked": report.n_nodes_checked,
-        },
+        "report": asdict(report),
         "files_written": [],
     }
     _write_summary(out_dir, summary, ns.json)

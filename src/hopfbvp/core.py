@@ -124,7 +124,6 @@ class Grid:
     """
 
     nodes: np.ndarray
-    grading_exponent: float = 1.0
     junction_index: Optional[int] = None
     upper: float = HALF_PI
 
@@ -139,8 +138,6 @@ class Grid:
                 f"grid nodes must lie in (0, {self.upper}); "
                 f"got [{self.nodes[0]}, {self.nodes[-1]}]"
             )
-        if self.grading_exponent < 1.0:
-            raise ValueError("grading exponent must be >= 1")
         if self.junction_index is not None and not (
             0 <= self.junction_index < self.nodes.size
         ):
@@ -197,10 +194,6 @@ class Profile:
     @property
     def t(self) -> np.ndarray:
         return self.grid.nodes
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.values
 
     def has_kink(self) -> bool:
         if self.d_left is None or self.d_right is None:

@@ -32,6 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import (
     HALF_PI,
     DomainError,
+    Grid,
     HopfParams,
     Profile,
     _maybe_scalar,
@@ -168,9 +169,7 @@ def write_profile_csv(profile: Profile, params: HopfParams, path) -> None:
 
 def read_profile_csv(path) -> Profile:
     """Read a profile written by :func:`write_profile_csv` (t, alpha columns)."""
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    if data.ndim != 2 or data.shape[1] < 2:
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] < 2:
         raise ValueError(f"{path} is not a profile CSV")
-    from .core import Grid
-
     return Profile(Grid(data[:, 0]), data[:, 1])

@@ -61,7 +61,8 @@ __all__ = [
 ]
 
 DEFAULT_N = 2000
-DEFAULT_GRADING = 2.0
+# exponent of core.graded_grid on both sides
+GRADING = 2.0
 # distance of the free end nodes from the singular endpoints; the natural
 # boundary there perturbs the solution by ~ c * offset**min(r0, r1), which
 # must stay below the exact-recovery tolerances
@@ -82,32 +83,22 @@ _GL_X01 = 0.5 * (_GL_X + 1.0)
 _GL_W01 = 0.5 * _GL_W
 
 
-def interior_grid(
-    s: float,
-    n: int = DEFAULT_N,
-    grading: float = DEFAULT_GRADING,
-    offset: float = DEFAULT_OFFSET,
-) -> Grid:
+def interior_grid(s: float, n: int = DEFAULT_N, offset: float = DEFAULT_OFFSET) -> Grid:
     """Graded grid on [offset, s] with the junction as its last node."""
     if not (0.0 < offset < s < HALF_PI):
         raise ValueError(f"need 0 < offset < s < pi/2, got offset={offset}, s={s}")
-    return Grid(graded_grid(offset, s, n, grading), grading, junction_index=n - 1)
+    return Grid(graded_grid(offset, s, n, GRADING), junction_index=n - 1)
 
 
-def exterior_grid(
-    s: float,
-    n: int = DEFAULT_N,
-    grading: float = DEFAULT_GRADING,
-    offset: float = DEFAULT_OFFSET,
-) -> Grid:
+def exterior_grid(s: float, n: int = DEFAULT_N, offset: float = DEFAULT_OFFSET) -> Grid:
     """Graded grid on [s, pi/2 - offset] with the junction as its first node."""
     if not (0.0 < s < HALF_PI - offset):
         raise ValueError(f"need 0 < s < pi/2 - offset, got s={s}, offset={offset}")
-    return Grid(graded_grid(s, HALF_PI - offset, n, grading), grading, junction_index=0)
+    return Grid(graded_grid(s, HALF_PI - offset, n, GRADING), junction_index=0)
 
 
 class DiscreteEnergy:
-    """Piecewise-linear discretization of J on a fixed grid with one pinned node.
+    """Piecewise-linear discretization of J on a fixed grid with one node pinned to pi/2.
 
     Geometry-dependent factors (element quadrature points, f and Q there) are
     precomputed.  Per iterate, :meth:`trig` makes the one pass over the
@@ -115,8 +106,7 @@ class DiscreteEnergy:
     sin^2 a = (1 - cos 2a)/2, the gradient sin 2a and the Hessian cos 2a.
     """
 
-    def __init__(self, grid: Grid, params: HopfParams, pinned_index: int,
-                 pinned_value: float = HALF_PI):
+    def __init__(self, grid: Grid, params: HopfParams, pinned_index: int):
         t = grid.nodes
         n = t.size
         if pinned_index not in (0, n - 1):
@@ -131,7 +121,6 @@ class DiscreteEnergy:
         self.qfw = self.q * self.fw
         self.f_el = self.fw.sum(axis=1)  # integral of f over each element
         self.pinned_index = pinned_index
-        self.pinned_value = pinned_value
         # the pinned node is always an endpoint, so the free unknowns stay
         # contiguous and the reduced Hessian stays tridiagonal
         self.free = slice(0, n - 1) if pinned_index == n - 1 else slice(1, n)
@@ -209,15 +198,13 @@ class MinimizeResult:
     energy: float
     grad_norm: float
     iterations: int
-    converged: bool
     energy_history: np.ndarray
-    attached: bool = True
-    side: str = ""
+    # whether the free end reached its limit angle (0 inside, pi outside)
+    attached: bool
 
 
-def _minimize(disc: DiscreteEnergy, v0: np.ndarray,
-              what: str) -> tuple[np.ndarray, float, float, int, np.ndarray]:
-    """Damped Newton from v0; returns (v, energy, grad_norm, iterations, history).
+def _minimize(disc: DiscreteEnergy, v0: np.ndarray, what: str) -> MinimizeResult:
+    """Damped Newton from v0 with the pinned node set to pi/2.
 
     The one stopping rule is the Newton decrement of Boyd & Vandenberghe,
     Convex Optimization, section 9.5.1: stop when the unshifted step predicts
@@ -226,7 +213,7 @@ def _minimize(disc: DiscreteEnergy, v0: np.ndarray,
     :class:`ConvergenceError` naming ``what`` and the exit that fired.
     """
     v = np.asarray(v0, dtype=float).copy()
-    v[disc.pinned_index] = disc.pinned_value
+    v[disc.pinned_index] = HALF_PI
     # trig goes positionally: the traced benchmark wraps kernels as fn(disc, v, *rest)
     trig = disc.trig(v)
     e = disc.energy(v, trig)
@@ -241,7 +228,12 @@ def _minimize(disc: DiscreteEnergy, v0: np.ndarray,
             raise ConvergenceError(f"{what}: {exc} {where}", grad_norm=gnorm) from None
         decrement = -0.5 * float(np.dot(d, g))
         if shift == 0.0 and decrement <= DECREMENT_TOL * (1.0 + abs(e)):
-            return v, e, gnorm, it, np.asarray(history)
+            if disc.pinned_index == disc.n - 1:
+                attached = v[0] <= ATTACH_TOL
+            else:
+                attached = v[-1] >= math.pi - ATTACH_TOL
+            return MinimizeResult(Profile(disc.grid, v), e, gnorm, it,
+                                  np.asarray(history), bool(attached))
         step = 1.0
         for _ in range(60):
             vt = v + step * d
@@ -269,7 +261,6 @@ def minimize_interior(
     params: HopfParams,
     grid: Optional[Grid] = None,
     n: int = DEFAULT_N,
-    grading: float = DEFAULT_GRADING,
     offset: float = DEFAULT_OFFSET,
 ) -> MinimizeResult:
     """Minimize the energy over (0, s] with alpha(s) = pi/2 pinned.
@@ -280,23 +271,13 @@ def minimize_interior(
     before its decrement test is met.
     """
     if grid is None:
-        grid = interior_grid(s, n, grading, offset)
+        grid = interior_grid(s, n, offset)
     t = grid.nodes
     if abs(t[-1] - s) > 1e-12 * (1.0 + s):
         raise ValueError("interior grid must end exactly at the junction")
     v0 = HALF_PI * np.minimum(1.0, (t / s) ** params.r0)
     disc = DiscreteEnergy(grid, params, pinned_index=t.size - 1)
-    v, e, gnorm, it, hist = _minimize(disc, v0, f"interior minimization at s={s}")
-    return MinimizeResult(
-        profile=Profile(grid, v),
-        energy=e,
-        grad_norm=gnorm,
-        iterations=it,
-        converged=True,
-        energy_history=hist,
-        attached=bool(v[0] <= ATTACH_TOL),
-        side="interior",
-    )
+    return _minimize(disc, v0, f"interior minimization at s={s}")
 
 
 def minimize_exterior(
@@ -304,7 +285,6 @@ def minimize_exterior(
     params: HopfParams,
     grid: Optional[Grid] = None,
     n: int = DEFAULT_N,
-    grading: float = DEFAULT_GRADING,
     offset: float = DEFAULT_OFFSET,
 ) -> MinimizeResult:
     """Minimize the energy over [s, pi/2) with alpha(s) = pi/2 pinned.
@@ -313,7 +293,7 @@ def minimize_exterior(
     may not, which is reported through ``attached=False`` rather than an error.
     """
     if grid is None:
-        grid = exterior_grid(s, n, grading, offset)
+        grid = exterior_grid(s, n, offset)
     t = grid.nodes
     if abs(t[0] - s) > 1e-12 * (1.0 + s):
         raise ValueError("exterior grid must start exactly at the junction")
@@ -323,17 +303,7 @@ def minimize_exterior(
         math.pi,
     )
     disc = DiscreteEnergy(grid, params, pinned_index=0)
-    v, e, gnorm, it, hist = _minimize(disc, v0, f"exterior minimization at s={s}")
-    return MinimizeResult(
-        profile=Profile(grid, v),
-        energy=e,
-        grad_norm=gnorm,
-        iterations=it,
-        converged=True,
-        energy_history=hist,
-        attached=bool(v[-1] >= math.pi - ATTACH_TOL),
-        side="exterior",
-    )
+    return _minimize(disc, v0, f"exterior minimization at s={s}")
 
 
 @dataclass
@@ -341,8 +311,6 @@ class GluedSolution:
     """Two one-sided minimizers joined at s, with jump and integral data."""
 
     s: float
-    beta: Profile
-    beta_star: Profile
     l: float
     l_tilde: float
     d_minus: float
@@ -352,6 +320,8 @@ class GluedSolution:
     I_s: float
     I_s1: float
     I_s2: float
+    # the glued curve on the union grid, from merged_profile()
+    _curve: Profile = field(repr=False)
     converged_interior: bool = True
     converged_exterior: bool = True
     attached_zero: bool = True
@@ -360,24 +330,14 @@ class GluedSolution:
     # downstream assumes it, a False here flags an unexpected solution shape
     monotone_interior: bool = True
     monotone_exterior: bool = True
-    _merged: Optional[Profile] = field(default=None, repr=False)
 
     def merged_profile(self) -> Profile:
-        if self._merged is None:
-            t = np.concatenate([self.beta.t, self.beta_star.t[1:]])
-            v = np.concatenate([self.beta.values, self.beta_star.values[1:]])
-            grid = Grid(
-                t,
-                self.beta.grid.grading_exponent,
-                junction_index=self.beta.grid.n - 1,
-            )
-            self._merged = Profile(grid, v, d_left=self.d_minus, d_right=self.d_plus)
-        return self._merged
+        """The glued curve: one grid with the junction node, one-sided slopes there."""
+        return self._curve
 
     def to_dict(self) -> dict:
-        """The scalar fields: everything but the two profiles and the merge cache."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("beta", "beta_star", "_merged")}
+        """The scalar fields: everything but the glued curve."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "_curve"}
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -437,20 +397,14 @@ def glue(
     s: float,
     params: HopfParams,
     n: int = DEFAULT_N,
-    grading: float = DEFAULT_GRADING,
     offset: float = DEFAULT_OFFSET,
-    grids: Optional[tuple[Grid, Grid]] = None,
 ) -> GluedSolution:
     """Solve both sides at junction s and assemble the glued curve.
 
     Minimizer failures propagate as :class:`ConvergenceError`.
     """
-    gi, ge = grids if grids is not None else (
-        interior_grid(s, n, grading, offset),
-        exterior_grid(s, n, grading, offset),
-    )
-    res_i = minimize_interior(s, params, grid=gi)
-    res_e = minimize_exterior(s, params, grid=ge)
+    res_i = minimize_interior(s, params, n=n, offset=offset)
+    res_e = minimize_exterior(s, params, n=n, offset=offset)
     ti, vi = res_i.profile.t, res_i.profile.values
     te, ve = res_e.profile.t, res_e.profile.values
     d_minus = _one_sided_slope(ti[-3:], vi[-3:], s)
@@ -465,8 +419,6 @@ def glue(
     l_tilde = i_s / denom if abs(denom) > 1e-300 else math.nan
     return GluedSolution(
         s=s,
-        beta=res_i.profile,
-        beta_star=res_e.profile,
         l=l,
         l_tilde=l_tilde,
         d_minus=d_minus,
@@ -476,8 +428,8 @@ def glue(
         I_s=i_s,
         I_s1=i1,
         I_s2=i2,
-        converged_interior=res_i.converged,
-        converged_exterior=res_e.converged,
+        _curve=Profile(Grid(t_union, junction_index=ti.size - 1), a_union,
+                       d_left=d_minus, d_right=d_plus),
         attached_zero=res_i.attached,
         attached_pi=res_e.attached,
         monotone_interior=bool(np.all(np.diff(vi) >= -1e-12)),

@@ -75,6 +75,19 @@ class TestSolve:
         assert summary["verdict"] == "error"
         assert "mu" in summary["error"]
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--p", "1", "--q", "2", "--lambda", "1"),  # no --mu
+        ("verify", "--config", "x"),  # verify reads no config
+        ("hopf-eval", "--profile", "p.csv", "--kind", "complex", "--config", "x"),
+        ("solve", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4", "--grading", "2"),
+    ])
+    def test_bad_usage_exits_one_without_summary(self, tmp_path, argv):
+        # argparse would exit 2, the code for "no sign change"
+        with pytest.raises(SystemExit) as info:
+            run(tmp_path, *argv)
+        assert info.value.code == 1
+        assert not (tmp_path / "summary.json").exists()
+
 
 class TestScanJump:
     def test_writes_scan_with_bracket(self, tmp_path):
@@ -139,14 +152,14 @@ class TestMap:
 
         monkeypatch.setattr(analysis, "solvability_map", fake_map)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("grading = 3.0\noffset = 1e-6\n")
+        cfg.write_text("root_tol = 1e-7\noffset = 1e-6\n")
         rc = run(
             tmp_path, "map", "--p", "1", "--q", "2", "--lambda", "1:1:1",
             "--mu", "1:1:1", "--config", str(cfg), "--offset", "1e-5",
             "--n", "4000", "--n-scan", "6",
         )
         assert rc == 0
-        assert seen["grading"] == 3.0  # from the config file
+        assert seen["root_tol"] == 1e-7  # from the config file
         assert seen["offset"] == 1e-5  # the flag overrides the config
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["used"] == {"n": seen["grid_n"], "n_scan": seen["n_scan"]}
@@ -256,16 +269,18 @@ class TestConfig:
         assert summary["config"]["n"] == 250  # flag overrides config
 
     def test_unknown_config_key_rejected(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n = 300\ngradient_tol = 1e-10\n")
-        rc = run(
-            tmp_path, "scan-jump", "--p", "1", "--q", "1", "--lambda", "1",
-            "--mu", "1", "--config", str(cfg),
-        )
-        assert rc == 1
-        summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["verdict"] == "error"
-        assert "unknown config key 'gradient_tol'" in summary["error"]
+        # grading: the mesh exponent is fixed at variational.GRADING
+        for key in ("gradient_tol", "grading"):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"n = 300\n{key} = 2.0\n")
+            rc = run(
+                tmp_path, "scan-jump", "--p", "1", "--q", "1", "--lambda", "1",
+                "--mu", "1", "--config", str(cfg),
+            )
+            assert rc == 1
+            summary = json.loads((tmp_path / "summary.json").read_text())
+            assert summary["verdict"] == "error"
+            assert f"unknown config key {key!r}" in summary["error"]
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOPF_OUT_DIR", str(tmp_path / "envout"))

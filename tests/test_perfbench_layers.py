@@ -44,5 +44,6 @@ def test_newton_counters_see_a_glue():
     finally:
         trace.uninstall()
     assert counts["energy_calls"] >= 1
+    assert counts["minimize_calls"] == 2  # glue reaches both minimizers through the module
     assert counts["newton_iters"] > 0
     assert counts["gradient_calls"] == counts["newton_direction_calls"] == counts["newton_iters"]

@@ -109,7 +109,6 @@ class TestMinimizers:
         res = minimize_interior(math.pi / 4.0, params_flat, n=2000)
         err = np.max(np.abs(res.profile.values - 2.0 * res.profile.t))
         assert err <= 1e-6
-        assert res.converged
 
     def test_exterior_recovers_straight_profile(self, params_flat):
         res = minimize_exterior(math.pi / 4.0, params_flat, n=2000)
@@ -183,7 +182,6 @@ class TestStoppingRule:
         # the interior solve here used to take equal-energy steps until the
         # iteration cap: its gradient cannot fall below the mesh's rounding floor
         res = minimize_interior(0.48410442684534505, params_main, n=2000)
-        assert res.converged
         assert res.iterations <= 20
         assert np.all(np.diff(res.energy_history) < 0.0)
 
@@ -200,7 +198,6 @@ class TestStoppingRule:
     @settings(derandomize=True, deadline=None)
     def test_converges_with_strict_decrease(self, s, n, side, params):
         res = side(s, params, n=n)
-        assert res.converged
         assert res.iterations <= 20
         assert np.all(np.diff(res.energy_history) < 0.0)
 
@@ -234,9 +231,8 @@ class TestGlue:
         assert g.l < 0.0 and g.I_s < 0.0
 
     def test_junction_values_pinned(self, params_main):
-        g = glue(0.7, params_main, n=600)
-        assert g.beta.values[-1] == pytest.approx(HALF_PI, abs=1e-12)
-        assert g.beta_star.values[0] == pytest.approx(HALF_PI, abs=1e-12)
+        prof = glue(0.7, params_main, n=600).merged_profile()
+        assert prof.values[prof.grid.junction_index] == pytest.approx(HALF_PI, abs=1e-12)
 
     def test_merged_profile_structure(self, params_main):
         g = glue(0.7, params_main, n=400)
@@ -244,6 +240,16 @@ class TestGlue:
         assert prof.grid.junction_index == 399
         assert prof.t[399] == pytest.approx(0.7, abs=1e-14)
         assert prof.d_left == g.d_minus and prof.d_right == g.d_plus
+
+    def test_merged_profile_is_the_two_minimizers(self, params_main):
+        g = glue(0.7, params_main, n=400)
+        prof = g.merged_profile()
+        assert g.merged_profile() is prof
+        inner = minimize_interior(0.7, params_main, n=400).profile
+        outer = minimize_exterior(0.7, params_main, n=400).profile
+        assert np.array_equal(prof.t, np.concatenate([inner.t, outer.t[1:]]))
+        assert np.array_equal(prof.values, np.concatenate([inner.values, outer.values[1:]]))
+        assert outer.values[0] == prof.values[399] == HALF_PI
 
     def test_json_roundtrip(self, tmp_path, params_main):
         import json
@@ -286,7 +292,9 @@ class TestJumpIntegral:
 
     def test_monotone_minimizers(self, params_main):
         g = glue(0.4, params_main, n=1200)
-        assert np.all(np.diff(g.beta.values) >= -1e-12)
-        assert np.all(np.diff(g.beta_star.values) >= -1e-12)
+        prof = g.merged_profile()
+        j = prof.grid.junction_index
+        assert np.all(np.diff(prof.values[: j + 1]) >= -1e-12)
+        assert np.all(np.diff(prof.values[j:]) >= -1e-12)
         assert g.monotone_interior and g.monotone_exterior
         assert g.to_dict()["monotone_interior"] is True
