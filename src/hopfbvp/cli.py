@@ -143,14 +143,19 @@ def _add_param_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--mu", type=float, required=True)
 
 
-def _add_common_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--n", type=int, help="grid nodes per side (default 2000)")
-    sp.add_argument("--offset", type=float, help="distance of end nodes from 0, pi/2")
-    sp.add_argument("--root-tol", dest="root_tol", type=float)
-    sp.add_argument("--s-min", dest="s_min", type=float)
-    sp.add_argument("--s-max", dest="s_max", type=float)
-    sp.add_argument("--n-scan", dest="n_scan", type=int)
-    sp.add_argument("--jobs", type=int, help="parallel solves")
+_HELP = {
+    "n": "grid nodes per side (default 2000)",
+    "offset": "distance of end nodes from 0, pi/2",
+    "jobs": "parallel solves",
+}
+_SCAN_KEYS = ("s_min", "s_max", "n_scan", "jobs")
+
+
+def _add_common_flags(sp: argparse.ArgumentParser, *keys: str) -> None:
+    """--n, --offset and a flag for each further setting the command reads."""
+    for key in ("n", "offset", *keys):
+        sp.add_argument("--" + key.replace("_", "-"), dest=key,
+                        type=_CASTS.get(key, float), help=_HELP.get(key))
     sp.add_argument("--config", help="flat key=value config file")
     sp.add_argument("--out-dir", dest="out_dir")
     sp.add_argument("--json", action="store_true", help="echo summary.json to stdout")
@@ -173,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="find a zero of the jump by scan and Brent's method")
     _add_param_flags(sp)
-    _add_common_flags(sp)
+    _add_common_flags(sp, "root_tol", *_SCAN_KEYS)
     sp.add_argument("--cross-check", action="store_true",
                     help="also run the shooting pipeline and record the distance")
     sp.add_argument("--mismatch-map", dest="mismatch_map",
@@ -182,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scan-jump", help="tabulate the jump over junction values")
     _add_param_flags(sp)
-    _add_common_flags(sp)
+    _add_common_flags(sp, *_SCAN_KEYS)
     sp.set_defaults(func=cmd_scan_jump)
 
     sp = sub.add_parser("map", help="solvability verdicts over a (lambda, mu) grid")
@@ -190,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", required=True, help="min:max:count")
     sp.add_argument("--mu", required=True, help="min:max:count")
-    _add_common_flags(sp)
+    _add_common_flags(sp, "root_tol", *_SCAN_KEYS)
     sp.set_defaults(func=cmd_map)
 
     sp = sub.add_parser("blowup", help="stretched-profile distance and I_s trends")
@@ -430,15 +435,10 @@ def cmd_hopf_eval(ns: argparse.Namespace) -> int:
         raise ValueError(f"--samples must be >= 0, got {ns.samples}")
     rng = np.random.default_rng(ns.seed)
     t_lo, t_hi = profile.t[0], profile.t[-1]
-    # the random samples (t, x, y each), then a unit pair (x, y) at each pole
-    n, k, l = ns.samples + 2, mult.k, mult.l
-    t, x, y = np.empty(n), np.empty((n, k)), np.empty((n, l))
-    for i in range(n):
-        if i < ns.samples:
-            t[i] = rng.uniform(t_lo, t_hi)
-        x[i] = rng.normal(size=k)
-        y[i] = rng.normal(size=l)
-    t[-2:] = t_lo, t_hi
+    # the random samples, then a unit pair (x, y) at each pole
+    t = np.append(rng.uniform(t_lo, t_hi, ns.samples), (t_lo, t_hi))
+    x = rng.normal(size=(t.size, mult.k))
+    y = rng.normal(size=(t.size, mult.l))
     x /= np.linalg.norm(x, axis=-1, keepdims=True)
     y /= np.linalg.norm(y, axis=-1, keepdims=True)
     u = alpha_hopf_eval(profile, mult, t, x, y)

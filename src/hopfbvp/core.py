@@ -111,6 +111,14 @@ class HopfParams:
         """True when lambda < 1; existence theory assumes lambda >= 1."""
         return self.lam < 1.0
 
+    def mirrored(self) -> "HopfParams":
+        """(q, p, mu, lambda): beta(tau) = pi - alpha(pi/2 - tau) solves its equation.
+
+        The reflection swaps the two singular ends, so a problem posed at
+        t = pi/2 is solved as the same problem at t = 0.
+        """
+        return HopfParams(p=self.q, q=self.p, lam=self.mu, mu=self.lam)
+
     def to_dict(self) -> dict:
         return {"p": self.p, "q": self.q, "lambda": self.lam, "mu": self.mu}
 

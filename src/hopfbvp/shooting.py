@@ -53,6 +53,11 @@ DEFAULT_T_OFFSET = 1e-4
 DEFAULT_RTOL = 1e-11
 DEFAULT_ATOL = 1e-12
 MISMATCH_TOL = 1e-8
+T_MATCH = math.pi / 4.0
+# amplitudes c0, c1 scanned on a log grid of SCAN_POINTS values over C_RANGE
+C_RANGE = (1e-3, 1e3)
+SCAN_POINTS = 13
+PROFILE_N = 2001  # nodes of the merged profile
 POLISH_MAX_ITER = 20
 ALPHA_LOW = -math.pi
 ALPHA_HIGH = 2.0 * math.pi
@@ -189,9 +194,8 @@ def _shoot(
     if not backward:
         sol = _solve(params, t_offset, _series_seed(c, params, t_offset), t_end, rtol, atol)
         return sol.t, sol.sol
-    mirror = HopfParams(p=params.q, q=params.p, lam=params.mu, mu=params.lam)
     try:
-        times, state = _shoot(mirror, c, t_offset, HALF_PI - t_end, rtol, atol)
+        times, state = _shoot(params.mirrored(), c, t_offset, HALF_PI - t_end, rtol, atol)
     except BlowUpError as exc:
         raise _band_exit(HALF_PI - exc.exit_time) from None
 
@@ -273,17 +277,11 @@ def _scaled_residual(
     return float(np.nanmax(np.abs(res)))
 
 
-def _merged_values(
-    params: HopfParams,
-    state: ShootState,
-    t_offset: float,
-    rtol: float,
-    atol: float,
-    nodes: np.ndarray,
-) -> np.ndarray:
+def _merged_values(params: HopfParams, state: ShootState, nodes: np.ndarray) -> np.ndarray:
     """Evaluate the matched trajectory pair on the given nodes."""
-    _, fwd = _shoot(params, state.c0, t_offset, state.t_match, rtol, atol)
-    _, bwd = _shoot(params, state.c1, t_offset, state.t_match, rtol, atol, backward=True)
+    span_tol = (DEFAULT_T_OFFSET, state.t_match, DEFAULT_RTOL, DEFAULT_ATOL)
+    _, fwd = _shoot(params, state.c0, *span_tol)
+    _, bwd = _shoot(params, state.c1, *span_tol, backward=True)
     return np.where(
         nodes <= state.t_match,
         fwd(np.minimum(nodes, state.t_match))[0],
@@ -315,18 +313,8 @@ def _crossings(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int, float, floa
     ]
 
 
-def match_shooting(
-    params: HopfParams,
-    t_match: float = math.pi / 4.0,
-    t_offset: float = DEFAULT_T_OFFSET,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-    mismatch_tol: float = MISMATCH_TOL,
-    c_range: tuple[float, float] = (1e-3, 1e3),
-    scan_points: int = 13,
-    profile_n: int = 2001,
-) -> MatchResult:
-    """Two-parameter match of forward and backward shots at ``t_match``.
+def match_shooting(params: HopfParams) -> MatchResult:
+    """Two-parameter match of forward and backward shots at ``T_MATCH``.
 
     Returns a :class:`MatchResult` whose verdict is ``"solution"`` (state,
     merged profile, and residual check populated), ``"no_root"`` (the sampled
@@ -341,18 +329,16 @@ def match_shooting(
     symmetric member of a degenerate family, and when admissible no other
     root can beat it.
     """
-    if not (t_offset < t_match < HALF_PI - t_offset):
-        raise ValueError("t_match must lie strictly between the seed offsets")
-
     end_states: dict[tuple[bool, float], np.ndarray] = {}
 
     def end_state(backward: bool, c: float) -> np.ndarray:
-        """(alpha, alpha') at t_match, NaN when the shot leaves the band."""
+        """(alpha, alpha') at T_MATCH, NaN when the shot leaves the band."""
         key = (backward, c)
         if key not in end_states:
             try:
-                _, state = _shoot(params, c, t_offset, t_match, rtol, atol, backward)
-                end_states[key] = state(t_match)
+                _, state = _shoot(params, c, DEFAULT_T_OFFSET, T_MATCH, DEFAULT_RTOL,
+                                  DEFAULT_ATOL, backward)
+                end_states[key] = state(T_MATCH)
             except (BlowUpError, RuntimeError):
                 end_states[key] = np.full(2, np.nan)
         return end_states[key]
@@ -361,7 +347,7 @@ def match_shooting(
         return end_state(True, c1) - end_state(False, c0)
 
     # the two end-state curves, sampled once; the map is their difference
-    cs = np.geomspace(c_range[0], c_range[1], scan_points)
+    cs = np.geomspace(C_RANGE[0], C_RANGE[1], SCAN_POINTS)
     zs = np.log(cs)
     fwd = np.array([end_state(False, float(c)) for c in cs])
     bwd = np.array([end_state(True, float(c)) for c in cs])
@@ -371,15 +357,15 @@ def match_shooting(
     def as_root(c0: float, c1: float) -> Optional[ShootState]:
         # amplitudes outside the scanned box are rejected: ever-steeper
         # near-jump trajectory pairs drive the mismatch below any tolerance
-        # without an actual zero crossing (widen c_range to chase them)
-        if not (0.99 * c_range[0] <= c0 <= 1.01 * c_range[1]):
+        # without an actual zero crossing (widen C_RANGE to chase them)
+        if not (0.99 * C_RANGE[0] <= c0 <= 1.01 * C_RANGE[1]):
             return None
-        if not (0.99 * c_range[0] <= c1 <= 1.01 * c_range[1]):
+        if not (0.99 * C_RANGE[0] <= c1 <= 1.01 * C_RANGE[1]):
             return None
         m = mismatch(c0, c1)
-        if not float(np.max(np.abs(m))) <= mismatch_tol:
+        if not float(np.max(np.abs(m))) <= MISMATCH_TOL:
             return None
-        return ShootState(c0=c0, c1=c1, t_match=t_match, mismatch=(float(m[0]), float(m[1])))
+        return ShootState(c0=c0, c1=c1, t_match=T_MATCH, mismatch=(float(m[0]), float(m[1])))
 
     roots: list[ShootState] = []
     admissible: list[ShootState] = []
@@ -397,8 +383,7 @@ def match_shooting(
         roots.append(state)
         try:
             probe = _merged_values(
-                params, state, t_offset, rtol, atol,
-                graded_grid(t_offset, HALF_PI - t_offset, 401),
+                params, state, graded_grid(DEFAULT_T_OFFSET, HALF_PI - DEFAULT_T_OFFSET, 401)
             )
         except (BlowUpError, RuntimeError):
             return
@@ -412,11 +397,11 @@ def match_shooting(
     # symmetric family it is pure rounding noise there)
     diag = bwd - fwd
     brackets = [
-        k for k in range(scan_points - 1)
+        k for k in range(SCAN_POINTS - 1)
         if diag[k, 0] * diag[k + 1, 0] < 0.0
         and (
             diag[k, 1] * diag[k + 1, 1] < 0.0
-            or max(abs(diag[k, 1]), abs(diag[k + 1, 1])) <= mismatch_tol
+            or max(abs(diag[k, 1]), abs(diag[k + 1, 1])) <= MISMATCH_TOL
         )
     ]
 
@@ -436,8 +421,8 @@ def match_shooting(
 
     # forward-difference step in log c: balances truncation against the
     # integrator's relative error
-    h = math.sqrt(rtol)
-    z_lo, z_hi = math.log(0.99 * c_range[0]), math.log(1.01 * c_range[1])
+    h = math.sqrt(DEFAULT_RTOL)
+    z_lo, z_hi = math.log(0.99 * C_RANGE[0]), math.log(1.01 * C_RANGE[1])
 
     def polish(z0: float, z1: float) -> tuple[Optional[ShootState], str]:
         """Newton on the mismatch in (log c0, log c1) from a crossing."""
@@ -447,7 +432,7 @@ def match_shooting(
             m = b - f
             if not np.all(np.isfinite(m)):
                 return None, "a shot left the band"
-            if float(np.max(np.abs(m))) <= mismatch_tol:
+            if float(np.max(np.abs(m))) <= MISMATCH_TOL:
                 return as_root(c0, c1), "the root left the scanned box"
             jac = np.column_stack((
                 (f - end_state(False, math.exp(z0 + h))) / h,
@@ -484,11 +469,11 @@ def match_shooting(
         ))
     best = min(pool, key=lambda r: (abs(math.log(r.c0 / r.c1)), r.c0))
 
-    # merged profile on a graded grid, forward branch up to t_match
-    nodes = graded_grid(t_offset, HALF_PI - t_offset, profile_n)
+    # merged profile on a graded grid, forward branch up to T_MATCH
+    nodes = graded_grid(DEFAULT_T_OFFSET, HALF_PI - DEFAULT_T_OFFSET, PROFILE_N)
     grid = Grid(nodes)
-    profile = Profile(grid, _merged_values(params, best, t_offset, rtol, atol, nodes))
-    max_scaled = _scaled_residual(profile, params, seam=t_match)
+    profile = Profile(grid, _merged_values(params, best, nodes))
+    max_scaled = _scaled_residual(profile, params, seam=T_MATCH)
     return MatchResult(
         "solution", best, profile, **scan, message="matched", max_scaled_residual=max_scaled
     )

@@ -5,9 +5,13 @@ For a junction angle s in (0, pi/2) the energy
     J(alpha) = integral (alpha'^2 + Q sin^2(alpha)) f dt
 
 is minimized separately over (0, s] and [s, pi/2) subject to alpha(s) = pi/2,
-with natural (free) boundary values at the near-singular ends.  The two
-minimizers glue to a continuous curve alpha_s that solves the equation away
-from s but whose slope may jump there; the jump
+with natural (free) boundary values at the near-singular ends.  Only the
+interior problem is coded: the mirror beta(tau) = pi - alpha(pi/2 - tau)
+with (p, q, lambda, mu) -> (q, p, mu, lambda) maps [s, pi/2) onto
+(0, pi/2 - s] with the same energy, so the exterior minimizer is the
+interior one of the mirrored problem, mapped back.  The two minimizers glue
+to a continuous curve alpha_s that solves the equation away from s but
+whose slope may jump there; the jump
 
     l(s) = alpha_s'(s+0) - alpha_s'(s-0)
 
@@ -21,18 +25,17 @@ so l = I_s / (f(s)^2 * (d_plus + d_minus)), and sign(l) = sign(I_s).
 
 Discretization: piecewise-linear elements on a graded grid with 4-point
 Gauss-Legendre quadrature per element (the discrete energy is then exact to
-quadrature precision for profiles linear in t).  Minimization: damped Newton
-on the tridiagonal system with a Levenberg shift where the Hessian is not
-positive definite, a strictly decreasing line search, and a single stopping
-rule on the Newton decrement.
+quadrature precision for profiles linear in t), the last node pinned to
+pi/2.  Minimization: damped Newton on the tridiagonal system with a
+Levenberg shift where the Hessian is not positive definite, a strictly
+decreasing line search, and a single stopping rule on the Newton decrement.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.integrate import simpson
@@ -54,7 +57,6 @@ __all__ = [
     "MinimizeResult",
     "DiscreteEnergy",
     "interior_grid",
-    "exterior_grid",
     "minimize_interior",
     "minimize_exterior",
     "glue",
@@ -90,15 +92,8 @@ def interior_grid(s: float, n: int = DEFAULT_N, offset: float = DEFAULT_OFFSET) 
     return Grid(graded_grid(offset, s, n, GRADING), junction_index=n - 1)
 
 
-def exterior_grid(s: float, n: int = DEFAULT_N, offset: float = DEFAULT_OFFSET) -> Grid:
-    """Graded grid on [s, pi/2 - offset] with the junction as its first node."""
-    if not (0.0 < s < HALF_PI - offset):
-        raise ValueError(f"need 0 < s < pi/2 - offset, got s={s}, offset={offset}")
-    return Grid(graded_grid(s, HALF_PI - offset, n, GRADING), junction_index=0)
-
-
 class DiscreteEnergy:
-    """Piecewise-linear discretization of J on a fixed grid with one node pinned to pi/2.
+    """Piecewise-linear discretization of J on a fixed grid whose last node is pinned to pi/2.
 
     Geometry-dependent factors (element quadrature points, f and Q there) are
     precomputed.  Per iterate, :meth:`trig` makes the one pass over the
@@ -106,24 +101,14 @@ class DiscreteEnergy:
     sin^2 a = (1 - cos 2a)/2, the gradient sin 2a and the Hessian cos 2a.
     """
 
-    def __init__(self, grid: Grid, params: HopfParams, pinned_index: int):
+    def __init__(self, grid: Grid, params: HopfParams):
         t = grid.nodes
-        n = t.size
-        if pinned_index not in (0, n - 1):
-            raise ValueError("pinned node must be the first or last grid node")
-        self.grid = grid
-        self.t = t
-        self.n = n
+        self.n = t.size
         self.h = np.diff(t)
         x = t[:-1, None] + np.outer(self.h, _GL_X01)  # (n_el, 4) quadrature points
         self.fw = weight_f(x, params) * (self.h[:, None] * _GL_W01)
-        self.q = coeff_Q(x, params)
-        self.qfw = self.q * self.fw
+        self.qfw = coeff_Q(x, params) * self.fw
         self.f_el = self.fw.sum(axis=1)  # integral of f over each element
-        self.pinned_index = pinned_index
-        # the pinned node is always an endpoint, so the free unknowns stay
-        # contiguous and the reduced Hessian stays tridiagonal
-        self.free = slice(0, n - 1) if pinned_index == n - 1 else slice(1, n)
 
     def trig(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The one pass per iterate: (slopes, doubled quadrature angles 2a, cos 2a)."""
@@ -145,7 +130,7 @@ class DiscreteEnergy:
         g = np.zeros(self.n)
         g[:-1] += -gd + pot @ (1.0 - _GL_X01)
         g[1:] += gd + pot @ _GL_X01
-        g[self.pinned_index] = 0.0
+        g[-1] = 0.0
         return g
 
     def _hessian(self, cos2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,18 +148,17 @@ class DiscreteEnergy:
     def newton_direction(self, v: np.ndarray, g: np.ndarray, trig=None) -> tuple[np.ndarray, float]:
         """Descent direction d and the Levenberg shift that produced it.
 
-        Solves (H + shift*diag(|H_ii|+1)) d = -g on the free nodes, with shift
+        Solves (H + shift*diag(|H_ii|+1)) d = -g on the free nodes (all but
+        the last, so the reduced Hessian stays tridiagonal), with shift
         0 first and then 1e-10, 1e-9, ... until the shifted Hessian is
         positive definite and d is finite.  Raises :class:`ConvergenceError`
         after MAX_SHIFTS attempts.
         """
         diag, off = self._hessian((self.trig(v) if trig is None else trig)[2])
-        sl = self.free
-        dr = diag[sl]
-        offr = off[sl][:-1] if sl.start == 0 else off[sl.start :]
-        rhs = -g[sl]
+        dr = diag[:-1]
+        rhs = -g[:-1]
         ab = np.zeros((2, dr.size))
-        ab[0, 1:] = offr
+        ab[0, 1:] = off[:-1]
         shift = 0.0
         for _ in range(MAX_SHIFTS):
             ab[1] = dr + shift * (np.abs(dr) + 1.0)
@@ -184,7 +168,7 @@ class DiscreteEnergy:
                 sol = None
             if sol is not None and np.all(np.isfinite(sol)) and np.dot(sol, rhs) >= 0.0:
                 d = np.zeros(self.n)
-                d[sl] = sol
+                d[:-1] = sol
                 return d, shift
             shift = max(10.0 * shift, 1e-10)
         raise ConvergenceError(f"no descent direction after {MAX_SHIFTS} Levenberg shifts")
@@ -201,10 +185,12 @@ class MinimizeResult:
     energy_history: np.ndarray
     # whether the free end reached its limit angle (0 inside, pi outside)
     attached: bool
+    # one-sided slope at the junction, from the three nodes nearest it
+    slope: float
 
 
-def _minimize(disc: DiscreteEnergy, v0: np.ndarray, what: str) -> MinimizeResult:
-    """Damped Newton from v0 with the pinned node set to pi/2.
+def _minimize(s: float, params: HopfParams, n: int, offset: float, what: str) -> MinimizeResult:
+    """Damped Newton over (0, s] with alpha(s) = pi/2, from the guess pi/2 (t/s)^r0.
 
     The one stopping rule is the Newton decrement of Boyd & Vandenberghe,
     Convex Optimization, section 9.5.1: stop when the unshifted step predicts
@@ -212,15 +198,18 @@ def _minimize(disc: DiscreteEnergy, v0: np.ndarray, what: str) -> MinimizeResult
     that the float64 energy cannot resolve.  Every other end raises
     :class:`ConvergenceError` naming ``what`` and the exit that fired.
     """
-    v = np.asarray(v0, dtype=float).copy()
-    v[disc.pinned_index] = HALF_PI
+    grid = interior_grid(s, n, offset)
+    t = grid.nodes
+    disc = DiscreteEnergy(grid, params)
+    # the last node is s exactly, so the guess is pinned there to pi/2
+    v = HALF_PI * np.minimum(1.0, (t / s) ** params.r0)
     # trig goes positionally: the traced benchmark wraps kernels as fn(disc, v, *rest)
     trig = disc.trig(v)
     e = disc.energy(v, trig)
     history = [e]
     for it in range(1, MAX_ITER + 1):
         g = disc.gradient(v, trig)
-        gnorm = float(np.max(np.abs(g[disc.free]), initial=0.0))
+        gnorm = float(np.max(np.abs(g)))
         where = f"at iteration {it}, gradient norm {gnorm:.3e}"
         try:
             d, shift = disc.newton_direction(v, g, trig)
@@ -228,12 +217,8 @@ def _minimize(disc: DiscreteEnergy, v0: np.ndarray, what: str) -> MinimizeResult
             raise ConvergenceError(f"{what}: {exc} {where}", grad_norm=gnorm) from None
         decrement = -0.5 * float(np.dot(d, g))
         if shift == 0.0 and decrement <= DECREMENT_TOL * (1.0 + abs(e)):
-            if disc.pinned_index == disc.n - 1:
-                attached = v[0] <= ATTACH_TOL
-            else:
-                attached = v[-1] >= math.pi - ATTACH_TOL
-            return MinimizeResult(Profile(disc.grid, v), e, gnorm, it,
-                                  np.asarray(history), bool(attached))
+            return MinimizeResult(Profile(grid, v), e, gnorm, it, np.asarray(history),
+                                  bool(v[0] <= ATTACH_TOL), _one_sided_slope(t[-3:], v[-3:], s))
         step = 1.0
         for _ in range(60):
             vt = v + step * d
@@ -257,11 +242,7 @@ def _minimize(disc: DiscreteEnergy, v0: np.ndarray, what: str) -> MinimizeResult
 
 
 def minimize_interior(
-    s: float,
-    params: HopfParams,
-    grid: Optional[Grid] = None,
-    n: int = DEFAULT_N,
-    offset: float = DEFAULT_OFFSET,
+    s: float, params: HopfParams, n: int = DEFAULT_N, offset: float = DEFAULT_OFFSET
 ) -> MinimizeResult:
     """Minimize the energy over (0, s] with alpha(s) = pi/2 pinned.
 
@@ -270,40 +251,28 @@ def minimize_interior(
     divergent energy.  Raises :class:`ConvergenceError` if Newton stops
     before its decrement test is met.
     """
-    if grid is None:
-        grid = interior_grid(s, n, offset)
-    t = grid.nodes
-    if abs(t[-1] - s) > 1e-12 * (1.0 + s):
-        raise ValueError("interior grid must end exactly at the junction")
-    v0 = HALF_PI * np.minimum(1.0, (t / s) ** params.r0)
-    disc = DiscreteEnergy(grid, params, pinned_index=t.size - 1)
-    return _minimize(disc, v0, f"interior minimization at s={s}")
+    return _minimize(s, params, n, offset, f"interior minimization at s={s}")
 
 
 def minimize_exterior(
-    s: float,
-    params: HopfParams,
-    grid: Optional[Grid] = None,
-    n: int = DEFAULT_N,
-    offset: float = DEFAULT_OFFSET,
+    s: float, params: HopfParams, n: int = DEFAULT_N, offset: float = DEFAULT_OFFSET
 ) -> MinimizeResult:
     """Minimize the energy over [s, pi/2) with alpha(s) = pi/2 pinned.
 
-    For small s the minimizer attaches to pi at the outer end; for larger s it
-    may not, which is reported through ``attached=False`` rather than an error.
+    Solved as the interior problem at pi/2 - s for ``params.mirrored()``, in
+    tau = pi/2 - t and beta = pi - alpha, which has the same energy; the
+    result is mapped back to t with its junction node set to s exactly.  The
+    junction slope needs no mapping, since beta'(tau) = alpha'(t).  For small
+    s the minimizer attaches to pi at the outer end; for larger s it may not,
+    which is reported through ``attached=False`` rather than an error.
     """
-    if grid is None:
-        grid = exterior_grid(s, n, offset)
-    t = grid.nodes
-    if abs(t[0] - s) > 1e-12 * (1.0 + s):
-        raise ValueError("exterior grid must start exactly at the junction")
-    v0 = np.clip(
-        math.pi - HALF_PI * ((HALF_PI - t) / (HALF_PI - s)) ** params.r1,
-        HALF_PI,
-        math.pi,
-    )
-    disc = DiscreteEnergy(grid, params, pinned_index=0)
-    return _minimize(disc, v0, f"exterior minimization at s={s}")
+    if not (0.0 < s < HALF_PI - offset):
+        raise ValueError(f"need 0 < s < pi/2 - offset, got s={s}, offset={offset}")
+    res = _minimize(HALF_PI - s, params.mirrored(), n, offset, f"exterior minimization at s={s}")
+    t = HALF_PI - res.profile.t[::-1]
+    t[0] = s
+    values = math.pi - res.profile.values[::-1]
+    return replace(res, profile=Profile(Grid(t, junction_index=0), values))
 
 
 @dataclass
@@ -322,8 +291,6 @@ class GluedSolution:
     I_s2: float
     # the glued curve on the union grid, from merged_profile()
     _curve: Profile = field(repr=False)
-    converged_interior: bool = True
-    converged_exterior: bool = True
     attached_zero: bool = True
     attached_pi: bool = True
     # observed node-to-node monotonicity of the converged minimizers; nothing
@@ -407,8 +374,7 @@ def glue(
     res_e = minimize_exterior(s, params, n=n, offset=offset)
     ti, vi = res_i.profile.t, res_i.profile.values
     te, ve = res_e.profile.t, res_e.profile.values
-    d_minus = _one_sided_slope(ti[-3:], vi[-3:], s)
-    d_plus = _one_sided_slope(te[:3], ve[:3], s)
+    d_minus, d_plus = res_i.slope, res_e.slope
     t_union = np.concatenate([ti, te[1:]])
     a_union = np.concatenate([vi, ve[1:]])
     i_s, i1, i2 = jump_integrals(t_union, a_union, params)

@@ -80,6 +80,11 @@ class TestSolve:
         ("verify", "--config", "x"),  # verify reads no config
         ("hopf-eval", "--profile", "p.csv", "--kind", "complex", "--config", "x"),
         ("solve", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4", "--grading", "2"),
+        # flags of settings the command does not read
+        ("blowup", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4", "--jobs", "2"),
+        ("compare", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4", "--s", "0.01",
+         "--s-min", "0.1"),
+        ("scan-jump", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4", "--root-tol", "1e-8"),
     ])
     def test_bad_usage_exits_one_without_summary(self, tmp_path, argv):
         # argparse would exit 2, the code for "no sign change"

@@ -13,7 +13,6 @@ from hopfbvp.core import HALF_PI, ConvergenceError, HopfParams
 from hopfbvp.ode import coeff_Q, weight_f
 from hopfbvp.variational import (
     DiscreteEnergy,
-    exterior_grid,
     glue,
     interior_grid,
     minimize_exterior,
@@ -24,7 +23,7 @@ from hopfbvp.variational import (
 class TestDiscreteEnergy:
     def test_gradient_matches_finite_differences(self, params_main):
         grid = interior_grid(0.8, n=40)
-        disc = DiscreteEnergy(grid, params_main, pinned_index=39)
+        disc = DiscreteEnergy(grid, params_main)
         rng = np.random.default_rng(3)
         v = np.clip(2.0 * grid.nodes + 0.1 * rng.normal(size=40), 0.0, math.pi)
         v[-1] = HALF_PI
@@ -38,13 +37,14 @@ class TestDiscreteEnergy:
             assert g[i] == pytest.approx(fd, rel=2e-5, abs=1e-9)
 
     def test_hessian_matches_gradient_differences(self, params_main):
-        grid = exterior_grid(0.8, n=30)
-        disc = DiscreteEnergy(grid, params_main, pinned_index=0)
-        v = np.clip(HALF_PI + grid.nodes, HALF_PI, math.pi)
-        v[0] = HALF_PI
+        # the exterior side at s = 0.8, as the mirrored interior problem
+        grid = interior_grid(HALF_PI - 0.8, n=30)
+        disc = DiscreteEnergy(grid, params_main.mirrored())
+        v = np.clip(grid.nodes, 0.0, HALF_PI)
+        v[-1] = HALF_PI
         diag, off = disc._hessian(disc.trig(v)[2])
         h = 1e-6
-        for i in (5, 15, 28):
+        for i in (1, 14, 24):
             e1, e2 = v.copy(), v.copy()
             e1[i] -= h
             e2[i] += h
@@ -52,10 +52,9 @@ class TestDiscreteEnergy:
             assert diag[i] == pytest.approx(fd[i], rel=5e-5, abs=1e-8)
             assert off[i] == pytest.approx(fd[i + 1], rel=5e-5, abs=1e-8)
 
-
     def test_stored_trig_gives_identical_kernels(self, params_main):
         grid = interior_grid(0.6, n=200)
-        disc = DiscreteEnergy(grid, params_main, pinned_index=199)
+        disc = DiscreteEnergy(grid, params_main)
         v = HALF_PI * np.sqrt(grid.nodes / 0.6)
         trig = disc.trig(v)
         assert disc.energy(v, trig) == disc.energy(v)
@@ -72,7 +71,7 @@ class TestEvalFunctional:
     def test_matches_adaptive_quadrature_on_straight_profile(self, params_flat):
         s = math.pi / 4.0
         grid = interior_grid(s, n=2000, offset=1e-6)
-        disc = DiscreteEnergy(grid, params_flat, pinned_index=grid.n - 1)
+        disc = DiscreteEnergy(grid, params_flat)
         value = disc.energy(2.0 * grid.nodes)
         integrand = lambda t: (
             4.0 + coeff_Q(t, params_flat) * math.sin(2 * t) ** 2
@@ -87,7 +86,7 @@ class TestEvalFunctional:
         vals = []
         for offset in (1e-3, 1e-4, 1e-5):
             grid = interior_grid(s, n=2000, offset=offset)
-            disc = DiscreteEnergy(grid, params_main, pinned_index=grid.n - 1)
+            disc = DiscreteEnergy(grid, params_main)
             vals.append(disc.energy(np.full(2000, HALF_PI)))
         assert vals[0] < vals[1] < vals[2]
         per_decade = params_main.lam * math.log(10.0)
@@ -95,12 +94,13 @@ class TestEvalFunctional:
         assert vals[2] - vals[1] == pytest.approx(per_decade, rel=1e-4)
 
     def test_nonnegative(self, params_main):
+        # the exterior side at s = 0.6, as the mirrored interior problem
         s = 0.6
-        grid = exterior_grid(s, n=300)
+        grid = interior_grid(HALF_PI - s, n=300)
         rng = np.random.default_rng(11)
-        v = np.clip(HALF_PI + np.abs(rng.normal(size=300)), HALF_PI, math.pi)
-        v[0] = HALF_PI
-        disc = DiscreteEnergy(grid, params_main, pinned_index=0)
+        v = np.clip(HALF_PI - np.abs(rng.normal(size=300)), 0.0, HALF_PI)
+        v[-1] = HALF_PI
+        disc = DiscreteEnergy(grid, params_main.mirrored())
         assert disc.energy(v) >= 0.0
 
 
@@ -131,8 +131,8 @@ class TestMinimizers:
     def test_minimality_against_perturbations(self, params_main):
         s = 0.5
         grid = interior_grid(s, n=600)
-        res = minimize_interior(s, params_main, grid=grid)
-        disc = DiscreteEnergy(grid, params_main, pinned_index=grid.n - 1)
+        res = minimize_interior(s, params_main, n=600)
+        disc = DiscreteEnergy(grid, params_main)
         base = disc.energy(res.profile.values)
         rng = np.random.default_rng(5)
         t = grid.nodes
@@ -151,10 +151,21 @@ class TestMinimizers:
 
     def test_exterior_beats_flat_candidate_small_s(self, params_main):
         s = 0.05
-        grid = exterior_grid(s, n=1000)
-        res = minimize_exterior(s, params_main, grid=grid)
-        disc = DiscreteEnergy(grid, params_main, pinned_index=0)
+        grid = interior_grid(HALF_PI - s, n=1000)
+        res = minimize_exterior(s, params_main, n=1000)
+        disc = DiscreteEnergy(grid, params_main.mirrored())
         assert res.energy < disc.energy(np.full(grid.n, HALF_PI))
+
+    def test_exterior_is_the_mirrored_interior(self, params_main):
+        s = 0.3
+        outer = minimize_exterior(s, params_main, n=500)
+        inner = minimize_interior(HALF_PI - s, params_main.mirrored(), n=500)
+        assert outer.profile.t[0] == s and outer.profile.grid.junction_index == 0
+        assert np.array_equal(outer.profile.t[1:], HALF_PI - inner.profile.t[::-1][1:])
+        assert np.array_equal(outer.profile.values, math.pi - inner.profile.values[::-1])
+        assert np.array_equal(outer.energy_history, inner.energy_history)
+        assert (outer.energy, outer.grad_norm, outer.iterations, outer.attached, outer.slope) == (
+            inner.energy, inner.grad_norm, inner.iterations, inner.attached, inner.slope)
 
     def test_interior_boundary_attachment_under_refinement(self, params_main):
         # the innermost value decreases as the grid reaches further toward 0
@@ -208,6 +219,9 @@ class TestStoppingRule:
         assert "interior minimization at s=0.3" in str(info.value)
         assert "gradient norm" in str(info.value)
         assert info.value.grad_norm > 0.0
+        # the mirrored solve still names the caller's junction
+        with pytest.raises(ConvergenceError, match="exterior minimization at s=0.3:"):
+            minimize_exterior(0.3, params_main, n=400)
         row = scan_jump(params_main, 0.3, 0.5, 2, grid_n=400).rows[0]
         assert row.s == 0.3
         assert not row.converged and math.isnan(row.l)
@@ -220,6 +234,14 @@ class TestGlue:
         assert abs(g.l) <= 1e-5
         assert g.d_minus == pytest.approx(2.0, abs=1e-6)
         assert g.d_plus == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("p, q, lam, mu", [(1, 1, 1, 1), (1, 1, 2, 2), (2, 2, 3, 3)])
+    def test_symmetric_parameters_have_no_jump_at_quarter_pi(self, p, q, lam, mu):
+        # the mirror maps the problem onto itself, so both sides are one solve
+        g = glue(math.pi / 4.0, HopfParams(p=p, q=q, lam=lam, mu=mu), n=800)
+        assert g.l == 0.0
+        assert g.d_minus == g.d_plus
+        assert g.J_interior == g.J_exterior
 
     def test_small_s_positive_jump(self, params_main):
         g = glue(0.01, params_main, n=1500)
@@ -262,8 +284,9 @@ class TestGlue:
         assert back["l"] == g.l
         assert set(back) >= {
             "s", "l", "l_tilde", "d_minus", "d_plus", "I_s", "I_s1", "I_s2",
-            "J_interior", "J_exterior", "converged_interior", "converged_exterior",
+            "J_interior", "J_exterior",
         }
+        assert "converged_interior" not in back and "converged_exterior" not in back
 
 
 class TestJumpIntegral:
