@@ -14,7 +14,8 @@ Exit codes: 0 success, 2 no sign change of the jump (solve), 1 failure or bad
 usage.  Every run that gets past argument parsing writes ``summary.json`` into
 the output directory (env ``HOPF_OUT_DIR`` or ``--out-dir``), even on failure;
 a usage error writes none.  A flat ``key=value`` config file supplies
-defaults; command-line flags override it.
+defaults for the settings a command reads (its other keys are ignored);
+command-line flags override it.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ def _read_config(path: str | None) -> dict:
 
 
 def _given(ns: argparse.Namespace) -> dict:
-    """The settings the user gave: the config file, overridden by the flags."""
-    given = _read_config(getattr(ns, "config", None))
+    """The settings the user gave: config-file keys the command's parser defines, then flags."""
+    given = {k: v for k, v in _read_config(getattr(ns, "config", None)).items() if hasattr(ns, k)}
     for key in DEFAULTS:
         val = getattr(ns, key, None)
         if val is not None:

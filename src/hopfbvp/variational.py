@@ -26,9 +26,10 @@ so l = I_s / (f(s)^2 * (d_plus + d_minus)), and sign(l) = sign(I_s).
 Discretization: piecewise-linear elements on a graded grid with 4-point
 Gauss-Legendre quadrature per element (the discrete energy is then exact to
 quadrature precision for profiles linear in t), the last node pinned to
-pi/2.  Minimization: damped Newton on the tridiagonal system with a
-Levenberg shift where the Hessian is not positive definite, a strictly
-decreasing line search, and a single stopping rule on the Newton decrement.
+pi/2.  Minimization: damped Newton with one LAPACK ``dptsv`` (SPD tridiagonal)
+solve per step of a Levenberg shift ladder, ``info > 0`` meaning "not positive
+definite, next shift"; a strictly decreasing line search; and a single
+stopping rule on the Newton decrement.
 """
 
 from __future__ import annotations
@@ -39,18 +40,19 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.linalg import LinAlgError, solveh_banded
+from scipy.linalg.lapack import dptsv
 
 from .core import (
     HALF_PI,
     ConvergenceError,
+    DomainError,
     Grid,
     HopfParams,
     Profile,
     fd3_first_weights,
     graded_grid,
 )
-from .ode import coeff_Q, weight_f
+from .ode import weight_f
 
 __all__ = [
     "GluedSolution",
@@ -83,6 +85,10 @@ ATTACH_TOL = 1e-2
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
 _GL_X01 = 0.5 * (_GL_X + 1.0)
 _GL_W01 = 0.5 * _GL_W
+# hat functions at the Gauss points (left _HAT0, right _GL_X01), doubled for 2a
+_HAT0 = 1.0 - _GL_X01
+_A0, _A1 = 2.0 * _HAT0, 2.0 * _GL_X01
+_HAT00, _HAT11, _HAT01 = _HAT0**2, _GL_X01**2, _GL_X01 * _HAT0  # Hessian products
 
 
 def interior_grid(s: float, n: int = DEFAULT_N, offset: float = DEFAULT_OFFSET) -> Grid:
@@ -95,10 +101,10 @@ def interior_grid(s: float, n: int = DEFAULT_N, offset: float = DEFAULT_OFFSET) 
 class DiscreteEnergy:
     """Piecewise-linear discretization of J on a fixed grid whose last node is pinned to pi/2.
 
-    Geometry-dependent factors (element quadrature points, f and Q there) are
-    precomputed.  Per iterate, :meth:`trig` makes the one pass over the
-    current values (slopes, quadrature angles, cos 2a); the energy uses
-    sin^2 a = (1 - cos 2a)/2, the gradient sin 2a and the Hessian cos 2a.
+    The geometry is built once: quadrature points, f and Q there (one sin/cos
+    pass, the values of ode.weight_f and ode.coeff_Q) and the stiffness 2f/h^2.
+    Per iterate, :meth:`trig` makes the one pass over the values (slopes, angles
+    2a, cos 2a); energy uses sin^2 a = (1 - cos 2a)/2, gradient sin 2a, Hessian cos 2a.
     """
 
     def __init__(self, grid: Grid, params: HopfParams):
@@ -106,14 +112,19 @@ class DiscreteEnergy:
         self.n = t.size
         self.h = np.diff(t)
         x = t[:-1, None] + np.outer(self.h, _GL_X01)  # (n_el, 4) quadrature points
-        self.fw = weight_f(x, params) * (self.h[:, None] * _GL_W01)
-        self.qfw = coeff_Q(x, params) * self.fw
+        if np.any(x <= 0.0) or np.any(x >= HALF_PI):
+            raise DomainError("coeff_Q requires t in the open interval (0, pi/2)")
+        sn, cs = np.sin(x), np.cos(x)
+        self.fw = sn**params.p * cs**params.q * (self.h[:, None] * _GL_W01)
+        self.qfw = (params.lam / sn**2 + params.mu / cs**2) * self.fw
         self.f_el = self.fw.sum(axis=1)  # integral of f over each element
+        self.stiff = 2.0 * self.f_el / self.h**2
 
     def trig(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The one pass per iterate: (slopes, doubled quadrature angles 2a, cos 2a)."""
         slope = np.diff(v) / self.h
-        a2 = 2.0 * (v[:-1, None] * (1.0 - _GL_X01) + v[1:, None] * _GL_X01)
+        a2 = v[:-1, None] * _A0
+        a2 += v[1:, None] * _A1
         return slope, a2, np.cos(a2)
 
     def energy(self, v: np.ndarray, trig=None) -> float:
@@ -128,48 +139,35 @@ class DiscreteEnergy:
         pot = self.qfw * np.sin(a2)  # (n_el, 4)
         gd = 2.0 * self.f_el * slope / self.h
         g = np.zeros(self.n)
-        g[:-1] += -gd + pot @ (1.0 - _GL_X01)
+        g[:-1] += -gd + pot @ _HAT0
         g[1:] += gd + pot @ _GL_X01
         g[-1] = 0.0
         return g
 
     def _hessian(self, cos2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Tridiagonal Hessian from cos 2a: (diagonal, d01), d01[i] couples i and i+1."""
+        """Hessian on the free nodes from cos 2a: (diagonal, d01), d01[i] couples i and i+1."""
         curv = 2.0 * self.qfw * cos2
-        stiff = 2.0 * self.f_el / self.h**2
-        d00 = stiff + curv @ (1.0 - _GL_X01) ** 2
-        d11 = stiff + curv @ _GL_X01**2
-        d01 = -stiff + curv @ (_GL_X01 * (1.0 - _GL_X01))
-        diag = np.zeros(self.n)
-        diag[:-1] += d00
-        diag[1:] += d11
-        return diag, d01
+        diag = self.stiff + curv @ _HAT00
+        diag[1:] += (self.stiff + curv @ _HAT11)[:-1]
+        return diag, (-self.stiff + curv @ _HAT01)[:-1]
 
     def newton_direction(self, v: np.ndarray, g: np.ndarray, trig=None) -> tuple[np.ndarray, float]:
         """Descent direction d and the Levenberg shift that produced it.
 
         Solves (H + shift*diag(|H_ii|+1)) d = -g on the free nodes (all but
-        the last, so the reduced Hessian stays tridiagonal), with shift
-        0 first and then 1e-10, 1e-9, ... until the shifted Hessian is
-        positive definite and d is finite.  Raises :class:`ConvergenceError`
-        after MAX_SHIFTS attempts.
+        the last, so the reduced Hessian stays tridiagonal): one ``dptsv`` call
+        per shift 0, 1e-10, 1e-9, ..., moving on when info > 0 (not positive
+        definite) or d is no finite descent direction.  Raises
+        :class:`ConvergenceError` after MAX_SHIFTS attempts.
         """
         diag, off = self._hessian((self.trig(v) if trig is None else trig)[2])
-        dr = diag[:-1]
+        scale = np.abs(diag) + 1.0
         rhs = -g[:-1]
-        ab = np.zeros((2, dr.size))
-        ab[0, 1:] = off[:-1]
         shift = 0.0
         for _ in range(MAX_SHIFTS):
-            ab[1] = dr + shift * (np.abs(dr) + 1.0)
-            try:
-                sol = solveh_banded(ab, rhs, lower=False)
-            except LinAlgError:
-                sol = None
-            if sol is not None and np.all(np.isfinite(sol)) and np.dot(sol, rhs) >= 0.0:
-                d = np.zeros(self.n)
-                d[:-1] = sol
-                return d, shift
+            sol, info = dptsv(diag + shift * scale, off, rhs)[2:]
+            if info == 0 and np.all(np.isfinite(sol)) and np.dot(sol, rhs) >= 0.0:
+                return np.append(sol, 0.0), shift
             shift = max(10.0 * shift, 1e-10)
         raise ConvergenceError(f"no descent direction after {MAX_SHIFTS} Levenberg shifts")
 
@@ -210,11 +208,11 @@ def _minimize(s: float, params: HopfParams, n: int, offset: float, what: str) ->
     for it in range(1, MAX_ITER + 1):
         g = disc.gradient(v, trig)
         gnorm = float(np.max(np.abs(g)))
-        where = f"at iteration {it}, gradient norm {gnorm:.3e}"
         try:
             d, shift = disc.newton_direction(v, g, trig)
         except ConvergenceError as exc:
-            raise ConvergenceError(f"{what}: {exc} {where}", grad_norm=gnorm) from None
+            msg = f"{what}: {exc} at iteration {it}, gradient norm {gnorm:.3e}"
+            raise ConvergenceError(msg, grad_norm=gnorm) from None
         decrement = -0.5 * float(np.dot(d, g))
         if shift == 0.0 and decrement <= DECREMENT_TOL * (1.0 + abs(e)):
             return MinimizeResult(Profile(grid, v), e, gnorm, it, np.asarray(history),
@@ -230,7 +228,8 @@ def _minimize(s: float, params: HopfParams, n: int, offset: float, what: str) ->
         else:
             raise ConvergenceError(
                 f"{what}: no strict decrease along the Newton direction "
-                f"(decrement {decrement:.3e}, shift {shift:.0e}) {where}",
+                f"(decrement {decrement:.3e}, shift {shift:.0e}) "
+                f"at iteration {it}, gradient norm {gnorm:.3e}",
                 grad_norm=gnorm,
             )
         v, e, trig = vt, et, trig_t

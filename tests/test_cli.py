@@ -287,6 +287,22 @@ class TestConfig:
             assert summary["verdict"] == "error"
             assert f"unknown config key {key!r}" in summary["error"]
 
+    def test_config_key_the_command_does_not_read_is_ignored(self, tmp_path):
+        # blowup reads no scan range, so the file's s_max is neither applied
+        # nor checked there; solve reads it and rejects it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 300\ns_max = 2\n")
+        params = ("--p", "1", "--q", "2", "--lambda", "1", "--mu", "4", "--config", str(cfg))
+        out = tmp_path / "blowup"
+        assert run(out, "blowup", *params, "--s-list", "0.04") == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["n"] == 300
+        assert summary["config"]["s_max"] == 1.5  # the default, not the file's 2
+        out = tmp_path / "solve"
+        assert run(out, "solve", *params) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert "scan range needs 0 < s_min < s_max < pi/2" in summary["error"]
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOPF_OUT_DIR", str(tmp_path / "envout"))
         rc = main(["verify"])

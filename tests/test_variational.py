@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from hopfbvp.closed_forms import phi_limit
 from hopfbvp import variational
 from hopfbvp.analysis import scan_jump
-from hopfbvp.core import HALF_PI, ConvergenceError, HopfParams
+from hopfbvp.core import HALF_PI, ConvergenceError, DomainError, Grid, HopfParams
 from hopfbvp.ode import coeff_Q, weight_f
 from hopfbvp.variational import (
     DiscreteEnergy,
@@ -18,6 +18,9 @@ from hopfbvp.variational import (
     minimize_exterior,
     minimize_interior,
 )
+
+
+GEOMETRY_PARAMS = [HopfParams(1, 2, 1.0, 4.0), HopfParams(1, 3, 0.5, 6.0), HopfParams(2, 2, 2.0, 3.0)]
 
 
 class TestDiscreteEnergy:
@@ -63,6 +66,65 @@ class TestDiscreteEnergy:
         d, shift = disc.newton_direction(v, g)
         d_stored, shift_stored = disc.newton_direction(v, g, trig)
         assert np.array_equal(d_stored, d) and shift_stored == shift
+
+    @pytest.mark.parametrize("params", GEOMETRY_PARAMS + [p.mirrored() for p in GEOMETRY_PARAMS])
+    def test_geometry_is_weight_f_and_coeff_Q(self, params):
+        # f and Q come from one sin/cos pass; they must be the ode values bit for bit
+        grid = interior_grid(0.7, n=150)
+        disc = DiscreteEnergy(grid, params)
+        t = grid.nodes
+        x = t[:-1, None] + np.outer(disc.h, variational._GL_X01)
+        fw = weight_f(x, params) * (disc.h[:, None] * variational._GL_W01)
+        assert np.array_equal(disc.fw, fw)
+        assert np.array_equal(disc.qfw, coeff_Q(x, params) * fw)
+
+    def test_quadrature_point_outside_open_interval_raises(self, params_main):
+        with pytest.raises(DomainError, match="open interval"):
+            DiscreteEnergy(Grid(np.array([1.0, 1.2, 2.0]), upper=np.inf), params_main)
+
+
+def _ladder() -> list[float]:
+    """The Levenberg shifts newton_direction tries, in order."""
+    shifts, shift = [], 0.0
+    for _ in range(variational.MAX_SHIFTS):
+        shifts.append(shift)
+        shift = max(10.0 * shift, 1e-10)
+    return shifts
+
+
+def _dense_direction(disc: DiscreteEnergy, v: np.ndarray, g: np.ndarray, shift: float):
+    """(H, d): the free-node Hessian as a dense matrix and (H + shift D) d = -g solved densely."""
+    diag, off = disc._hessian(disc.trig(v)[2])
+    hess = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    shifted = hess + shift * np.diag(np.abs(diag) + 1.0)
+    return hess, np.linalg.solve(shifted, -g[:-1])
+
+
+class TestNewtonDirection:
+    @pytest.mark.parametrize("params", [HopfParams(1, 2, 1.0, 4.0), HopfParams(2, 1, 4.0, 1.0)])
+    def test_levenberg_path_matches_dense_solve(self, params):
+        # near pi/2 the potential term is concave, so H is indefinite and a shift is needed
+        grid = interior_grid(0.5, n=200)
+        disc = DiscreteEnergy(grid, params)
+        v = HALF_PI + 1e-3 * np.sin(np.arange(200.0))
+        v[-1] = HALF_PI
+        g = disc.gradient(v)
+        d, shift = disc.newton_direction(v, g)
+        assert shift > 0.0 and shift in _ladder()
+        assert np.dot(d, g) < 0.0 and d[-1] == 0.0
+        hess, dense = _dense_direction(disc, v, g, shift)
+        assert np.linalg.eigvalsh(hess).min() < 0.0
+        assert np.linalg.norm(d[:-1] - dense) <= 1e-10 * np.linalg.norm(dense)
+
+    def test_unshifted_at_a_converged_minimizer(self, params_main):
+        res = minimize_interior(0.5, params_main, n=200)
+        disc = DiscreteEnergy(interior_grid(0.5, n=200), params_main)
+        v = res.profile.values
+        g = disc.gradient(v)
+        d, shift = disc.newton_direction(v, g)
+        assert shift == 0.0
+        _, dense = _dense_direction(disc, v, g, 0.0)
+        assert np.linalg.norm(d[:-1] - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
 class TestEvalFunctional:
