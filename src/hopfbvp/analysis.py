@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 from .closed_forms import phi_limit, psi_comparison, theta_threshold
 from .core import HALF_PI, ConvergenceError, Grid, HopfParams, Profile
 from .ode import residual
-from .variational import GluedSolution, glue
+from .variational import DEFAULT_N, GluedSolution, glue
 
 __all__ = [
     "ScanRow",
@@ -74,15 +74,6 @@ class ScanResult:
     params: HopfParams
     rows: list[ScanRow]
     brackets: list[tuple[float, float]] = field(default_factory=list)
-    s_star: Optional[float] = None
-
-    def sign_changes(self) -> list[tuple[float, float]]:
-        out = []
-        good = [r for r in self.rows if r.converged and np.isfinite(r.l)]
-        for lo, hi in zip(good[:-1], good[1:]):
-            if lo.l * hi.l < 0.0:
-                out.append((lo.s, hi.s))
-        return out
 
 
 @dataclass
@@ -105,12 +96,14 @@ class SolvabilityCell:
     mu: float
     verdict: str  # "solution_found", "no_sign_change", "inconclusive"
     s_star: Optional[float] = None
+    # why the cell is inconclusive; empty otherwise, not written to CSV
+    reason: str = ""
 
 
-def _glue_row(task: tuple[float, HopfParams, dict]) -> ScanRow:
-    s, params, opts = task
+def _glue_row(task: tuple[float, HopfParams, int]) -> ScanRow:
+    s, params, grid_n = task
     try:
-        g = glue(s, params, **opts)
+        g = glue(s, params, n=grid_n)
         return ScanRow(
             s=s,
             l=g.l,
@@ -132,9 +125,8 @@ def scan_jump(
     s_min: float,
     s_max: float,
     n: int,
-    grid_n: int = 2000,
+    grid_n: int = DEFAULT_N,
     jobs: int = 1,
-    **glue_opts,
 ) -> ScanResult:
     """Glued solves at n geometrically spaced junctions; brackets extracted.
 
@@ -144,18 +136,16 @@ def scan_jump(
         raise ValueError("need 0 < s_min < s_max < pi/2")
     if n < 2:
         raise ValueError("need at least 2 scan points")
-    opts = dict(glue_opts)
-    opts.setdefault("n", grid_n)
     svals = np.geomspace(s_min, s_max, n)
-    tasks = [(float(s), params, opts) for s in svals]
+    tasks = [(float(s), params, grid_n) for s in svals]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_glue_row, tasks))
     else:
         rows = [_glue_row(t) for t in tasks]
-    result = ScanResult(params=params, rows=rows)
-    result.brackets = result.sign_changes()
-    return result
+    good = [r for r in rows if r.converged and np.isfinite(r.l)]
+    brackets = [(lo.s, hi.s) for lo, hi in zip(good[:-1], good[1:]) if lo.l * hi.l < 0.0]
+    return ScanResult(params=params, rows=rows, brackets=brackets)
 
 
 def _certify(
@@ -207,10 +197,9 @@ def find_solution(
     s_min: float = 0.02,
     s_max: float = 1.5,
     n_scan: int = 16,
-    grid_n: int = 2000,
+    grid_n: int = DEFAULT_N,
     root_tol: float = ROOT_TOL,
     jobs: int = 1,
-    **glue_opts,
 ) -> SolveOutcome:
     """Drive l(s) to zero by Brent's method over the first sign-change bracket.
 
@@ -221,9 +210,7 @@ def find_solution(
     without meeting the tolerance, and ``solution_found`` with the
     residual-certified glued curve otherwise.
     """
-    scan = scan_jump(params, s_min, s_max, n_scan, grid_n=grid_n, jobs=jobs, **glue_opts)
-    opts = dict(glue_opts)
-    opts.setdefault("n", grid_n)
+    scan = scan_jump(params, s_min, s_max, n_scan, grid_n=grid_n, jobs=jobs)
 
     # a scanned junction may already satisfy the root tolerance (e.g. the
     # q = 1, lambda = mu family, where the jump vanishes identically)
@@ -232,7 +219,6 @@ def find_solution(
         if row is not hit:
             row.glued = None  # the outcome keeps only the solve it certifies
     if hit is not None:
-        scan.s_star = hit.s
         max_res, b0, b1 = _certify(hit.glued, params)
         return SolveOutcome(
             "solution_found", hit.s, hit.glued, scan, max_res, b0, b1,
@@ -255,7 +241,7 @@ def find_solution(
         if s in known:
             return known[s]
         try:
-            g = glue(s, params, **opts)
+            g = glue(s, params, n=grid_n)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"glued solve failed at s={s}, root search stopped: {exc}"
@@ -269,7 +255,6 @@ def find_solution(
         brentq(jump, *scan.brackets[0], full_output=True, disp=False)
     except _RootFound as found:
         glued = found.args[0]
-        scan.s_star = glued.s
         max_res, b0, b1 = _certify(glued, params)
         return SolveOutcome("solution_found", glued.s, glued, scan, max_res, b0, b1)
     except ConvergenceError as exc:
@@ -300,8 +285,7 @@ def small_s_report(
     params: HopfParams,
     s_values: Sequence[float],
     eps: float,
-    grid_n: int = 2000,
-    **glue_opts,
+    grid_n: int = DEFAULT_N,
 ) -> list[SmallSRow]:
     """Blow-up distance and I_s^1, I_s^2 asymptotics from one glue per s.
 
@@ -322,7 +306,7 @@ def small_s_report(
     phi = phi_limit(tt, 1.0, params.lam)
     rows = []
     for s in s_values:
-        glued = glue(s, params, n=grid_n, **glue_opts)
+        glued = glue(s, params, n=grid_n)
         prof = glued.merged_profile()
         cut = s / eps
         b_s, a_s = _split_Is2(prof, params.q, cut)
@@ -377,9 +361,8 @@ def comparison_check(
     d: float,
     t0: float,
     params: HopfParams,
-    grid_n: int = 2000,
+    grid_n: int = DEFAULT_N,
     ordering_tol: float = 1e-6,
-    **glue_opts,
 ) -> ComparisonReport:
     """Ordering of the glued curve above the scaled comparison profile.
 
@@ -393,7 +376,7 @@ def comparison_check(
     must be positive wherever psi exceeds the threshold angle.
     """
     theta = theta_threshold(params)
-    glued = glue(s, params, n=grid_n, **glue_opts)
+    glued = glue(s, params, n=grid_n)
     prof = glued.merged_profile()
     ds = d * s
     alpha_t0 = float(prof.interpolate(t0))
@@ -462,14 +445,15 @@ def _map_cell(args) -> SolvabilityCell:
     try:
         params = HopfParams(p=p, q=q, lam=lam, mu=mu)
         outcome = find_solution(params, **cell_opts)
-    except (ValueError, ConvergenceError, RuntimeError):
-        return SolvabilityCell(lam=lam, mu=mu, verdict="inconclusive")
+    except (ValueError, ConvergenceError, RuntimeError) as exc:
+        return SolvabilityCell(lam=lam, mu=mu, verdict="inconclusive",
+                               reason=f"{type(exc).__name__}: {exc}")
     if outcome.verdict == "solution_found":
         return SolvabilityCell(lam=lam, mu=mu, verdict="solution_found",
                                s_star=outcome.s_star)
     if outcome.verdict == "no_sign_change":
         return SolvabilityCell(lam=lam, mu=mu, verdict="no_sign_change")
-    return SolvabilityCell(lam=lam, mu=mu, verdict="inconclusive")
+    return SolvabilityCell(lam=lam, mu=mu, verdict="inconclusive", reason=outcome.message)
 
 
 def solvability_map(
@@ -493,9 +477,7 @@ def solvability_map(
         raise ValueError("lambda and mu ranges must be positive")
     lams = np.linspace(lambda_range[0], lambda_range[1], n_lambda)
     mus = np.linspace(mu_range[0], mu_range[1], n_mu)
-    cell_opts = dict(find_opts)
-    cell_opts.setdefault("grid_n", grid_n)
-    cell_opts.setdefault("n_scan", n_scan)
+    cell_opts = dict(find_opts, grid_n=grid_n, n_scan=n_scan)
     tasks = [
         (float(lam), float(mu), p, q, cell_opts) for lam in lams for mu in mus
     ]

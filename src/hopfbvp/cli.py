@@ -13,9 +13,12 @@ hopf-eval   sample a join map built from a profile CSV; report norm errors
 Exit codes: 0 success, 2 no sign change of the jump (solve), 1 failure or bad
 usage.  Every run that gets past argument parsing writes ``summary.json`` into
 the output directory (env ``HOPF_OUT_DIR`` or ``--out-dir``), even on failure;
-a usage error writes none.  A flat ``key=value`` config file supplies
-defaults for the settings a command reads (its other keys are ignored);
-command-line flags override it.
+a usage error writes none.  ``solve`` and ``scan-jump`` list each failed scan
+row there with its reason, ``map`` each inconclusive cell.  A flat
+``key=value`` config file supplies defaults for the settings a command reads
+(its other keys are ignored); command-line flags override it.  The end nodes'
+distance from the singular endpoints is no setting: it is fixed at
+``variational.DEFAULT_OFFSET``.
 """
 
 from __future__ import annotations
@@ -35,15 +38,15 @@ from .core import HopfParams
 from .ode import read_profile_csv, write_profile_csv
 from .hopf import alpha_hopf_eval, multiplication_by_name
 from .shooting import match_shooting, write_mismatch_csv
+from .variational import DEFAULT_N
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved solver settings: defaults, then config file, then flags."""
 
-    n: int = 2000
-    offset: float = 1e-7
-    root_tol: float = 1e-6
+    n: int = DEFAULT_N
+    root_tol: float = analysis.ROOT_TOL
     s_min: float = 0.02
     s_max: float = 1.5
     n_scan: int = 16
@@ -52,9 +55,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.n < 16:
             raise ValueError(f"grid size n must be >= 16, got {self.n}")
-        for name in ("root_tol", "offset"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+        if self.root_tol <= 0.0:
+            raise ValueError("root_tol must be > 0")
         if not (0.0 < self.s_min < self.s_max < math.pi / 2):
             raise ValueError("scan range needs 0 < s_min < s_max < pi/2")
         if self.jobs < 1 or self.n_scan < 2:
@@ -137,6 +139,10 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _failed_rows(scan: analysis.ScanResult) -> list[dict]:
+    return [{"s": r.s, "reason": r.reason} for r in scan.rows if not r.converged]
+
+
 def _add_param_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
@@ -145,16 +151,15 @@ def _add_param_flags(sp: argparse.ArgumentParser) -> None:
 
 
 _HELP = {
-    "n": "grid nodes per side (default 2000)",
-    "offset": "distance of end nodes from 0, pi/2",
+    "n": f"grid nodes per side (default {DEFAULT_N})",
     "jobs": "parallel solves",
 }
 _SCAN_KEYS = ("s_min", "s_max", "n_scan", "jobs")
 
 
 def _add_common_flags(sp: argparse.ArgumentParser, *keys: str) -> None:
-    """--n, --offset and a flag for each further setting the command reads."""
-    for key in ("n", "offset", *keys):
+    """--n and a flag for each further setting the command reads."""
+    for key in ("n", *keys):
         sp.add_argument("--" + key.replace("_", "-"), dest=key,
                         type=_CASTS.get(key, float), help=_HELP.get(key))
     sp.add_argument("--config", help="flat key=value config file")
@@ -239,7 +244,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     params = _params(ns)
     outcome = analysis.find_solution(
         params, cfg.s_min, cfg.s_max, cfg.n_scan, grid_n=cfg.n,
-        root_tol=cfg.root_tol, jobs=cfg.jobs, offset=cfg.offset,
+        root_tol=cfg.root_tol, jobs=cfg.jobs,
     )
     files = []
     summary = {
@@ -253,6 +258,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         "boundary_error_zero": outcome.boundary_error_zero,
         "boundary_error_pi": outcome.boundary_error_pi,
         "message": outcome.message,
+        "failed_rows": _failed_rows(outcome.scan),
         "files_written": files,
     }
     if outcome.glued is not None:
@@ -298,7 +304,6 @@ def cmd_scan_jump(ns: argparse.Namespace) -> int:
         cfg.n_scan,
         grid_n=cfg.n,
         jobs=cfg.jobs,
-        offset=cfg.offset,
     )
     analysis.write_scan_csv(scan, out_dir / "scan.csv")
     summary = {
@@ -309,6 +314,7 @@ def cmd_scan_jump(ns: argparse.Namespace) -> int:
         "verdict": "sign_change" if scan.brackets else "no_sign_change",
         "brackets": scan.brackets,
         "n_converged": sum(r.converged for r in scan.rows),
+        "failed_rows": _failed_rows(scan),
         "files_written": ["scan.csv"],
     }
     _write_summary(out_dir, summary, ns.json)
@@ -338,7 +344,6 @@ def cmd_map(ns: argparse.Namespace) -> int:
         s_min=cfg.s_min,
         s_max=cfg.s_max,
         root_tol=cfg.root_tol,
-        offset=cfg.offset,
     )
     analysis.write_map_csv(cells, out_dir / "map.csv")
     verdicts = [c.verdict for c in cells]
@@ -351,6 +356,10 @@ def cmd_map(ns: argparse.Namespace) -> int:
         "n_solution_found": verdicts.count("solution_found"),
         "n_no_sign_change": verdicts.count("no_sign_change"),
         "n_inconclusive": verdicts.count("inconclusive"),
+        "inconclusive_cells": [
+            {"lambda": c.lam, "mu": c.mu, "reason": c.reason}
+            for c in cells if c.verdict == "inconclusive"
+        ],
         "files_written": ["map.csv"],
     }
     _write_summary(out_dir, summary, ns.json)
@@ -362,7 +371,7 @@ def cmd_blowup(ns: argparse.Namespace) -> int:
     cfg = _settings(ns)
     params = _params(ns)
     s_values = [float(tok) for tok in ns.s_list.split(",") if tok.strip()]
-    rows = analysis.small_s_report(params, s_values, ns.eps, grid_n=cfg.n, offset=cfg.offset)
+    rows = analysis.small_s_report(params, s_values, ns.eps, grid_n=cfg.n)
     lines = ["s,sup_distance"] + [f"{r.s:.17g},{r.sup_distance:.17g}" for r in rows]
     (out_dir / "blowup.csv").write_text("\n".join(lines) + "\n")
     summary = {
@@ -389,7 +398,7 @@ def cmd_compare(ns: argparse.Namespace) -> int:
         s, d_auto, t0_auto = analysis.auto_comparison_config(s, params, R=ns.R)
         d = d if d is not None else d_auto
         t0 = t0 if t0 is not None else t0_auto
-    report = analysis.comparison_check(s, d, t0, params, grid_n=cfg.n, offset=cfg.offset)
+    report = analysis.comparison_check(s, d, t0, params, grid_n=cfg.n)
     summary = {
         "command": "compare",
         "params": params.to_dict(),

@@ -114,8 +114,7 @@ def _series_seed(c: float, params: HopfParams, t0: float) -> tuple[float, float]
     indicial root), so the expansion never degenerates.  The pi/2 end uses the
     same formulas on the mirrored problem (see :func:`_shoot`).
     """
-    p, q, lam, mu = params.p, params.q, params.lam, params.mu
-    r = 0.5 * (-(p - 1) + math.sqrt((p - 1) ** 2 + 4.0 * lam))
+    p, q, lam, mu, r = params.p, params.q, params.lam, params.mu, params.r0
 
     def char(x: float) -> float:
         return x * x + (p - 1) * x - lam
@@ -277,15 +276,12 @@ def _scaled_residual(
     return float(np.nanmax(np.abs(res)))
 
 
-def _merged_values(params: HopfParams, state: ShootState, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate the matched trajectory pair on the given nodes."""
-    span_tol = (DEFAULT_T_OFFSET, state.t_match, DEFAULT_RTOL, DEFAULT_ATOL)
-    _, fwd = _shoot(params, state.c0, *span_tol)
-    _, bwd = _shoot(params, state.c1, *span_tol, backward=True)
+def _merged_values(fwd: Callable, bwd: Callable, t_match: float, nodes: np.ndarray) -> np.ndarray:
+    """Evaluate the dense states of a forward and a backward shot, joined at t_match."""
     return np.where(
-        nodes <= state.t_match,
-        fwd(np.minimum(nodes, state.t_match))[0],
-        bwd(np.maximum(nodes, state.t_match))[0],
+        nodes <= t_match,
+        fwd(np.minimum(nodes, t_match))[0],
+        bwd(np.maximum(nodes, t_match))[0],
     )
 
 
@@ -329,19 +325,26 @@ def match_shooting(params: HopfParams) -> MatchResult:
     symmetric member of a degenerate family, and when admissible no other
     root can beat it.
     """
-    end_states: dict[tuple[bool, float], np.ndarray] = {}
+    # each shot is made once: its end state at T_MATCH, and its dense state
+    # for the admissibility probe and the profile (None after a band exit)
+    shots: dict[tuple[bool, float], tuple[np.ndarray, Optional[Callable]]] = {}
 
     def end_state(backward: bool, c: float) -> np.ndarray:
         """(alpha, alpha') at T_MATCH, NaN when the shot leaves the band."""
         key = (backward, c)
-        if key not in end_states:
+        if key not in shots:
             try:
                 _, state = _shoot(params, c, DEFAULT_T_OFFSET, T_MATCH, DEFAULT_RTOL,
                                   DEFAULT_ATOL, backward)
-                end_states[key] = state(T_MATCH)
+                shots[key] = state(T_MATCH), state
             except (BlowUpError, RuntimeError):
-                end_states[key] = np.full(2, np.nan)
-        return end_states[key]
+                shots[key] = np.full(2, np.nan), None
+        return shots[key][0]
+
+    def merged_values(root: ShootState, nodes: np.ndarray) -> np.ndarray:
+        # a root's two shots stayed in band, so both dense states are cached
+        fwd, bwd = shots[(False, root.c0)][1], shots[(True, root.c1)][1]
+        return _merged_values(fwd, bwd, root.t_match, nodes)
 
     def mismatch(c0: float, c1: float) -> np.ndarray:
         return end_state(True, c1) - end_state(False, c0)
@@ -381,12 +384,9 @@ def match_shooting(params: HopfParams) -> MatchResult:
         ):
             return
         roots.append(state)
-        try:
-            probe = _merged_values(
-                params, state, graded_grid(DEFAULT_T_OFFSET, HALF_PI - DEFAULT_T_OFFSET, 401)
-            )
-        except (BlowUpError, RuntimeError):
-            return
+        probe = merged_values(
+            state, graded_grid(DEFAULT_T_OFFSET, HALF_PI - DEFAULT_T_OFFSET, 401)
+        )
         monotone = bool(np.all(np.diff(probe) >= -1e-8))
         in_band = bool(np.all((probe > -0.1) & (probe < math.pi + 0.1)))
         if monotone and in_band:
@@ -472,7 +472,7 @@ def match_shooting(params: HopfParams) -> MatchResult:
     # merged profile on a graded grid, forward branch up to T_MATCH
     nodes = graded_grid(DEFAULT_T_OFFSET, HALF_PI - DEFAULT_T_OFFSET, PROFILE_N)
     grid = Grid(nodes)
-    profile = Profile(grid, _merged_values(params, best, nodes))
+    profile = Profile(grid, merged_values(best, nodes))
     max_scaled = _scaled_residual(profile, params, seam=T_MATCH)
     return MatchResult(
         "solution", best, profile, **scan, message="matched", max_scaled_residual=max_scaled

@@ -359,18 +359,14 @@ def jump_integrals(
     return i_s, i1, i2
 
 
-def glue(
-    s: float,
-    params: HopfParams,
-    n: int = DEFAULT_N,
-    offset: float = DEFAULT_OFFSET,
-) -> GluedSolution:
+def glue(s: float, params: HopfParams, n: int = DEFAULT_N) -> GluedSolution:
     """Solve both sides at junction s and assemble the glued curve.
 
-    Minimizer failures propagate as :class:`ConvergenceError`.
+    Both minimizers place their free end nodes DEFAULT_OFFSET inside the
+    singular endpoints.  Minimizer failures propagate as :class:`ConvergenceError`.
     """
-    res_i = minimize_interior(s, params, n=n, offset=offset)
-    res_e = minimize_exterior(s, params, n=n, offset=offset)
+    res_i = minimize_interior(s, params, n=n)
+    res_e = minimize_exterior(s, params, n=n)
     ti, vi = res_i.profile.t, res_i.profile.values
     te, ve = res_e.profile.t, res_e.profile.values
     d_minus, d_plus = res_i.slope, res_e.slope

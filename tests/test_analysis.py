@@ -250,6 +250,15 @@ class TestSolvabilityMap:
         assert by_pair[(1.0, 2.0)] == "no_sign_change"
         assert by_pair[(2.0, 1.0)] == "no_sign_change"
 
+    def test_inconclusive_cell_keeps_the_exception(self, monkeypatch):
+        def failing(params, **opts):
+            raise ConvergenceError("injected failure")
+
+        monkeypatch.setattr(analysis, "find_solution", failing)
+        [cell] = solvability_map(1, 2, (1.0, 1.0), (4.0, 4.0), 1, 1)
+        assert cell.verdict == "inconclusive"
+        assert cell.reason == "ConvergenceError: injected failure"
+
     def test_map_csv(self, tmp_path):
         cells = solvability_map(
             1, 1, (1.0, 1.0), (1.0, 1.0), 1, 1, grid_n=300, n_scan=4,

@@ -4,6 +4,7 @@ import pytest
 
 from hopfbvp import analysis
 from hopfbvp.cli import _parse_range, main
+from hopfbvp.core import ConvergenceError
 
 
 def run(tmp_path, *args):
@@ -85,6 +86,10 @@ class TestSolve:
         ("compare", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4", "--s", "0.01",
          "--s-min", "0.1"),
         ("scan-jump", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4", "--root-tol", "1e-8"),
+        # the end-node offset is fixed at variational.DEFAULT_OFFSET
+        ("solve", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4", "--offset", "1e-6"),
+        ("map", "--p", "1", "--q", "2", "--lambda", "1:1:1", "--mu", "1:1:1", "--offset", "1e-6"),
+        ("blowup", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4", "--offset", "1e-6"),
     ])
     def test_bad_usage_exits_one_without_summary(self, tmp_path, argv):
         # argparse would exit 2, the code for "no sign change"
@@ -157,15 +162,15 @@ class TestMap:
 
         monkeypatch.setattr(analysis, "solvability_map", fake_map)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("root_tol = 1e-7\noffset = 1e-6\n")
+        cfg.write_text("root_tol = 1e-7\ns_min = 0.1\n")
         rc = run(
             tmp_path, "map", "--p", "1", "--q", "2", "--lambda", "1:1:1",
-            "--mu", "1:1:1", "--config", str(cfg), "--offset", "1e-5",
+            "--mu", "1:1:1", "--config", str(cfg), "--s-min", "0.05",
             "--n", "4000", "--n-scan", "6",
         )
         assert rc == 0
         assert seen["root_tol"] == 1e-7  # from the config file
-        assert seen["offset"] == 1e-5  # the flag overrides the config
+        assert seen["s_min"] == 0.05  # the flag overrides the config
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["used"] == {"n": seen["grid_n"], "n_scan": seen["n_scan"]}
         assert summary["used"] == {"n": analysis.MAP_GRID_N, "n_scan": 6}
@@ -191,6 +196,52 @@ class TestMap:
         rc = run(tmp_path, "map", "--p", "1", "--q", "2", "--lambda", "1:2",
                  "--mu", "1:6:10")
         assert rc == 1
+
+
+class TestFailureReasons:
+    PARAMS = ("--p", "1", "--q", "2", "--lambda", "1", "--mu", "4")
+    QUICK = ("--n", "600", "--n-scan", "8", "--s-min", "0.05", "--s-max", "1.45")
+
+    @staticmethod
+    def fail_glue(monkeypatch, fails):
+        """Make the glues whose call index passes ``fails`` raise ConvergenceError."""
+        seen = []
+        real = analysis.glue
+
+        def glue(s, *args, **kwargs):
+            seen.append(s)
+            if fails(len(seen) - 1):
+                raise ConvergenceError(f"injected failure at s={s}")
+            return real(s, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "glue", glue)
+        return seen
+
+    @pytest.mark.parametrize("command", ["solve", "scan-jump"])
+    def test_failed_scan_row_keeps_its_reason(self, tmp_path, monkeypatch, command):
+        seen = self.fail_glue(monkeypatch, lambda i: i == 2)
+        run(tmp_path, command, *self.PARAMS, *self.QUICK)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["failed_rows"] == [
+            {"s": seen[2], "reason": f"injected failure at s={seen[2]}"}
+        ]
+        rows = (tmp_path / "scan.csv").read_text().splitlines()[1:]
+        assert [row.endswith(",0") for row in rows] == [i == 2 for i in range(8)]
+
+    def test_inconclusive_map_cell_keeps_its_reason(self, tmp_path, monkeypatch):
+        # the scan glues succeed, the first root-search glue fails
+        seen = self.fail_glue(monkeypatch, lambda i: i >= 8)
+        rc = run(tmp_path, "map", "--p", "1", "--q", "2", "--lambda", "1:1:1",
+                 "--mu", "4:4:1", *self.QUICK)
+        assert rc == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["n_inconclusive"] == 1
+        [cell] = summary["inconclusive_cells"]
+        assert (cell["lambda"], cell["mu"]) == (1.0, 4.0)
+        assert f"injected failure at s={seen[8]}" in cell["reason"]
+        assert "root search stopped" in cell["reason"]
+        # the reason stays out of the CSV
+        assert (tmp_path / "map.csv").read_text() == "lambda,mu,verdict,s_star\n1,4,inconclusive,\n"
 
 
 class TestBlowupAndCompare:
@@ -274,8 +325,9 @@ class TestConfig:
         assert summary["config"]["n"] == 250  # flag overrides config
 
     def test_unknown_config_key_rejected(self, tmp_path):
-        # grading: the mesh exponent is fixed at variational.GRADING
-        for key in ("gradient_tol", "grading"):
+        # grading and offset: the mesh exponent and the end-node distance are
+        # fixed at variational.GRADING and variational.DEFAULT_OFFSET
+        for key in ("gradient_tol", "grading", "offset"):
             cfg = tmp_path / "run.cfg"
             cfg.write_text(f"n = 300\n{key} = 2.0\n")
             rc = run(

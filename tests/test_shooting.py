@@ -199,6 +199,26 @@ class TestMatchShooting:
         match_shooting(params)
         assert len(calls) <= bound
 
+    def test_each_shot_made_once(self, monkeypatch, params_main):
+        # the admissibility probe and the profile reuse the matched pair's
+        # shots: 13 + 13 scan shots and the diagonal Brent solve, 40 in all
+        shots, ivps = [], []
+        shoot, solve_ivp = shooting._shoot, shooting.solve_ivp
+
+        def recorded(params, c, t_offset, t_end, rtol, atol, backward=False):
+            shots.append((params, c, backward))
+            return shoot(params, c, t_offset, t_end, rtol, atol, backward)
+
+        def counted(*args, **kwargs):
+            ivps.append(1)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "_shoot", recorded)
+        monkeypatch.setattr(shooting, "solve_ivp", counted)
+        assert match_shooting(params_main).verdict == "solution"
+        assert len(shots) == len(set(shots))
+        assert len(ivps) == 40
+
     def test_mismatch_csv(self, tmp_path, params_main):
         m = match_shooting(params_main)
         path = tmp_path / "mismatch.csv"
