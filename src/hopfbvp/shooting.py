@@ -15,6 +15,9 @@ iteration in (log c0, log c1) whose separable Jacobian costs one extra shot
 per side.  "No root" means that the sampled curves do not cross and the
 balanced diagonal c0 = c1 holds no bracket -- numerical evidence of
 unsolvability, distinct from a polish that fails.
+
+Shots run the float DOP853 stepper of :mod:`hopfbvp.dop853` and keep only their
+step ends; a dense state is rebuilt from them only when read (a root's pair).
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401  (bound here for perfbench's traced run)
 from scipy.optimize import brentq
 from scipy.optimize import root  # noqa: F401  (bound here for perfbench's traced run)
 
+from . import dop853
 from .core import (
     HALF_PI,
     BlowUpError,
@@ -88,18 +92,6 @@ class MatchResult:
     max_scaled_residual: float = math.nan
 
 
-def _rhs(params: HopfParams) -> Callable:
-    p, q, lam, mu = params.p, params.q, params.lam, params.mu
-
-    def rhs(t, y):
-        sn, cs = math.sin(t), math.cos(t)
-        drift = p * cs / sn - q * sn / cs
-        qq = lam / sn**2 + mu / cs**2
-        return (y[1], -drift * y[1] + qq * math.sin(y[0]) * math.cos(y[0]))
-
-    return rhs
-
-
 def _series_seed(c: float, params: HopfParams, t0: float) -> tuple[float, float]:
     """(value, slope) of the three-term endpoint expansion at t0.
 
@@ -130,46 +122,6 @@ def _series_seed(c: float, params: HopfParams, t0: float) -> tuple[float, float]
     return value, slope
 
 
-def _band_events():
-    def low(t, y):
-        return y[0] - ALPHA_LOW
-
-    def high(t, y):
-        return y[0] - ALPHA_HIGH
-
-    low.terminal = True
-    high.terminal = True
-    return [low, high]
-
-
-def _band_exit(exit_time: float) -> BlowUpError:
-    return BlowUpError(
-        f"trajectory left [{ALPHA_LOW:.4f}, {ALPHA_HIGH:.4f}] at t={exit_time:.6g}",
-        exit_time=exit_time,
-    )
-
-
-def _solve(params: HopfParams, t0: float, y0, t1: float, rtol: float, atol: float):
-    sol = solve_ivp(
-        _rhs(params),
-        (t0, t1),
-        y0,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=_band_events(),
-    )
-    if sol.status == 1:
-        exit_time = float(
-            min((te[0] for te in sol.t_events if te.size), default=sol.t[-1])
-        )
-        raise _band_exit(exit_time)
-    if sol.status != 0:
-        raise RuntimeError(f"integrator failed: {sol.message}")
-    return sol
-
-
 def _shoot(
     params: HopfParams,
     c: float,
@@ -178,11 +130,12 @@ def _shoot(
     rtol: float,
     atol: float,
     backward: bool = False,
-) -> tuple[np.ndarray, Callable]:
+) -> tuple[np.ndarray, np.ndarray, Callable]:
     """Shoot the branch of amplitude c from t_offset off its end to t_end.
 
-    Returns the integrator's step times in increasing t and the dense state
-    ``t -> (alpha, alpha')``.  A backward shot integrates the mirrored problem
+    Returns the step times in increasing t, the last step's (alpha, alpha') at
+    t_end, and the dense state ``t -> (alpha, alpha')``, built when called.
+    A backward shot integrates the mirrored problem
     beta(tau) = pi - alpha(pi/2 - tau) with (p, q, lam, mu) -> (q, p, mu, lam),
     an exact symmetry of the equation, forward from its seed ``c tau**r1``.
     That keeps the seed's deviation from pi to full relative precision;
@@ -190,19 +143,22 @@ def _shoot(
     1e-7 relative for c = 0.5 at r1 = 2, and the matched amplitudes inherit
     that noise.
     """
+    if backward:
+        params, t_end = params.mirrored(), HALF_PI - t_end
+    steps, t_exit = dop853.solve(params, t_offset, _series_seed(c, params, t_offset), t_end,
+                                 rtol, atol, (ALPHA_LOW, ALPHA_HIGH))
+    if t_exit is not None:
+        t_exit = HALF_PI - t_exit if backward else t_exit
+        raise BlowUpError(f"trajectory left [{ALPHA_LOW:.4f}, {ALPHA_HIGH:.4f}] at t={t_exit:.6g}",
+                          exit_time=t_exit)
     if not backward:
-        sol = _solve(params, t_offset, _series_seed(c, params, t_offset), t_end, rtol, atol)
-        return sol.t, sol.sol
-    try:
-        times, state = _shoot(params.mirrored(), c, t_offset, HALF_PI - t_end, rtol, atol)
-    except BlowUpError as exc:
-        raise _band_exit(HALF_PI - exc.exit_time) from None
+        return steps[0], steps[1:3, -1], lambda t: dop853.dense_state(params, steps)(t)
 
     def mirrored(t):
-        beta, dbeta = state(HALF_PI - np.asarray(t))
+        beta, dbeta = dop853.dense_state(params, steps)(HALF_PI - np.asarray(t))
         return np.array([math.pi - beta, dbeta])
 
-    return HALF_PI - times[::-1], mirrored
+    return HALF_PI - steps[0, ::-1], np.array([math.pi - steps[1, -1], steps[2, -1]]), mirrored
 
 
 def integrate_from_zero(
@@ -224,7 +180,7 @@ def integrate_from_zero(
         raise ValueError("amplitude c0 must be positive")
     if not (0.0 < t_start < t_end < HALF_PI):
         raise ValueError("need 0 < t_start < t_end < pi/2")
-    times, state = _shoot(params, c0, t_start, t_end, rtol, atol)
+    times, _, state = _shoot(params, c0, t_start, t_end, rtol, atol)
     if grid is None:
         grid = Grid(times if times.size >= 3 else np.linspace(t_start, t_end, 5))
     return Profile(grid, state(grid.nodes)[0])
@@ -250,7 +206,7 @@ def integrate_from_pi2(
     t0 = HALF_PI - t_offset
     if not (0.0 < t_start < t0):
         raise ValueError("need 0 < t_start < pi/2 - t_offset")
-    times, state = _shoot(params, c1, t_offset, t_start, rtol, atol, backward=True)
+    times, _, state = _shoot(params, c1, t_offset, t_start, rtol, atol, backward=True)
     if grid is None:
         grid = Grid(times if times.size >= 3 else np.linspace(t_start, t0, 5))
     return Profile(grid, state(grid.nodes)[0])
@@ -274,15 +230,6 @@ def _scaled_residual(
     if seam is not None:
         res[2:-2][(t[:-4] <= seam) & (seam <= t[4:])] = np.nan
     return float(np.nanmax(np.abs(res)))
-
-
-def _merged_values(fwd: Callable, bwd: Callable, t_match: float, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate the dense states of a forward and a backward shot, joined at t_match."""
-    return np.where(
-        nodes <= t_match,
-        fwd(np.minimum(nodes, t_match))[0],
-        bwd(np.maximum(nodes, t_match))[0],
-    )
 
 
 def _crossings(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int, float, float]]:
@@ -334,17 +281,17 @@ def match_shooting(params: HopfParams) -> MatchResult:
         key = (backward, c)
         if key not in shots:
             try:
-                _, state = _shoot(params, c, DEFAULT_T_OFFSET, T_MATCH, DEFAULT_RTOL,
-                                  DEFAULT_ATOL, backward)
-                shots[key] = state(T_MATCH), state
+                _, end, state = _shoot(params, c, DEFAULT_T_OFFSET, T_MATCH, DEFAULT_RTOL,
+                                       DEFAULT_ATOL, backward)
+                shots[key] = end, state
             except (BlowUpError, RuntimeError):
                 shots[key] = np.full(2, np.nan), None
         return shots[key][0]
 
     def merged_values(root: ShootState, nodes: np.ndarray) -> np.ndarray:
         # a root's two shots stayed in band, so both dense states are cached
-        fwd, bwd = shots[(False, root.c0)][1], shots[(True, root.c1)][1]
-        return _merged_values(fwd, bwd, root.t_match, nodes)
+        fwd, bwd, t = shots[(False, root.c0)][1], shots[(True, root.c1)][1], root.t_match
+        return np.where(nodes <= t, fwd(np.minimum(nodes, t))[0], bwd(np.maximum(nodes, t))[0])
 
     def mismatch(c0: float, c1: float) -> np.ndarray:
         return end_state(True, c1) - end_state(False, c0)

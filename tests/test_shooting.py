@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from hopfbvp import shooting
+from hopfbvp import dop853, shooting
 from hopfbvp.core import HALF_PI, BlowUpError, Grid, HopfParams
 from hopfbvp.shooting import (
+    DEFAULT_ATOL,
+    DEFAULT_RTOL,
+    DEFAULT_T_OFFSET,
+    T_MATCH,
     _crossings,
     integrate_from_pi2,
     integrate_from_zero,
@@ -114,16 +119,83 @@ class TestCrossings:
 
 
 class TestIntegratorAccuracy:
-    def test_error_drops_with_tolerance(self, params_flat):
-        errs = []
-        for rtol in (1e-6, 1e-9):
-            grid = Grid(np.linspace(0.5, 1.5, 11))
-            prof = integrate_from_zero(
-                2.0, params_flat, 1.5, grid=grid, rtol=rtol, atol=rtol * 1e-2
+    def test_error_drops_with_tolerance(self, params_flat, params_main):
+        # DOP853 integrates alpha = 2t to rounding at any tolerance, so the
+        # flat family checks only the error level; the main-regime shots over
+        # most of the interval carry a truncation error that must fall with
+        # the tolerance, measured against an rtol = 1e-13 reference
+        grid = Grid(np.linspace(0.5, 1.5, 11))
+        flat = integrate_from_zero(2.0, params_flat, 1.5, grid=grid, rtol=1e-9, atol=1e-11)
+        assert np.max(np.abs(flat.values - 2.0 * flat.t)) <= 1e-8
+
+        fwd_grid = Grid(np.linspace(DEFAULT_T_OFFSET, 1.2, 11))
+        bwd_grid = Grid(np.linspace(0.3, HALF_PI - DEFAULT_T_OFFSET, 11))
+
+        def shots(rtol, atol):
+            fwd = integrate_from_zero(1.0, params_main, 1.2, grid=fwd_grid, rtol=rtol, atol=atol)
+            bwd = integrate_from_pi2(1.0, params_main, 0.3, grid=bwd_grid, rtol=rtol, atol=atol)
+            return fwd.values, bwd.values
+
+        ref = shots(1e-13, 1e-15)
+        errs = [
+            [np.max(np.abs(v - r)) for v, r in zip(shots(rtol, rtol * 1e-2), ref)]
+            for rtol in (1e-6, 1e-9)
+        ]
+        for loose, tight in zip(*errs):
+            assert tight <= 1e-2 * loose
+            assert tight <= 1e-8
+
+    @staticmethod
+    def scipy_shot(params, c, t_end, events=None):
+        """solve_ivp's DOP853 from the series seed, the reference for the stepper."""
+        p, q, lam, mu = params.p, params.q, params.lam, params.mu
+
+        def rhs(t, y):
+            sn, cs = math.sin(t), math.cos(t)
+            drift = p * cs / sn - q * sn / cs
+            qq = lam / sn**2 + mu / cs**2
+            return (y[1], -drift * y[1] + qq * math.sin(y[0]) * math.cos(y[0]))
+
+        seed = shooting._series_seed(c, params, DEFAULT_T_OFFSET)
+        return solve_ivp(rhs, (DEFAULT_T_OFFSET, t_end), seed, method="DOP853",
+                         rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, dense_output=True, events=events)
+
+    @pytest.mark.parametrize("params", [HopfParams(1, 2, 1.0, 4.0), HopfParams(2, 1, 2.0, 6.0)])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_stepper_is_scipy_dop853(self, params, backward):
+        # the same accepted steps (their times differ in the last digits: the
+        # error estimate is a difference of stage sums, so summation order
+        # moves it), end states and dense states
+        for c in np.geomspace(1e-3, 1e3, 7):
+            times, shot_end, state = shooting._shoot(
+                params, c, DEFAULT_T_OFFSET, T_MATCH, DEFAULT_RTOL, DEFAULT_ATOL, backward
             )
-            errs.append(np.max(np.abs(prof.values - 2.0 * prof.t)))
-        assert errs[1] <= errs[0]
-        assert errs[1] <= 1e-8
+            sol = self.scipy_shot(params.mirrored() if backward else params, c, T_MATCH)
+            assert times.size == sol.t.size
+            t = np.linspace(T_MATCH, HALF_PI - DEFAULT_T_OFFSET, 401) if backward else (
+                np.linspace(DEFAULT_T_OFFSET, T_MATCH, 401))
+            if backward:
+                beta, dbeta = sol.sol(HALF_PI - t)
+                end = np.array([math.pi - sol.y[0, -1], sol.y[1, -1]])
+                dense = (math.pi - beta, dbeta)
+            else:
+                end, dense = sol.y[:, -1], sol.sol(t)
+            assert np.all(np.abs(shot_end - end) <= 1e-12 * np.maximum(1.0, np.abs(end)))
+            assert np.all(np.abs(state(t) - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
+
+    def test_band_exit_is_scipy_terminal_event(self, params_main):
+        def low(t, y):
+            return y[0] - shooting.ALPHA_LOW
+
+        def high(t, y):
+            return y[0] - shooting.ALPHA_HIGH
+
+        low.terminal = high.terminal = True
+        sol = self.scipy_shot(params_main, 1e-3, HALF_PI - 1e-4, events=[low, high])
+        assert sol.status == 1
+        with pytest.raises(BlowUpError) as exc:
+            integrate_from_zero(1e-3, params_main, HALF_PI - 1e-4)
+        assert abs(exc.value.exit_time - min(te[0] for te in sol.t_events if te.size)) <= 1e-9
 
 
 class TestMatchShooting:
@@ -190,12 +262,12 @@ class TestMatchShooting:
     def test_ivp_solves_per_match(self, monkeypatch, params, bound):
         calls = []
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(1)
-            return solve_ivp(*args, **kwargs)
+            return solve(*args)
 
-        solve_ivp = shooting.solve_ivp
-        monkeypatch.setattr(shooting, "solve_ivp", counted)
+        solve = dop853.solve
+        monkeypatch.setattr(dop853, "solve", counted)
         match_shooting(params)
         assert len(calls) <= bound
 
@@ -203,18 +275,18 @@ class TestMatchShooting:
         # the admissibility probe and the profile reuse the matched pair's
         # shots: 13 + 13 scan shots and the diagonal Brent solve, 40 in all
         shots, ivps = [], []
-        shoot, solve_ivp = shooting._shoot, shooting.solve_ivp
+        shoot, solve = shooting._shoot, dop853.solve
 
         def recorded(params, c, t_offset, t_end, rtol, atol, backward=False):
             shots.append((params, c, backward))
             return shoot(params, c, t_offset, t_end, rtol, atol, backward)
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             ivps.append(1)
-            return solve_ivp(*args, **kwargs)
+            return solve(*args)
 
         monkeypatch.setattr(shooting, "_shoot", recorded)
-        monkeypatch.setattr(shooting, "solve_ivp", counted)
+        monkeypatch.setattr(dop853, "solve", counted)
         assert match_shooting(params_main).verdict == "solution"
         assert len(shots) == len(set(shots))
         assert len(ivps) == 40
