@@ -100,52 +100,56 @@ class SolvabilityCell:
     reason: str = ""
 
 
-def _glue_row(task: tuple[float, HopfParams, int]) -> ScanRow:
-    s, params, grid_n = task
+def _pool_map(fn, tasks: list, jobs: int, chunksize: int = 1) -> list:
+    """[fn(t) for t in tasks], over ``jobs`` worker processes when jobs > 1."""
+    if jobs <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks, chunksize=chunksize))
+
+
+def _glue_row(task: tuple[float, HopfParams, int, float]) -> ScanRow:
+    s, params, grid_n, root_tol = task
     try:
         g = glue(s, params, n=grid_n)
-        return ScanRow(
-            s=s,
-            l=g.l,
-            l_tilde=g.l_tilde,
-            I_s=g.I_s,
-            I_s1=g.I_s1,
-            I_s2=g.I_s2,
-            converged=True,
-            J_interior=g.J_interior,
-            J_exterior=g.J_exterior,
-            glued=g,
-        )
     except ConvergenceError as exc:
         return ScanRow(s=s, reason=str(exc))
+    return ScanRow(s=s, l=g.l, l_tilde=g.l_tilde, I_s=g.I_s, I_s1=g.I_s1, I_s2=g.I_s2,
+                   converged=True, J_interior=g.J_interior, J_exterior=g.J_exterior,
+                   glued=g if abs(g.l) <= root_tol else None)
 
 
 def scan_jump(
-    params: HopfParams,
+    params: HopfParams | Sequence[HopfParams],
     s_min: float,
     s_max: float,
     n: int,
     grid_n: int = DEFAULT_N,
     jobs: int = 1,
-) -> ScanResult:
+    root_tol: float = ROOT_TOL,
+) -> ScanResult | list[ScanResult]:
     """Glued solves at n geometrically spaced junctions; brackets extracted.
 
+    ``params`` may be a sequence (the cells of a map), one ScanResult each;
+    all are glued at one s before the next, so consecutive glues share both
+    sides' geometry.  A row keeps its glued solve only if ``|l| <= root_tol``.
     Per-row convergence failures are recorded in the table, not raised.
     """
     if not (0.0 < s_min < s_max < HALF_PI):
         raise ValueError("need 0 < s_min < s_max < pi/2")
     if n < 2:
         raise ValueError("need at least 2 scan points")
-    svals = np.geomspace(s_min, s_max, n)
-    tasks = [(float(s), params, grid_n) for s in svals]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_glue_row, tasks))
-    else:
-        rows = [_glue_row(t) for t in tasks]
-    good = [r for r in rows if r.converged and np.isfinite(r.l)]
-    brackets = [(lo.s, hi.s) for lo, hi in zip(good[:-1], good[1:]) if lo.l * hi.l < 0.0]
-    return ScanResult(params=params, rows=rows, brackets=brackets)
+    cells = [params] if isinstance(params, HopfParams) else list(params)
+    tasks = [(float(s), cell, grid_n, root_tol)
+             for s in np.geomspace(s_min, s_max, n) for cell in cells]
+    rows = _pool_map(_glue_row, tasks, jobs, chunksize=len(cells))
+    scans = []
+    for k, cell in enumerate(cells):
+        cell_rows = rows[k::len(cells)]
+        good = [r for r in cell_rows if r.converged and np.isfinite(r.l)]
+        brackets = [(lo.s, hi.s) for lo, hi in zip(good[:-1], good[1:]) if lo.l * hi.l < 0.0]
+        scans.append(ScanResult(params=cell, rows=cell_rows, brackets=brackets))
+    return scans[0] if isinstance(params, HopfParams) else scans
 
 
 def _certify(
@@ -210,8 +214,13 @@ def find_solution(
     without meeting the tolerance, and ``solution_found`` with the
     residual-certified glued curve otherwise.
     """
-    scan = scan_jump(params, s_min, s_max, n_scan, grid_n=grid_n, jobs=jobs)
+    scan = scan_jump(params, s_min, s_max, n_scan, grid_n=grid_n, jobs=jobs, root_tol=root_tol)
+    return _finish(scan, grid_n, root_tol)
 
+
+def _finish(scan: ScanResult, grid_n: int, root_tol: float) -> SolveOutcome:
+    """The search after the scan: scan-point hit, else Brent in the first bracket; certify."""
+    params = scan.params
     # a scanned junction may already satisfy the root tolerance (e.g. the
     # q = 1, lambda = mu family, where the jump vanishes identically)
     hit = next((r for r in scan.rows if r.converged and abs(r.l) <= root_tol), None)
@@ -440,11 +449,11 @@ def auto_comparison_config(
     )
 
 
-def _map_cell(args) -> SolvabilityCell:
-    lam, mu, p, q, cell_opts = args
+def _map_cell(task: tuple[ScanResult, int, float]) -> SolvabilityCell:
+    scan, grid_n, root_tol = task
+    lam, mu = scan.params.lam, scan.params.mu
     try:
-        params = HopfParams(p=p, q=q, lam=lam, mu=mu)
-        outcome = find_solution(params, **cell_opts)
+        outcome = _finish(scan, grid_n, root_tol)
     except (ValueError, ConvergenceError, RuntimeError) as exc:
         return SolvabilityCell(lam=lam, mu=mu, verdict="inconclusive",
                                reason=f"{type(exc).__name__}: {exc}")
@@ -466,27 +475,24 @@ def solvability_map(
     grid_n: int = MAP_GRID_N,
     n_scan: int = MAP_N_SCAN,
     jobs: int = 1,
-    **find_opts,
+    s_min: float = 0.02,
+    s_max: float = 1.5,
+    root_tol: float = ROOT_TOL,
 ) -> list[SolvabilityCell]:
-    """Run the scan/Brent pipeline over a (lambda, mu) grid.
+    """The scan/Brent pipeline of :func:`find_solution` over a (lambda, mu) grid.
 
-    Cells are laid out lambda-major in the returned list; per-cell failures
-    are marked ``inconclusive`` rather than raised.
+    All cells are scanned together (see :func:`scan_jump`), then each
+    finishes its own search; the cells are find_solution's at any ``jobs``.
+    They are laid out lambda-major; per-cell failures of the search are
+    marked ``inconclusive`` rather than raised.
     """
     if lambda_range[0] <= 0 or mu_range[0] <= 0:
         raise ValueError("lambda and mu ranges must be positive")
     lams = np.linspace(lambda_range[0], lambda_range[1], n_lambda)
     mus = np.linspace(mu_range[0], mu_range[1], n_mu)
-    cell_opts = dict(find_opts, grid_n=grid_n, n_scan=n_scan)
-    tasks = [
-        (float(lam), float(mu), p, q, cell_opts) for lam in lams for mu in mus
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_map_cell, tasks))
-    else:
-        cells = [_map_cell(t) for t in tasks]
-    return cells
+    cells = [HopfParams(p=p, q=q, lam=lam, mu=mu) for lam in lams for mu in mus]
+    scans = scan_jump(cells, s_min, s_max, n_scan, grid_n=grid_n, jobs=jobs, root_tol=root_tol)
+    return _pool_map(_map_cell, [(scan, grid_n, root_tol) for scan in scans], jobs)
 
 
 # --- CSV writers ---------------------------------------------------------------

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from hopfbvp import analysis
+from hopfbvp import analysis, variational
 from hopfbvp.analysis import (
     auto_comparison_config,
     comparison_check,
@@ -251,13 +251,68 @@ class TestSolvabilityMap:
         assert by_pair[(2.0, 1.0)] == "no_sign_change"
 
     def test_inconclusive_cell_keeps_the_exception(self, monkeypatch):
-        def failing(params, **opts):
+        # the map scans all cells together, then each cell finishes its search
+        def failing(scan, grid_n, root_tol):
             raise ConvergenceError("injected failure")
 
-        monkeypatch.setattr(analysis, "find_solution", failing)
+        monkeypatch.setattr(analysis, "_finish", failing)
         [cell] = solvability_map(1, 2, (1.0, 1.0), (4.0, 4.0), 1, 1)
         assert cell.verdict == "inconclusive"
         assert cell.reason == "ConvergenceError: injected failure"
+
+    # a Brent root and no sign change (q = 2); the flat family lambda = mu,
+    # whose jump meets the tolerance at a scan point, and no sign change (q = 1)
+    MAPS = {
+        "brent": ((1, 2, (1.0, 2.0), (1.0, 4.0), 2, 2), dict(grid_n=300, n_scan=4)),
+        "scan_point": ((1, 1, (1.0, 2.0), (1.0, 2.0), 2, 2),
+                       dict(grid_n=500, n_scan=5, s_min=0.3, s_max=1.2)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MAPS))
+    def test_map_is_find_solution_per_cell(self, kind, monkeypatch):
+        args, opts = self.MAPS[kind]
+        glues = TestRootSearch.record_glues(monkeypatch)
+        cells = solvability_map(*args, **opts)
+        n_map = len(glues)
+        outcomes = [find_solution(HopfParams(*args[:2], c.lam, c.mu), **opts) for c in cells]
+        assert [(c.verdict, repr(c.s_star)) for c in cells] == [
+            (o.verdict, repr(o.s_star)) for o in outcomes
+        ]
+        # the same glues: the scan point that meets the tolerance is glued once
+        assert len(glues) == 2 * n_map
+        verdicts = {c.verdict for c in cells}
+        assert verdicts == {"solution_found", "no_sign_change"}
+        scanned = {r.s for r in outcomes[0].scan.rows}
+        at_scan_point = [c.s_star in scanned for c in cells if c.verdict == "solution_found"]
+        assert all(at_scan_point) if kind == "scan_point" else not any(at_scan_point)
+        # and the same cells from two worker processes
+        assert [repr(c) for c in solvability_map(*args, **opts, jobs=2)] == [repr(c) for c in cells]
+
+    def test_one_side_geometry_per_junction_and_root_glue(self, monkeypatch):
+        builds = []
+
+        class Counted(variational.DiscreteEnergy):
+            def __init__(self, *args):
+                builds.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(variational, "DiscreteEnergy", Counted)
+        monkeypatch.setattr(variational, "_SIDES", {})
+        glues = TestRootSearch.record_glues(monkeypatch)
+        args, opts = self.MAPS["brent"]
+        cells = solvability_map(*args, **opts)
+        root_glues = len(glues) - opts["n_scan"] * len(cells)
+        assert root_glues > 0
+        # the cells share each scan junction's two sides; a root glue builds its own
+        assert len(builds) == 2 * opts["n_scan"] + 2 * root_glues
+        assert len(variational._SIDES) == 2
+
+    def test_settings_shared_by_all_cells_raise(self):
+        # no cell could run, so the map reports the error instead of its cells
+        with pytest.raises(ValueError, match="p, q must be >= 1"):
+            solvability_map(0, 2, (1.0, 2.0), (1.0, 2.0), 2, 2)
+        with pytest.raises(ValueError, match="s_min < s_max"):
+            solvability_map(1, 2, (1.0, 2.0), (1.0, 2.0), 2, 2, s_min=1.0, s_max=0.5)
 
     def test_map_csv(self, tmp_path):
         cells = solvability_map(

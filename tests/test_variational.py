@@ -73,14 +73,46 @@ class TestDiscreteEnergy:
         grid = interior_grid(0.7, n=150)
         disc = DiscreteEnergy(grid, params)
         t = grid.nodes
-        x = t[:-1, None] + np.outer(disc.h, variational._GL_X01)
-        fw = weight_f(x, params) * (disc.h[:, None] * variational._GL_W01)
+        x = t[:-1] + np.outer(variational._GL_X01, disc.h)  # (4, n_el)
+        fw = weight_f(x, params) * (variational._GL_W01[:, None] * disc.h)
         assert np.array_equal(disc.fw, fw)
         assert np.array_equal(disc.qfw, coeff_Q(x, params) * fw)
 
     def test_quadrature_point_outside_open_interval_raises(self, params_main):
         with pytest.raises(DomainError, match="open interval"):
             DiscreteEnergy(Grid(np.array([1.0, 1.2, 2.0]), upper=np.inf), params_main)
+
+
+class TestSideMemo:
+    """The (lambda, mu)-free side geometry, memoized for the last two sides."""
+
+    def test_memo_hit_equals_a_fresh_build(self, params_main, monkeypatch):
+        monkeypatch.setattr(variational, "_SIDES", {})
+        side = (0.6, 300, variational.DEFAULT_OFFSET)
+        built = variational._energy(*side, params_main)
+        # the same (lambda, mu), then another, as the next cell of a map
+        for params in (params_main, HopfParams(1, 2, 2.0, 5.0)):
+            hit = variational._energy(*side, params)
+            assert hit.fw is built.fw and len(variational._SIDES) == 1
+            fresh = DiscreteEnergy(interior_grid(0.6, n=300), params)
+            for name in ("fw", "qfw", "stiff", "h"):
+                assert np.array_equal(getattr(hit, name), getattr(fresh, name)), name
+        # and the minimizer built on a hit gives the fresh minimizer bit for bit
+        held = minimize_interior(0.6, params_main, n=300)
+        monkeypatch.setattr(variational, "_SIDES", {})
+        assert np.array_equal(minimize_interior(0.6, params_main, n=300).profile.values,
+                              held.profile.values)
+
+    def test_memo_holds_at_most_two_sides(self, params_main, monkeypatch):
+        monkeypatch.setattr(variational, "_SIDES", {})
+        for s, params in [(0.3, params_main), (0.3, HopfParams(1, 2, 2.0, 5.0)),
+                          (0.5, params_main), (0.7, HopfParams(2, 3, 1.0, 1.0))]:
+            glue(s, params, n=200)
+            # the two sides of the last glue: interior at s, mirrored exterior at pi/2 - s
+            assert list(variational._SIDES) == [
+                (s, 200, variational.DEFAULT_OFFSET, params.p, params.q),
+                (HALF_PI - s, 200, variational.DEFAULT_OFFSET, params.q, params.p),
+            ]
 
 
 def _ladder() -> list[float]:
