@@ -27,9 +27,10 @@ Discretization: piecewise-linear elements on a graded grid with 4-point
 Gauss-Legendre quadrature per element (the discrete energy is then exact to
 quadrature precision for profiles linear in t), the last node pinned to
 pi/2.  Gauss-point arrays are laid out (4, n_el), so every broadcast runs
-along the elements.  The (lambda, mu)-free geometry of the last two sides
-solved (grid, f and sin^2, cos^2 at the Gauss points, stiffness) is held, so
-the cells of a map glued at one junction build it once.  Minimization:
+along the elements, and one ``tan`` pass gives the kernels' sin^2 a and
+sin a cos a.  The (lambda, mu)-free geometry of the last glue (its grids,
+f and Q's sin^2, cos^2 at the Gauss points, stiffness, Simpson weights) is
+held, so the cells of a map glued at one junction build it once.  Minimization:
 damped Newton with one LAPACK ``dptsv`` (SPD tridiagonal) solve per step of a
 Levenberg shift ladder, ``info > 0`` meaning "not positive definite, next
 shift"; a strictly decreasing line search; and a single stopping rule on the
@@ -39,12 +40,12 @@ Newton decrement.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg.lapack import dptsv
 
 from .core import (
@@ -78,10 +79,10 @@ GRADING = 2.0
 DEFAULT_OFFSET = 1e-7
 MAX_ITER = 200
 # Newton stops once it predicts a decrease below DECREMENT_TOL*(1+|E|).  The
-# float64 energy is off by up to about 1.5*eps*(1+|E|) here (measured against
-# extended precision for n = 500..16000), so a decrease of a few eps*(1+|E|)
-# cannot be confirmed by comparing two energies; 8*eps keeps the test above
-# that floor, and the line search can then always demand a strict decrease.
+# float64 energy is off by up to about 1.05*eps*(1+|E|) here (measured against
+# long double for n = 500..16000, at the guess and the minimizer), so a decrease
+# of a few eps*(1+|E|) cannot be confirmed by comparing two energies; 8*eps keeps
+# the test above that floor, and the line search can always demand a strict decrease.
 DECREMENT_TOL = 8.0 * float(np.finfo(float).eps)
 # Levenberg shifts tried per Newton direction: 0, then 1e-10 growing tenfold
 MAX_SHIFTS = 30
@@ -90,9 +91,9 @@ ATTACH_TOL = 1e-2
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
 _GL_X01 = 0.5 * (_GL_X + 1.0)
 _GL_W01 = 0.5 * _GL_W
-# hat functions at the Gauss points (left _HAT0, right _GL_X01), doubled for 2a
+# hat functions at the Gauss points (left _HAT0, right _GL_X01), doubled (_G) for sin 2a / 2
 _HAT0 = 1.0 - _GL_X01
-_A0, _A1 = 2.0 * _HAT0[:, None], 2.0 * _GL_X01[:, None]
+_X, _G0, _G1 = _GL_X01[:, None], 2.0 * _HAT0, 2.0 * _GL_X01
 _HAT00, _HAT11, _HAT01 = _HAT0**2, _GL_X01**2, _GL_X01 * _HAT0  # Hessian products
 
 
@@ -126,9 +127,10 @@ class DiscreteEnergy:
 
     The geometry is built once: quadrature points, f and Q there (one sin/cos
     pass, the values of ode.weight_f and ode.coeff_Q) and the stiffness 2f/h^2.
-    Per iterate, :meth:`trig` makes the one pass over the values (slopes, angles
-    2a, cos 2a); energy uses sin^2 a = (1 - cos 2a)/2, gradient sin 2a, Hessian
-    cos 2a.  Each hat contraction is one (4,) @ (4, n_el) product.
+    Per iterate, :meth:`trig` makes the one pass over the values: t = tan a at
+    the quadrature angles gives sin a cos a = t/(1+t^2) and sin^2 a = t sin a cos a
+    (gradient, energy), and the Hessian takes cos 2a = 1 - 2 sin^2 a.  numpy
+    vectorises float64 tan only on CPUs with AVX-512; elsewhere it calls scalar libm.
     """
 
     def __init__(self, grid: Grid, params: HopfParams):
@@ -154,32 +156,30 @@ class DiscreteEnergy:
         return disc
 
     def trig(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The one pass per iterate: (slopes, doubled quadrature angles 2a, cos 2a)."""
-        slope = (v[1:] - v[:-1]) / self.h
-        a2 = _A0 * v[:-1]
-        a2 += _A1 * v[1:]
-        return slope, a2, np.cos(a2)
+        """(slopes, sin a cos a, sin^2 a) at a = v_i + x (v_(i+1) - v_i); NaN for NaN or inf v."""
+        dv = v[1:] - v[:-1]
+        tn = np.tan(_X * dv + v[:-1])
+        sc = tn / (1.0 + tn * tn)
+        return dv / self.h, sc, sc * tn
 
     def energy(self, v: np.ndarray, trig=None) -> float:
-        slope, _, cos2 = self.trig(v) if trig is None else trig
-        grad_term = float(np.dot(self.f_el, slope**2))
-        pot_term = 0.5 * float(np.sum(self.qfw * (1.0 - cos2)))  # sin^2 a
-        return grad_term + pot_term
+        slope, _, sin2 = self.trig(v) if trig is None else trig
+        return float(np.dot(self.f_el, slope**2)) + float(np.vdot(self.qfw, sin2))
 
     def gradient(self, v: np.ndarray, trig=None) -> np.ndarray:
         """Full-length gradient of the discrete energy (pinned entry zeroed)."""
-        slope, a2, _ = self.trig(v) if trig is None else trig
-        pot = self.qfw * np.sin(a2)  # (4, n_el)
+        slope, sc, _ = self.trig(v) if trig is None else trig
+        pot = self.qfw * sc  # (4, n_el)
         gd = self.f_el2 * slope / self.h
         g = np.zeros(self.n)
-        g[:-1] += -gd + _HAT0 @ pot
-        g[1:] += gd + _GL_X01 @ pot
+        g[:-1] += -gd + _G0 @ pot
+        g[1:] += gd + _G1 @ pot
         g[-1] = 0.0
         return g
 
-    def _hessian(self, cos2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Hessian on the free nodes from cos 2a: (diagonal, d01), d01[i] couples i and i+1."""
-        curv = 2.0 * self.qfw * cos2
+    def _hessian(self, sin2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hessian on the free nodes from sin^2 a: (diagonal, d01), d01[i] couples i and i+1."""
+        curv = self.qfw * (2.0 - 4.0 * sin2)  # 2 Q f w cos 2a
         diag = self.stiff + _HAT00 @ curv
         diag[1:] += (self.stiff + _HAT11 @ curv)[:-1]
         return diag, (-self.stiff + _HAT01 @ curv)[:-1]
@@ -300,10 +300,22 @@ def minimize_exterior(
     if not (0.0 < s < HALF_PI - offset):
         raise ValueError(f"need 0 < s < pi/2 - offset, got s={s}, offset={offset}")
     res = _minimize(HALF_PI - s, params.mirrored(), n, offset, f"exterior minimization at s={s}")
-    t = HALF_PI - res.profile.t[::-1]
-    t[0] = s
     values = math.pi - res.profile.values[::-1]
-    return replace(res, profile=Profile(Grid(t, junction_index=0), values))
+    return replace(res, profile=Profile(_mapped_back(res.profile.grid, s), values))
+
+
+# grids made from held sides' checked grids (keyed by identity), once per glue junction
+@functools.lru_cache(maxsize=1)
+def _mapped_back(side: Grid, s: float) -> Grid:
+    """The exterior side's grid in t = pi/2 - tau, its junction node s exactly."""
+    t = HALF_PI - side.nodes[::-1]
+    t[0] = s
+    return Grid(t, junction_index=0)
+
+
+@functools.lru_cache(maxsize=1)
+def _union_grid(inner: Grid, outer: Grid) -> Grid:
+    return Grid(np.concatenate([inner.nodes, outer.nodes[1:]]), junction_index=inner.n - 1)
 
 
 @dataclass
@@ -349,6 +361,27 @@ def _one_sided_slope(t: np.ndarray, v: np.ndarray, x: float) -> float:
     return float(w0 * v[0] + w1 * v[1] + w2 * v[2])
 
 
+@functools.lru_cache(maxsize=1)
+def _simpson_rows(nodes: bytes, p: int, q: int) -> np.ndarray:
+    """W * m_k on the nodes padded with 0 and pi/2, held for the last grid (keyed by value).
+
+    W holds scipy's ``simpson(y, x)`` weights for an odd node count, and m_k
+    are the monomials of :func:`jump_integrals`: those of I_s1 and I_s2, and
+    for p > 1 the three of (f^2 Q)', all finite on [0, pi/2] there.
+    """
+    ts = np.concatenate(([0.0], np.frombuffer(nodes), [HALF_PI]))
+    h0, h1 = np.diff(ts)[0::2], np.diff(ts)[1::2]
+    hsum6, r = (h0 + h1) / 6.0, h0 / h1
+    w = np.zeros(ts.size)
+    w[:-1:2] = hsum6 * (2.0 - 1.0 / r)
+    w[1::2] = hsum6 * ((h0 + h1) * ((h0 + h1) / (h0 * h1)))
+    w[2::2] += hsum6 * (2.0 - r)
+    powers = [(1, 2 * q - 1), (3, 2 * q - 3)] + (p > 1) * [
+        (2 * p - 1, 2 * q - 1), (2 * p + 1, 2 * q - 3), (2 * p - 3, 2 * q + 1)]
+    sn, cs = np.sin(ts), np.cos(ts)
+    return np.stack([sn**a * cs**b for a, b in powers]) * w
+
+
 def jump_integrals(
     t: np.ndarray, alpha: np.ndarray, params: HopfParams
 ) -> tuple[float, float, float]:
@@ -360,34 +393,22 @@ def jump_integrals(
     I_s = 2(mu - lam*q) I_s1 - 2 mu (q-1) I_s2 hold to rounding, since all
     three are computed by the same (linear) composite Simpson rule.
 
-    The integrands vanish at both endpoints, so the grid is extended by the
-    exact limits alpha(0) = 0, alpha(pi/2) = pi before integrating.
+    The integrands vanish at both endpoints, so the grid (with an odd number
+    of nodes, as a union grid has) is extended by the exact limits
+    alpha(0) = 0, alpha(pi/2) = pi.  The weighted monomials are held for the
+    last grid, so another call on it costs sin^2(alpha) (one ``tan`` pass) and
+    one matrix-vector product.
     """
-    q = params.q
-    ts = np.concatenate(([0.0], t, [HALF_PI]))
-    av = np.concatenate(([0.0], alpha, [math.pi]))
-    sn, cs = np.sin(ts), np.cos(ts)
-    s2a = np.sin(av) ** 2
-    g12 = np.stack((sn * cs ** (2 * q - 1), sn**3 * cs ** (2 * q - 3))) * s2a
-    i1, i2 = (float(i) for i in simpson(g12, x=ts))
-    if params.p == 1:
-        i_s = 2.0 * (params.mu - params.lam * q) * i1 - 2.0 * params.mu * (q - 1) * i2
-    else:
-        # two of the four terms of the general (f^2 Q)' share the monomial
-        # sin^(2p-1) cos^(2q-1), so three remain; include only those with a
-        # nonzero coefficient so 0 * sin^negative never produces NaN at t = 0
-        p = params.p
-        terms = [
-            (2.0 * (p - 1) * params.lam, 2 * p - 3, 2 * q + 1),
-            (2.0 * (params.mu * p - params.lam * q), 2 * p - 1, 2 * q - 1),
-            (-2.0 * params.mu * (q - 1), 2 * p + 1, 2 * q - 3),
-        ]
-        g = np.zeros_like(ts)
-        for coef, sp, cp in terms:
-            if coef != 0.0:
-                g += coef * sn**sp * cs**cp
-        i_s = float(simpson(g * s2a, x=ts))
-    return i_s, i1, i2
+    p, q, lam, mu = params.p, params.q, params.lam, params.mu
+    rows = _simpson_rows(np.asarray(t, dtype=float).tobytes(), p, q)
+    tn = np.tan(np.concatenate(([0.0], alpha, [math.pi])))
+    ints = [float(i) for i in rows @ (tn * tn / (1.0 + tn * tn))]
+    # (f^2 Q)' = 2(mu p - lam q) m1 - 2 mu (q-1) m2 + 2 (p-1) lam m0; for p = 1
+    # m1, m2 are the monomials of I_s1, I_s2 and m0 (a negative power) drops out
+    j = ints[2:] if p > 1 else ints + [0.0]
+    i_s = (2.0 * (mu * p - lam * q) * j[0] - 2.0 * mu * (q - 1) * j[1]
+           + 2.0 * (p - 1) * lam * j[2])
+    return i_s, ints[0], ints[1]
 
 
 def glue(s: float, params: HopfParams, n: int = DEFAULT_N) -> GluedSolution:
@@ -398,12 +419,11 @@ def glue(s: float, params: HopfParams, n: int = DEFAULT_N) -> GluedSolution:
     """
     res_i = minimize_interior(s, params, n=n)
     res_e = minimize_exterior(s, params, n=n)
-    ti, vi = res_i.profile.t, res_i.profile.values
-    te, ve = res_e.profile.t, res_e.profile.values
+    vi, ve = res_i.profile.values, res_e.profile.values
     d_minus, d_plus = res_i.slope, res_e.slope
-    t_union = np.concatenate([ti, te[1:]])
+    union = _union_grid(res_i.profile.grid, res_e.profile.grid)
     a_union = np.concatenate([vi, ve[1:]])
-    i_s, i1, i2 = jump_integrals(t_union, a_union, params)
+    i_s, i1, i2 = jump_integrals(union.nodes, a_union, params)
     l = d_plus - d_minus
     # the square on f(s) comes from multiplying the conservation form by
     # f*alpha' and integrating by parts on each side of the junction
@@ -420,8 +440,7 @@ def glue(s: float, params: HopfParams, n: int = DEFAULT_N) -> GluedSolution:
         I_s=i_s,
         I_s1=i1,
         I_s2=i2,
-        _curve=Profile(Grid(t_union, junction_index=ti.size - 1), a_union,
-                       d_left=d_minus, d_right=d_plus),
+        _curve=Profile(union, a_union, d_left=d_minus, d_right=d_plus),
         attached_zero=res_i.attached,
         attached_pi=res_e.attached,
         monotone_interior=bool(np.all(np.diff(vi) >= -1e-12)),

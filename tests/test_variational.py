@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
 from hopfbvp.closed_forms import phi_limit
-from hopfbvp import variational
+from hopfbvp import core, variational
 from hopfbvp.analysis import scan_jump
 from hopfbvp.core import HALF_PI, ConvergenceError, DomainError, Grid, HopfParams
 from hopfbvp.ode import coeff_Q, weight_f
 from hopfbvp.variational import (
     DiscreteEnergy,
+    GluedSolution,
     glue,
     interior_grid,
     minimize_exterior,
@@ -81,6 +82,30 @@ class TestDiscreteEnergy:
     def test_quadrature_point_outside_open_interval_raises(self, params_main):
         with pytest.raises(DomainError, match="open interval"):
             DiscreteEnergy(Grid(np.array([1.0, 1.2, 2.0]), upper=np.inf), params_main)
+
+    # 0, a tiny angle, the pinned node fl(pi/2), pi and angles past it
+    @pytest.mark.parametrize("a", [0.0, 5e-7, math.pi / 4, HALF_PI, math.pi, 4.5, 50.0])
+    def test_trig_matches_sin_at_edge_angles(self, a, params_main):
+        # a constant profile puts every quadrature angle at a exactly
+        disc = DiscreteEnergy(interior_grid(0.5, n=40), params_main)
+        slope, sc, sin2 = disc.trig(np.full(40, a))
+        eps = np.finfo(float).eps
+        assert np.all(slope == 0.0)
+        # a few ulp relative, which for values in [-1, 1] bounds the absolute error too
+        for got, ref in ((sin2, np.sin(a) ** 2), (sc, np.sin(2.0 * a) / 2.0)):
+            assert np.max(np.abs(got - ref)) <= 4 * eps * abs(ref)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_iterate_has_nan_energy(self, bad, params_main):
+        # the line search's `et < e` must then reject the point
+        grid = interior_grid(0.5, n=40)
+        disc = DiscreteEnergy(grid, params_main)
+        v = HALF_PI * np.sqrt(grid.nodes / 0.5)
+        e = disc.energy(v)
+        v[17] = bad
+        with np.errstate(invalid="ignore"):
+            et = disc.energy(v)
+        assert math.isnan(et) and not et < e
 
 
 class TestSideMemo:
@@ -282,6 +307,36 @@ STOP_PARAMS = [
 ]
 
 
+def _extended_energy(disc: DiscreteEnergy, v: np.ndarray) -> float:
+    """The same discrete sum in long double, with sin: f_el slope^2 + Q f w sin^2 a."""
+    ld = np.longdouble
+    v = v.astype(ld)
+    dv = v[1:] - v[:-1]
+    a = v[:-1] + variational._GL_X01.astype(ld)[:, None] * dv
+    slope = dv / disc.h.astype(ld)
+    return np.sum(disc.f_el.astype(ld) * slope**2) + np.sum(disc.qfw.astype(ld) * np.sin(a) ** 2)
+
+
+class TestEnergyRoundingFloor:
+    @given(
+        s=st.floats(0.01, 1.5),
+        n=st.integers(500, 4000),
+        params=st.sampled_from(STOP_PARAMS),
+        mirrored=st.booleans(),
+    )
+    @settings(derandomize=True, deadline=None)
+    def test_energy_error_is_half_the_decrement_tolerance(self, s, n, params, mirrored):
+        # the stopping rule needs the float64 energy's error well below
+        # DECREMENT_TOL * (1 + |E|), at the guess and at the minimizer
+        params = params.mirrored() if mirrored else params
+        disc = DiscreteEnergy(interior_grid(s, n=n), params)
+        guess = HALF_PI * np.minimum(1.0, (disc.grid.nodes / s) ** params.r0)
+        for v in (guess, minimize_interior(s, params, n=n).profile.values):
+            exact = _extended_energy(disc, v)
+            err = abs(np.longdouble(disc.energy(v)) - exact)
+            assert err <= 0.5 * variational.DECREMENT_TOL * (1.0 + abs(exact))
+
+
 class TestStoppingRule:
     def test_bisection_midpoint_of_main_regime_converges(self, params_main):
         # the interior solve here used to take equal-energy steps until the
@@ -381,6 +436,65 @@ class TestGlue:
             "J_interior", "J_exterior",
         }
         assert "converged_interior" not in back and "converged_exterior" not in back
+
+
+def _fresh_glue(s: float, params: HopfParams, n: int) -> GluedSolution:
+    """A glue that finds nothing held: no sides, grids or Simpson rows."""
+    variational._SIDES.clear()
+    for held in (variational._mapped_back, variational._union_grid, variational._simpson_rows):
+        held.cache_clear()
+    return glue(s, params, n=n)
+
+
+class TestHeldJunction:
+    """Grids and Simpson rows held for the last glue's junction."""
+
+    def test_cells_at_one_junction_build_no_grid(self, params_main, monkeypatch):
+        monkeypatch.setattr(variational, "_SIDES", {})
+        builds = []
+        post_init = core.Grid.__post_init__
+
+        def counted(grid):
+            builds.append(grid)
+            post_init(grid)
+
+        monkeypatch.setattr(core.Grid, "__post_init__", counted)
+        first = glue(0.4, params_main, n=300)
+        assert len(builds) == 4  # two sides, the mapped-back exterior grid, the union grid
+        builds.clear()
+        second = glue(0.4, HopfParams(1, 2, 1.5, 3.0), n=300)
+        assert builds == []
+        assert second.merged_profile().grid is first.merged_profile().grid
+
+    def test_held_rows_never_serve_another_junction(self, monkeypatch):
+        monkeypatch.setattr(variational, "_SIDES", {})
+        a, b = HopfParams(1, 2, 1.0, 4.0), HopfParams(1, 2, 1.5, 3.0)
+        fields = ("I_s", "I_s1", "I_s2", "l", "l_tilde")
+        held = [glue(s, params, n=300) for s, params in [(0.3, a), (0.6, a), (0.3, b), (0.3, a)]]
+        fresh = [_fresh_glue(s, params, n=300) for s, params in [(0.3, a), (0.6, a), (0.3, b), (0.3, a)]]
+        for h, f in zip(held, fresh):
+            assert [getattr(h, k) for k in fields] == [getattr(f, k) for k in fields]
+
+    @pytest.mark.parametrize("params", [HopfParams(1, 2, 1.0, 4.0), HopfParams(2, 2, 2.0, 3.0),
+                                        HopfParams(2, 1, 3.0, 1.0)])
+    def test_jump_integrals_is_scipy_simpson(self, params):
+        prof = glue(0.5, params, n=400).merged_profile()
+        ts = np.concatenate(([0.0], prof.t, [HALF_PI]))
+        s2a = np.sin(np.concatenate(([0.0], prof.values, [math.pi]))) ** 2
+        sn, cs = np.sin(ts), np.cos(ts)
+        p, q, lam, mu = params.p, params.q, params.lam, params.mu
+        # (f^2 Q)' of f^2 Q = lam sin^(2p-2) cos^(2q) + mu sin^(2p) cos^(2q-2)
+        lam_part = (2 * p - 2) * sn ** (2 * p - 3) * cs ** (2 * q + 1) if p > 1 else 0.0
+        lam_part = lam_part - 2 * q * sn ** (2 * p - 1) * cs ** (2 * q - 1)
+        mu_part = 2 * p * sn ** (2 * p - 1) * cs ** (2 * q - 1)
+        mu_part = mu_part - (2 * q - 2) * sn ** (2 * p + 1) * cs ** (2 * q - 3)
+        dfq = lam * lam_part + mu * mu_part
+        i_s, i1, i2 = variational.jump_integrals(prof.t, prof.values, params)
+        assert i1 == pytest.approx(simpson(sn * cs ** (2 * q - 1) * s2a, x=ts), rel=1e-14)
+        assert i2 == pytest.approx(simpson(sn**3 * cs ** (2 * q - 3) * s2a, x=ts), rel=1e-14)
+        # I_s sums terms of both signs: relative to the integral of their size
+        scale = simpson(np.abs(dfq) * s2a, x=ts)
+        assert abs(i_s - simpson(dfq * s2a, x=ts)) <= 1e-14 * scale
 
 
 class TestJumpIntegral:
