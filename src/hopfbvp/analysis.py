@@ -18,11 +18,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.optimize import brentq
 
 from .closed_forms import phi_limit, psi_comparison, theta_threshold
-from .core import HALF_PI, ConvergenceError, Grid, HopfParams, Profile
+from .core import HALF_PI, ConvergenceError, Grid, HopfParams, Profile, brentq
 from .ode import residual
 from .variational import DEFAULT_N, GluedSolution, glue
 
@@ -240,7 +238,7 @@ def _finish(scan: ScanResult, grid_n: int, root_tol: float) -> SolveOutcome:
             message="jump kept a single sign over the scanned junctions",
         )
 
-    # brentq evaluates both ends first; glue is deterministic, so the scan's
+    # Brent evaluates both ends first; glue is deterministic, so the scan's
     # values stand in for gluing them again
     known = {r.s: r.l for r in scan.rows if r.s in scan.brackets[0]}
     last_l = math.nan
@@ -261,7 +259,7 @@ def _finish(scan: ScanResult, grid_n: int, root_tol: float) -> SolveOutcome:
         return g.l
 
     try:
-        brentq(jump, *scan.brackets[0], full_output=True, disp=False)
+        brentq(jump, *scan.brackets[0])
     except _RootFound as found:
         glued = found.args[0]
         max_res, b0, b1 = _certify(glued, params)
@@ -334,6 +332,8 @@ def small_s_report(
 
 def _split_Is2(prof: Profile, q: int, cut: float) -> tuple[float, float]:
     """Simpson quadratures of the I_s^2 integrand below and above t = cut."""
+    from scipy.integrate import simpson  # imported here: only the blowup command needs it
+
     t, v = prof.t, prof.values
 
     def chunk(ts: np.ndarray, vs: np.ndarray) -> float:

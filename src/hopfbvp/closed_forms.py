@@ -18,7 +18,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import (
     HALF_PI,
@@ -138,6 +137,8 @@ def blowup_constant(lam: float, tol: float = 1e-10) -> float:
     a = 2.0 * math.sqrt(lam)
     if a <= 2.0:
         return math.inf
+    from scipy.integrate import quad  # imported here: of the commands, only verify needs it
+
     head, _ = quad(
         lambda t: 4.0 * t ** (a + 1.0) / (1.0 + t**a) ** 2,
         0.0,

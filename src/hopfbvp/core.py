@@ -221,6 +221,51 @@ class Profile:
         return np.interp(t, self.t, self.values)
 
 
+def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * np.finfo(float).eps,
+           maxiter: int = 100) -> tuple[float, bool]:
+    """A root of f in [a, b] by Brent's method, and whether it met xtol + rtol*|root|.
+
+    scipy's ``brentq.c`` (Brent 1973) line for line: the same iterates and calls of f.
+    Raises ValueError when f(a) and f(b) share a sign or f returns NaN.
+    """
+    def call(x: float) -> float:
+        if math.isnan(fx := float(f(x))):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0 or fcur == 0:
+        return (xpre if fpre == 0 else xcur), True
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur: the end with the smaller |f|
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta, sbis = (xtol + rtol * abs(xcur)) / 2, (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, True
+        stry = math.inf  # bisect unless interpolation makes a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic; a zero denominator (C: inf or NaN) bisects
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+        short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    return xcur, False
+
+
 # --- three-point finite-difference weights (exact for quadratics) ------------
 
 

@@ -2,32 +2,43 @@
 
 :func:`solve` uses scipy's tableau, initial step, step control and error norm, so it
 takes solve_ivp's accepted steps without its per-step event and interpolant work;
-:func:`dense_state` rebuilds the 7th-order dense output from the steps.
+:func:`dense_state` rebuilds the 7th-order dense output from the steps.  The tableau is
+scipy's ``integrate/_ivp/dop853_coefficients.py``, loaded by path and sliced as scipy's
+``DOP853`` class slices it: that file imports only numpy, so ``scipy.integrate`` is never
+imported, and if it moves, importing this module raises FileNotFoundError.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.optimize import brentq
+import scipy
 
-from .core import HopfParams
+from .core import HopfParams, brentq
 from .ode import coeff_Q, drift_coeff
 
 __all__ = ["solve", "dense_state"]
+
+_spec = importlib.util.spec_from_file_location(
+    "hopfbvp._dop853_coefficients", f"{scipy.__path__[0]}/integrate/_ivp/dop853_coefficients.py")
+_tab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_tab)
+_N = _tab.N_STAGES
+A, B, C, E3, E5, D = _tab.A[:_N, :_N], _tab.B, _tab.C[:_N], _tab.E3, _tab.E5, _tab.D
+A_EXTRA, C_EXTRA = _tab.A[_N + 1:], _tab.C[_N + 1:]
 
 # (c, nonzero (j, a)) of stages 1-12 for the stepper (12: the step end, c = 1,
 # weights B); (s, c, a[:s]) of stages 1-11 and 13-15 for the dense replay
 _STAGES = tuple(
     (float(c), tuple((j, float(w)) for j, w in enumerate(a) if w))
-    for c, a in zip(np.append(DOP853.C[1:], 1.0), np.vstack((DOP853.A[1:], DOP853.B)))
+    for c, a in zip(np.append(C[1:], 1.0), np.vstack((A[1:], B)))
 )
-_E = tuple((j, float(a), float(b)) for j, (a, b) in enumerate(zip(DOP853.E3, DOP853.E5)) if a or b)
+_E = tuple((j, float(a), float(b)) for j, (a, b) in enumerate(zip(E3, E5)) if a or b)
 _REPLAY = [(s, c, a[:s]) for s, c, a in zip(
-    (*range(1, 12), 13, 14, 15), (*DOP853.C[1:], *DOP853.C_EXTRA), (*DOP853.A[1:], *DOP853.A_EXTRA))]
+    (*range(1, 12), 13, 14, 15), (*C[1:], *C_EXTRA), (*A[1:], *A_EXTRA))]
 _XTOL, _SQRT2 = 4 * np.finfo(float).eps, math.sqrt(2.0)  # _XTOL: solve_ivp's event tolerance
 
 
@@ -99,8 +110,9 @@ def solve(params: HopfParams, t0: float, y0, t1: float, rtol: float, atol: float
         if not band[0] < a < band[1]:
             level = band[0] if a <= band[0] else band[1]
             state = dense_state(params, np.array(rows[-2:]).T)
-            return np.array(rows).T, brentq(lambda x: state(x)[0] - level, t_old, t,
-                                            xtol=_XTOL, rtol=_XTOL)
+            # Brent's last iterate stays inside the exit step even when it did not converge
+            t_exit, _ = brentq(lambda x: state(x)[0] - level, t_old, t, _XTOL, _XTOL)
+            return np.array(rows).T, t_exit
     return np.array(rows).T, None
 
 
@@ -117,7 +129,7 @@ def dense_state(params: HopfParams, steps: np.ndarray) -> Callable:
     for s, c, a in _REPLAY:
         ts, (ys, dys) = t0 + c * h, y0 + np.tensordot(a, k[:s], axes=1) * h
         k[s] = dys, coeff_Q(ts, params) * np.sin(ys) * np.cos(ys) - drift_coeff(ts, params) * dys
-    delta, high = y[:, 1:] - y0, h * np.tensordot(DOP853.D, k, axes=1)
+    delta, high = y[:, 1:] - y0, h * np.tensordot(D, k, axes=1)
     coeffs = [*high[::-1], 2.0 * delta - h * (k[12] + k[0]), h * k[0] - delta, delta]
 
     def state(x):  # x: a float or an array

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.optimize import brentq as scipy_brentq
 
 from hopfbvp.closed_forms import phi_limit, psi_comparison
 from hopfbvp.core import (
@@ -13,6 +14,7 @@ from hopfbvp.core import (
     Grid,
     HopfParams,
     Profile,
+    brentq,
     fd3_first_weights,
     fd3_second_weights,
     fd_weights,
@@ -355,3 +357,81 @@ class TestProfileCsv:
         write_profile_csv(prof, params_flat, path)
         row = path.read_text().splitlines()[1].split(",")
         assert float(row[1]) == prof.values[0]  # 17g preserves the double
+
+
+def _brent_battery(n: int = 1200):
+    """(f, a, b) cases from one seed: smooth, root-type and tan functions.
+
+    About a fifth of the brackets lie on one side of the root (no sign change).
+    """
+    rng = np.random.default_rng(20261018)
+    for i in range(n):
+        r, k = rng.uniform(-1.0, 1.0), rng.uniform(0.1, 10.0)
+        if i % 3 == 0:  # smooth and monotone, with a cubic term of either sign
+            c = rng.uniform(-0.03, 1.0) * k
+            def f(x, r=r, k=k, c=c):
+                return math.expm1(k * (x - r)) + c * (x - r) ** 3
+        elif i % 3 == 1:  # |x - r|^e with the sign of x - r: cusps, flat zeros
+            e = float(rng.choice([1 / 7, 1 / 3, 0.5, 1.0, 2.0, 3.0, 5.0]))
+            def f(x, r=r, e=e, k=k):
+                return math.copysign(k * abs(x - r) ** e, x - r)
+        else:  # tan, steep near the ends of (-1.5, 1.5)
+            r = rng.uniform(-1.45, 1.45)
+            def f(x, t=math.tan(r), k=k):
+                return k * (math.tan(x) - t)
+        lo, hi = (-1.5, 1.5) if i % 3 == 2 else (-3.0, 3.0)
+        if rng.uniform() < 0.2:  # both ends on one side of the root
+            a, b = sorted(rng.uniform(*((r, hi) if rng.uniform() < 0.5 else (lo, r)), 2))
+        else:
+            a, b = rng.uniform(lo, r), rng.uniform(r, hi)
+        yield f, *((b, a) if rng.uniform() < 0.5 else (a, b))
+
+
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+class TestBrentq:
+    @pytest.mark.parametrize("tols", [{}, {"xtol": 1e-300}, {"maxiter": 5}])
+    def test_matches_scipy(self, tols):
+        # the same root, the same calls of f and the same converged flag
+        same_sign, flags = 0, set()
+        for f, a, b in _brent_battery():
+            ours, our_calls = _counted(f)
+            theirs, their_calls = _counted(f)
+            try:
+                expected = scipy_brentq(theirs, a, b, full_output=True, disp=False, **tols)
+            except ValueError:
+                with pytest.raises(ValueError, match="different signs"):
+                    brentq(ours, a, b, **tols)
+                same_sign += 1
+                continue
+            root, converged = brentq(ours, a, b, **tols)
+            assert (root, converged) == (expected[0], expected[1].converged)
+            assert math.copysign(1.0, root) == math.copysign(1.0, expected[0])
+            assert our_calls == their_calls
+            flags.add(converged)
+        assert 150 <= same_sign <= 350
+        assert flags == {True, False}  # both stops are exercised
+
+    def test_root_at_an_end(self):
+        for a, b in ((1.0, 2.0), (0.0, 1.0)):
+            f, calls = _counted(lambda x: x - 1.0)
+            assert brentq(f, a, b) == (1.0, True)
+            assert len(calls) == 2
+            assert scipy_brentq(lambda x: x - 1.0, a, b) == 1.0
+
+    def test_same_sign_and_nan_raise(self):
+        for solver in (brentq, scipy_brentq):
+            with pytest.raises(ValueError):
+                solver(lambda x: x * x + 1.0, -1.0, 2.0)
+            with pytest.raises(ValueError):
+                solver(lambda x: math.nan, 0.0, 1.0)
+            with pytest.raises(ValueError):  # NaN inside the bracket, after the ends
+                solver(lambda x: x - 0.75 if abs(x - 0.5) > 0.4 else math.nan, 0.0, 1.0)

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
-from hopfbvp import dop853, shooting
+from hopfbvp import core, dop853, shooting
 from hopfbvp.core import HALF_PI, BlowUpError, Grid, HopfParams
 from hopfbvp.shooting import (
     DEFAULT_ATOL,
@@ -160,6 +160,13 @@ class TestIntegratorAccuracy:
         return solve_ivp(rhs, (DEFAULT_T_OFFSET, t_end), seed, method="DOP853",
                          rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, dense_output=True, events=events)
 
+    @pytest.mark.parametrize("name", ["A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"])
+    def test_tableau_is_scipy_dop853(self, name):
+        # read by path from scipy's coefficient file, sliced as scipy's class slices it
+        ours, theirs = getattr(dop853, name), getattr(DOP853, name)
+        assert ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+
     @pytest.mark.parametrize("params", [HopfParams(1, 2, 1.0, 4.0), HopfParams(2, 1, 2.0, 6.0)])
     @pytest.mark.parametrize("backward", [False, True])
     def test_stepper_is_scipy_dop853(self, params, backward):
@@ -250,6 +257,18 @@ class TestMatchShooting:
         assert m.verdict == "failed" and m.state is None
         assert "no polish was accepted" in m.message
         assert "no convergence in 1 Newton steps" in m.message
+
+    def test_diagonal_brent_failures_tally_under_one_reason(self, monkeypatch):
+        # (2, 2, 1, 1) has three diagonal brackets; with the crossings hidden and
+        # Brent cut to one iteration, all three end unconverged and count as one reason
+        monkeypatch.setattr(shooting, "_crossings", lambda a, b: [])
+        monkeypatch.setattr(shooting, "brentq", lambda f, a, b: core.brentq(f, a, b, maxiter=1))
+        m = match_shooting(HopfParams(p=2, q=2, lam=1.0, mu=1.0))
+        assert m.verdict == "failed"
+        assert m.message == (
+            "0 curve crossings and 3 diagonal brackets, but no polish was accepted: "
+            "3x a diagonal Brent search did not converge"
+        )
 
     @pytest.mark.parametrize(
         "params, bound",
