@@ -129,8 +129,9 @@ def scan_jump(
     """Glued solves at n geometrically spaced junctions; brackets extracted.
 
     ``params`` may be a sequence (the cells of a map), one ScanResult each;
-    all are glued at one s before the next, so consecutive glues share both
-    sides' geometry.  A row keeps its glued solve only if ``|l| <= root_tol``.
+    all are glued at one s before the next, so consecutive glues share the one
+    junction record that ``glue`` holds: both sides' geometry, the grids and
+    the Simpson rows.  A row keeps its glued solve only if ``|l| <= root_tol``.
     Per-row convergence failures are recorded in the table, not raised.
     """
     if not (0.0 < s_min < s_max < HALF_PI):
@@ -433,7 +434,8 @@ def auto_comparison_config(
     """
     theta = theta_threshold(params)
     target = max(theta, 0.75 * math.pi) + margin
-    for _ in range(max_shrink + 1):
+    tried = [s * 0.5**k for k in range(max_shrink + 1)]
+    for s in tried:
         if R * s < HALF_PI:
             dd = np.geomspace(1.0 + 1e-6, R, 400)
             vals = np.array(
@@ -443,9 +445,8 @@ def auto_comparison_config(
             if ok.size:
                 # the largest admissible d leaves the most room under alpha_s
                 return s, float(dd[ok[-1]]), R * s
-        s *= 0.5
     raise ValueError(
-        f"no comparison scale d in (1, {R}) reaches the threshold for s={s}"
+        f"no comparison scale d in (1, {R}) reaches the threshold for s in {tried}"
     )
 
 

@@ -282,7 +282,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
             summary["pipeline_sup_distance"] = float(np.max(np.abs(diff)))
             summary["shooting_c0"] = match.state.c0
             summary["shooting_c1"] = match.state.c1
-        if ns.mismatch_map:
+        if ns.mismatch_map is not None:
             write_mismatch_csv(match, out_dir / ns.mismatch_map)
             files.append(ns.mismatch_map)
     _write_summary(out_dir, summary, ns.json)
@@ -472,6 +472,8 @@ def cmd_hopf_eval(ns: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    if getattr(ns, "mismatch_map", None) is not None and not ns.cross_check:
+        parser.error("--mismatch-map needs --cross-check")
     try:
         return ns.func(ns)
     except Exception as exc:  # usage or numerical failure: report, exit 1

@@ -187,9 +187,9 @@ def eigenvalue_check(m: OrthogonalMultiplication) -> int:
     Each component of F_f is a homogeneous quadratic on the ambient R^(k+l);
     its Hessian is a constant integer matrix whose trace must vanish.  For the
     bilinear components the Hessian is the off-diagonal block pair (2T_m,
-    2T_m^T), and for the final component it is diag(2,...,2,-2,...,-2), so the
-    requirement pins k = l.  The restriction to the unit sphere is then an
-    eigenmap of eigenvalue 2*(k+l).
+    2T_m^T), and for the final component it is diag(2,...,2,-2,...,-2), whose
+    trace 2(k - l) vanishes exactly when k = l, the condition checked first.
+    The restriction to the unit sphere is then an eigenmap of eigenvalue 2*(k+l).
     """
     if m.k != m.l:
         raise ValueError(
@@ -206,11 +206,6 @@ def eigenvalue_check(m: OrthogonalMultiplication) -> int:
                 f"component {comp} of the Hopf construction on {m.kind} "
                 f"is not harmonic (Hessian trace {int(np.trace(h))})"
             )
-    h_last = np.diag([2] * k + [-2] * l).astype(np.int64)
-    if int(np.trace(h_last)) != 0:
-        raise ValueError(
-            f"norm component not harmonic: Hessian trace {int(np.trace(h_last))}"
-        )
     return 2 * dim
 
 

@@ -28,9 +28,10 @@ Gauss-Legendre quadrature per element (the discrete energy is then exact to
 quadrature precision for profiles linear in t), the last node pinned to
 pi/2.  Gauss-point arrays are laid out (4, n_el), so every broadcast runs
 along the elements, and one ``tan`` pass gives the kernels' sin^2 a and
-sin a cos a.  The (lambda, mu)-free geometry of the last glue (its grids,
-f and Q's sin^2, cos^2 at the Gauss points, stiffness, Simpson weights) is
-held, so the cells of a map glued at one junction build it once.  Minimization:
+sin a cos a.  Everything a glue at s builds without (lambda, mu) is one
+record, held for the last junction only: both sides' grids and their geometry
+at the Gauss points, the exterior grid mapped back to t, the union grid and
+its Simpson rows.  The cells of a map glued at one s build it once.  Minimization:
 damped Newton with one LAPACK ``dptsv`` (SPD tridiagonal) solve per step of a
 Levenberg shift ladder, ``info > 0`` meaning "not positive definite, next
 shift"; a strictly decreasing line search; and a single stopping rule on the
@@ -39,6 +40,7 @@ Newton decrement.
 
 from __future__ import annotations
 
+import collections
 import copy
 import functools
 import json
@@ -102,24 +104,6 @@ def interior_grid(s: float, n: int = DEFAULT_N, offset: float = DEFAULT_OFFSET) 
     if not (0.0 < offset < s < HALF_PI):
         raise ValueError(f"need 0 < offset < s < pi/2, got offset={offset}, s={s}")
     return Grid(graded_grid(offset, s, n, GRADING), junction_index=n - 1)
-
-
-_SIDES: dict[tuple, DiscreteEnergy] = {}
-
-
-def _energy(s: float, n: int, offset: float, params: HopfParams) -> DiscreteEnergy:
-    """DiscreteEnergy on interior_grid(s, n, offset), on a held side's geometry if any.
-
-    The last two sides solved (the last glue's) are held, so the next cell
-    of a map glued at the same junction forms only its own Q f w.
-    """
-    key = (s, n, offset, params.p, params.q)
-    held = _SIDES.pop(key, None)
-    _SIDES[key] = disc = (DiscreteEnergy(interior_grid(s, n, offset), params) if held is None
-                          else held.with_params(params))
-    if len(_SIDES) > 2:
-        del _SIDES[next(iter(_SIDES))]
-    return disc
 
 
 class DiscreteEnergy:
@@ -220,8 +204,34 @@ class MinimizeResult:
     slope: float
 
 
-def _minimize(s: float, params: HopfParams, n: int, offset: float, what: str) -> MinimizeResult:
-    """Damped Newton over (0, s] with alpha(s) = pi/2, from the guess pi/2 (t/s)^r0.
+_Junction = collections.namedtuple("_Junction", "inner outer outer_grid union rows")
+
+
+@functools.lru_cache(maxsize=1)
+def _junction(s: float, n: int, offset: float, p: int, q: int) -> _Junction:
+    """What a glue at s builds without (lambda, mu), held for the last junction only.
+
+    The interior DiscreteEnergy on interior_grid(s, n, offset), the mirrored
+    exterior one on interior_grid(pi/2 - s, n, offset), the exterior grid
+    mapped back to t (its junction node s exactly), the union grid and its
+    Simpson rows.  The next cell of a map glued at this s forms only its own
+    Q f w (:meth:`DiscreteEnergy.with_params`) and sin^2 alpha.
+    """
+    if not (0.0 < offset < s < HALF_PI - offset):
+        raise ValueError(f"need 0 < offset < s < pi/2 - offset, got offset={offset}, s={s}")
+    # (lambda, mu) = (1, 1) stands in: the minimizers take each side through with_params
+    params = HopfParams(p, q, 1.0, 1.0)
+    inner = DiscreteEnergy(interior_grid(s, n, offset), params)
+    outer = DiscreteEnergy(interior_grid(HALF_PI - s, n, offset), params.mirrored())
+    t = HALF_PI - outer.grid.nodes[::-1]
+    t[0] = s
+    union = Grid(np.concatenate([inner.grid.nodes, t[1:]]), junction_index=n - 1)
+    return _Junction(inner, outer, Grid(t, junction_index=0), union,
+                     _simpson_rows(union.nodes, p, q))
+
+
+def _minimize(disc: DiscreteEnergy, params: HopfParams, what: str) -> MinimizeResult:
+    """Damped Newton on disc's grid (0, s] with alpha(s) = pi/2, from the guess pi/2 (t/s)^r0.
 
     The one stopping rule is the Newton decrement of Boyd & Vandenberghe,
     Convex Optimization, section 9.5.1: stop when the unshifted step predicts
@@ -229,9 +239,9 @@ def _minimize(s: float, params: HopfParams, n: int, offset: float, what: str) ->
     that the float64 energy cannot resolve.  Every other end raises
     :class:`ConvergenceError` naming ``what`` and the exit that fired.
     """
-    disc = _energy(s, n, offset, params)
     grid, t = disc.grid, disc.grid.nodes
-    # the last node is s exactly, so the guess is pinned there to pi/2
+    s = t[-1]
+    # the last node is s, so the guess is pinned there to pi/2
     v = HALF_PI * np.minimum(1.0, (t / s) ** params.r0)
     # trig goes positionally: the traced benchmark wraps kernels as fn(disc, v, *rest)
     trig = disc.trig(v)
@@ -282,7 +292,8 @@ def minimize_interior(
     divergent energy.  Raises :class:`ConvergenceError` if Newton stops
     before its decrement test is met.
     """
-    return _minimize(s, params, n, offset, f"interior minimization at s={s}")
+    disc = _junction(s, n, offset, params.p, params.q).inner.with_params(params)
+    return _minimize(disc, params, f"interior minimization at s={s}")
 
 
 def minimize_exterior(
@@ -297,25 +308,10 @@ def minimize_exterior(
     s the minimizer attaches to pi at the outer end; for larger s it may not,
     which is reported through ``attached=False`` rather than an error.
     """
-    if not (0.0 < s < HALF_PI - offset):
-        raise ValueError(f"need 0 < s < pi/2 - offset, got s={s}, offset={offset}")
-    res = _minimize(HALF_PI - s, params.mirrored(), n, offset, f"exterior minimization at s={s}")
+    held, mirrored = _junction(s, n, offset, params.p, params.q), params.mirrored()
+    res = _minimize(held.outer.with_params(mirrored), mirrored, f"exterior minimization at s={s}")
     values = math.pi - res.profile.values[::-1]
-    return replace(res, profile=Profile(_mapped_back(res.profile.grid, s), values))
-
-
-# grids made from held sides' checked grids (keyed by identity), once per glue junction
-@functools.lru_cache(maxsize=1)
-def _mapped_back(side: Grid, s: float) -> Grid:
-    """The exterior side's grid in t = pi/2 - tau, its junction node s exactly."""
-    t = HALF_PI - side.nodes[::-1]
-    t[0] = s
-    return Grid(t, junction_index=0)
-
-
-@functools.lru_cache(maxsize=1)
-def _union_grid(inner: Grid, outer: Grid) -> Grid:
-    return Grid(np.concatenate([inner.nodes, outer.nodes[1:]]), junction_index=inner.n - 1)
+    return replace(res, profile=Profile(held.outer_grid, values))
 
 
 @dataclass
@@ -361,15 +357,14 @@ def _one_sided_slope(t: np.ndarray, v: np.ndarray, x: float) -> float:
     return float(w0 * v[0] + w1 * v[1] + w2 * v[2])
 
 
-@functools.lru_cache(maxsize=1)
-def _simpson_rows(nodes: bytes, p: int, q: int) -> np.ndarray:
-    """W * m_k on the nodes padded with 0 and pi/2, held for the last grid (keyed by value).
+def _simpson_rows(t: np.ndarray, p: int, q: int) -> np.ndarray:
+    """W * m_k on the nodes t padded with 0 and pi/2.
 
     W holds scipy's ``simpson(y, x)`` weights for an odd node count, and m_k
     are the monomials of :func:`jump_integrals`: those of I_s1 and I_s2, and
     for p > 1 the three of (f^2 Q)', all finite on [0, pi/2] there.
     """
-    ts = np.concatenate(([0.0], np.frombuffer(nodes), [HALF_PI]))
+    ts = np.concatenate(([0.0], t, [HALF_PI]))
     h0, h1 = np.diff(ts)[0::2], np.diff(ts)[1::2]
     hsum6, r = (h0 + h1) / 6.0, h0 / h1
     w = np.zeros(ts.size)
@@ -383,7 +378,7 @@ def _simpson_rows(nodes: bytes, p: int, q: int) -> np.ndarray:
 
 
 def jump_integrals(
-    t: np.ndarray, alpha: np.ndarray, params: HopfParams
+    rows: np.ndarray, alpha: np.ndarray, params: HopfParams
 ) -> tuple[float, float, float]:
     """(I_s, I_s1, I_s2): quadratures of (f^2 Q)' sin^2(alpha) and its two parts.
 
@@ -393,14 +388,14 @@ def jump_integrals(
     I_s = 2(mu - lam*q) I_s1 - 2 mu (q-1) I_s2 hold to rounding, since all
     three are computed by the same (linear) composite Simpson rule.
 
+    ``rows`` are :func:`_simpson_rows` of alpha's grid for (params.p, params.q).
     The integrands vanish at both endpoints, so the grid (with an odd number
     of nodes, as a union grid has) is extended by the exact limits
-    alpha(0) = 0, alpha(pi/2) = pi.  The weighted monomials are held for the
-    last grid, so another call on it costs sin^2(alpha) (one ``tan`` pass) and
-    one matrix-vector product.
+    alpha(0) = 0, alpha(pi/2) = pi.  A glue takes the rows from its held
+    junction, so a call costs sin^2(alpha) (one ``tan`` pass) and one
+    matrix-vector product.
     """
     p, q, lam, mu = params.p, params.q, params.lam, params.mu
-    rows = _simpson_rows(np.asarray(t, dtype=float).tobytes(), p, q)
     tn = np.tan(np.concatenate(([0.0], alpha, [math.pi])))
     ints = [float(i) for i in rows @ (tn * tn / (1.0 + tn * tn))]
     # (f^2 Q)' = 2(mu p - lam q) m1 - 2 mu (q-1) m2 + 2 (p-1) lam m0; for p = 1
@@ -419,11 +414,11 @@ def glue(s: float, params: HopfParams, n: int = DEFAULT_N) -> GluedSolution:
     """
     res_i = minimize_interior(s, params, n=n)
     res_e = minimize_exterior(s, params, n=n)
+    held = _junction(s, n, DEFAULT_OFFSET, params.p, params.q)
     vi, ve = res_i.profile.values, res_e.profile.values
     d_minus, d_plus = res_i.slope, res_e.slope
-    union = _union_grid(res_i.profile.grid, res_e.profile.grid)
     a_union = np.concatenate([vi, ve[1:]])
-    i_s, i1, i2 = jump_integrals(union.nodes, a_union, params)
+    i_s, i1, i2 = jump_integrals(held.rows, a_union, params)
     l = d_plus - d_minus
     # the square on f(s) comes from multiplying the conservation form by
     # f*alpha' and integrating by parts on each side of the junction
@@ -440,7 +435,7 @@ def glue(s: float, params: HopfParams, n: int = DEFAULT_N) -> GluedSolution:
         I_s=i_s,
         I_s1=i1,
         I_s2=i2,
-        _curve=Profile(union, a_union, d_left=d_minus, d_right=d_plus),
+        _curve=Profile(held.union, a_union, d_left=d_minus, d_right=d_plus),
         attached_zero=res_i.attached,
         attached_pi=res_e.attached,
         monotone_interior=bool(np.all(np.diff(vi) >= -1e-12)),

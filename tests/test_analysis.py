@@ -204,6 +204,12 @@ class TestComparison:
         assert rep.supersolution_ok
         assert rep.n_nodes_checked > 0
 
+    def test_no_scale_names_the_junctions_tried(self, params_main):
+        # R s >= pi/2 at s = 0.3 and both halvings, so no d is searched
+        with pytest.raises(ValueError) as info:
+            auto_comparison_config(0.3, params_main)
+        assert str(info.value).endswith("for s in [0.3, 0.15, 0.075]")
+
     def test_hypothesis_not_met_reported(self, params_main):
         # d too large: psi at t0 falls below the threshold angle
         rep = comparison_check(0.01, 49.0, 0.5, params_main, grid_n=600)
@@ -297,7 +303,7 @@ class TestSolvabilityMap:
                 super().__init__(*args)
 
         monkeypatch.setattr(variational, "DiscreteEnergy", Counted)
-        monkeypatch.setattr(variational, "_SIDES", {})
+        variational._junction.cache_clear()
         glues = TestRootSearch.record_glues(monkeypatch)
         args, opts = self.MAPS["brent"]
         cells = solvability_map(*args, **opts)
@@ -305,7 +311,7 @@ class TestSolvabilityMap:
         assert root_glues > 0
         # the cells share each scan junction's two sides; a root glue builds its own
         assert len(builds) == 2 * opts["n_scan"] + 2 * root_glues
-        assert len(variational._SIDES) == 2
+        assert variational._junction.cache_info().misses == opts["n_scan"] + root_glues
 
     def test_settings_shared_by_all_cells_raise(self):
         # no cell could run, so the map reports the error instead of its cells

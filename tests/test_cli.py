@@ -90,6 +90,8 @@ class TestSolve:
         ("solve", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4", "--offset", "1e-6"),
         ("map", "--p", "1", "--q", "2", "--lambda", "1:1:1", "--mu", "1:1:1", "--offset", "1e-6"),
         ("blowup", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4", "--offset", "1e-6"),
+        # the mismatch map comes from the shooting run
+        ("solve", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4", "--mismatch-map", "m.csv"),
     ])
     def test_bad_usage_exits_one_without_summary(self, tmp_path, argv):
         # argparse would exit 2, the code for "no sign change"

@@ -46,4 +46,5 @@ def test_newton_counters_see_a_glue():
     assert counts["energy_calls"] >= 1
     assert counts["minimize_calls"] == 2  # glue reaches both minimizers through the module
     assert counts["newton_iters"] > 0
+    assert counts["jump_integrals_s"] > 0  # glue reaches jump_integrals through the module too
     assert counts["gradient_calls"] == counts["newton_direction_calls"] == counts["newton_iters"]

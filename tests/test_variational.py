@@ -109,35 +109,41 @@ class TestDiscreteEnergy:
 
 
 class TestSideMemo:
-    """The (lambda, mu)-free side geometry, memoized for the last two sides."""
+    """The (lambda, mu)-free side geometry, held in the last junction's record."""
 
-    def test_memo_hit_equals_a_fresh_build(self, params_main, monkeypatch):
-        monkeypatch.setattr(variational, "_SIDES", {})
-        side = (0.6, 300, variational.DEFAULT_OFFSET)
-        built = variational._energy(*side, params_main)
+    def test_memo_hit_equals_a_fresh_build(self, params_main):
+        variational._junction.cache_clear()
+        key = (0.6, 300, variational.DEFAULT_OFFSET, params_main.p, params_main.q)
+        built = variational._junction(*key)
         # the same (lambda, mu), then another, as the next cell of a map
         for params in (params_main, HopfParams(1, 2, 2.0, 5.0)):
-            hit = variational._energy(*side, params)
-            assert hit.fw is built.fw and len(variational._SIDES) == 1
-            fresh = DiscreteEnergy(interior_grid(0.6, n=300), params)
-            for name in ("fw", "qfw", "stiff", "h"):
-                assert np.array_equal(getattr(hit, name), getattr(fresh, name)), name
-        # and the minimizer built on a hit gives the fresh minimizer bit for bit
-        held = minimize_interior(0.6, params_main, n=300)
-        monkeypatch.setattr(variational, "_SIDES", {})
-        assert np.array_equal(minimize_interior(0.6, params_main, n=300).profile.values,
-                              held.profile.values)
+            assert variational._junction(*key) is built
+            for side, t_end, side_params in ((built.inner, 0.6, params),
+                                             (built.outer, HALF_PI - 0.6, params.mirrored())):
+                hit = side.with_params(side_params)
+                assert hit.fw is side.fw
+                fresh = DiscreteEnergy(interior_grid(t_end, n=300), side_params)
+                for name in ("fw", "qfw", "stiff", "h"):
+                    assert np.array_equal(getattr(hit, name), getattr(fresh, name)), name
+        # and the minimizers built on a hit give the fresh minimizers bit for bit
+        held = [minimize(0.6, params_main, n=300) for minimize in (minimize_interior, minimize_exterior)]
+        assert variational._junction.cache_info().misses == 1
+        variational._junction.cache_clear()
+        for minimize, res in zip((minimize_interior, minimize_exterior), held):
+            fresh = minimize(0.6, params_main, n=300).profile
+            assert np.array_equal(fresh.t, res.profile.t)
+            assert np.array_equal(fresh.values, res.profile.values)
 
-    def test_memo_holds_at_most_two_sides(self, params_main, monkeypatch):
-        monkeypatch.setattr(variational, "_SIDES", {})
-        for s, params in [(0.3, params_main), (0.3, HopfParams(1, 2, 2.0, 5.0)),
-                          (0.5, params_main), (0.7, HopfParams(2, 3, 1.0, 1.0))]:
+    def test_memo_holds_at_most_two_sides(self, params_main):
+        variational._junction.cache_clear()
+        for k, (s, params) in enumerate([(0.3, params_main), (0.3, HopfParams(1, 2, 2.0, 5.0)),
+                                         (0.5, params_main), (0.7, HopfParams(2, 3, 1.0, 1.0))]):
             glue(s, params, n=200)
-            # the two sides of the last glue: interior at s, mirrored exterior at pi/2 - s
-            assert list(variational._SIDES) == [
-                (s, 200, variational.DEFAULT_OFFSET, params.p, params.q),
-                (HALF_PI - s, 200, variational.DEFAULT_OFFSET, params.q, params.p),
-            ]
+            # one record: the last glue's interior at s and mirrored exterior at pi/2 - s
+            held = variational._junction(s, 200, variational.DEFAULT_OFFSET, params.p, params.q)
+            assert variational._junction.cache_info().misses == [1, 1, 2, 3][k]
+            assert variational._junction.cache_info().currsize == 1
+            assert held.inner.grid.nodes[-1] == s and held.outer.grid.nodes[-1] == HALF_PI - s
 
 
 def _ladder() -> list[float]:
@@ -440,9 +446,7 @@ class TestGlue:
 
 def _fresh_glue(s: float, params: HopfParams, n: int) -> GluedSolution:
     """A glue that finds nothing held: no sides, grids or Simpson rows."""
-    variational._SIDES.clear()
-    for held in (variational._mapped_back, variational._union_grid, variational._simpson_rows):
-        held.cache_clear()
+    variational._junction.cache_clear()
     return glue(s, params, n=n)
 
 
@@ -450,7 +454,7 @@ class TestHeldJunction:
     """Grids and Simpson rows held for the last glue's junction."""
 
     def test_cells_at_one_junction_build_no_grid(self, params_main, monkeypatch):
-        monkeypatch.setattr(variational, "_SIDES", {})
+        variational._junction.cache_clear()
         builds = []
         post_init = core.Grid.__post_init__
 
@@ -466,14 +470,25 @@ class TestHeldJunction:
         assert builds == []
         assert second.merged_profile().grid is first.merged_profile().grid
 
-    def test_held_rows_never_serve_another_junction(self, monkeypatch):
-        monkeypatch.setattr(variational, "_SIDES", {})
+    def test_held_rows_never_serve_another_junction(self):
+        variational._junction.cache_clear()
         a, b = HopfParams(1, 2, 1.0, 4.0), HopfParams(1, 2, 1.5, 3.0)
+        # after the first, each glue differs from the one before it in: s; s and
+        # (lambda, mu); (lambda, mu) only; n; p; q; then (p, q) swapped
+        glues = [(0.3, a, 300), (0.6, a, 300), (0.3, b, 300), (0.3, a, 300), (0.3, a, 200),
+                 (0.3, HopfParams(2, 2, 1.0, 4.0), 200), (0.3, HopfParams(2, 1, 1.0, 4.0), 200),
+                 (0.3, a, 200)]
         fields = ("I_s", "I_s1", "I_s2", "l", "l_tilde")
-        held = [glue(s, params, n=300) for s, params in [(0.3, a), (0.6, a), (0.3, b), (0.3, a)]]
-        fresh = [_fresh_glue(s, params, n=300) for s, params in [(0.3, a), (0.6, a), (0.3, b), (0.3, a)]]
+        held = [glue(s, params, n=n) for s, params, n in glues]
+        # then a junction that differs from the held one only in the offset
+        off = minimize_interior(0.3, a, n=200, offset=1e-6).profile
+        fresh = [_fresh_glue(s, params, n) for s, params, n in glues]
         for h, f in zip(held, fresh):
             assert [getattr(h, k) for k in fields] == [getattr(f, k) for k in fields]
+        variational._junction.cache_clear()
+        fresh_off = minimize_interior(0.3, a, n=200, offset=1e-6).profile
+        assert fresh_off.t[0] == 1e-6
+        assert np.array_equal(off.t, fresh_off.t) and np.array_equal(off.values, fresh_off.values)
 
     @pytest.mark.parametrize("params", [HopfParams(1, 2, 1.0, 4.0), HopfParams(2, 2, 2.0, 3.0),
                                         HopfParams(2, 1, 3.0, 1.0)])
@@ -489,7 +504,8 @@ class TestHeldJunction:
         mu_part = 2 * p * sn ** (2 * p - 1) * cs ** (2 * q - 1)
         mu_part = mu_part - (2 * q - 2) * sn ** (2 * p + 1) * cs ** (2 * q - 3)
         dfq = lam * lam_part + mu * mu_part
-        i_s, i1, i2 = variational.jump_integrals(prof.t, prof.values, params)
+        rows = variational._simpson_rows(prof.t, p, q)
+        i_s, i1, i2 = variational.jump_integrals(rows, prof.values, params)
         assert i1 == pytest.approx(simpson(sn * cs ** (2 * q - 1) * s2a, x=ts), rel=1e-14)
         assert i2 == pytest.approx(simpson(sn**3 * cs ** (2 * q - 3) * s2a, x=ts), rel=1e-14)
         # I_s sums terms of both signs: relative to the integral of their size
