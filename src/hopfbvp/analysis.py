@@ -13,7 +13,6 @@ I_s^1.  :func:`comparison_check` tests the comparison-family ordering.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -102,6 +101,9 @@ def _pool_map(fn, tasks: list, jobs: int, chunksize: int = 1) -> list:
     """[fn(t) for t in tasks], over ``jobs`` worker processes when jobs > 1."""
     if jobs <= 1:
         return [fn(t) for t in tasks]
+    # imported here: concurrent.futures.process loads multiprocessing, socket and logging
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, tasks, chunksize=chunksize))
 
@@ -174,8 +176,8 @@ def _certify(
     # and second-difference the solver's nodal error field)
     ki = max(1, (j + 1) // n_cert)
     ke = max(1, (t.size - j) // n_cert)
-    idx = np.union1d(np.arange(0, j + 1, ki), np.arange(j, t.size, ke))
-    idx = np.union1d(idx, [j, t.size - 1])
+    # sorted and unique as they stand (np.union1d would import numpy.ma for np.unique)
+    idx = np.concatenate((np.arange(0, j, ki), np.arange(j, t.size - 1, ke), [t.size - 1]))
     j_pos = int(np.nonzero(idx == j)[0][0])
     sub = Profile(
         Grid(t[idx], junction_index=j_pos),

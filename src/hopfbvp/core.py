@@ -15,7 +15,10 @@ indicial roots of the linearized Euler equations.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -264,6 +267,22 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * np.finf
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = call(xcur)
     return xcur, False
+
+
+def scipy_module(name: str):
+    """``scipy.<name>`` executed from its file, without running any scipy package ``__init__``.
+
+    An extension module registers itself in ``sys.modules`` under its full name, so a
+    later ``import scipy...`` reuses it; a ``.py`` module does not.
+    """
+    where = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                         *name.split(".")[:-1])
+    spec = importlib.machinery.PathFinder.find_spec(f"scipy.{name}", [where])
+    if spec is None:
+        raise ImportError(f"no module scipy.{name} in {where}", name=f"scipy.{name}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # --- three-point finite-difference weights (exact for quadratics) ------------

@@ -3,29 +3,24 @@
 :func:`solve` uses scipy's tableau, initial step, step control and error norm, so it
 takes solve_ivp's accepted steps without its per-step event and interpolant work;
 :func:`dense_state` rebuilds the 7th-order dense output from the steps.  The tableau is
-scipy's ``integrate/_ivp/dop853_coefficients.py``, loaded by path and sliced as scipy's
-``DOP853`` class slices it: that file imports only numpy, so ``scipy.integrate`` is never
-imported, and if it moves, importing this module raises FileNotFoundError.
+scipy's ``integrate._ivp.dop853_coefficients``, run by :func:`core.scipy_module` (which also
+loads ``variational``'s LAPACK routine) and sliced as scipy's ``DOP853`` class slices it: that
+file imports only numpy, so no scipy package is imported; if it moves, import raises ImportError.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import math
 from typing import Callable, Optional
 
 import numpy as np
-import scipy
 
-from .core import HopfParams, brentq
+from .core import HopfParams, brentq, scipy_module
 from .ode import coeff_Q, drift_coeff
 
 __all__ = ["solve", "dense_state"]
 
-_spec = importlib.util.spec_from_file_location(
-    "hopfbvp._dop853_coefficients", f"{scipy.__path__[0]}/integrate/_ivp/dop853_coefficients.py")
-_tab = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_tab)
+_tab = scipy_module("integrate._ivp.dop853_coefficients")
 _N = _tab.N_STAGES
 A, B, C, E3, E5, D = _tab.A[:_N, :_N], _tab.B, _tab.C[:_N], _tab.E3, _tab.E5, _tab.D
 A_EXTRA, C_EXTRA = _tab.A[_N + 1:], _tab.C[_N + 1:]

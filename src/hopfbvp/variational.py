@@ -48,7 +48,6 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
 
 from .core import (
     HALF_PI,
@@ -59,8 +58,12 @@ from .core import (
     Profile,
     fd3_first_weights,
     graded_grid,
+    scipy_module,
 )
 from .ode import weight_f
+
+# the f2py module that scipy.linalg.lapack wraps, without importing scipy.linalg
+dptsv = scipy_module("linalg._flapack").dptsv
 
 __all__ = [
     "GluedSolution",
@@ -90,7 +93,11 @@ DECREMENT_TOL = 8.0 * float(np.finfo(float).eps)
 MAX_SHIFTS = 30
 ATTACH_TOL = 1e-2
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
+# numpy.polynomial.legendre.leggauss(4) bit for bit; the closed forms differ in the last bits
+_GL_X = np.array([-0.8611363115940526, -0.33998104358485626,
+                  0.33998104358485626, 0.8611363115940526])
+_GL_W = np.array([0.34785484513745357, 0.6521451548625464,
+                  0.6521451548625464, 0.34785484513745357])
 _GL_X01 = 0.5 * (_GL_X + 1.0)
 _GL_W01 = 0.5 * _GL_W
 # hat functions at the Gauss points (left _HAT0, right _GL_X01), doubled (_G) for sin 2a / 2

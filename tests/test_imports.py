@@ -1,10 +1,16 @@
-"""Start-up cost: the solver paths import numpy and scipy.linalg, nothing heavier.
+"""Start-up cost: the solver paths import numpy and one LAPACK extension, nothing heavier.
 
-``scipy.optimize``, ``scipy.integrate`` and ``scipy.special`` take about as long
-to import as numpy and ``scipy.linalg`` together.  The root finder (``core.brentq``)
-and the DOP853 tableau no longer need them, so solve, shoot, map and hopf-eval
-run without them; only the quadratures of verify, blowup and small-s import
-``scipy.integrate``, inside the functions that use it.  No wall time is asserted.
+``scipy``'s package ``__init__`` and ``scipy.linalg`` take about twice as long to
+import as numpy, and ``scipy.optimize``, ``scipy.integrate`` and ``scipy.special``
+as long again.  ``variational`` takes ``dptsv`` from scipy's f2py module
+``scipy.linalg._flapack``, and ``dop853`` its tableau from scipy's coefficient
+file, both through ``core.scipy_module``, which runs neither ``__init__``.  The
+Gauss-Legendre points are literals (no ``numpy.polynomial``), the certificate
+avoids ``np.union1d`` (no ``numpy.ma``) and the process pool of ``jobs > 1`` is
+imported where it starts (no ``multiprocessing``).  So solve,
+shoot, map and hopf-eval run on numpy alone; only the quadratures of verify,
+blowup and small-s import ``scipy.integrate``, inside the functions that use it.
+No wall time is asserted.
 """
 
 import json
@@ -13,8 +19,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from hopfbvp import core
+
 SRC = Path(__file__).resolve().parent.parent / "src"
-HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.special")
+HEAVY = (
+    "scipy", "scipy.linalg", "scipy.optimize", "scipy.integrate", "scipy.special",
+    "numpy.polynomial", "numpy.ma", "concurrent.futures.process",
+)
 
 SCRIPT = """
 import json, sys
@@ -46,6 +59,8 @@ assert cli.main(argv) == 0
 record("hopf-eval")
 closed_forms.blowup_constant(4.0)
 record("blowup_constant")
+import scipy.linalg.lapack
+loaded["same_dptsv"] = scipy.linalg.lapack.dptsv is variational.dptsv
 print(json.dumps(loaded))
 """ % (HEAVY,)
 
@@ -58,6 +73,7 @@ def test_solver_paths_do_not_import_optimize_integrate_special(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
+    same_dptsv = loaded.pop("same_dptsv")
     assert list(loaded) == [
         "import", "glue", "integrate_from_zero", "find_solution", "solvability_map",
         "match_shooting", "hopf-eval", "blowup_constant",
@@ -66,3 +82,10 @@ def test_solver_paths_do_not_import_optimize_integrate_special(tmp_path):
         assert loaded[step] == [], step
     # the deferred import still works where a quadrature runs
     assert "scipy.integrate" in loaded["blowup_constant"]
+    # and a later scipy.linalg wraps the extension module variational loaded
+    assert same_dptsv
+
+
+def test_scipy_module_names_what_it_did_not_find():
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._no_such_module in .*linalg"):
+        core.scipy_module("linalg._no_such_module")

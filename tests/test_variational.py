@@ -25,6 +25,11 @@ GEOMETRY_PARAMS = [HopfParams(1, 2, 1.0, 4.0), HopfParams(1, 3, 0.5, 6.0), HopfP
 
 
 class TestDiscreteEnergy:
+    def test_gauss_points_are_leggauss(self):
+        # written out as literals, so that numpy.polynomial stays off the import path
+        x, w = np.polynomial.legendre.leggauss(4)
+        assert np.array_equal(variational._GL_X, x) and np.array_equal(variational._GL_W, w)
+
     def test_gradient_matches_finite_differences(self, params_main):
         grid = interior_grid(0.8, n=40)
         disc = DiscreteEnergy(grid, params_main)
