@@ -6,8 +6,7 @@ Two independent pipelines solve it: variational gluing of one-sided energy
 minimizers (driving the derivative jump at the junction to zero) and
 two-sided shooting from the indicial asymptotics.  The analysis layer turns
 the small-junction asymptotics into finite trend checks, and the hopf module
-supplies the eigenmap algebra needed to assemble actual sphere maps from the
-computed profiles.
+turns a computed profile and an orthogonal multiplication into a join map.
 """
 
 from .core import (
@@ -50,7 +49,6 @@ from .variational import (
 from .shooting import (
     MatchResult,
     ShootState,
-    integrate_from_pi2,
     integrate_from_zero,
     match_shooting,
 )
@@ -66,15 +64,10 @@ from .analysis import (
     solvability_map,
 )
 from .hopf import (
-    BiEigenmap,
     OrthogonalMultiplication,
-    SphereEigenmap,
     alpha_hopf_eval,
     complex_multiplication,
     eigenvalue_check,
-    hopf_construction_eval,
-    hopf_eigenmap,
-    identity_eigenmap,
     multiplication_by_name,
     octonion_multiplication,
     orthmul_eval,

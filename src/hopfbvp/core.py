@@ -79,8 +79,6 @@ class HopfParams:
         Sphere exponents of the two factors (p, q >= 1).
     lam, mu : float
         Eigenvalues of the bi-eigenmap in the two factors (both > 0).
-    a : float
-        ``2*sqrt(lam)``; the exponent scale of the small-t limit profile.
     r0, r1 : float
         Positive indicial exponents at t = 0 and t = pi/2.
     """
@@ -89,7 +87,6 @@ class HopfParams:
     q: int
     lam: float
     mu: float
-    a: float = field(init=False, repr=False)
     r0: float = field(init=False, repr=False)
     r1: float = field(init=False, repr=False)
 
@@ -105,7 +102,6 @@ class HopfParams:
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "mu", float(self.mu))
         r0, r1 = indicial_exponents(self.p, self.q, self.lam, self.mu)
-        object.__setattr__(self, "a", 2.0 * math.sqrt(self.lam))
         object.__setattr__(self, "r0", r0)
         object.__setattr__(self, "r1", r1)
 
@@ -128,15 +124,10 @@ class HopfParams:
 
 @dataclass(eq=False)
 class Grid:
-    """Strictly increasing nodes in (0, upper), optionally marking a junction node.
-
-    ``upper`` is pi/2 for angle grids; radial grids for the small-t limit
-    equation live on (0, inf) and pass ``upper=np.inf``.
-    """
+    """Strictly increasing nodes in (0, pi/2), optionally marking a junction node."""
 
     nodes: np.ndarray
     junction_index: Optional[int] = None
-    upper: float = HALF_PI
 
     def __post_init__(self) -> None:
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -144,9 +135,9 @@ class Grid:
             raise ValueError("grid needs a 1-d array of at least 2 nodes")
         if np.any(np.diff(self.nodes) <= 0):
             raise ValueError("grid nodes must be strictly increasing")
-        if self.nodes[0] <= 0.0 or self.nodes[-1] >= self.upper:
+        if self.nodes[0] <= 0.0 or self.nodes[-1] >= HALF_PI:
             raise DomainError(
-                f"grid nodes must lie in (0, {self.upper}); "
+                f"grid nodes must lie in (0, {HALF_PI}); "
                 f"got [{self.nodes[0]}, {self.nodes[-1]}]"
             )
         if self.junction_index is not None and not (

@@ -41,8 +41,9 @@ def solve(params: HopfParams, t0: float, y0, t1: float, rtol: float, atol: float
           band: tuple[float, float]) -> tuple[np.ndarray, Optional[float]]:
     """Accepted steps from t0 to t1 as rows (t, alpha, alpha', alpha''), and the exit time.
 
-    The exit time is None, or the time alpha left the open ``band`` (checked at each step
-    end, located on the exit step's dense output as solve_ivp locates a terminal event).
+    The exit time is None, or the time alpha left the open ``band``: t0 for a seed outside
+    it, else checked at each step end and located on the exit step's dense output as
+    solve_ivp locates a terminal event.
     Raises RuntimeError when the step size falls below the spacing of t.
     """
     p, q, lam, mu = params.p, params.q, params.lam, params.mu
@@ -57,6 +58,8 @@ def solve(params: HopfParams, t0: float, y0, t1: float, rtol: float, atol: float
 
     t, (a, da) = t0, y0
     dda = accel(t, a, da)
+    if not band[0] < a < band[1]:
+        return np.array([(t, a, da, dda)]).T, t
     sa, sd = atol + abs(a) * rtol, atol + abs(da) * rtol
     d0, d1 = rms(a / sa, da / sd), rms(da / sa, dda / sd)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t0)

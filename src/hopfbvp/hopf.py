@@ -1,4 +1,4 @@
-"""Orthogonal multiplications, Hopf constructions, and bi-eigenmap assembly.
+"""Orthogonal multiplications, their Hopf constructions, and the join map of a profile.
 
 An orthogonal multiplication is a bilinear map f: R^k x R^l -> R^n with
 |f(x,y)| = |x||y| for all x, y.  Each one is stored here as an integer
@@ -7,14 +7,13 @@ algebraic checks (bilinearity, harmonicity of the Hopf construction) exact.
 
 The Hopf construction on f is F_f(x, y) = (2 f(x,y), |x|^2 - |y|^2), a map of
 homogeneous quadratics whose restriction to the unit sphere is an eigenmap
-when k = l.  Composing a degree-lambda circle map with such an eigenmap gives
-the bi-eigenmaps whose angle profiles the solver computes.
+when k = l (:func:`eigenvalue_check`).  :func:`alpha_hopf_eval` evaluates the
+join map (sin(alpha(t)) f(x, y), cos(alpha(t))) of a computed angle profile.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,18 +21,13 @@ from .core import Profile
 
 __all__ = [
     "OrthogonalMultiplication",
-    "SphereEigenmap",
-    "BiEigenmap",
     "complex_multiplication",
     "quaternion_multiplication",
     "octonion_multiplication",
     "restricted_multiplication",
     "multiplication_by_name",
     "orthmul_eval",
-    "hopf_construction_eval",
     "eigenvalue_check",
-    "identity_eigenmap",
-    "hopf_eigenmap",
     "alpha_hopf_eval",
 ]
 
@@ -172,132 +166,22 @@ def orthmul_eval(m: OrthogonalMultiplication, x, y) -> np.ndarray:
     return np.einsum("kij,...i,...j->...k", m.tensor, x, y)
 
 
-def hopf_construction_eval(m: OrthogonalMultiplication, x, y) -> np.ndarray:
-    """F_f(x, y) = (2 f(x,y), |x|^2 - |y|^2); satisfies |F_f| = |x|^2 + |y|^2."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    f = orthmul_eval(m, x, y)
-    last = np.sum(x**2, axis=-1) - np.sum(y**2, axis=-1)
-    return np.concatenate([2.0 * f, np.expand_dims(last, -1)], axis=-1)
-
-
 def eigenvalue_check(m: OrthogonalMultiplication) -> int:
-    """Verify harmonicity of all Hopf-construction components; return the eigenvalue.
+    """The eigenvalue 2(k + l) of the Hopf construction on m restricted to the unit sphere.
 
-    Each component of F_f is a homogeneous quadratic on the ambient R^(k+l);
-    its Hessian is a constant integer matrix whose trace must vanish.  For the
-    bilinear components the Hessian is the off-diagonal block pair (2T_m,
-    2T_m^T), and for the final component it is diag(2,...,2,-2,...,-2), whose
-    trace 2(k - l) vanishes exactly when k = l, the condition checked first.
-    The restriction to the unit sphere is then an eigenmap of eigenvalue 2*(k+l).
+    Each component of F_f is a homogeneous quadratic on the ambient R^(k+l),
+    harmonic exactly when its constant Hessian has trace zero.  A bilinear
+    component's Hessian is the off-diagonal block pair (2T_m, 2T_m^T): its
+    diagonal blocks are zero, so its trace is zero for every tensor and needs
+    no check.  The final component's Hessian is diag(2,...,2,-2,...,-2), whose
+    trace 2(k - l) vanishes exactly when k = l, the one condition checked here.
+    A harmonic quadratic restricts to an eigenfunction of eigenvalue 2(k + l).
     """
     if m.k != m.l:
         raise ValueError(
             f"eigenvalue_check needs k = l, got {m.k} x {m.l} ({m.kind})"
         )
-    k, l = m.k, m.l
-    dim = k + l
-    for comp in range(m.n_out):
-        h = np.zeros((dim, dim), dtype=np.int64)
-        h[:k, k:] = 2 * m.tensor[comp]
-        h[k:, :k] = 2 * m.tensor[comp].T
-        if int(np.trace(h)) != 0:
-            raise ValueError(
-                f"component {comp} of the Hopf construction on {m.kind} "
-                f"is not harmonic (Hessian trace {int(np.trace(h))})"
-            )
-    return 2 * dim
-
-
-@dataclass(frozen=True, eq=False)
-class SphereEigenmap:
-    """A sphere-to-sphere eigenmap with its Laplace eigenvalue.
-
-    ``dim_in``/``dim_out`` are ambient Euclidean dimensions (the map sends
-    S^(dim_in - 1) into S^(dim_out - 1)).
-    """
-
-    name: str
-    func: Callable[[np.ndarray], np.ndarray]
-    dim_in: int
-    dim_out: int
-    eigenvalue: float
-
-    def __call__(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.shape[-1] != self.dim_in:
-            raise ValueError(
-                f"{self.name} expects vectors in R^{self.dim_in}, got {y.shape[-1]}"
-            )
-        return self.func(y)
-
-
-def identity_eigenmap(dim: int) -> SphereEigenmap:
-    """Identity on S^(dim-1); linear coordinates have eigenvalue dim - 1."""
-    return SphereEigenmap("identity", lambda y: y, dim, dim, float(dim - 1))
-
-
-def hopf_eigenmap(m: OrthogonalMultiplication) -> SphereEigenmap:
-    """Restricted Hopf construction of a k = l multiplication as an eigenmap."""
-    mu = eigenvalue_check(m)
-
-    def func(y: np.ndarray) -> np.ndarray:
-        return hopf_construction_eval(m, y[..., : m.k], y[..., m.k :])
-
-    return SphereEigenmap(
-        f"hopf({m.kind})", func, m.k + m.l, m.n_out + 1, float(mu)
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class BiEigenmap:
-    """Circle factor of degree d composed with a second-factor eigenmap.
-
-    The circle factor z -> z^d contributes eigenvalue d^2; the couple is a
-    blockwise complex rotation when the second factor's ambient dimension is
-    even, and one of the 2 x odd restricted multiplications (available for
-    3, 5, 9) otherwise.  Either way the result is unit-sphere valued with
-    bi-eigenvalue (d^2, second.eigenvalue).
-    """
-
-    circle_degree: int
-    second: SphereEigenmap
-    _couple: Optional[OrthogonalMultiplication] = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.circle_degree < 1:
-            raise ValueError("circle degree must be >= 1")
-        if self.second.dim_out % 2 == 1:
-            object.__setattr__(
-                self, "_couple", restricted_multiplication(self.second.dim_out)
-            )
-
-    @property
-    def lam(self) -> float:
-        return float(self.circle_degree**2)
-
-    @property
-    def mu(self) -> float:
-        return self.second.eigenvalue
-
-    @property
-    def target_dim(self) -> int:
-        d = self.second.dim_out
-        return d if d % 2 == 0 else d + 1
-
-    def __call__(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (2,):
-            raise ValueError("circle factor takes a point of S^1 in R^2")
-        z = complex(x[0], x[1]) ** self.circle_degree
-        phase = np.array([z.real, z.imag])
-        w = self.second(y)
-        if self._couple is not None:
-            return self._couple(phase, w)
-        out = np.empty_like(w)
-        out[0::2] = phase[0] * w[0::2] - phase[1] * w[1::2]
-        out[1::2] = phase[0] * w[1::2] + phase[1] * w[0::2]
-        return out
+    return 2 * (m.k + m.l)
 
 
 def alpha_hopf_eval(profile: Profile, f_map, t, x, y) -> np.ndarray:

@@ -46,7 +46,6 @@ __all__ = [
     "ShootState",
     "MatchResult",
     "integrate_from_zero",
-    "integrate_from_pi2",
     "match_shooting",
     "write_mismatch_csv",
 ]
@@ -194,32 +193,6 @@ def integrate_from_zero(
     times, _, state = _shoot(params, c0, t_start, t_end, rtol, atol)
     if grid is None:
         grid = Grid(times if times.size >= 3 else np.linspace(t_start, t_end, 5))
-    return Profile(grid, state(grid.nodes)[0])
-
-
-def integrate_from_pi2(
-    c1: float,
-    params: HopfParams,
-    t_start: float,
-    t_offset: float = DEFAULT_T_OFFSET,
-    grid: Optional[Grid] = None,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> Profile:
-    """Integrate backward from pi/2 along the branch with amplitude c1.
-
-    The seed state at pi/2 - t_offset comes from the mirrored series
-    expansion, with leading behavior ``pi - c1 * tau**r1``, tau = pi/2 - t.
-    Raises :class:`BlowUpError` like :func:`integrate_from_zero`.
-    """
-    if c1 <= 0:
-        raise ValueError("amplitude c1 must be positive")
-    t0 = HALF_PI - t_offset
-    if not (0.0 < t_start < t0):
-        raise ValueError("need 0 < t_start < pi/2 - t_offset")
-    times, _, state = _shoot(params, c1, t_offset, t_start, rtol, atol, backward=True)
-    if grid is None:
-        grid = Grid(times if times.size >= 3 else np.linspace(t_start, t0, 5))
     return Profile(grid, state(grid.nodes)[0])
 
 

@@ -52,7 +52,6 @@ import numpy as np
 from .core import (
     HALF_PI,
     ConvergenceError,
-    DomainError,
     Grid,
     HopfParams,
     Profile,
@@ -116,32 +115,31 @@ def interior_grid(s: float, n: int = DEFAULT_N, offset: float = DEFAULT_OFFSET) 
 class DiscreteEnergy:
     """Piecewise-linear discretization of J on a fixed grid whose last node is pinned to pi/2.
 
-    The geometry is built once: quadrature points, f and Q there (one sin/cos
-    pass, the values of ode.weight_f and ode.coeff_Q) and the stiffness 2f/h^2.
+    ``DiscreteEnergy(grid, p, q)`` is the geometry, built once: quadrature
+    points, f and sin^2, cos^2 there (one sin/cos pass, the values of
+    ode.weight_f) and the stiffness 2f/h^2.  :meth:`with_params` adds Q f w for
+    one (lambda, mu), the values of ode.coeff_Q, and gives the energy.  Grid
+    keeps the nodes, and so every quadrature point, inside (0, pi/2).
     Per iterate, :meth:`trig` makes the one pass over the values: t = tan a at
     the quadrature angles gives sin a cos a = t/(1+t^2) and sin^2 a = t sin a cos a
     (gradient, energy), and the Hessian takes cos 2a = 1 - 2 sin^2 a.  numpy
     vectorises float64 tan only on CPUs with AVX-512; elsewhere it calls scalar libm.
     """
 
-    def __init__(self, grid: Grid, params: HopfParams):
+    def __init__(self, grid: Grid, p: int, q: int):
         t = grid.nodes
         self.grid, self.n = grid, t.size
         self.h = np.diff(t)
         x = t[:-1] + np.outer(_GL_X01, self.h)  # (4, n_el) quadrature points
-        # the nodes increase, so the two end Gauss points bound all the others
-        if x[0, 0] <= 0.0 or x[-1, -1] >= HALF_PI:
-            raise DomainError("coeff_Q requires t in the open interval (0, pi/2)")
         sn, cs = np.sin(x), np.cos(x)
         self._sin2, self._cos2 = sn**2, cs**2
-        self.fw = sn**params.p * cs**params.q * (_GL_W01[:, None] * self.h)
+        self.fw = sn**p * cs**q * (_GL_W01[:, None] * self.h)
         self.f_el = self.fw.sum(axis=0)  # integral of f over each element
         self.f_el2 = 2.0 * self.f_el
         self.stiff = self.f_el2 / self.h**2
-        self.qfw = (params.lam / self._sin2 + params.mu / self._cos2) * self.fw
 
     def with_params(self, params: HopfParams) -> DiscreteEnergy:
-        """The energy on this grid for another (lambda, mu), same (p, q): only Q f w is new."""
+        """The energy on this geometry for (lambda, mu) and the same (p, q): it adds Q f w."""
         disc = copy.copy(self)
         disc.qfw = (params.lam / self._sin2 + params.mu / self._cos2) * self.fw
         return disc
@@ -226,10 +224,8 @@ def _junction(s: float, n: int, offset: float, p: int, q: int) -> _Junction:
     """
     if not (0.0 < offset < s < HALF_PI - offset):
         raise ValueError(f"need 0 < offset < s < pi/2 - offset, got offset={offset}, s={s}")
-    # (lambda, mu) = (1, 1) stands in: the minimizers take each side through with_params
-    params = HopfParams(p, q, 1.0, 1.0)
-    inner = DiscreteEnergy(interior_grid(s, n, offset), params)
-    outer = DiscreteEnergy(interior_grid(HALF_PI - s, n, offset), params.mirrored())
+    inner = DiscreteEnergy(interior_grid(s, n, offset), p, q)
+    outer = DiscreteEnergy(interior_grid(HALF_PI - s, n, offset), q, p)
     t = HALF_PI - outer.grid.nodes[::-1]
     t[0] = s
     union = Grid(np.concatenate([inner.grid.nodes, t[1:]]), junction_index=n - 1)

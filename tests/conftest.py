@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -18,6 +16,6 @@ def params_main():
     return HopfParams(p=1, q=2, lam=1.0, mu=4.0)
 
 
-def uniform_profile(fn, t_lo, t_hi, n, junction_index=None, upper=math.pi / 2):
+def uniform_profile(fn, t_lo, t_hi, n, junction_index=None):
     t = np.linspace(t_lo, t_hi, n)
-    return Profile(Grid(t, junction_index=junction_index, upper=upper), fn(t))
+    return Profile(Grid(t, junction_index=junction_index), fn(t))

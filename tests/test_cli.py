@@ -61,6 +61,18 @@ class TestSolve:
         assert lines[0] == "c0,c1,dalpha,ddalpha"
         assert len(lines) > 100
 
+    def test_cross_check_with_seeds_outside_the_band(self, tmp_path):
+        # r0 = 0.414 puts the forward seeds of the top amplitudes below -pi
+        rc = run(
+            tmp_path, "solve", "--p", "3", "--q", "2", "--lambda", "1", "--mu", "4",
+            "--n", "600", "--n-scan", "8", "--cross-check",
+        )
+        assert rc == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["verdict"] == "solution_found"
+        assert summary["shooting_verdict"] == "solution"
+        assert summary["pipeline_sup_distance"] <= 1e-3
+
     def test_invalid_grid_size_rejected(self, tmp_path):
         rc = run(tmp_path, "solve", "--p", "1", "--q", "2", "--lambda", "1",
                  "--mu", "4", "--n", "8")
@@ -299,6 +311,20 @@ class TestHopfEval:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["verdict"] == "error"
         assert "--samples" in summary["error"]
+
+    @pytest.mark.parametrize("t_first, t_last", [(0.1, 1.5707963267948966), (0.0, 0.3), (-0.1, 0.3)])
+    def test_profile_outside_open_interval(self, tmp_path, t_first, t_last):
+        # the t column must lie in (0, pi/2): the grid's range check rejects the file
+        rows = [(t_first, 0.2), (0.2, 0.4), (t_last, 3.0)]
+        (tmp_path / "p.csv").write_text(
+            "t,alpha,dalpha,residual\n" + "".join(f"{t!r},{a},2,0\n" for t, a in rows)
+        )
+        rc = run(tmp_path, "hopf-eval", "--profile", str(tmp_path / "p.csv"),
+                 "--kind", "complex")
+        assert rc == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["verdict"] == "error"
+        assert summary["error"].startswith("DomainError: grid nodes must lie in (0, ")
 
     def test_unknown_kind(self, tmp_path):
         (tmp_path / "p.csv").write_text("t,alpha,dalpha,residual\n0.1,0.2,2,0\n0.2,0.4,2,0\n0.3,0.6,2,0\n")

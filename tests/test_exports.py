@@ -34,3 +34,25 @@ def test_package_imports_exist():
                 if not hasattr(hopfbvp, alias.asname or alias.name):
                     missing.append(f"hopfbvp.{alias.asname or alias.name}")
     assert not missing, f"names imported by hopfbvp/__init__.py are missing: {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    # a top-level import must be read in the module or listed in __all__;
+    # lines marked `# noqa: F401` are bound on purpose.  MODULES holds the
+    # submodules, so __init__.py, which imports only to re-export, is not checked
+    source = Path(hopfbvp.__file__).with_name(f"{name}.py").read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = set(getattr(importlib.import_module(f"hopfbvp.{name}"), "__all__", ()))
+    unused = sorted(n for n in imported if n not in read and n not in exported)
+    assert not unused, f"hopfbvp.{name} imports names it never uses: {unused}"

@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 
 from hopfbvp.core import DomainError, Grid, Profile
 from hopfbvp.hopf import (
-    BiEigenmap,
     alpha_hopf_eval,
     complex_multiplication,
     eigenvalue_check,
-    hopf_construction_eval,
-    hopf_eigenmap,
-    identity_eigenmap,
     multiplication_by_name,
     octonion_multiplication,
     orthmul_eval,
@@ -111,31 +107,6 @@ class TestOrthogonalMultiplications:
             restricted_multiplication(4)
 
 
-class TestHopfConstruction:
-    def test_equator_case(self):
-        m = complex_multiplication()
-        r = 1.0 / math.sqrt(2.0)
-        out = hopf_construction_eval(m, np.array([r, 0.0]), np.array([r, 0.0]))
-        assert out[-1] == pytest.approx(0.0, abs=1e-15)
-        assert np.linalg.norm(out[:-1]) == pytest.approx(1.0, abs=1e-13)
-
-    def test_zero_second_argument(self):
-        m = quaternion_multiplication()
-        x = np.array([0.5, 0.5, 0.5, 0.5])
-        out = hopf_construction_eval(m, x, np.zeros(4))
-        assert np.allclose(out[:-1], 0.0)
-        assert out[-1] == pytest.approx(1.0, abs=1e-15)
-
-    def test_sphere_to_sphere(self):
-        rng = np.random.default_rng(3)
-        for kind in ALL_KINDS:
-            m = multiplication_by_name(kind)
-            z = rng.normal(size=m.k + m.l)
-            z /= np.linalg.norm(z)
-            out = hopf_construction_eval(m, z[: m.k], z[m.k :])
-            assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
-
-
 class TestEigenvalues:
     def test_classical_values(self):
         assert eigenvalue_check(complex_multiplication()) == 8
@@ -154,33 +125,6 @@ class TestEigenvalues:
     def test_requires_square(self):
         with pytest.raises(ValueError):
             eigenvalue_check(restricted_multiplication(3))
-
-
-class TestBiEigenmap:
-    def test_circle_eigenvalue_is_degree_squared(self):
-        be = BiEigenmap(3, identity_eigenmap(4))
-        assert be.lam == 9.0
-        assert be.mu == 3.0  # identity on S^3
-
-    def test_hopf_second_factor(self):
-        be = BiEigenmap(1, hopf_eigenmap(complex_multiplication()))
-        assert be.mu == 8.0
-        assert be.target_dim == 4  # odd 3-dim target coupled into R^4
-
-    def test_unit_sphere_valued(self):
-        rng = np.random.default_rng(12)
-        for second in (
-            identity_eigenmap(4),
-            hopf_eigenmap(complex_multiplication()),
-            hopf_eigenmap(quaternion_multiplication()),
-        ):
-            be = BiEigenmap(2, second)
-            for _ in range(50):
-                th = rng.uniform(0, 2 * math.pi)
-                x = np.array([math.cos(th), math.sin(th)])
-                y = rng.normal(size=second.dim_in)
-                y /= np.linalg.norm(y)
-                assert abs(np.linalg.norm(be(x, y)) - 1.0) <= 1e-12
 
 
 class TestAlphaHopfEval:

@@ -49,7 +49,6 @@ def comparison_equation(t, y, lam):
 class TestParams:
     def test_derived_constants(self):
         p = HopfParams(p=1, q=2, lam=1.0, mu=4.0)
-        assert p.a == 2.0 * math.sqrt(p.lam)
         assert p.r0 == pytest.approx(1.0, abs=1e-15)
         assert p.r1 == pytest.approx(1.5615528128088303, abs=1e-14)
 
@@ -143,9 +142,9 @@ class TestResidual:
         assert np.nanmax(np.abs(residual(prof, params_main))) < 1e-10
 
     def test_domain_error(self, params_main):
-        t = np.linspace(0.5, 2.0, 50)  # exceeds pi/2
+        t = np.linspace(0.5, 2.0, 50)  # exceeds pi/2: the grid rejects it first
         with pytest.raises(DomainError):
-            residual(Profile(Grid(t, upper=np.inf), 2 * t), params_main)
+            residual(Profile(Grid(t), 2 * t), params_main)
 
     def test_junction_kink_masked(self, params_flat):
         t = np.linspace(0.2, 1.2, 101)
@@ -244,7 +243,7 @@ class TestLimitResidual:
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            Grid(np.array([-1.0, 0.5, 1.0]), upper=np.inf)
+            Grid(np.array([-1.0, 0.5, 1.0]))
 
 
 class TestRescaledResidual:
@@ -296,7 +295,6 @@ class TestGrids:
             Grid(np.array([0.3, 0.2, 0.5]))
         with pytest.raises(DomainError):
             Grid(np.array([0.1, 2.0]))  # beyond pi/2
-        Grid(np.array([0.1, 2.0]), upper=np.inf)
 
 
 class TestFdWeights:

@@ -12,7 +12,6 @@ from hopfbvp.shooting import (
     DEFAULT_T_OFFSET,
     T_MATCH,
     _crossings,
-    integrate_from_pi2,
     integrate_from_zero,
     match_shooting,
     write_mismatch_csv,
@@ -52,22 +51,30 @@ class TestIntegrateFromZero:
             integrate_from_zero(-1.0, params_flat, 1.0)
 
 
+def backward_values(c1, params, t_start, nodes=None, t_offset=DEFAULT_T_OFFSET,
+                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+    """alpha of the backward shot of amplitude c1 at nodes (default: its step times)."""
+    times, _, state = shooting._shoot(params, c1, t_offset, t_start, rtol, atol, backward=True)
+    return state(times if nodes is None else nodes)[0]
+
+
 class TestIntegrateFromPi2:
+    """The backward shot, which integrates from pi/2: ``_shoot(..., backward=True)``."""
+
     def test_exact_straight_solution(self, params_flat):
-        grid = Grid(np.linspace(1e-4, HALF_PI - 1e-4, 800))
-        prof = integrate_from_pi2(2.0, params_flat, 1e-4, grid=grid)
-        assert np.max(np.abs(prof.values - 2.0 * prof.t)) <= 1e-6
+        nodes = np.linspace(1e-4, HALF_PI - 1e-4, 800)
+        values = backward_values(2.0, params_flat, 1e-4, nodes)
+        assert np.max(np.abs(values - 2.0 * nodes)) <= 1e-6
 
     def test_overshoot_for_large_amplitude(self, params_main):
-        prof = integrate_from_pi2(50.0, params_main, 0.3)
-        assert np.min(prof.values) < HALF_PI
+        values = backward_values(50.0, params_main, 0.3)
+        assert np.min(values) < HALF_PI
 
     def test_seed_step_invariance(self, params_main):
         vals = []
         for t_offset in (1e-4, 5e-5):
-            grid = Grid(np.linspace(1.0, 1.01, 5))
-            prof = integrate_from_pi2(1.0, params_main, 1.0, t_offset=t_offset, grid=grid)
-            vals.append(prof.values[0])
+            nodes = np.linspace(1.0, 1.01, 5)
+            vals.append(backward_values(1.0, params_main, 1.0, nodes, t_offset=t_offset)[0])
         assert abs(vals[0] - vals[1]) <= 1e-8
 
     def test_smooth_in_amplitude(self):
@@ -75,10 +82,9 @@ class TestIntegrateFromPi2:
         # c1; the end value then jitters by ~5e-8 between amplitudes 1e-9
         # apart, and the matcher's Newton polish cannot reach 1e-8
         params = HopfParams(p=1, q=2, lam=2.0, mu=6.0)
-        grid = Grid(np.linspace(math.pi / 4, math.pi / 4 + 0.01, 5))
+        nodes = np.linspace(math.pi / 4, math.pi / 4 + 0.01, 5)
         ends = [
-            integrate_from_pi2(0.5161739 * (1.0 + k * 1e-9), params, math.pi / 4, grid=grid)
-            .values[0]
+            backward_values(0.5161739 * (1.0 + k * 1e-9), params, math.pi / 4, nodes)[0]
             for k in range(6)
         ]
         assert np.max(np.abs(np.diff(ends, 2))) <= 1e-11
@@ -86,7 +92,7 @@ class TestIntegrateFromPi2:
     def test_blow_up_reported_in_t(self):
         # the mirrored integration runs in tau = pi/2 - t; the exit is in t
         with pytest.raises(BlowUpError) as exc:
-            integrate_from_pi2(1.0, HopfParams(p=2, q=1, lam=2.0, mu=6.0), 1e-3)
+            backward_values(1.0, HopfParams(p=2, q=1, lam=2.0, mu=6.0), 1e-3)
         assert exc.value.exit_time == pytest.approx(0.21333, abs=1e-5)
         assert str(exc.value).endswith(f"at t={exc.value.exit_time:.6g}")
 
@@ -129,12 +135,12 @@ class TestIntegratorAccuracy:
         assert np.max(np.abs(flat.values - 2.0 * flat.t)) <= 1e-8
 
         fwd_grid = Grid(np.linspace(DEFAULT_T_OFFSET, 1.2, 11))
-        bwd_grid = Grid(np.linspace(0.3, HALF_PI - DEFAULT_T_OFFSET, 11))
+        bwd_nodes = np.linspace(0.3, HALF_PI - DEFAULT_T_OFFSET, 11)
 
         def shots(rtol, atol):
             fwd = integrate_from_zero(1.0, params_main, 1.2, grid=fwd_grid, rtol=rtol, atol=atol)
-            bwd = integrate_from_pi2(1.0, params_main, 0.3, grid=bwd_grid, rtol=rtol, atol=atol)
-            return fwd.values, bwd.values
+            bwd = backward_values(1.0, params_main, 0.3, bwd_nodes, rtol=rtol, atol=atol)
+            return fwd.values, bwd
 
         ref = shots(1e-13, 1e-15)
         errs = [
@@ -203,6 +209,19 @@ class TestIntegratorAccuracy:
         with pytest.raises(BlowUpError) as exc:
             integrate_from_zero(1e-3, params_main, HALF_PI - 1e-4)
         assert abs(exc.value.exit_time - min(te[0] for te in sol.t_events if te.size)) <= 1e-9
+
+    def test_seed_outside_band_exits_at_t0(self, monkeypatch):
+        # a seed above the band, and the (3, 2, 1, 4) series seed at c = 1000,
+        # which lies below it: each is an exit at t0, found without a Brent search
+        params = HopfParams(p=3, q=2, lam=1.0, mu=4.0)
+        below = shooting._series_seed(1e3, params, DEFAULT_T_OFFSET)
+        assert below[0] < shooting.ALPHA_LOW
+        monkeypatch.setattr(dop853, "brentq", None)
+        for seed in ((7.0, 0.0), below):
+            steps, t_exit = dop853.solve(params, DEFAULT_T_OFFSET, seed, T_MATCH, DEFAULT_RTOL,
+                                         DEFAULT_ATOL, (shooting.ALPHA_LOW, shooting.ALPHA_HIGH))
+            assert t_exit == DEFAULT_T_OFFSET
+            assert steps.shape == (4, 1) and steps[0, 0] == DEFAULT_T_OFFSET
 
 
 class TestMatchShooting:
@@ -309,6 +328,17 @@ class TestMatchShooting:
         assert match_shooting(params_main).verdict == "solution"
         assert len(shots) == len(set(shots))
         assert len(ivps) == 40
+
+    @pytest.mark.parametrize("p, q, lam, mu", [(3, 2, 1.0, 4.0), (2, 2, 1.5, 0.5), (2, 3, 1.0, 1.0)])
+    def test_seeds_outside_band_count_as_band_exits(self, p, q, lam, mu):
+        # a small indicial exponent puts the seeds of the box's top amplitudes
+        # outside the band; those shots are band exits, not errors
+        m = match_shooting(HopfParams(p, q, lam, mu))
+        assert m.verdict == "solution"
+        # the c = 1e3 forward (row) or backward (column) shots left the band
+        assert np.isnan(m.dalpha_map[-1]).all() or np.isnan(m.dalpha_map[:, -1]).all()
+        if (p, q) == (3, 2):
+            assert (m.state.c0, m.state.c1) == pytest.approx((0.7200626, 6.2839165), abs=1e-7)
 
     def test_mismatch_csv(self, tmp_path, params_main):
         m = match_shooting(params_main)
