@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closed_forms import phi_limit, psi_comparison, theta_threshold
-from .core import HALF_PI, ConvergenceError, Grid, HopfParams, Profile, brentq
+from .core import HALF_PI, ConvergenceError, Grid, HopfParams, Profile, brentq, simpson_weights
 from .ode import residual
 from .variational import DEFAULT_N, GluedSolution, glue
 
@@ -334,21 +334,23 @@ def small_s_report(
 
 
 def _split_Is2(prof: Profile, q: int, cut: float) -> tuple[float, float]:
-    """Simpson quadratures of the I_s^2 integrand below and above t = cut."""
-    from scipy.integrate import simpson  # imported here: only the blowup command needs it
+    """Simpson quadratures of the I_s^2 integrand below and above t = cut.
 
+    ``cut`` ends the one part and starts the other; a node equal to it is
+    that shared end, so no interval has zero length.
+    """
     t, v = prof.t, prof.values
 
     def chunk(ts: np.ndarray, vs: np.ndarray) -> float:
         g = np.sin(ts) ** 3 * np.cos(ts) ** (2 * q - 3) * np.sin(vs) ** 2
-        return float(simpson(g, x=ts))
+        return float(simpson_weights(ts) @ g)
 
     v_cut = float(prof.interpolate(cut))
-    inner_mask = t < cut
-    t_in = np.concatenate(([0.0], t[inner_mask], [cut]))
-    v_in = np.concatenate(([0.0], v[inner_mask], [v_cut]))
-    t_out = np.concatenate(([cut], t[~inner_mask], [HALF_PI]))
-    v_out = np.concatenate(([v_cut], v[~inner_mask], [math.pi]))
+    inner, outer = t < cut, t > cut
+    t_in = np.concatenate(([0.0], t[inner], [cut]))
+    v_in = np.concatenate(([0.0], v[inner], [v_cut]))
+    t_out = np.concatenate(([cut], t[outer], [HALF_PI]))
+    v_out = np.concatenate(([v_cut], v[outer], [math.pi]))
     return chunk(t_in, v_in), chunk(t_out, v_out)
 
 

@@ -352,3 +352,28 @@ def nodal_first_derivative(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     w0, w1, w2 = fd3_first_weights(t[-3], t[-2], t[-1], t[-1])
     d[-1] = w0 * y[-3] + w1 * y[-2] + w2 * y[-1]
     return d
+
+
+def simpson_weights(x: np.ndarray) -> np.ndarray:
+    """Weights w with w @ y = scipy's ``simpson(y, x=x)``, up to summation order.
+
+    x must increase strictly.  Pairs of intervals take the composite rule for
+    uneven spacing; for an even node count the last interval takes Cartwright's
+    correction, as scipy does, and two nodes take the trapezoid.
+    """
+    n, h = x.size, np.diff(x)
+    if n == 2:
+        return np.full(2, 0.5 * h[0])
+    w = np.zeros(n)
+    m = n - 1 + n % 2  # the odd count of nodes the pairs cover
+    h0, h1 = h[0:m - 1:2], h[1:m - 1:2]
+    hsum6, r = (h0 + h1) / 6.0, h0 / h1
+    w[0:m - 1:2] = hsum6 * (2.0 - 1.0 / r)
+    w[1:m - 1:2] = hsum6 * ((h0 + h1) * ((h0 + h1) / (h0 * h1)))
+    w[2:m:2] += hsum6 * (2.0 - r)
+    if m < n:
+        h0, h1 = h[-2], h[-1]
+        w[-1] += (2.0 * h1**2 + 3.0 * h0 * h1) / (6.0 * (h0 + h1))
+        w[-2] += (h1**2 + 3.0 * h0 * h1) / (6.0 * h0)
+        w[-3] -= h1**3 / (6.0 * h0 * (h0 + h1))
+    return w

@@ -2,8 +2,10 @@
 
 Every row checks an explicit formula against an independent numerical route:
 finite-difference residuals of the exact profiles under their operators,
-a high-order numerical derivative against the slope identity, and adaptive
-quadrature against the beta-function value of the blow-up constant.
+a high-order numerical derivative against the slope identity, and the
+double-exponential (tanh-sinh) rule of Takahasi & Mori against the
+beta-function value of the blow-up constant; its tail runs after the
+substitution v = w^(a/(a-2)), which makes the integrand bounded.
 
 The limit and comparison residuals use 5-point stencils (see ``ode``) on
 grids uniform in log t and in log(tan t), so the stencils see locally

@@ -58,6 +58,7 @@ from .core import (
     fd3_first_weights,
     graded_grid,
     scipy_module,
+    simpson_weights,
 )
 from .ode import weight_f
 
@@ -363,21 +364,15 @@ def _one_sided_slope(t: np.ndarray, v: np.ndarray, x: float) -> float:
 def _simpson_rows(t: np.ndarray, p: int, q: int) -> np.ndarray:
     """W * m_k on the nodes t padded with 0 and pi/2.
 
-    W holds scipy's ``simpson(y, x)`` weights for an odd node count, and m_k
+    W holds :func:`core.simpson_weights` (odd node count), and m_k
     are the monomials of :func:`jump_integrals`: those of I_s1 and I_s2, and
     for p > 1 the three of (f^2 Q)', all finite on [0, pi/2] there.
     """
     ts = np.concatenate(([0.0], t, [HALF_PI]))
-    h0, h1 = np.diff(ts)[0::2], np.diff(ts)[1::2]
-    hsum6, r = (h0 + h1) / 6.0, h0 / h1
-    w = np.zeros(ts.size)
-    w[:-1:2] = hsum6 * (2.0 - 1.0 / r)
-    w[1::2] = hsum6 * ((h0 + h1) * ((h0 + h1) / (h0 * h1)))
-    w[2::2] += hsum6 * (2.0 - r)
     powers = [(1, 2 * q - 1), (3, 2 * q - 3)] + (p > 1) * [
         (2 * p - 1, 2 * q - 1), (2 * p + 1, 2 * q - 3), (2 * p - 3, 2 * q + 1)]
     sn, cs = np.sin(ts), np.cos(ts)
-    return np.stack([sn**a * cs**b for a, b in powers]) * w
+    return np.stack([sn**a * cs**b for a, b in powers]) * simpson_weights(ts)
 
 
 def jump_integrals(

@@ -45,7 +45,7 @@ def test_criterion_1_closed_form_oracles():
         "phi residual <= 1e-6": rows["limit_profile_residual"].value <= 1e-6,
         "psi residual <= 1e-6": rows["comparison_profile_residual"].value <= 1e-6,
         "slope identity <= 1e-8": rows["slope_identity"].value <= 1e-8,
-        "A(4) quad vs beta <= 1e-8": rows["blowup_constant_lam4"].value <= 1e-8,
+        "A(4) tanh-sinh vs beta <= 1e-8": rows["blowup_constant_lam4"].value <= 1e-8,
         "all rows pass": all(r.passed for r in rows.values()),
         "runtime < 5 s": elapsed < 5.0,
     }

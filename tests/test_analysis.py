@@ -1,8 +1,10 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from hopfbvp import analysis, variational
 from hopfbvp.analysis import (
@@ -15,7 +17,7 @@ from hopfbvp.analysis import (
     write_map_csv,
     write_scan_csv,
 )
-from hopfbvp.core import HALF_PI, ConvergenceError, HopfParams
+from hopfbvp.core import HALF_PI, ConvergenceError, Grid, HopfParams, Profile, graded_grid
 
 
 class TestScanJump:
@@ -193,6 +195,21 @@ class TestIsTrends:
         assert rep.bound_ok
         assert rep.A_s > 0 and rep.B_s > 0 and rep.Is2_ratio > 0
         assert rep2.Is2_ratio < rep.Is2_ratio
+
+    @pytest.mark.parametrize("on_node", [False, True])
+    def test_is2_split_is_scipy_simpson(self, on_node):
+        # the two parts are scipy's simpson over [0, cut] and [cut, pi/2]; a
+        # node on the cut is their shared end, not a zero-length interval
+        t = graded_grid(1e-7, HALF_PI - 1e-7, 301)
+        prof = Profile(Grid(t), 2.0 * t)
+        cut = float(t[140]) if on_node else 0.5 * float(t[140] + t[141])
+        inner, outer = t[t < cut], t[t > cut]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parts = analysis._split_Is2(prof, 2, cut)
+        for part, ts in zip(parts, (np.r_[0.0, inner, cut], np.r_[cut, outer, HALF_PI])):
+            g = np.sin(ts) ** 3 * np.cos(ts) * np.sin(2.0 * ts) ** 2
+            assert part == pytest.approx(simpson(g, x=ts), rel=1e-14)
 
 
 class TestComparison:

@@ -195,6 +195,13 @@ class TestBlowupConstant:
         )[0]
         assert blowup_constant(2.25) == pytest.approx(direct, abs=1e-7)
 
+    @given(lam=st.floats(min_value=1.001, max_value=100.0))
+    @settings(max_examples=300)
+    def test_rule_matches_closed_form(self, lam):
+        # the tail's substitution keeps the rule accurate as lambda -> 1+
+        exact = blowup_constant_exact(lam)
+        assert abs(blowup_constant(lam) - exact) <= 1e-11 * exact
+
     def test_divergent_at_lam1(self):
         assert blowup_constant(1.0) == math.inf
 

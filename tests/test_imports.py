@@ -1,4 +1,4 @@
-"""Start-up cost: the solver paths import numpy and one LAPACK extension, nothing heavier.
+"""Start-up cost: every command imports numpy and one LAPACK extension, nothing heavier.
 
 ``scipy``'s package ``__init__`` and ``scipy.linalg`` take about twice as long to
 import as numpy, and ``scipy.optimize``, ``scipy.integrate`` and ``scipy.special``
@@ -7,9 +7,9 @@ as long again.  ``variational`` takes ``dptsv`` from scipy's f2py module
 file, both through ``core.scipy_module``, which runs neither ``__init__``.  The
 Gauss-Legendre points are literals (no ``numpy.polynomial``), the certificate
 avoids ``np.union1d`` (no ``numpy.ma``) and the process pool of ``jobs > 1`` is
-imported where it starts (no ``multiprocessing``).  So solve,
-shoot, map and hopf-eval run on numpy alone; only the quadratures of verify,
-blowup and small-s import ``scipy.integrate``, inside the functions that use it.
+imported where it starts (no ``multiprocessing``).  The blow-up constant A(lambda)
+takes a tanh-sinh rule and the split of I_s^2 the Simpson weights of ``core``, so
+every command, verify, blowup and small-s included, runs on numpy alone.
 No wall time is asserted.
 """
 
@@ -59,6 +59,11 @@ assert cli.main(argv) == 0
 record("hopf-eval")
 closed_forms.blowup_constant(4.0)
 record("blowup_constant")
+assert cli.main(["verify", "--out-dir", out]) == 0
+record("verify")
+rows = analysis.small_s_report(params, [0.04, 0.02], 0.1, grid_n=200)
+assert all(r.bound_ok for r in rows), rows
+record("small_s_report")
 import scipy.linalg.lapack
 loaded["same_dptsv"] = scipy.linalg.lapack.dptsv is variational.dptsv
 print(json.dumps(loaded))
@@ -76,13 +81,11 @@ def test_solver_paths_do_not_import_optimize_integrate_special(tmp_path):
     same_dptsv = loaded.pop("same_dptsv")
     assert list(loaded) == [
         "import", "glue", "integrate_from_zero", "find_solution", "solvability_map",
-        "match_shooting", "hopf-eval", "blowup_constant",
+        "match_shooting", "hopf-eval", "blowup_constant", "verify", "small_s_report",
     ]
-    for step in list(loaded)[:-1]:
+    for step in loaded:
         assert loaded[step] == [], step
-    # the deferred import still works where a quadrature runs
-    assert "scipy.integrate" in loaded["blowup_constant"]
-    # and a later scipy.linalg wraps the extension module variational loaded
+    # a later scipy.linalg wraps the extension module variational loaded
     assert same_dptsv
 
 

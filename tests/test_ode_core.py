@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.integrate import simpson
 from scipy.optimize import brentq as scipy_brentq
 
 from hopfbvp.closed_forms import phi_limit, psi_comparison
@@ -20,6 +21,7 @@ from hopfbvp.core import (
     fd_weights,
     graded_grid,
     indicial_exponents,
+    simpson_weights,
 )
 from hopfbvp.ode import (
     H_FLOOR,
@@ -393,6 +395,17 @@ def _counted(f):
         return f(x)
 
     return g, calls
+
+
+class TestSimpsonWeights:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 200, 201, 1000, 1001])
+    def test_matches_scipy(self, n):
+        # graded grids with odd and even counts: the pairs, Cartwright's last
+        # interval and the two-node trapezoid
+        x = graded_grid(1e-7, 1.3, n)
+        for y in (np.sin(x) ** 3, np.exp(-x) * np.cos(7.0 * x) + 2.0):
+            expected = simpson(y, x=x)
+            assert abs(simpson_weights(x) @ y - expected) <= 1e-14 * abs(expected)
 
 
 class TestBrentq:
