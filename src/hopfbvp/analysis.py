@@ -153,19 +153,14 @@ def scan_jump(
     return scans[0] if isinstance(params, HopfParams) else scans
 
 
-def _certify(
-    glued: GluedSolution,
-    params: HopfParams,
-    margin: float = RESIDUAL_MARGIN,
-    n_cert: int = 700,
-) -> tuple[float, float, float]:
+def _certify(glued: GluedSolution, params: HopfParams) -> tuple[float, float, float]:
     """Max equation residual away from the endpoints, plus boundary errors.
 
-    The residual is evaluated on a strided subset of the union nodes (about
-    n_cert per side), keeping the exact solver values but widening the
-    stencils: the finest graded spacings (~1e-7 at the junction) would
-    otherwise amplify value rounding by 1/h^2 and swamp the true residual.
-    The junction node is kept and marked so its kinked stencil is skipped;
+    "Away" means more than ``RESIDUAL_MARGIN`` from each endpoint.  The
+    residual is evaluated on a strided subset of the union nodes (about 700
+    per side), keeping the exact solver values but widening the stencils: the
+    finest graded spacings (~1e-7 at the junction) would otherwise amplify
+    value rounding by 1/h^2 and swamp the true residual.  The junction node is kept and marked so its kinked stencil is skipped;
     :func:`residual` also skips the stencils still finer than ``H_FLOOR``.
     """
     prof = glued.merged_profile()
@@ -174,8 +169,8 @@ def _certify(
     # stride each side separately so the thinned spacing varies as smoothly as
     # the grading itself (mixing the sides' nodes would alternate gap sizes
     # and second-difference the solver's nodal error field)
-    ki = max(1, (j + 1) // n_cert)
-    ke = max(1, (t.size - j) // n_cert)
+    ki = max(1, (j + 1) // 700)
+    ke = max(1, (t.size - j) // 700)
     # sorted and unique as they stand (np.union1d would import numpy.ma for np.unique)
     idx = np.concatenate((np.arange(0, j, ki), np.arange(j, t.size - 1, ke), [t.size - 1]))
     j_pos = int(np.nonzero(idx == j)[0][0])
@@ -187,7 +182,7 @@ def _certify(
     )
     res = residual(sub, params)
     ts = t[idx]
-    band = (ts > margin) & (ts < HALF_PI - margin)
+    band = (ts > RESIDUAL_MARGIN) & (ts < HALF_PI - RESIDUAL_MARGIN)
     vals = np.abs(res[band])
     max_res = float(np.nanmax(vals)) if vals.size else math.nan
     return max_res, float(abs(v[0])), float(abs(math.pi - v[-1]))
@@ -376,12 +371,11 @@ def comparison_check(
     t0: float,
     params: HopfParams,
     grid_n: int = DEFAULT_N,
-    ordering_tol: float = 1e-6,
 ) -> ComparisonReport:
     """Ordering of the glued curve above the scaled comparison profile.
 
     Hypothesis: alpha_s(t0) > psi_{d*s}(t0) > max(theta, 3*pi/4).  When it is
-    met, the glued curve must dominate psi_{d*s} (up to ordering_tol) on every
+    met, the glued curve must dominate psi_{d*s} (up to 1e-6) on every
     node in (t0, pi/2), and the comparison profile's flux defect
 
         (f psi')' - f Q sin(psi) cos(psi)
@@ -417,7 +411,7 @@ def comparison_check(
     )
     above = psi > theta
     report.min_gap = float(np.min(gap))
-    report.ordering_ok = bool(report.min_gap >= -ordering_tol)
+    report.ordering_ok = bool(report.min_gap >= -1e-6)
     report.supersolution_min = float(np.min(factor[above])) if np.any(above) else math.inf
     report.supersolution_ok = bool(report.supersolution_min > 0.0)
     report.n_nodes_checked = int(mask.sum())
@@ -428,17 +422,15 @@ def auto_comparison_config(
     s: float,
     params: HopfParams,
     R: float = 50.0,
-    margin: float = 0.01,
-    max_shrink: int = 2,
 ) -> tuple[float, float, float]:
-    """Pick (s, d, t0) with psi_{d*s}(R*s) above max(theta, 3*pi/4) + margin.
+    """Pick (s, d, t0) with psi_{d*s}(R*s) above max(theta, 3*pi/4) + 0.01.
 
     Searches d over (1, R); if no admissible d exists at the given s, s is
-    halved and the search retried up to ``max_shrink`` times.
+    halved and the search retried, at most twice.
     """
     theta = theta_threshold(params)
-    target = max(theta, 0.75 * math.pi) + margin
-    tried = [s * 0.5**k for k in range(max_shrink + 1)]
+    target = max(theta, 0.75 * math.pi) + 0.01
+    tried = [s * 0.5**k for k in range(3)]
     for s in tried:
         if R * s < HALF_PI:
             dd = np.geomspace(1.0 + 1e-6, R, 400)

@@ -11,19 +11,22 @@ verify      closed-form oracle table; exit 0 only if every row passes
 hopf-eval   sample a join map built from a profile CSV; report norm errors
 
 Exit codes: 0 success, 2 no sign change of the jump (solve), 1 failure or bad
-usage.  Every run that gets past argument parsing writes ``summary.json`` into
-the output directory (env ``HOPF_OUT_DIR`` or ``--out-dir``), even on failure;
-a usage error writes none.  ``solve`` and ``scan-jump`` list each failed scan
-row there with its reason, ``map`` each inconclusive cell.  A flat
-``key=value`` config file supplies defaults for the settings a command reads
-(its other keys are ignored); command-line flags override it.  The end nodes'
-distance from the singular endpoints is no setting: it is fixed at
+usage.  Each ``cmd_*`` only computes: it returns its summary and exit code,
+and :func:`main` writes every ``summary.json`` into the output directory
+(``--out-dir``, else env ``HOPF_OUT_DIR``, else ``.``) and echoes it under
+``--json``.  Every run that gets past argument parsing writes one, even on
+failure; a usage error writes none.  ``solve`` and ``scan-jump`` list each
+failed scan row there with its reason, ``map`` each inconclusive cell.  A
+flat ``key=value`` config file supplies defaults for the settings a command
+reads (its other keys are ignored); command-line flags override it.  The end
+nodes' distance from the singular endpoints is no setting: it is fixed at
 ``variational.DEFAULT_OFFSET``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -62,11 +65,6 @@ class RunConfig:
         if self.jobs < 1 or self.n_scan < 2:
             raise ValueError("jobs must be >= 1 and n_scan >= 2")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-DEFAULTS = {f: getattr(RunConfig, f) for f in RunConfig.__dataclass_fields__}
 
 _CASTS = {"n": int, "n_scan": int, "jobs": int}
 
@@ -83,7 +81,7 @@ def _read_config(path: str | None) -> dict:
             raise ValueError(f"config line without '=': {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in DEFAULTS:
+        if key not in RunConfig.__dataclass_fields__:
             raise ValueError(f"unknown config key {key!r} in {path}")
         out[key] = _CASTS.get(key, float)(value)
     return out
@@ -92,22 +90,11 @@ def _read_config(path: str | None) -> dict:
 def _given(ns: argparse.Namespace) -> dict:
     """The settings the user gave: config-file keys the command's parser defines, then flags."""
     given = {k: v for k, v in _read_config(getattr(ns, "config", None)).items() if hasattr(ns, k)}
-    for key in DEFAULTS:
+    for key in RunConfig.__dataclass_fields__:
         val = getattr(ns, key, None)
         if val is not None:
             given[key] = val
     return given
-
-
-def _settings(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(**{**DEFAULTS, **_given(ns)})
-
-
-def _out_dir(ns: argparse.Namespace) -> Path:
-    out = getattr(ns, "out_dir", None) or os.environ.get("HOPF_OUT_DIR") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _params(ns: argparse.Namespace) -> HopfParams:
@@ -143,13 +130,6 @@ def _failed_rows(scan: analysis.ScanResult) -> list[dict]:
     return [{"s": r.s, "reason": r.reason} for r in scan.rows if not r.converged]
 
 
-def _add_param_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--mu", type=float, required=True)
-
-
 _HELP = {
     "n": f"grid nodes per side (default {DEFAULT_N})",
     "jobs": "parallel solves",
@@ -157,14 +137,29 @@ _HELP = {
 _SCAN_KEYS = ("s_min", "s_max", "n_scan", "jobs")
 
 
-def _add_common_flags(sp: argparse.ArgumentParser, *keys: str) -> None:
-    """--n and a flag for each further setting the command reads."""
-    for key in ("n", *keys):
-        sp.add_argument("--" + key.replace("_", "-"), dest=key,
-                        type=_CASTS.get(key, float), help=_HELP.get(key))
-    sp.add_argument("--config", help="flat key=value config file")
+def _add_command(sub, name: str, func, help: str, *keys: str,
+                 problem: bool = True, settings: bool = True) -> argparse.ArgumentParser:
+    """A subcommand's parser with the flags the commands share.
+
+    The four problem flags unless ``problem`` is false; unless ``settings`` is
+    false, ``--n``, a flag for each further setting the command reads, and
+    ``--config``; and ``--out-dir`` and ``--json`` for every command.
+    """
+    sp = sub.add_parser(name, help=help)
+    if problem:
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--q", type=int, required=True)
+        sp.add_argument("--lambda", dest="lam", type=float, required=True)
+        sp.add_argument("--mu", type=float, required=True)
+    if settings:
+        for key in ("n", *keys):
+            sp.add_argument("--" + key.replace("_", "-"), dest=key,
+                            type=_CASTS.get(key, float), help=_HELP.get(key))
+        sp.add_argument("--config", help="flat key=value config file")
     sp.add_argument("--out-dir", dest="out_dir")
     sp.add_argument("--json", action="store_true", help="echo summary.json to stdout")
+    sp.set_defaults(func=func)
+    return sp
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,65 +177,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("solve", help="find a zero of the jump by scan and Brent's method")
-    _add_param_flags(sp)
-    _add_common_flags(sp, "root_tol", *_SCAN_KEYS)
+    sp = _add_command(sub, "solve", cmd_solve,
+                      "find a zero of the jump by scan and Brent's method", "root_tol", *_SCAN_KEYS)
     sp.add_argument("--cross-check", action="store_true",
                     help="also run the shooting pipeline and record the distance")
     sp.add_argument("--mismatch-map", dest="mismatch_map",
                     help="write the shooting mismatch map CSV here")
-    sp.set_defaults(func=cmd_solve)
 
-    sp = sub.add_parser("scan-jump", help="tabulate the jump over junction values")
-    _add_param_flags(sp)
-    _add_common_flags(sp, *_SCAN_KEYS)
-    sp.set_defaults(func=cmd_scan_jump)
+    _add_command(sub, "scan-jump", cmd_scan_jump, "tabulate the jump over junction values",
+                 *_SCAN_KEYS)
 
-    sp = sub.add_parser("map", help="solvability verdicts over a (lambda, mu) grid")
+    sp = _add_command(sub, "map", cmd_map, "solvability verdicts over a (lambda, mu) grid",
+                      "root_tol", *_SCAN_KEYS, problem=False)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", required=True, help="min:max:count")
     sp.add_argument("--mu", required=True, help="min:max:count")
-    _add_common_flags(sp, "root_tol", *_SCAN_KEYS)
-    sp.set_defaults(func=cmd_map)
 
-    sp = sub.add_parser("blowup", help="stretched-profile distance and I_s trends")
-    _add_param_flags(sp)
-    _add_common_flags(sp)
+    sp = _add_command(sub, "blowup", cmd_blowup, "stretched-profile distance and I_s trends")
     sp.add_argument("--s-list", dest="s_list", default="0.04,0.02,0.01")
     sp.add_argument("--eps", type=float, default=0.1)
-    sp.set_defaults(func=cmd_blowup)
 
-    sp = sub.add_parser("compare", help="supersolution ordering check")
-    _add_param_flags(sp)
-    _add_common_flags(sp)
+    sp = _add_command(sub, "compare", cmd_compare, "supersolution ordering check")
     sp.add_argument("--s", type=float, required=True)
     sp.add_argument("--d", type=float)
     sp.add_argument("--t0", type=float)
     sp.add_argument("--R", type=float, default=50.0)
-    sp.set_defaults(func=cmd_compare)
 
-    sp = sub.add_parser("verify", help="closed-form oracle table")
-    sp.add_argument("--out-dir", dest="out_dir")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_verify)
+    _add_command(sub, "verify", cmd_verify, "closed-form oracle table",
+                 problem=False, settings=False)
 
-    sp = sub.add_parser("hopf-eval", help="sample a join map built from a profile")
+    sp = _add_command(sub, "hopf-eval", cmd_hopf_eval, "sample a join map built from a profile",
+                      problem=False, settings=False)
     sp.add_argument("--profile", required=True, help="profile CSV path")
     sp.add_argument("--kind", required=True,
                     help="complex | quaternion | octonion | restricted3/5/9")
     sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out-dir", dest="out_dir")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_hopf_eval)
 
     return parser
 
 
-def cmd_solve(ns: argparse.Namespace) -> int:
-    out_dir = _out_dir(ns)
-    cfg = _settings(ns)
+def cmd_solve(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
+    cfg = RunConfig(**_given(ns))
     params = _params(ns)
     outcome = analysis.find_solution(
         params, cfg.s_min, cfg.s_max, cfg.n_scan, grid_n=cfg.n,
@@ -248,10 +227,9 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     )
     files = []
     summary = {
-        "command": "solve",
         "params": params.to_dict(),
         "outside_proven_regime": params.outside_proven_regime,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "verdict": outcome.verdict,
         "s_star": outcome.s_star,
         "max_residual": outcome.max_residual_away,
@@ -262,14 +240,11 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         "files_written": files,
     }
     if outcome.glued is not None:
-        profile_path = out_dir / "profile.csv"
-        write_profile_csv(outcome.glued.merged_profile(), params, profile_path)
-        glued_path = out_dir / "glued.json"
-        outcome.glued.to_json(glued_path)
+        write_profile_csv(outcome.glued.merged_profile(), params, out_dir / "profile.csv")
+        outcome.glued.to_json(out_dir / "glued.json")
         files += ["profile.csv", "glued.json"]
         summary["glued"] = outcome.glued.to_dict()
-    scan_path = out_dir / "scan.csv"
-    analysis.write_scan_csv(outcome.scan, scan_path)
+    analysis.write_scan_csv(outcome.scan, out_dir / "scan.csv")
     files.append("scan.csv")
     if ns.cross_check:
         match = match_shooting(params)
@@ -285,17 +260,11 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         if ns.mismatch_map is not None:
             write_mismatch_csv(match, out_dir / ns.mismatch_map)
             files.append(ns.mismatch_map)
-    _write_summary(out_dir, summary, ns.json)
-    if outcome.verdict == "solution_found":
-        return 0
-    if outcome.verdict == "no_sign_change":
-        return 2
-    return 1
+    return summary, {"solution_found": 0, "no_sign_change": 2}.get(outcome.verdict, 1)
 
 
-def cmd_scan_jump(ns: argparse.Namespace) -> int:
-    out_dir = _out_dir(ns)
-    cfg = _settings(ns)
+def cmd_scan_jump(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
+    cfg = RunConfig(**_given(ns))
     params = _params(ns)
     scan = analysis.scan_jump(
         params,
@@ -307,24 +276,21 @@ def cmd_scan_jump(ns: argparse.Namespace) -> int:
     )
     analysis.write_scan_csv(scan, out_dir / "scan.csv")
     summary = {
-        "command": "scan-jump",
         "params": params.to_dict(),
         "outside_proven_regime": params.outside_proven_regime,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "verdict": "sign_change" if scan.brackets else "no_sign_change",
         "brackets": scan.brackets,
         "n_converged": sum(r.converged for r in scan.rows),
         "failed_rows": _failed_rows(scan),
         "files_written": ["scan.csv"],
     }
-    _write_summary(out_dir, summary, ns.json)
-    return 0
+    return summary, 0
 
 
-def cmd_map(ns: argparse.Namespace) -> int:
-    out_dir = _out_dir(ns)
+def cmd_map(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     given = _given(ns)
-    cfg = RunConfig(**{**DEFAULTS, **given})
+    cfg = RunConfig(**given)
     lam_lo, lam_hi, n_lam = _parse_range(ns.lam)
     mu_lo, mu_hi, n_mu = _parse_range(ns.mu)
     # the map runs its cells on coarser meshes than a single solve, and on
@@ -348,9 +314,8 @@ def cmd_map(ns: argparse.Namespace) -> int:
     analysis.write_map_csv(cells, out_dir / "map.csv")
     verdicts = [c.verdict for c in cells]
     summary = {
-        "command": "map",
         "params": {"p": ns.p, "q": ns.q, "lambda": ns.lam, "mu": ns.mu},
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "used": used,
         "verdict": "done",
         "n_solution_found": verdicts.count("solution_found"),
@@ -362,22 +327,19 @@ def cmd_map(ns: argparse.Namespace) -> int:
         ],
         "files_written": ["map.csv"],
     }
-    _write_summary(out_dir, summary, ns.json)
-    return 0
+    return summary, 0
 
 
-def cmd_blowup(ns: argparse.Namespace) -> int:
-    out_dir = _out_dir(ns)
-    cfg = _settings(ns)
+def cmd_blowup(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
+    cfg = RunConfig(**_given(ns))
     params = _params(ns)
     s_values = [float(tok) for tok in ns.s_list.split(",") if tok.strip()]
     rows = analysis.small_s_report(params, s_values, ns.eps, grid_n=cfg.n)
     lines = ["s,sup_distance"] + [f"{r.s:.17g},{r.sup_distance:.17g}" for r in rows]
     (out_dir / "blowup.csv").write_text("\n".join(lines) + "\n")
     summary = {
-        "command": "blowup",
         "params": params.to_dict(),
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "eps": ns.eps,
         "rows": [asdict(r) for r in rows],
         "decreasing": all(
@@ -385,13 +347,11 @@ def cmd_blowup(ns: argparse.Namespace) -> int:
         ),
         "files_written": ["blowup.csv"],
     }
-    _write_summary(out_dir, summary, ns.json)
-    return 0
+    return summary, 0
 
 
-def cmd_compare(ns: argparse.Namespace) -> int:
-    out_dir = _out_dir(ns)
-    cfg = _settings(ns)
+def cmd_compare(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
+    cfg = RunConfig(**_given(ns))
     params = _params(ns)
     s, d, t0 = ns.s, ns.d, ns.t0
     if d is None or t0 is None:
@@ -400,9 +360,8 @@ def cmd_compare(ns: argparse.Namespace) -> int:
         t0 = t0 if t0 is not None else t0_auto
     report = analysis.comparison_check(s, d, t0, params, grid_n=cfg.n)
     summary = {
-        "command": "compare",
         "params": params.to_dict(),
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "verdict": (
             "ordering_holds"
             if report.hypothesis_met and report.ordering_ok
@@ -411,12 +370,10 @@ def cmd_compare(ns: argparse.Namespace) -> int:
         "report": asdict(report),
         "files_written": [],
     }
-    _write_summary(out_dir, summary, ns.json)
-    return 0
+    return summary, 0
 
 
-def cmd_verify(ns: argparse.Namespace) -> int:
-    out_dir = _out_dir(ns)
+def cmd_verify(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     rows = oracles.run_oracle_suite()
     width = max(len(r.name) for r in rows)
     print(f"{'oracle':<{width}}  {'max error':>12}  {'tolerance':>10}  status")
@@ -425,7 +382,6 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         print(f"{r.name:<{width}}  {r.value:12.3e}  {r.tol:10.0e}  {status}")
     all_pass = all(r.passed for r in rows)
     summary = {
-        "command": "verify",
         "verdict": "pass" if all_pass else "fail",
         "rows": [
             {"name": r.name, "value": r.value, "tol": r.tol, "passed": r.passed}
@@ -433,12 +389,10 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         ],
         "files_written": [],
     }
-    _write_summary(out_dir, summary, ns.json)
-    return 0 if all_pass else 1
+    return summary, 0 if all_pass else 1
 
 
-def cmd_hopf_eval(ns: argparse.Namespace) -> int:
-    out_dir = _out_dir(ns)
+def cmd_hopf_eval(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     profile = read_profile_csv(ns.profile)
     mult = multiplication_by_name(ns.kind)
     if ns.samples < 0:
@@ -456,7 +410,6 @@ def cmd_hopf_eval(ns: argparse.Namespace) -> int:
     north = np.zeros(mult.n_out + 1)
     north[-1] = 1.0
     summary = {
-        "command": "hopf-eval",
         "kind": ns.kind,
         "samples": ns.samples,
         "seed": ns.seed,
@@ -465,31 +418,26 @@ def cmd_hopf_eval(ns: argparse.Namespace) -> int:
         "south_pole_error": float(np.linalg.norm(u[-1] + north)),
         "files_written": [],
     }
-    _write_summary(out_dir, summary, ns.json)
-    return 0
+    return summary, 0
 
 
 def main(argv=None) -> int:
+    """Parse, run the command, and write its ``summary.json``: the error envelope on failure."""
     parser = build_parser()
     ns = parser.parse_args(argv)
     if getattr(ns, "mismatch_map", None) is not None and not ns.cross_check:
         parser.error("--mismatch-map needs --cross-check")
+    out_dir = Path(ns.out_dir or os.environ.get("HOPF_OUT_DIR") or ".")
     try:
-        return ns.func(ns)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        summary, code = ns.func(ns, out_dir)
+        _write_summary(out_dir, {"command": ns.command, **summary}, ns.json)
+        return code
     except Exception as exc:  # usage or numerical failure: report, exit 1
-        try:
-            _write_summary(
-                _out_dir(ns),
-                {
-                    "command": ns.command,
-                    "verdict": "error",
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "files_written": [],
-                },
-                getattr(ns, "json", False),
-            )
-        except Exception:
-            pass
+        with contextlib.suppress(Exception):  # the output directory may be what failed
+            _write_summary(out_dir, {"command": ns.command, "verdict": "error",
+                                     "error": f"{type(exc).__name__}: {exc}",
+                                     "files_written": []}, ns.json)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

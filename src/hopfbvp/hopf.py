@@ -55,61 +55,38 @@ class OrthogonalMultiplication:
         return orthmul_eval(self, x, y)
 
 
-def _quaternion_table() -> np.ndarray:
-    """Structure constants of the Hamilton product: e_i e_j = sum_k T[k,i,j] e_k."""
-    t = np.zeros((4, 4, 4), dtype=np.int64)
-    # e0 is the unit
-    for i in range(4):
-        t[i, 0, i] = 1
-        t[i, i, 0] = 1
-    t[0, 0, 0] = 1
-    for i in (1, 2, 3):
-        t[0, i, i] = -1
-    # i*j = k and cyclic permutations, anticommuting
-    cyc = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
-    for i, j, k in cyc:
-        t[k, i, j] = 1
-        t[k, j, i] = -1
-    return t
+def _doubled(t: np.ndarray) -> np.ndarray:
+    """Cayley-Dickson doubling of a structure-constant table: (a,b)(c,d) = (ac - d*b, da + bc*).
 
-
-def _octonion_table() -> np.ndarray:
-    """Cayley-Dickson doubling of the quaternions: (a,b)(c,d) = (ac - d*b, da + bc*)."""
-    q = _quaternion_table()
-    conj = np.diag([1, -1, -1, -1]).astype(np.int64)  # q -> q* on basis coefficients
-
-    def qmul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.einsum("kij,i,j->k", q, u, v)
-
-    t = np.zeros((8, 8, 8), dtype=np.int64)
-    basis = np.eye(4, dtype=np.int64)
-    for i in range(8):
-        a, b = (basis[i], np.zeros(4, np.int64)) if i < 4 else (np.zeros(4, np.int64), basis[i - 4])
-        for j in range(8):
-            c, d = (basis[j], np.zeros(4, np.int64)) if j < 4 else (np.zeros(4, np.int64), basis[j - 4])
-            first = qmul(a, c) - qmul(conj @ d, b)
-            second = qmul(d, a) + qmul(b, conj @ c)
-            t[:4, i, j] = first
-            t[4:, i, j] = second
-    return t
+    ``t`` holds e_i e_j = sum_k t[k,i,j] e_k for an algebra with unit e_0 on
+    R^m; the doubled algebra on R^(2m) has the basis (e_i, 0), then (0, e_i),
+    and conjugation negates every e_i except e_0.
+    """
+    m = t.shape[0]
+    conj = np.ones(m, dtype=np.int64)
+    conj[1:] = -1
+    swapped = t.transpose(0, 2, 1)  # swapped[k,i,j] = t[k,j,i]: the product e_j e_i
+    out = np.zeros((2 * m,) * 3, dtype=np.int64)
+    out[:m, :m, :m] = t  # (a,0)(c,0) = (ac, 0)
+    out[m:, :m, m:] = swapped  # (a,0)(0,d) = (0, da)
+    out[m:, m:, :m] = t * conj  # (0,b)(c,0) = (0, bc*)
+    out[:m, m:, m:] = -swapped * conj  # (0,b)(0,d) = (-d*b, 0)
+    return out
 
 
 def complex_multiplication() -> OrthogonalMultiplication:
-    """Complex product on R^2 x R^2 -> R^2."""
-    t = np.zeros((2, 2, 2), dtype=np.int64)
-    t[0, 0, 0] = 1
-    t[0, 1, 1] = -1
-    t[1, 0, 1] = 1
-    t[1, 1, 0] = 1
-    return OrthogonalMultiplication("complex", t)
+    """Complex product on R^2 x R^2 -> R^2: the reals doubled."""
+    return OrthogonalMultiplication("complex", _doubled(np.ones((1, 1, 1), dtype=np.int64)))
 
 
 def quaternion_multiplication() -> OrthogonalMultiplication:
-    return OrthogonalMultiplication("quaternion", _quaternion_table())
+    """Hamilton product on R^4: the complex numbers doubled."""
+    return OrthogonalMultiplication("quaternion", _doubled(complex_multiplication().tensor))
 
 
 def octonion_multiplication() -> OrthogonalMultiplication:
-    return OrthogonalMultiplication("octonion", _octonion_table())
+    """Octonion product on R^8: the quaternions doubled."""
+    return OrthogonalMultiplication("octonion", _doubled(quaternion_multiplication().tensor))
 
 
 def restricted_multiplication(l: int) -> OrthogonalMultiplication:

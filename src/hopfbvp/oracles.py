@@ -31,7 +31,7 @@ from .core import HALF_PI, Grid, HopfParams, Profile
 from .core import fd_weights  # noqa: F401  (bound here for perfbench's traced run)
 from .ode import residual, stencil_residual
 
-__all__ = ["OracleRow", "run_oracle_suite", "phi_residual_max", "psi_residual_max"]
+__all__ = ["OracleRow", "run_oracle_suite"]
 
 
 @dataclass
@@ -45,34 +45,23 @@ class OracleRow:
         return bool(np.isfinite(self.value) and self.value <= self.tol)
 
 
-def phi_residual_max(
-    lam: float,
-    s: float,
-    t_lo: float = 0.02,
-    t_hi: float = 120.0,
-    n: int = 2000,
-) -> float:
-    """Max limit-equation residual of the limit profile on a log grid."""
-    t = np.geomspace(t_lo, t_hi, n)
+def _phi_residual_max(lam: float, s: float) -> float:
+    """Max limit-equation residual of the limit profile on 2000 log-spaced t in [0.02, 120]."""
+    t = np.geomspace(0.02, 120.0, 2000)
     res = stencil_residual(t, phi_limit(t, s, lam), 1.0 / t, lam / t**2, width=5)
     return float(np.nanmax(np.abs(res)))
 
 
-def psi_residual_max(
-    lam: float,
-    s: float,
-    x_lo: float = -4.0,
-    x_hi: float = 2.5,
-    n: int = 2000,
-) -> float:
+def _psi_residual_max(lam: float, s: float) -> float:
     """Max comparison-equation residual of the comparison profile.
 
-    The grid is uniform in x = log(tan t); the upper end stops where the
-    spacing compresses enough that value rounding on O(pi) angles would rise
-    above the tolerance, which loses no coverage because the family obeys the
-    exact mirror identity pi - psi_s(pi/2 - t) = psi_{pi/2 - s}(t).
+    The grid has 2000 nodes uniform in x = log(tan t) over [-4, 2.5].  The
+    upper end stops where the spacing compresses enough that value rounding on
+    O(pi) angles would rise above the tolerance, which loses no coverage
+    because the family obeys the exact mirror identity
+    pi - psi_s(pi/2 - t) = psi_{pi/2 - s}(t).
     """
-    t = np.arctan(np.exp(np.linspace(x_lo, x_hi, n)))
+    t = np.arctan(np.exp(np.linspace(-4.0, 2.5, 2000)))
     drift = np.cos(t) / np.sin(t) - np.tan(t)
     potential = lam / (np.sin(t) * np.cos(t)) ** 2
     res = stencil_residual(t, psi_comparison(t, s, lam), drift, potential, width=5)
@@ -128,20 +117,20 @@ def run_oracle_suite() -> list[OracleRow]:
         OracleRow(
             "limit_profile_residual",
             max(
-                phi_residual_max(1.0, 1.0),
-                phi_residual_max(1.0, 3.0),
-                phi_residual_max(2.25, 1.0),
+                _phi_residual_max(1.0, 1.0),
+                _phi_residual_max(1.0, 3.0),
+                _phi_residual_max(2.25, 1.0),
             ),
             1e-6,
         ),
         OracleRow(
             "comparison_profile_residual",
             max(
-                psi_residual_max(1.0, 0.05),
-                psi_residual_max(1.0, math.pi / 4.0),
-                psi_residual_max(1.0, 1.3),
-                psi_residual_max(2.25, math.pi / 4.0),
-                psi_residual_max(2.25, 0.05),
+                _psi_residual_max(1.0, 0.05),
+                _psi_residual_max(1.0, math.pi / 4.0),
+                _psi_residual_max(1.0, 1.3),
+                _psi_residual_max(2.25, math.pi / 4.0),
+                _psi_residual_max(2.25, 0.05),
             ),
             1e-6,
         ),

@@ -288,15 +288,8 @@ def match_shooting(params: HopfParams) -> MatchResult:
     da = bwd[None, :, 0] - fwd[:, None, 0]
     dd = bwd[None, :, 1] - fwd[:, None, 1]
 
-    def as_root(c0: float, c1: float) -> Optional[ShootState]:
-        # amplitudes outside the scanned box are rejected: ever-steeper
-        # near-jump trajectory pairs drive the mismatch below any tolerance
-        # without an actual zero crossing (widen C_RANGE to chase them)
-        if not (0.99 * C_RANGE[0] <= c0 <= 1.01 * C_RANGE[1]):
-            return None
-        if not (0.99 * C_RANGE[0] <= c1 <= 1.01 * C_RANGE[1]):
-            return None
-        m = mismatch(c0, c1)
+    def as_root(c0: float, c1: float, m: np.ndarray) -> Optional[ShootState]:
+        """The root at (c0, c1) if its mismatch ``m`` is within tolerance, else None."""
         if not float(np.max(np.abs(m))) <= MISMATCH_TOL:
             return None
         return ShootState(c0=c0, c1=c1, t_match=T_MATCH, mismatch=(float(m[0]), float(m[1])))
@@ -351,11 +344,15 @@ def match_shooting(params: HopfParams) -> MatchResult:
         if not converged:
             ends["a diagonal Brent search did not converge"] += 1
             continue
-        add_root(as_root(math.exp(z), math.exp(z)), "a diagonal root was not accepted")
+        c = math.exp(z)
+        add_root(as_root(c, c, mismatch(c, c)), "a diagonal root was not accepted")
 
     # forward-difference step in log c: balances truncation against the
     # integrator's relative error
     h = math.sqrt(DEFAULT_RTOL)
+    # a polish that steps out of the scanned box is stopped: ever-steeper
+    # near-jump trajectory pairs drive the mismatch below any tolerance
+    # without an actual zero crossing (widen C_RANGE to chase them)
     z_lo, z_hi = math.log(0.99 * C_RANGE[0]), math.log(1.01 * C_RANGE[1])
 
     def polish(z0: float, z1: float) -> tuple[Optional[ShootState], str]:
@@ -366,8 +363,9 @@ def match_shooting(params: HopfParams) -> MatchResult:
             m = b - f
             if not np.all(np.isfinite(m)):
                 return None, "a shot left the band"
-            if float(np.max(np.abs(m))) <= MISMATCH_TOL:
-                return as_root(c0, c1), "the root left the scanned box"
+            root = as_root(c0, c1, m)
+            if root is not None:
+                return root, ""
             jac = np.column_stack((
                 (f - end_state(False, math.exp(z0 + h))) / h,
                 (end_state(True, math.exp(z1 + h)) - b) / h,

@@ -388,3 +388,61 @@ class TestConfig:
         rc = main(["verify"])
         assert rc == 0
         assert (tmp_path / "envout/summary.json").exists()
+
+
+class TestSummaryEnvelope:
+    """The top-level keys of summary.json, and --json echoing the file."""
+
+    PARAMS = ("--p", "1", "--q", "2", "--lambda", "1", "--mu", "4")
+    QUICK = ("--n", "600", "--n-scan", "8", "--s-min", "0.05", "--s-max", "1.45")
+    SOLVE = {
+        "boundary_error_pi", "boundary_error_zero", "command", "config", "failed_rows",
+        "files_written", "glued", "max_residual", "message", "outside_proven_regime",
+        "params", "s_star", "verdict",
+    }
+    ERROR = {"command", "error", "files_written", "verdict"}
+
+    @staticmethod
+    def profile(tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("t,alpha,dalpha,residual\n0.1,0.2,2,0\n0.2,0.4,2,0\n0.3,0.6,2,0\n")
+        return str(path)
+
+    @pytest.mark.parametrize("argv, rc, keys", [
+        (("solve", *PARAMS, *QUICK), 0, SOLVE),
+        (("solve", *PARAMS, *QUICK, "--cross-check"), 0,
+         SOLVE | {"pipeline_sup_distance", "shooting_c0", "shooting_c1", "shooting_verdict"}),
+        (("scan-jump", *PARAMS, *QUICK), 0, {
+            "brackets", "command", "config", "failed_rows", "files_written",
+            "n_converged", "outside_proven_regime", "params", "verdict",
+        }),
+        (("map", "--p", "1", "--q", "2", "--lambda", "1:1:1", "--mu", "4:4:1", *QUICK), 0, {
+            "command", "config", "files_written", "inconclusive_cells", "n_inconclusive",
+            "n_no_sign_change", "n_solution_found", "params", "used", "verdict",
+        }),
+        (("blowup", *PARAMS, "--s-list", "0.04", "--n", "400"), 0,
+         {"command", "config", "decreasing", "eps", "files_written", "params", "rows"}),
+        (("compare", *PARAMS, "--s", "0.01", "--n", "400"), 0,
+         {"command", "config", "files_written", "params", "report", "verdict"}),
+        (("verify",), 0, {"command", "files_written", "rows", "verdict"}),
+        (("hopf-eval", "--profile", "{profile}", "--kind", "complex", "--samples", "10"), 0, {
+            "command", "files_written", "kind", "max_norm_error", "north_pole_error",
+            "samples", "seed", "south_pole_error",
+        }),
+        (("solve", *PARAMS, "--n", "8"), 1, ERROR),
+        (("scan-jump", *PARAMS, "--config", "{missing}"), 1, ERROR),
+    ])
+    def test_keys_and_json_echo(self, tmp_path, capsys, argv, rc, keys):
+        fill = {"profile": self.profile(tmp_path), "missing": str(tmp_path / "none.cfg")}
+        argv = [arg.format(**fill) for arg in argv]
+        assert run(tmp_path, *argv, "--json") == rc
+        out, err = capsys.readouterr()
+        text = (tmp_path / "summary.json").read_text()
+        summary = json.loads(text)
+        assert set(summary) == keys
+        assert summary["command"] == argv[0]
+        # verify prints its table first; every other command prints only the echo
+        assert out == text if argv[0] != "verify" else out.endswith(text)
+        if rc == 1:
+            assert summary["verdict"] == "error" and summary["files_written"] == []
+            assert err == "error: " + summary["error"].split(": ", 1)[1] + "\n"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -98,6 +99,21 @@ class TestOrthogonalMultiplications:
                     ab_c = orthmul_eval(m, orthmul_eval(m, e[i], e[j]), e[k])
                     a_bc = orthmul_eval(m, e[i], orthmul_eval(m, e[j], e[k]))
                     assert np.array_equal(ab_c, a_bc)
+
+    @pytest.mark.parametrize("kind, shape, digest", [
+        ("complex", (2, 2, 2),
+         "832155e29abac5177a1ffc95b8fca0b84d3ea07b997fc05e9e5d4de784f9accc"),
+        ("quaternion", (4, 4, 4),
+         "927888323fe75b93a11fac9a0d1e36468a9cf8c5d4fca9f48c3ab73ae964f559"),
+        ("octonion", (8, 8, 8),
+         "d46af4eb375e343ec57f44af64277d610b9d9f73fdbca9ca735b778e328cac20"),
+    ])
+    def test_division_algebra_tables_are_pinned(self, kind, shape, digest):
+        # every entry and sign convention of the structure constants, as an
+        # int64 little-endian digest
+        t = multiplication_by_name(kind).tensor
+        assert t.shape == shape and t.dtype == np.int64
+        assert hashlib.sha256(t.astype("<i8").tobytes()).hexdigest() == digest
 
     def test_restricted_dimensions(self):
         for l, n_out in [(3, 4), (5, 6), (9, 10)]:
