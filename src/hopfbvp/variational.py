@@ -62,9 +62,6 @@ from .core import (
 )
 from .ode import weight_f
 
-# the f2py module that scipy.linalg.lapack wraps, without importing scipy.linalg
-dptsv = scipy_module("linalg._flapack").dptsv
-
 __all__ = [
     "GluedSolution",
     "MinimizeResult",
@@ -102,8 +99,22 @@ _GL_X01 = 0.5 * (_GL_X + 1.0)
 _GL_W01 = 0.5 * _GL_W
 # hat functions at the Gauss points (left _HAT0, right _GL_X01), doubled (_G) for sin 2a / 2
 _HAT0 = 1.0 - _GL_X01
-_X, _G0, _G1 = _GL_X01[:, None], 2.0 * _HAT0, 2.0 * _GL_X01
+_G0, _G1 = 2.0 * _HAT0, 2.0 * _GL_X01
 _HAT00, _HAT11, _HAT01 = _HAT0**2, _GL_X01**2, _GL_X01 * _HAT0  # Hessian products
+
+
+@functools.cache
+def _dptsv():
+    """LAPACK's dptsv from the f2py module that scipy.linalg.lapack wraps, loaded on first use."""
+    return scipy_module("linalg._flapack").dptsv
+
+
+@functools.lru_cache(maxsize=1)
+def _gauss_x(n_el: int) -> np.ndarray:
+    """The Gauss abscissae on [0, 1] as one read-only (4, n_el) array, shared by the geometries."""
+    x = np.repeat(_GL_X01, n_el).reshape(4, n_el)
+    x.flags.writeable = False
+    return x
 
 
 def interior_grid(s: float, n: int = DEFAULT_N, offset: float = DEFAULT_OFFSET) -> Grid:
@@ -121,17 +132,20 @@ class DiscreteEnergy:
     ode.weight_f) and the stiffness 2f/h^2.  :meth:`with_params` adds Q f w for
     one (lambda, mu), the values of ode.coeff_Q, and gives the energy.  Grid
     keeps the nodes, and so every quadrature point, inside (0, pi/2).
-    Per iterate, :meth:`trig` makes the one pass over the values: t = tan a at
-    the quadrature angles gives sin a cos a = t/(1+t^2) and sin^2 a = t sin a cos a
-    (gradient, energy), and the Hessian takes cos 2a = 1 - 2 sin^2 a.  numpy
-    vectorises float64 tan only on CPUs with AVX-512; elsewhere it calls scalar libm.
+    Per iterate, :meth:`trig` makes the one trigonometric pass in two (4, n_el) buffers:
+    the angles a (Gauss layout shared by all geometries with n_el elements), t = tan a,
+    then sin a cos a = t/(1+t^2) and sin^2 a = t sin a cos a.  Gradient and Hessian
+    accumulate in place; their (4,) @ (4, n_el) contractions stay separate, since a
+    stacked one sums in another order.  numpy vectorises float64 tan only on CPUs
+    with AVX-512; elsewhere it calls scalar libm.
     """
 
     def __init__(self, grid: Grid, p: int, q: int):
         t = grid.nodes
         self.grid, self.n = grid, t.size
         self.h = np.diff(t)
-        x = t[:-1] + np.outer(_GL_X01, self.h)  # (4, n_el) quadrature points
+        self._x = _gauss_x(self.h.size)
+        x = t[:-1] + self._x * self.h  # (4, n_el) quadrature points
         sn, cs = np.sin(x), np.cos(x)
         self._sin2, self._cos2 = sn**2, cs**2
         self.fw = sn**p * cs**q * (_GL_W01[:, None] * self.h)
@@ -142,15 +156,20 @@ class DiscreteEnergy:
     def with_params(self, params: HopfParams) -> DiscreteEnergy:
         """The energy on this geometry for (lambda, mu) and the same (p, q): it adds Q f w."""
         disc = copy.copy(self)
-        disc.qfw = (params.lam / self._sin2 + params.mu / self._cos2) * self.fw
+        disc.qfw = np.divide(params.lam, self._sin2)
+        disc.qfw += params.mu / self._cos2
+        disc.qfw *= self.fw
         return disc
 
     def trig(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(slopes, sin a cos a, sin^2 a) at a = v_i + x (v_(i+1) - v_i); NaN for NaN or inf v."""
         dv = v[1:] - v[:-1]
-        tn = np.tan(_X * dv + v[:-1])
-        sc = tn / (1.0 + tn * tn)
-        return dv / self.h, sc, sc * tn
+        tn = self._x * dv
+        np.tan(np.add(tn, v[:-1], out=tn), out=tn)  # the quadrature angles a, then t = tan a
+        sc = tn * tn
+        sc += 1.0
+        np.divide(tn, sc, out=sc)
+        return np.divide(dv, self.h, out=dv), sc, np.multiply(sc, tn, out=tn)
 
     def energy(self, v: np.ndarray, trig=None) -> float:
         slope, _, sin2 = self.trig(v) if trig is None else trig
@@ -160,19 +179,27 @@ class DiscreteEnergy:
         """Full-length gradient of the discrete energy (pinned entry zeroed)."""
         slope, sc, _ = self.trig(v) if trig is None else trig
         pot = self.qfw * sc  # (4, n_el)
-        gd = self.f_el2 * slope / self.h
-        g = np.zeros(self.n)
-        g[:-1] += -gd + _G0 @ pot
-        g[1:] += gd + _G1 @ pot
+        gd = self.f_el2 * slope
+        gd /= self.h
+        g, left, right = np.zeros(self.n), _G0 @ pot, _G1 @ pot
+        left -= gd
+        right += gd
+        g[:-1] += left
+        g[1:] += right
         g[-1] = 0.0
         return g
 
     def _hessian(self, sin2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hessian on the free nodes from sin^2 a: (diagonal, d01), d01[i] couples i and i+1."""
-        curv = self.qfw * (2.0 - 4.0 * sin2)  # 2 Q f w cos 2a
-        diag = self.stiff + _HAT00 @ curv
-        diag[1:] += (self.stiff + _HAT11 @ curv)[:-1]
-        return diag, (-self.stiff + _HAT01 @ curv)[:-1]
+        curv = np.multiply(sin2, -4.0)  # 2 Q f w cos 2a, as (2 - 4 sin^2 a) Q f w
+        curv += 2.0
+        curv *= self.qfw
+        diag, right, off = _HAT00 @ curv, _HAT11 @ curv, _HAT01 @ curv
+        diag += self.stiff
+        right += self.stiff
+        off -= self.stiff
+        diag[1:] += right[:-1]
+        return diag, off[:-1]
 
     def newton_direction(self, v: np.ndarray, g: np.ndarray, trig=None) -> tuple[np.ndarray, float]:
         """Descent direction d and the Levenberg shift that produced it.
@@ -184,12 +211,14 @@ class DiscreteEnergy:
         :class:`ConvergenceError` after MAX_SHIFTS attempts.
         """
         diag, off = self._hessian((self.trig(v) if trig is None else trig)[2])
-        rhs = -g[:-1]
-        shift, shifted = 0.0, diag
+        d, dptsv = np.zeros(self.n), _dptsv()
+        sol, shift, shifted = d[:-1], 0.0, diag
         for _ in range(MAX_SHIFTS):
-            sol, info = dptsv(shifted, off, rhs)[2:]
-            if info == 0 and np.all(np.isfinite(sol)) and np.dot(sol, rhs) >= 0.0:
-                return np.append(sol, 0.0), shift
+            np.negative(g[:-1], out=sol)
+            info = dptsv(shifted, off, sol, overwrite_b=True)[3]  # solves into sol, so into d
+            # sol.g = -sol.(-g) bit for bit; a NaN or inf entry of sol makes it NaN or infinite
+            if info == 0 and -math.inf < np.dot(sol, g[:-1]) <= 0.0:
+                return d, shift
             shift = max(10.0 * shift, 1e-10)
             shifted = diag + shift * (np.abs(diag) + 1.0)
         raise ConvergenceError(f"no descent direction after {MAX_SHIFTS} Levenberg shifts")
@@ -241,7 +270,8 @@ def _minimize(disc: DiscreteEnergy, params: HopfParams, what: str) -> MinimizeRe
     Convex Optimization, section 9.5.1: stop when the unshifted step predicts
     a decrease lambda^2/2 = -d.g/2 of at most DECREMENT_TOL*(1+|E|), i.e. one
     that the float64 energy cannot resolve.  Every other end raises
-    :class:`ConvergenceError` naming ``what`` and the exit that fired.
+    :class:`ConvergenceError` naming ``what``, the exit that fired and the
+    gradient norm max|g| of the failing iterate, formed only there.
     """
     grid, t = disc.grid, disc.grid.nodes
     s = t[-1]
@@ -253,37 +283,32 @@ def _minimize(disc: DiscreteEnergy, params: HopfParams, what: str) -> MinimizeRe
     history = [e]
     for it in range(1, MAX_ITER + 1):
         g = disc.gradient(v, trig)
-        gnorm = float(np.max(np.abs(g)))
         try:
             d, shift = disc.newton_direction(v, g, trig)
         except ConvergenceError as exc:
-            msg = f"{what}: {exc} at iteration {it}, gradient norm {gnorm:.3e}"
-            raise ConvergenceError(msg, grad_norm=gnorm) from None
+            failure = f"{exc} at iteration {it},"
+            break
         decrement = -0.5 * float(np.dot(d, g))
         if shift == 0.0 and decrement <= DECREMENT_TOL * (1.0 + abs(e)):
-            return MinimizeResult(Profile(grid, v), e, gnorm, it, np.asarray(history),
-                                  bool(v[0] <= ATTACH_TOL), _one_sided_slope(t[-3:], v[-3:], s))
-        step = 1.0
-        for _ in range(60):
-            vt = v + step * d
+            return MinimizeResult(Profile(grid, v), e, float(np.max(np.abs(g))), it,
+                                  np.asarray(history), bool(v[0] <= ATTACH_TOL),
+                                  _one_sided_slope(t[-3:], v[-3:], s))
+        for k in range(60):
+            vt = v + 0.5**k * d if k else v + d  # step 1, 1/2, 1/4, ...
             trig_t = disc.trig(vt)
             et = disc.energy(vt, trig_t)
             if et < e:  # False for NaN as well
                 break
-            step *= 0.5
         else:
-            raise ConvergenceError(
-                f"{what}: no strict decrease along the Newton direction "
-                f"(decrement {decrement:.3e}, shift {shift:.0e}) "
-                f"at iteration {it}, gradient norm {gnorm:.3e}",
-                grad_norm=gnorm,
-            )
+            failure = (f"no strict decrease along the Newton direction (decrement "
+                       f"{decrement:.3e}, shift {shift:.0e}) at iteration {it},")
+            break
         v, e, trig = vt, et, trig_t
         history.append(e)
-    raise ConvergenceError(
-        f"{what}: reached the iteration cap of {MAX_ITER} with gradient norm {gnorm:.3e}",
-        grad_norm=gnorm,
-    )
+    else:
+        failure = f"reached the iteration cap of {MAX_ITER} with"
+    gnorm = float(np.max(np.abs(g)))
+    raise ConvergenceError(f"{what}: {failure} gradient norm {gnorm:.3e}", grad_norm=gnorm)
 
 
 def minimize_interior(

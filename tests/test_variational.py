@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 from hopfbvp.closed_forms import phi_limit
-from hopfbvp import core, variational
+from hopfbvp import analysis, core, variational
 from hopfbvp.analysis import scan_jump
 from hopfbvp.core import HALF_PI, ConvergenceError, DomainError, Grid, HopfParams
 from hopfbvp.ode import coeff_Q, weight_f
@@ -201,6 +201,107 @@ class TestNewtonDirection:
         assert np.linalg.norm(d[:-1] - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_solution_moves_to_the_next_shift(self, bad, params_main, monkeypatch):
+        # at a converged minimizer the unshifted solve succeeds; poison its one entry
+        res = minimize_interior(0.5, params_main, n=200)
+        disc = energy_on(interior_grid(0.5, n=200), params_main)
+        v = res.profile.values
+        g = disc.gradient(v)
+        dptsv, shifts = variational._dptsv(), []
+
+        def poisoned(d, e, b, **kw):
+            out = dptsv(d, e, b, **kw)
+            if not shifts:
+                b[17] = bad  # b is the solution, solved in place
+            shifts.append(d)
+            return out
+
+        monkeypatch.setattr(variational, "_dptsv", lambda: poisoned)
+        d, shift = disc.newton_direction(v, g)
+        assert len(shifts) == 2 and shift == 1e-10
+        assert np.all(np.isfinite(d)) and np.dot(d, g) < 0.0 and d[-1] == 0.0
+        _, dense = _dense_direction(disc, v, g, shift)
+        assert np.linalg.norm(d[:-1] - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# The kernels as one-line formulas, as they stood before they were written in
+# place: the in-place kernels must give the same bytes.
+def _reference_trig(disc: DiscreteEnergy, v: np.ndarray):
+    dv = v[1:] - v[:-1]
+    tn = np.tan(variational._GL_X01[:, None] * dv + v[:-1])
+    sc = tn / (1.0 + tn * tn)
+    return dv / disc.h, sc, sc * tn
+
+
+def _reference_gradient(disc: DiscreteEnergy, trig) -> np.ndarray:
+    slope, sc, _ = trig
+    pot = disc.qfw * sc
+    gd = disc.f_el2 * slope / disc.h
+    g = np.zeros(disc.n)
+    g[:-1] += -gd + variational._G0 @ pot
+    g[1:] += gd + variational._G1 @ pot
+    g[-1] = 0.0
+    return g
+
+
+def _reference_hessian(disc: DiscreteEnergy, sin2: np.ndarray):
+    curv = disc.qfw * (2.0 - 4.0 * sin2)
+    diag = disc.stiff + variational._HAT00 @ curv
+    diag[1:] += (disc.stiff + variational._HAT11 @ curv)[:-1]
+    return diag, (-disc.stiff + variational._HAT01 @ curv)[:-1]
+
+
+def _reference_newton_direction(disc: DiscreteEnergy, g: np.ndarray, sin2: np.ndarray):
+    diag, off = _reference_hessian(disc, sin2)
+    rhs = -g[:-1]
+    shift, shifted = 0.0, diag
+    for _ in range(variational.MAX_SHIFTS):
+        sol, info = variational._dptsv()(shifted, off, rhs)[2:]
+        if info == 0 and np.all(np.isfinite(sol)) and np.dot(sol, rhs) >= 0.0:
+            return np.append(sol, 0.0), shift
+        shift = max(10.0 * shift, 1e-10)
+        shifted = diag + shift * (np.abs(diag) + 1.0)
+    raise AssertionError("no descent direction")
+
+
+class TestKernelBits:
+    @given(
+        s=st.floats(0.01, 1.5),
+        n=st.integers(200, 4000),
+        params=st.sampled_from(GEOMETRY_PARAMS),
+        mirrored=st.booleans(),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    def test_kernels_give_the_reference_bits(self, s, n, params, mirrored):
+        params = params.mirrored() if mirrored else params
+        disc = energy_on(interior_grid(s, n=n), params)
+        assert _same_bits(disc.qfw, (params.lam / disc._sin2 + params.mu / disc._cos2) * disc.fw)
+        guess = HALF_PI * np.minimum(1.0, (disc.grid.nodes / s) ** params.r0)
+        # near pi/2 the potential is concave, and the Hessian needs a Levenberg shift
+        wiggle = HALF_PI + 1e-3 * np.sin(np.arange(float(n)))
+        wiggle[-1] = HALF_PI
+        shifts = []
+        for v in (guess, guess + 0.3 * disc.newton_direction(guess, disc.gradient(guess))[0], wiggle):
+            trig, ref = disc.trig(v), _reference_trig(disc, v)
+            assert all(_same_bits(a, b) for a, b in zip(trig, ref))
+            assert disc.energy(v) == disc.energy(v, ref)
+            g = disc.gradient(v, trig)
+            assert _same_bits(g, _reference_gradient(disc, ref))
+            assert all(_same_bits(a, b) for a, b in zip(disc._hessian(trig[2]),
+                                                         _reference_hessian(disc, ref[2])))
+            d, shift = disc.newton_direction(v, g, trig)
+            d_ref, shift_ref = _reference_newton_direction(disc, g, ref[2])
+            assert _same_bits(d, d_ref) and shift == shift_ref
+            shifts.append(shift)
+        assert shifts[-1] > 0.0
+
+
 class TestEvalFunctional:
     """The discrete energy J, evaluated through DiscreteEnergy.energy."""
 
@@ -392,6 +493,57 @@ class TestStoppingRule:
         assert row.s == 0.3
         assert not row.converged and math.isnan(row.l)
         assert row.reason == str(info.value)
+
+    @pytest.mark.parametrize("setting, value, exit_", [
+        ("MAX_SHIFTS", 0, "no descent direction after 0 Levenberg shifts at iteration 1,"),
+        ("DECREMENT_TOL", -math.inf, "no strict decrease along the Newton direction"),
+        ("MAX_ITER", 3, "reached the iteration cap of 3 with gradient norm"),
+    ])
+    def test_each_exit_reports_the_failing_gradient_norm(self, setting, value, exit_,
+                                                         params_main, monkeypatch):
+        # the norm is formed after the loop: it must still be that of the failing iterate's g
+        gradients, gradient = [], DiscreteEnergy.gradient
+
+        def recorded(disc, v, *rest):
+            gradients.append(gradient(disc, v, *rest))
+            return gradients[-1]
+
+        monkeypatch.setattr(DiscreteEnergy, "gradient", recorded)
+        monkeypatch.setattr(variational, setting, value)
+        with pytest.raises(ConvergenceError, match=exit_) as info:
+            minimize_interior(0.3, params_main, n=400)
+        gnorm = float(np.max(np.abs(gradients[-1])))
+        assert info.value.grad_norm == gnorm > 0.0
+        assert str(info.value).endswith(f", gradient norm {gnorm:.3e}" if setting != "MAX_ITER"
+                                        else f" with gradient norm {gnorm:.3e}")
+
+
+class TestWorkCounts:
+    def test_small_map_takes_the_pinned_newton_path(self, monkeypatch):
+        # a kernel change that moves any iterate moves these counts
+        counts = {"glues": 0, "iterations": 0, "dptsv": 0}
+        dptsv, minimize, glue_ = variational._dptsv(), variational._minimize, analysis.glue
+
+        def counted_dptsv(*args, **kwargs):
+            counts["dptsv"] += 1
+            return dptsv(*args, **kwargs)
+
+        def counted_minimize(*args):
+            res = minimize(*args)
+            counts["iterations"] += res.iterations
+            return res
+
+        def counted_glue(*args, **kwargs):
+            counts["glues"] += 1
+            return glue_(*args, **kwargs)
+
+        monkeypatch.setattr(variational, "_dptsv", lambda: counted_dptsv)
+        monkeypatch.setattr(variational, "_minimize", counted_minimize)
+        monkeypatch.setattr(analysis, "glue", counted_glue)
+        cells = analysis.solvability_map(1, 2, (1.0, 2.0), (3.0, 5.0), 2, 2, grid_n=300)
+        assert [c.verdict for c in cells] == ["solution_found", "solution_found",
+                                              "no_sign_change", "solution_found"]
+        assert counts == {"glues": 64, "iterations": 598, "dptsv": 803}
 
 
 class TestGlue:
