@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closed_forms import phi_limit, psi_comparison, theta_threshold
-from .core import HALF_PI, ConvergenceError, Grid, HopfParams, Profile, brentq, simpson_weights
+from .core import HALF_PI, ConvergenceError, Grid, HopfParams, Profile, brentq, simpson_weights, write_csv
 from .ode import residual
 from .variational import DEFAULT_N, GluedSolution, glue
 
@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 ROOT_TOL = 1e-6
+S_MIN, S_MAX = 0.02, 1.5  # the default scanned junction range
+N_SCAN = 16
 RESIDUAL_MARGIN = 0.05  # "away from endpoints" band for residual certification
 MAP_GRID_N = 1000  # mesh size per map cell; the CLI caps its --n here
 MAP_N_SCAN = 14
@@ -188,15 +190,11 @@ def _certify(glued: GluedSolution, params: HopfParams) -> tuple[float, float, fl
     return max_res, float(abs(v[0])), float(abs(math.pi - v[-1]))
 
 
-class _RootFound(Exception):
-    """Ends the Brent search; carries the first glue that meets the jump tolerance."""
-
-
 def find_solution(
     params: HopfParams,
-    s_min: float = 0.02,
-    s_max: float = 1.5,
-    n_scan: int = 16,
+    s_min: float = S_MIN,
+    s_max: float = S_MAX,
+    n_scan: int = N_SCAN,
     grid_n: int = DEFAULT_N,
     root_tol: float = ROOT_TOL,
     jobs: int = 1,
@@ -239,31 +237,30 @@ def _finish(scan: ScanResult, grid_n: int, root_tol: float) -> SolveOutcome:
     # Brent evaluates both ends first; glue is deterministic, so the scan's
     # values stand in for gluing them again
     known = {r.s: r.l for r in scan.rows if r.s in scan.brackets[0]}
-    last_l = math.nan
+    glued = None  # the last glue made
 
     def jump(s: float) -> float:
-        nonlocal last_l
+        """l(s), read as 0 once it meets the tolerance: brentq returns at f == 0."""
+        nonlocal glued
         if s in known:
             return known[s]
         try:
-            g = glue(s, params, n=grid_n)
+            glued = glue(s, params, n=grid_n)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"glued solve failed at s={s}, root search stopped: {exc}"
             ) from None
-        if abs(g.l) <= root_tol:
-            raise _RootFound(g)
-        last_l = g.l
-        return g.l
+        return 0.0 if abs(glued.l) <= root_tol else glued.l
 
     try:
         brentq(jump, *scan.brackets[0])
-    except _RootFound as found:
-        glued = found.args[0]
-        max_res, b0, b1 = _certify(glued, params)
-        return SolveOutcome("solution_found", glued.s, glued, scan, max_res, b0, b1)
     except ConvergenceError as exc:
         return SolveOutcome("failed", None, None, scan, message=str(exc))
+    # NaN when the bracket was already below brentq's xtol and no glue was made
+    last_l = math.nan if glued is None else glued.l
+    if abs(last_l) <= root_tol:
+        max_res, b0, b1 = _certify(glued, params)
+        return SolveOutcome("solution_found", glued.s, glued, scan, max_res, b0, b1)
     return SolveOutcome(
         "failed", None, None, scan,
         message=(
@@ -472,8 +469,8 @@ def solvability_map(
     grid_n: int = MAP_GRID_N,
     n_scan: int = MAP_N_SCAN,
     jobs: int = 1,
-    s_min: float = 0.02,
-    s_max: float = 1.5,
+    s_min: float = S_MIN,
+    s_max: float = S_MAX,
     root_tol: float = ROOT_TOL,
 ) -> list[SolvabilityCell]:
     """The scan/Brent pipeline of :func:`find_solution` over a (lambda, mu) grid.
@@ -496,20 +493,13 @@ def solvability_map(
 
 
 def write_scan_csv(scan: ScanResult, path) -> None:
-    lines = ["s,l,l_tilde,I_s,I_s1,I_s2,converged"]
-    for r in scan.rows:
-        lines.append(
-            f"{r.s:.17g},{r.l:.17g},{r.l_tilde:.17g},"
-            f"{r.I_s:.17g},{r.I_s1:.17g},{r.I_s2:.17g},{int(r.converged)}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = scan.rows
+    write_csv(path, "s,l,l_tilde,I_s,I_s1,I_s2,converged",
+              [r.s for r in rows], [r.l for r in rows], [r.l_tilde for r in rows],
+              [r.I_s for r in rows], [r.I_s1 for r in rows], [r.I_s2 for r in rows],
+              [int(r.converged) for r in rows])
 
 
 def write_map_csv(cells: list[SolvabilityCell], path) -> None:
-    lines = ["lambda,mu,verdict,s_star"]
-    for c in cells:
-        s_star = f"{c.s_star:.17g}" if c.s_star is not None else ""
-        lines.append(f"{c.lam:.17g},{c.mu:.17g},{c.verdict},{s_star}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "lambda,mu,verdict,s_star", [c.lam for c in cells],
+              [c.mu for c in cells], [c.verdict for c in cells], [c.s_star for c in cells])

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, oracles
-from .core import HopfParams
+from .core import HopfParams, write_csv
 from .ode import read_profile_csv, write_profile_csv
 from .hopf import alpha_hopf_eval, multiplication_by_name
 from .shooting import match_shooting, write_mismatch_csv
@@ -50,9 +50,9 @@ class RunConfig:
 
     n: int = DEFAULT_N
     root_tol: float = analysis.ROOT_TOL
-    s_min: float = 0.02
-    s_max: float = 1.5
-    n_scan: int = 16
+    s_min: float = analysis.S_MIN
+    s_max: float = analysis.S_MAX
+    n_scan: int = analysis.N_SCAN
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -111,9 +111,10 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return lo, hi, count
 
 
-def _write_summary(out_dir: Path, payload: dict, echo: bool) -> None:
+def _write_json(path: Path, payload: dict, echo: bool = False) -> None:
+    """The one JSON format of the output files: indented, keys sorted; echoed when asked."""
     text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
-    (out_dir / "summary.json").write_text(text + "\n")
+    path.write_text(text + "\n")
     if echo:
         print(text)
 
@@ -241,9 +242,9 @@ def cmd_solve(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     }
     if outcome.glued is not None:
         write_profile_csv(outcome.glued.merged_profile(), params, out_dir / "profile.csv")
-        outcome.glued.to_json(out_dir / "glued.json")
-        files += ["profile.csv", "glued.json"]
         summary["glued"] = outcome.glued.to_dict()
+        _write_json(out_dir / "glued.json", summary["glued"])
+        files += ["profile.csv", "glued.json"]
     analysis.write_scan_csv(outcome.scan, out_dir / "scan.csv")
     files.append("scan.csv")
     if ns.cross_check:
@@ -335,8 +336,8 @@ def cmd_blowup(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     params = _params(ns)
     s_values = [float(tok) for tok in ns.s_list.split(",") if tok.strip()]
     rows = analysis.small_s_report(params, s_values, ns.eps, grid_n=cfg.n)
-    lines = ["s,sup_distance"] + [f"{r.s:.17g},{r.sup_distance:.17g}" for r in rows]
-    (out_dir / "blowup.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out_dir / "blowup.csv", "s,sup_distance",
+              [r.s for r in rows], [r.sup_distance for r in rows])
     summary = {
         "params": params.to_dict(),
         "config": asdict(cfg),
@@ -431,13 +432,13 @@ def main(argv=None) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         summary, code = ns.func(ns, out_dir)
-        _write_summary(out_dir, {"command": ns.command, **summary}, ns.json)
+        _write_json(out_dir / "summary.json", {"command": ns.command, **summary}, ns.json)
         return code
     except Exception as exc:  # usage or numerical failure: report, exit 1
         with contextlib.suppress(Exception):  # the output directory may be what failed
-            _write_summary(out_dir, {"command": ns.command, "verdict": "error",
-                                     "error": f"{type(exc).__name__}: {exc}",
-                                     "files_written": []}, ns.json)
+            _write_json(out_dir / "summary.json", {"command": ns.command, "verdict": "error",
+                                                   "error": f"{type(exc).__name__}: {exc}",
+                                                   "files_written": []}, ns.json)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

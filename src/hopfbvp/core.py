@@ -11,6 +11,9 @@ on (0, pi/2), with alpha(0+) = 0 and alpha(pi/2-) = pi.  Both endpoints are
 regular singular points: near t = 0 solutions behave like c0 * t**r0, and
 near t = pi/2 like pi - c1 * (pi/2 - t)**r1, where r0, r1 are the positive
 indicial roots of the linearized Euler equations.
+
+The shared numerics live here too, among them the one 3-point first derivative
+(:func:`nodal_first_derivative`) and the one CSV writer (:func:`write_csv`).
 """
 
 from __future__ import annotations
@@ -203,10 +206,6 @@ class Profile:
         scale = 1.0 + max(abs(self.d_left), abs(self.d_right))
         return abs(self.d_right - self.d_left) > 1e-12 * scale
 
-    def derivative(self) -> np.ndarray:
-        """Nodal first derivative: 3-point stencils, one-sided at the ends."""
-        return nodal_first_derivative(self.t, self.values)
-
     def interpolate(self, t) -> np.ndarray:
         """Piecewise-linear evaluation at points inside the grid range."""
         t = np.asarray(t, dtype=float)
@@ -338,20 +337,14 @@ def fd_weights(nodes: np.ndarray, x0, max_order: int) -> np.ndarray:
 
 
 def nodal_first_derivative(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """First derivative at every node of a (possibly nonuniform) grid."""
+    """First derivative at every node: 3-point stencils, one-sided at the two ends."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = t.size
-    if n < 3:
+    if t.size < 3:
         raise ValueError("need at least 3 nodes for a 3-point derivative")
-    d = np.empty(n)
-    w0, w1, w2 = fd3_first_weights(t[:-2], t[1:-1], t[2:], t[1:-1])
-    d[1:-1] = w0 * y[:-2] + w1 * y[1:-1] + w2 * y[2:]
-    w0, w1, w2 = fd3_first_weights(t[0], t[1], t[2], t[0])
-    d[0] = w0 * y[0] + w1 * y[1] + w2 * y[2]
-    w0, w1, w2 = fd3_first_weights(t[-3], t[-2], t[-1], t[-1])
-    d[-1] = w0 * y[-3] + w1 * y[-2] + w2 * y[-1]
-    return d
+    c = np.clip(np.arange(t.size), 1, t.size - 2)  # the centre of each node's stencil
+    w0, w1, w2 = fd3_first_weights(t[c - 1], t[c], t[c + 1], t)
+    return w0 * y[c - 1] + w1 * y[c] + w2 * y[c + 1]
 
 
 def simpson_weights(x: np.ndarray) -> np.ndarray:
@@ -377,3 +370,27 @@ def simpson_weights(x: np.ndarray) -> np.ndarray:
         w[-2] += (h1**2 + 3.0 * h0 * h1) / (6.0 * h0)
         w[-3] -= h1**3 / (6.0 * h0 * (h0 + h1))
     return w
+
+
+def write_csv(path, header: str, *columns) -> None:
+    """Write ``header``, then one row per index of the equal-length ``columns``.
+
+    The one CSV format of the output files: a float takes 17 significant
+    digits, which read back as the same double; None is an empty field; any
+    other value is its ``str``.  Every line ends in ``\\n``.
+    """
+    real = "%.17g"
+
+    def text(x) -> str:
+        if x is None:
+            return ""
+        return real % x if isinstance(x, float) else str(x)
+
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    # a column holding only floats is formatted by the line itself; any other is made text first
+    floats = [all(isinstance(x, float) for x in col) for col in cols]
+    cols = [col if only else [text(x) for x in col] for col, only in zip(cols, floats)]
+    line = ",".join(real if only else "%s" for only in floats) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line % row for row in zip(*cols))

@@ -19,9 +19,12 @@ and potential b on any strictly increasing grid:
   nonvanishing defect sqrt(lambda) sin(psi)/cos^2 t.)
 
 The 3-point stencil (closed-form weights, exact for quadratics) serves the
-glued profiles; the 5-point stencil (Fornberg weights, fourth order) serves
-the shooting and closed-form checks, whose wide logarithmic grids would
-squeeze a 3-point stencil between truncation and rounding near the ends.
+glued profiles; its first derivative is :func:`core.nodal_first_derivative`,
+which also gives the ``dalpha`` column of ``profile.csv``.  The 5-point
+stencil (Fornberg weights, fourth order) serves the shooting and closed-form
+checks, whose wide logarithmic grids would squeeze a 3-point stencil between
+truncation and rounding near the ends.  Every CSV is written by
+:func:`core.write_csv`.
 """
 
 from __future__ import annotations
@@ -36,9 +39,10 @@ from .core import (
     HopfParams,
     Profile,
     _maybe_scalar,
-    fd3_first_weights,
     fd3_second_weights,
     fd_weights,
+    nodal_first_derivative,
+    write_csv,
 )
 
 __all__ = [
@@ -106,12 +110,9 @@ def stencil_residual(t, y, drift, potential, width: int = 3) -> np.ndarray:
     h = width // 2
     mid = slice(h, t.size - h)
     if width == 3:
-        tm, t0, tp = t[:-2], t[1:-1], t[2:]
-        ym, y0, yp = y[:-2], y[1:-1], y[2:]
-        w0, w1, w2 = fd3_first_weights(tm, t0, tp, t0)
-        d1 = w0 * ym + w1 * y0 + w2 * yp
-        v0, v1, v2 = fd3_second_weights(tm, t0, tp)
-        d2 = v0 * ym + v1 * y0 + v2 * yp
+        d1 = nodal_first_derivative(t, y)[mid]
+        v0, v1, v2 = fd3_second_weights(t[:-2], t[1:-1], t[2:])
+        d2 = v0 * y[:-2] + v1 * y[1:-1] + v2 * y[2:]
     else:
         w = fd_weights(sliding_window_view(t, width), t[mid], 2)
         d = (w * sliding_window_view(y, width)[:, None, :]).sum(axis=-1)
@@ -145,26 +146,20 @@ def residual(profile: Profile, params: HopfParams) -> np.ndarray:
 
 # --- profile serialization ----------------------------------------------------
 
-_CSV_HEADER = "t,alpha,dalpha,residual"
-
 
 def write_profile_csv(profile: Profile, params: HopfParams, path) -> None:
-    """Write ``t,alpha,dalpha,residual`` rows with 17 significant digits.
+    """Write ``t,alpha,dalpha,residual`` rows through :func:`core.write_csv`.
 
     At a junction node with distinct one-sided slopes, dalpha records their
     mean.  The residual column is :func:`residual`, NaN wherever its stencil
     does not apply or is dominated by rounding.
     """
-    d = profile.derivative()
+    d = nodal_first_derivative(profile.t, profile.values)
     j = profile.grid.junction_index
     if j is not None and profile.d_left is not None and profile.d_right is not None:
         d[j] = 0.5 * (profile.d_left + profile.d_right)
-    res = residual(profile, params)
-    lines = [_CSV_HEADER]
-    for ti, ai, di, ri in zip(profile.t, profile.values, d, res):
-        lines.append(f"{ti:.17g},{ai:.17g},{di:.17g},{ri:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "t,alpha,dalpha,residual",
+              profile.t, profile.values, d, residual(profile, params))
 
 
 def read_profile_csv(path) -> Profile:

@@ -38,6 +38,7 @@ from .core import (
     Profile,
     brentq,
     graded_grid,
+    write_csv,
 )
 from .core import fd_weights  # noqa: F401  (bound here for perfbench's traced run)
 from .ode import coeff_Q, drift_coeff, stencil_residual
@@ -412,13 +413,7 @@ def match_shooting(params: HopfParams) -> MatchResult:
 
 
 def write_mismatch_csv(result: MatchResult, path) -> None:
-    """Diagnostic dump of the coarse mismatch map: ``c0,c1,dalpha,ddalpha``."""
-    lines = ["c0,c1,dalpha,ddalpha"]
-    for i, c0 in enumerate(result.c0_scan):
-        for j, c1 in enumerate(result.c1_scan):
-            lines.append(
-                f"{c0:.17g},{c1:.17g},"
-                f"{result.dalpha_map[i, j]:.17g},{result.ddalpha_map[i, j]:.17g}"
-            )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Diagnostic dump of the coarse mismatch map: ``c0,c1,dalpha,ddalpha``, c0-major."""
+    c0, c1 = result.c0_scan, result.c1_scan
+    write_csv(path, "c0,c1,dalpha,ddalpha", np.repeat(c0, c1.size), np.tile(c1, c0.size),
+              result.dalpha_map.ravel(), result.ddalpha_map.ravel())

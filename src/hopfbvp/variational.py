@@ -43,7 +43,6 @@ from __future__ import annotations
 import collections
 import copy
 import functools
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -373,11 +372,6 @@ class GluedSolution:
     def to_dict(self) -> dict:
         """The scalar fields: everything but the glued curve."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "_curve"}
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _one_sided_slope(t: np.ndarray, v: np.ndarray, x: float) -> float:

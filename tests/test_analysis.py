@@ -148,6 +148,19 @@ class TestRootSearch:
         assert seen[-1] == 1.2
         assert out.glued.s == out.s_star
 
+    def test_bracket_below_xtol_fails_without_a_glue(self, params_main, monkeypatch):
+        # brentq returns before its first step when the bracket is narrower
+        # than its xtol (2e-12): no glue is made, so no last jump is known
+        seen = self.record_glues(monkeypatch)
+        lo, hi = 0.5, 0.5 + 1e-12
+        rows = [analysis.ScanRow(s=lo, l=1e-3, converged=True),
+                analysis.ScanRow(s=hi, l=-1e-3, converged=True)]
+        scan = analysis.ScanResult(params_main, rows, brackets=[(lo, hi)])
+        out = analysis._finish(scan, grid_n=600, root_tol=analysis.ROOT_TOL)
+        assert seen == []
+        assert (out.verdict, out.s_star, out.glued) == ("failed", None, None)
+        assert out.message.endswith("(last |l| = nan)")
+
     def test_unreachable_tolerance_reports_last_jump(self, params_main):
         # l is quantized by rounding near the root and can be exactly 0.0 there
         # (at grid_n = 600 it is); at grid_n = 700 the search never meets 0

@@ -36,6 +36,21 @@ class TestSolve:
         assert summary["s_star"] is not None
         assert summary["config"]["n"] == 800
 
+    def test_glued_json_is_the_summary_glued(self, tmp_path):
+        rc = run(tmp_path, "solve", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4",
+                 "--n", "400", "--n-scan", "8")
+        assert rc == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        glued = json.loads((tmp_path / "glued.json").read_text())
+        assert glued == summary["glued"]
+        assert list(glued) == list(summary["glued"])
+        assert glued["s"] == summary["s_star"]
+        assert set(glued) >= {
+            "s", "l", "l_tilde", "d_minus", "d_plus", "I_s", "I_s1", "I_s2",
+            "J_interior", "J_exterior",
+        }
+        assert "converged_interior" not in glued and "converged_exterior" not in glued
+
     def test_no_sign_change_exit_code(self, tmp_path):
         rc = run(
             tmp_path, "solve", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "1.5",

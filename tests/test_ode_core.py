@@ -21,6 +21,7 @@ from hopfbvp.core import (
     fd_weights,
     graded_grid,
     indicial_exponents,
+    nodal_first_derivative,
     simpson_weights,
 )
 from hopfbvp.ode import (
@@ -225,6 +226,30 @@ class TestStencilResidual:
             stencil_residual(t, t, 0.0, 0.0, width=4)
         with pytest.raises(ValueError):
             stencil_residual(t, t, 0.0, 0.0, width=5)  # fewer nodes than width
+
+
+class TestNodalFirstDerivative:
+    @given(n=st.integers(3, 400), exponent=st.floats(1.0, 3.0), seed=st.integers(0, 9))
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_bits_of_the_three_stencils(self, n, exponent, seed):
+        # reference: centred stencils inside, the end stencils one-sided,
+        # each with its own closed-form weights
+        t = graded_grid(0.01, 1.5, n, exponent)
+        y = np.random.default_rng(seed).normal(size=n)
+        ref = np.empty(n)
+        w0, w1, w2 = fd3_first_weights(t[:-2], t[1:-1], t[2:], t[1:-1])
+        ref[1:-1] = w0 * y[:-2] + w1 * y[1:-1] + w2 * y[2:]
+        w0, w1, w2 = fd3_first_weights(t[0], t[1], t[2], t[0])
+        ref[0] = w0 * y[0] + w1 * y[1] + w2 * y[2]
+        w0, w1, w2 = fd3_first_weights(t[-3], t[-2], t[-1], t[-1])
+        ref[-1] = w0 * y[-3] + w1 * y[-2] + w2 * y[-1]
+        assert nodal_first_derivative(t, y).tobytes() == ref.tobytes()
+
+    def test_exact_on_quadratics_and_needs_three_nodes(self):
+        t = graded_grid(0.1, 1.2, 9, 2.0)
+        assert np.allclose(nodal_first_derivative(t, 3.0 * t**2 - t), 6.0 * t - 1.0, atol=1e-12)
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            nodal_first_derivative(t[:2], t[:2])
 
 
 class TestLimitResidual:

@@ -591,21 +591,6 @@ class TestGlue:
         assert np.array_equal(prof.values, np.concatenate([inner.values, outer.values[1:]]))
         assert outer.values[0] == prof.values[399] == HALF_PI
 
-    def test_json_roundtrip(self, tmp_path, params_main):
-        import json
-
-        g = glue(0.7, params_main, n=400)
-        path = tmp_path / "glued.json"
-        g.to_json(path)
-        back = json.loads(path.read_text())
-        assert back["s"] == g.s
-        assert back["l"] == g.l
-        assert set(back) >= {
-            "s", "l", "l_tilde", "d_minus", "d_plus", "I_s", "I_s1", "I_s2",
-            "J_interior", "J_exterior",
-        }
-        assert "converged_interior" not in back and "converged_exterior" not in back
-
 
 def _fresh_glue(s: float, params: HopfParams, n: int) -> GluedSolution:
     """A glue that finds nothing held: no sides, grids or Simpson rows."""
