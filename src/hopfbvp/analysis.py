@@ -297,8 +297,11 @@ def small_s_report(
     bound as s -> 0.  I_s^2 is split at the outer edge t = s/eps of the
     blow-up window: the inner integrand equals tan(t)^2 times the I_s^1
     integrand, so B_s <= tan(s/eps)^2 I_s^1 holds exactly, and the ratio
-    I_s^2/I_s^1 shrinks along s -> 0.
+    I_s^2/I_s^1 shrinks along s -> 0.  Limit and split are p = 1's: other p raise ValueError.
     """
+    if params.p != 1:
+        raise ValueError("the small-s checks hold for p = 1 only: the limit profile for p >= 2 "
+                         "(the rescaled leading-order profile) is not computed")
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     s_values = [float(s) for s in s_values]

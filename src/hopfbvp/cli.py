@@ -5,7 +5,7 @@ Subcommands
 solve       scan the jump, find its root by Brent's method, write the profile
 scan-jump   tabulate (s, l, l_tilde, I_s, I_s1, I_s2) over junction values
 map         solvability verdicts over a (lambda, mu) grid
-blowup      small-s checks: stretched-profile distance, I_s^1 and I_s^2 trends
+blowup      small-s checks for p = 1: stretched-profile distance, I_s^1 and I_s^2 trends
 compare     supersolution ordering check for one (s, d, t0) configuration
 verify      closed-form oracle table; exit 0 only if every row passes
 hopf-eval   sample a join map built from a profile CSV; report norm errors
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", required=True, help="min:max:count")
     sp.add_argument("--mu", required=True, help="min:max:count")
 
-    sp = _add_command(sub, "blowup", cmd_blowup, "stretched-profile distance and I_s trends")
+    sp = _add_command(sub, "blowup", cmd_blowup, "stretched-profile distance, I_s trends (p = 1)")
     sp.add_argument("--s-list", dest="s_list", default="0.04,0.02,0.01")
     sp.add_argument("--eps", type=float, default=0.1)
 

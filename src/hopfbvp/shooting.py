@@ -17,11 +17,12 @@ balanced diagonal c0 = c1 holds no bracket -- numerical evidence of
 unsolvability, distinct from a polish that fails.
 
 Shots run the float DOP853 stepper of :mod:`hopfbvp.dop853` and keep only their
-step ends; a dense state is rebuilt from them only when read (a root's pair).
+step ends; a shot's dense state is built from them on first read (a root's pair), once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -145,7 +146,7 @@ def _shoot(
     """Shoot the branch of amplitude c from t_offset off its end to t_end.
 
     Returns the step times in increasing t, the last step's (alpha, alpha') at
-    t_end, and the dense state ``t -> (alpha, alpha')``, built when called.
+    t_end, and the dense state ``t -> (alpha, alpha')``, built on its first call and kept.
     A backward shot integrates the mirrored problem
     beta(tau) = pi - alpha(pi/2 - tau) with (p, q, lam, mu) -> (q, p, mu, lam),
     an exact symmetry of the equation, forward from its seed ``c tau**r1``.
@@ -162,11 +163,12 @@ def _shoot(
         t_exit = HALF_PI - t_exit if backward else t_exit
         raise BlowUpError(f"trajectory left [{ALPHA_LOW:.4f}, {ALPHA_HIGH:.4f}] at t={t_exit:.6g}",
                           exit_time=t_exit)
+    dense = functools.cache(lambda: dop853.dense_state(params, steps))
     if not backward:
-        return steps[0], steps[1:3, -1], lambda t: dop853.dense_state(params, steps)(t)
+        return steps[0], steps[1:3, -1], lambda t: dense()(t)
 
     def mirrored(t):
-        beta, dbeta = dop853.dense_state(params, steps)(HALF_PI - np.asarray(t))
+        beta, dbeta = dense()(HALF_PI - np.asarray(t))
         return np.array([math.pi - beta, dbeta])
 
     return HALF_PI - steps[0, ::-1], np.array([math.pi - steps[1, -1], steps[2, -1]]), mirrored

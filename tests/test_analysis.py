@@ -187,6 +187,14 @@ class TestBlowupCompare:
         with pytest.raises(ValueError):
             small_s_report(params_main, [0.02], 1.5)
 
+    def test_p_other_than_one_refused_before_a_glue(self, monkeypatch):
+        # the limit profile and the I_s split are p = 1's; (2, 2, 2, 2) read a
+        # sup distance of 0.387 that did not shrink
+        seen = TestRootSearch.record_glues(monkeypatch)
+        with pytest.raises(ValueError, match="p = 1 only"):
+            small_s_report(HopfParams(2, 2, 2.0, 2.0), [0.04, 0.02], 0.1)
+        assert seen == []
+
     def test_one_glue_per_s(self, params_main, monkeypatch):
         seen = TestRootSearch.record_glues(monkeypatch)
         rows = small_s_report(params_main, [0.04, 0.02, 0.01], 0.1, grid_n=400)

@@ -287,6 +287,14 @@ class TestBlowupAndCompare:
         lines = (tmp_path / "blowup.csv").read_text().splitlines()
         assert lines[0] == "s,sup_distance"
 
+    def test_blowup_refuses_p_other_than_one(self, tmp_path):
+        rc = run(tmp_path, "blowup", "--p", "2", "--q", "2", "--lambda", "2", "--mu", "2",
+                 "--s-list", "0.04,0.02")
+        assert rc == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["verdict"] == "error" and "p = 1 only" in summary["error"]
+        assert not (tmp_path / "blowup.csv").exists()
+
     def test_compare_auto_config(self, tmp_path):
         rc = run(
             tmp_path, "compare", "--p", "1", "--q", "2", "--lambda", "1",

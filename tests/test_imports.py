@@ -101,6 +101,29 @@ def test_solver_paths_do_not_import_optimize_integrate_special(tmp_path):
     assert same_dptsv
 
 
+def test_attempt_compiled_by_the_first_shot_only(tmp_path):
+    # import, verify and hopf-eval make no shot, so they never compile the DOP853 attempt
+    script = """
+import sys
+from hopfbvp import HopfParams, cli, closed_forms, core, dop853, ode, shooting
+out = sys.argv[1]
+nodes = core.graded_grid(1e-7, core.HALF_PI - 1e-7, 201)
+identity = core.Profile(core.Grid(nodes), closed_forms.identity_solution(nodes))
+ode.write_profile_csv(identity, HopfParams(1, 1, 1.0, 1.0), out + "/identity.csv")
+assert cli.main(["verify", "--out-dir", out]) == 0
+argv = ["hopf-eval", "--profile", out + "/identity.csv", "--kind", "complex", "--out-dir", out]
+assert cli.main(argv) == 0
+print(dop853._compiled.cache_info().misses)
+shooting.integrate_from_zero(1.0, HopfParams(1, 2, 1.0, 4.0), 0.7)
+print(dop853._compiled.cache_info().misses)
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["0", "1"]
+
+
 def test_scipy_module_names_what_it_did_not_find():
     with pytest.raises(ImportError, match=r"scipy\.linalg\._no_such_module in .*linalg"):
         core.scipy_module("linalg._no_such_module")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp
 
 from hopfbvp import core, dop853, shooting
@@ -122,6 +124,141 @@ class TestCrossings:
         b = np.array([[0.0, 0.0], [2.0, 2.0]])  # collinear and overlapping
         c = np.array([[0.0, 1.0], [1.0, 2.0]])
         assert _crossings(a, b) == [] and _crossings(a, c) == []
+
+
+# the stepper as loops over the tableau's rows, the reference for the generated attempt:
+# (c, nonzero (j, a)) of stages 1-12 (12: the step end, c = 1, weights B), and (j, e3, e5)
+LOOP_STAGES = tuple(
+    (float(c), tuple((j, float(w)) for j, w in enumerate(a) if w))
+    for c, a in zip(np.append(dop853.C[1:], 1.0), np.vstack((dop853.A[1:], dop853.B)))
+)
+LOOP_E = tuple(
+    (j, float(a), float(b)) for j, (a, b) in enumerate(zip(dop853.E3, dop853.E5)) if a or b
+)
+
+
+def loop_solve(params, t0, y0, t1, rtol, atol, band):
+    """``dop853.solve`` with its attempt as loops over the rows and an ``accel`` closure.
+
+    Returns (steps, exit time, rejected attempts).
+    """
+    p, q, lam, mu = params.p, params.q, params.lam, params.mu
+
+    def accel(t, a, da):
+        sn, cs = math.sin(t), math.cos(t)
+        drift, qq = p * cs / sn - q * sn / cs, lam / sn**2 + mu / cs**2
+        return -drift * da + qq * math.sin(a) * math.cos(a)
+
+    def rms(x, y):
+        return math.sqrt(x * x + y * y) / math.sqrt(2.0)
+
+    t, (a, da) = t0, y0
+    dda = accel(t, a, da)
+    if not band[0] < a < band[1]:
+        return np.array([(t, a, da, dda)]).T, t, 0
+    sa, sd = atol + abs(a) * rtol, atol + abs(da) * rtol
+    d0, d1 = rms(a / sa, da / sd), rms(da / sa, dda / sd)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t0)
+    y1 = da + h0 * dda
+    d2 = rms((y1 - da) / sa, (accel(t + h0, a + h0 * da, y1) - dda) / sd) / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    h_next = min(100.0 * h0, h1, t1 - t0)
+
+    rows, n_rejected = [(t, a, da, dda)], 0
+    k0, k1 = [0.0] * 13, [0.0] * 13
+    while t < t1:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h, rejected = max(h_next, min_step), False
+        while True:
+            if h < min_step:
+                raise RuntimeError("integrator failed: step size below the spacing of t")
+            t_new = min(t + h, t1)
+            h = t_new - t
+            k0[0], k1[0] = da, dda
+            for s, (c, row) in enumerate(LOOP_STAGES, start=1):
+                x0 = x1 = 0.0
+                for j, w in row:
+                    x0 += w * k0[j]
+                    x1 += w * k1[j]
+                k0[s] = da + x1 * h
+                k1[s] = accel(t + c * h, a + x0 * h, k0[s])
+            a_new, da_new, dda_new = a + x0 * h, k0[12], k1[12]
+            e30 = e31 = e50 = e51 = 0.0
+            for j, w3, w5 in LOOP_E:
+                e30 += w3 * k0[j]
+                e31 += w3 * k1[j]
+                e50 += w5 * k0[j]
+                e51 += w5 * k1[j]
+            sa = atol + max(abs(a), abs(a_new)) * rtol
+            sd = atol + max(abs(da), abs(da_new)) * rtol
+            n3 = (e30 / sa) ** 2 + (e31 / sd) ** 2
+            n5 = (e50 / sa) ** 2 + (e51 / sd) ** 2
+            err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt(2.0 * (n5 + 0.01 * n3))
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.125)
+                h_next = h * (min(1.0, factor) if rejected else factor)
+                break
+            h, rejected, n_rejected = h * max(0.2, 0.9 * err**-0.125), True, n_rejected + 1
+        t_old, t, a, da, dda = t, t_new, a_new, da_new, dda_new
+        rows.append((t, a, da, dda))
+        if not band[0] < a < band[1]:
+            level = band[0] if a <= band[0] else band[1]
+            state = dop853.dense_state(params, np.array(rows[-2:]).T)
+            t_exit, _ = core.brentq(lambda x: state(x)[0] - level, t_old, t, dop853._XTOL,
+                                    dop853._XTOL)
+            return np.array(rows).T, t_exit, n_rejected
+    return np.array(rows).T, None, n_rejected
+
+
+def same_shot(params, c, backward, t_end=T_MATCH, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+    """Assert that the stepper gives the loop's bytes; return the loop's (exit, rejected)."""
+    params = params.mirrored() if backward else params
+    args = (params, DEFAULT_T_OFFSET, shooting._series_seed(c, params, DEFAULT_T_OFFSET),
+            HALF_PI - t_end if backward else t_end, rtol, atol,
+            (shooting.ALPHA_LOW, shooting.ALPHA_HIGH))
+    steps, t_exit, rejected = loop_solve(*args)
+    ours, our_exit = dop853.solve(*args)
+    assert ours.shape == steps.shape and ours.tobytes() == steps.tobytes()
+    assert repr(our_exit) == repr(t_exit)  # None, or the same float
+    return t_exit, rejected
+
+
+class TestGeneratedAttempt:
+    @given(
+        p=st.sampled_from([1, 2, 3]),
+        q=st.sampled_from([1, 2, 3]),
+        lam=st.floats(0.2, 9.0),
+        mu=st.floats(0.2, 9.0),
+        log_c=st.floats(math.log(1e-3), math.log(1e3)),
+        backward=st.booleans(),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_steps_are_the_loops_bits(self, p, q, lam, mu, log_c, backward):
+        same_shot(HopfParams(p, q, lam, mu), math.exp(log_c), backward)
+
+    def test_pin_reaches_rejection_band_exit_and_step_failure(self, params_main):
+        t_exit, rejected = same_shot(params_main, 1.0, False)
+        assert t_exit is None and rejected > 0
+        t_exit, _ = same_shot(params_main, 1e-3, False, t_end=HALF_PI - DEFAULT_T_OFFSET)
+        assert t_exit is not None and DEFAULT_T_OFFSET < t_exit
+        t_exit, _ = same_shot(HopfParams(3, 2, 1.0, 4.0), 1e3, False)  # seed below the band
+        assert t_exit == DEFAULT_T_OFFSET
+        # no step meets a tolerance below the rounding of alpha, so both steppers give up
+        for solve in (loop_solve, dop853.solve):
+            with pytest.raises(RuntimeError, match="step size below the spacing of t"):
+                solve(params_main, 0.5, (1.0, 1.0), T_MATCH, 1e-30, 0.0, (-10.0, 10.0))
+
+    def test_one_term_per_nonzero_tableau_entry(self):
+        lines = dop853._source().splitlines()
+        sums = [line.split(" = ", 1)[1] for line in lines if line.lstrip().startswith("x")]
+        sums += lines[-2].split("return ys, k0_12, k1_12, ")[1].split(", ")
+        rows = [r for r in np.vstack((dop853.A[1:], dop853.B)) for _ in range(2)]
+        rows += [dop853.E3, dop853.E3, dop853.E5, dop853.E5]
+        assert len(sums) == len(rows) == 28
+        for text, row in zip(sums, rows):
+            terms = text.split(" + ")
+            assert terms[0] == "0.0"  # the loop's start: an all-zero sum stays +0.0
+            assert [float(term.split(" * ")[0]) for term in terms[1:]] == [w for w in row if w]
 
 
 class TestIntegratorAccuracy:
@@ -328,6 +465,48 @@ class TestMatchShooting:
         assert match_shooting(params_main).verdict == "solution"
         assert len(shots) == len(set(shots))
         assert len(ivps) == 40
+
+    def test_dense_state_built_once_per_shot(self, monkeypatch, params_main):
+        # the probe and the profile each read both shots of the root
+        built, dense_state = [], dop853.dense_state
+
+        def counted(*args):
+            built.append(1)
+            return dense_state(*args)
+
+        monkeypatch.setattr(dop853, "dense_state", counted)
+        assert match_shooting(params_main).verdict == "solution"
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("params, counts", [
+        (HopfParams(1, 2, 1.0, 4.0), (40, 2506, 191, 32444)),
+        (HopfParams(1, 2, 1.0, 1.5), (26, 1630, 129, 21160)),  # the scan shots alone
+    ])
+    def test_work_counts(self, monkeypatch, params, counts):
+        # solves, accepted steps, rejected tries and right-hand sides (12 per try, 2
+        # per initial step) of one match: a stepper change that moves the steps fails
+        steps, tries = [], []
+        solve, make = dop853.solve, dop853._compiled()
+
+        def counted_solve(*args):
+            rows, t_exit = solve(*args)
+            steps.append(rows.shape[1] - 1)
+            return rows, t_exit
+
+        def counted_make(*args):
+            accel, attempt = make(*args)
+
+            def counted(*state):
+                tries.append(1)
+                return attempt(*state)
+
+            return accel, counted
+
+        monkeypatch.setattr(dop853, "solve", counted_solve)
+        monkeypatch.setattr(dop853, "_compiled", lambda: counted_make)
+        match_shooting(params)
+        n_rhs = 12 * len(tries) + 2 * len(steps)
+        assert (len(steps), sum(steps), len(tries) - sum(steps), n_rhs) == counts
 
     @pytest.mark.parametrize("p, q, lam, mu", [(3, 2, 1.0, 4.0), (2, 2, 1.5, 0.5), (2, 3, 1.0, 1.0)])
     def test_seeds_outside_band_count_as_band_exits(self, p, q, lam, mu):
