@@ -9,6 +9,7 @@ blowup      small-s checks for p = 1: stretched-profile distance, I_s^1 and I_s^
 compare     supersolution ordering check for one (s, d, t0) configuration
 verify      closed-form oracle table; exit 0 only if every row passes
 hopf-eval   sample a join map built from a profile CSV; report norm errors
+            (the samples are a SplitMix64 stream seeded by --seed)
 
 Exit codes: 0 success, 2 no sign change of the jump (solve), 1 failure or bad
 usage.  Each ``cmd_*`` only computes: it returns its summary and exit code,
@@ -214,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", required=True,
                     help="complex | quaternion | octonion | restricted3/5/9")
     sp.add_argument("--samples", type=int, default=10000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed of the SplitMix64 sample stream, in [0, 2**64)")
 
     return parser
 
@@ -393,19 +395,63 @@ def cmd_verify(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     return summary, 0 if all_pass else 1
 
 
+def _sample(seed: int, count: int, t_lo: float, t_hi: float,
+            k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` points (t, x, y): t uniform on [t_lo, t_hi], x and y uniform on S^(k-1), S^(l-1).
+
+    One stream of SplitMix64 outputs (Steele, Lea & Flood, OOPSLA 2014), the
+    mixed counter seed + i * gamma for i = 1, 2, ...: the first ``count`` give
+    t from their top 53 bits, and each later one two standard normals by
+    Box-Muller from its two 32-bit halves, the low one (on a little-endian
+    machine) setting the radius and the high one the angle.  The normals
+    fill x and then y, which are normalised to unit length.  The angle is
+    float32 (24 bits), whose SIMD cos and sin cost a fraction of float64's.
+    numpy's core only: ``numpy.random`` would load ``secrets`` and OpenSSL.
+    """
+    size = count * (k + l)
+    pairs = -(-size // 2)
+    z = np.arange(1, count + pairs + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed)
+    shifted = np.empty_like(z)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, shift, out=shifted)
+        z ^= shifted
+        z *= np.uint64(factor)
+    np.right_shift(z, 31, out=shifted)
+    z ^= shifted
+    t = np.right_shift(z[:count], 11, out=shifted[:count]) * 2.0**-53
+    t *= t_hi - t_lo
+    t += t_lo
+    low, high = z[count:].view(np.uint32).reshape(pairs, 2).T
+    radius = low * -2.0**-32
+    radius += 1.0  # in (0, 1]
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = high.astype(np.float32)
+    angle *= np.float32(2.0 * math.pi * 2.0**-32)
+    normals = np.empty(2 * pairs)
+    np.multiply(radius, np.cos(angle), out=normals[:pairs])
+    np.multiply(radius, np.sin(angle, out=angle), out=normals[pairs:])
+    x = normals[:count * k].reshape(count, k)
+    y = normals[count * k:size].reshape(count, l)
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    y /= np.linalg.norm(y, axis=-1, keepdims=True)
+    return t, x, y
+
+
 def cmd_hopf_eval(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     profile = read_profile_csv(ns.profile)
     mult = multiplication_by_name(ns.kind)
     if ns.samples < 0:
         raise ValueError(f"--samples must be >= 0, got {ns.samples}")
-    rng = np.random.default_rng(ns.seed)
+    if not 0 <= ns.seed < 2**64:
+        raise ValueError(f"--seed must be in [0, 2**64), got {ns.seed}")
     t_lo, t_hi = profile.t[0], profile.t[-1]
     # the random samples, then a unit pair (x, y) at each pole
-    t = np.append(rng.uniform(t_lo, t_hi, ns.samples), (t_lo, t_hi))
-    x = rng.normal(size=(t.size, mult.k))
-    y = rng.normal(size=(t.size, mult.l))
-    x /= np.linalg.norm(x, axis=-1, keepdims=True)
-    y /= np.linalg.norm(y, axis=-1, keepdims=True)
+    t, x, y = _sample(ns.seed, ns.samples + 2, t_lo, t_hi, mult.k, mult.l)
+    t[-2:] = t_lo, t_hi
     u = alpha_hopf_eval(profile, mult, t, x, y)
     norm_error = np.abs(1.0 - np.linalg.norm(u[:-2], axis=-1))
     north = np.zeros(mult.n_out + 1)

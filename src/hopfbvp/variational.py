@@ -290,7 +290,7 @@ def _minimize(disc: DiscreteEnergy, params: HopfParams, what: str) -> MinimizeRe
         decrement = -0.5 * float(np.dot(d, g))
         if shift == 0.0 and decrement <= DECREMENT_TOL * (1.0 + abs(e)):
             return MinimizeResult(Profile(grid, v), e, float(np.max(np.abs(g))), it,
-                                  np.asarray(history), bool(v[0] <= ATTACH_TOL),
+                                  np.asarray(history), bool(abs(v[0]) <= ATTACH_TOL),
                                   _one_sided_slope(t[-3:], v[-3:], s))
         for k in range(60):
             vt = v + 0.5**k * d if k else v + d  # step 1, 1/2, 1/4, ...

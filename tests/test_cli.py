@@ -1,10 +1,14 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from hopfbvp import analysis
-from hopfbvp.cli import _parse_range, main
+from hopfbvp import analysis, core
+from hopfbvp.cli import _parse_range, _sample, main
+from hopfbvp.closed_forms import identity_solution
 from hopfbvp.core import ConvergenceError
+from hopfbvp.ode import write_profile_csv
 
 
 def run(tmp_path, *args):
@@ -330,6 +334,10 @@ class TestHopfEval:
         assert run(tmp_path, *argv, "--samples", "0") == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["max_norm_error"] == 0.0
+        # the two pole points are still drawn and evaluated: alpha is 0.2 and 0.6
+        # at the ends, so a unit f(x, y) puts them 2 sin(0.1) and 2 cos(0.3) off
+        assert summary["north_pole_error"] == pytest.approx(2.0 * math.sin(0.1), rel=1e-12)
+        assert summary["south_pole_error"] == pytest.approx(2.0 * math.cos(0.3), rel=1e-12)
         assert run(tmp_path, *argv, "--samples", "-1") == 1
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["verdict"] == "error"
@@ -349,11 +357,81 @@ class TestHopfEval:
         assert summary["verdict"] == "error"
         assert summary["error"].startswith("DomainError: grid nodes must lie in (0, ")
 
+    @pytest.mark.parametrize("kind", ["complex", "quaternion", "octonion",
+                                      "restricted3", "restricted5", "restricted9"])
+    def test_kinds_on_the_identity_profile(self, tmp_path, kind):
+        # the tolerances of the certify-assemble bench, on the profile it builds
+        nodes = core.graded_grid(1e-7, core.HALF_PI - 1e-7, 2001)
+        identity = core.Profile(core.Grid(nodes), identity_solution(nodes))
+        write_profile_csv(identity, core.HopfParams(1, 1, 1.0, 1.0), tmp_path / "p.csv")
+        assert run(tmp_path, "hopf-eval", "--profile", str(tmp_path / "p.csv"), "--kind", kind,
+                   "--samples", "10000", "--seed", "101") == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["max_norm_error"] <= 1e-12
+        assert summary["north_pole_error"] <= 1e-5 and summary["south_pole_error"] <= 1e-5
+
+    def test_same_seed_same_summary(self, tmp_path):
+        (tmp_path / "p.csv").write_text("t,alpha,dalpha,residual\n0.1,0.2,2,0\n0.2,0.4,2,0\n0.3,0.6,2,0\n")
+        argv = ("hopf-eval", "--profile", str(tmp_path / "p.csv"), "--kind", "octonion",
+                "--samples", "500", "--seed", "7")
+        assert run(tmp_path / "a", *argv) == 0 and run(tmp_path / "b", *argv) == 0
+        summaries = [(tmp_path / side / "summary.json").read_bytes() for side in "ab"]
+        assert summaries[0] == summaries[1]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits(self, tmp_path, seed):
+        (tmp_path / "p.csv").write_text("t,alpha,dalpha,residual\n0.1,0.2,2,0\n0.2,0.4,2,0\n0.3,0.6,2,0\n")
+        argv = ("hopf-eval", "--profile", str(tmp_path / "p.csv"), "--kind", "complex")
+        assert run(tmp_path, *argv, "--seed", seed) == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["verdict"] == "error"
+        assert summary["error"].startswith("ValueError: --seed must be in [0, 2**64)")
+        assert run(tmp_path, *argv, "--seed", str(2**64 - 1)) == 0
+
     def test_unknown_kind(self, tmp_path):
         (tmp_path / "p.csv").write_text("t,alpha,dalpha,residual\n0.1,0.2,2,0\n0.2,0.4,2,0\n0.3,0.6,2,0\n")
         rc = run(tmp_path, "hopf-eval", "--profile", str(tmp_path / "p.csv"),
                  "--kind", "sedenion")
         assert rc == 1
+
+
+class TestSampler:
+    def test_t_is_the_splitmix64_stream(self):
+        # the first outputs of SplitMix64 from seed 1234567, as published with
+        # its reference implementation; t on [0, 1] is their top 53 bits
+        outputs = [6457827717110365317, 3203168211198807973, 9817491932198370423,
+                   4593380528125082431, 16408922859458223821]
+        t, _, _ = _sample(1234567, 5, 0.0, 1.0, 2, 2)
+        assert t.tolist() == [(z >> 11) * 2.0**-53 for z in outputs]
+
+    def test_seeds_give_other_samples(self):
+        a, b = _sample(0, 100, 0.0, 1.0, 2, 3), _sample(1, 100, 0.0, 1.0, 2, 3)
+        for u, v in zip(a, b):
+            assert not np.any(u == v)
+
+    def test_moments(self):
+        # each statistic within 5 standard deviations of its value for the
+        # uniform law on [0, 1) and the uniform laws on S^2 and S^4
+        n = 100_000
+        t, x, y = _sample(20141020, n, 0.0, 1.0, 3, 5)
+        assert 0.0 <= t.min() and t.max() < 1.0
+        assert abs(t.mean() - 0.5) <= 5.0 * math.sqrt(1.0 / 12.0 / n)
+        assert abs(t.var() - 1.0 / 12.0) <= 5.0 * math.sqrt((1.0 / 80.0 - 1.0 / 144.0) / n)
+        for v, k in ((x, 3), (y, 5)):
+            assert v.shape == (n, k)
+            assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0.0, atol=1e-15)
+            # one component u: E u = 0, E u^2 = 1/k, E u^4 = 3/(k(k+2))
+            assert np.all(np.abs(v.mean(axis=0)) <= 5.0 * math.sqrt(1.0 / k / n))
+            spread = 5.0 * math.sqrt((3.0 / (k * (k + 2)) - 1.0 / k**2) / n)
+            assert np.all(np.abs((v * v).mean(axis=0) - 1.0 / k) <= spread)
+
+    def test_both_box_muller_outputs(self):
+        # with k = l = 1, x holds the signs of the cosine outputs and y those
+        # of the sine outputs of the same pairs: each quadrant takes a quarter
+        n = 100_000
+        _, x, y = _sample(7, n, 0.0, 1.0, 1, 1)
+        quadrants = np.bincount(2 * (x[:, 0] > 0) + (y[:, 0] > 0), minlength=4) / n
+        assert np.all(np.abs(quadrants - 0.25) <= 5.0 * math.sqrt(0.25 * 0.75 / n))
 
 
 class TestConfig:

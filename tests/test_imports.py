@@ -6,8 +6,10 @@ as long again.  ``variational`` takes ``dptsv`` from scipy's f2py module
 ``scipy.linalg._flapack``, and ``dop853`` its tableau from scipy's coefficient
 file, both through ``core.scipy_module``, which runs neither ``__init__``.
 ``dptsv`` is loaded by the first Newton direction, so ``verify`` and
-``hopf-eval`` load no scipy module at all.  The Gauss-Legendre points are
-literals (no ``numpy.polynomial``), the certificate avoids ``np.union1d`` (no
+``hopf-eval`` load no scipy module at all.  ``hopf-eval`` draws its samples
+without ``numpy.random``, which would load ``secrets`` and OpenSSL's
+``_hashlib``.  The Gauss-Legendre points are literals (no
+``numpy.polynomial``), the certificate avoids ``np.union1d`` (no
 ``numpy.ma``) and the process pool of ``jobs > 1`` is imported where it starts
 (no ``multiprocessing``).  The blow-up constant A(lambda) takes a tanh-sinh rule
 and the split of I_s^2 the Simpson weights of ``core``, so every command, verify,
@@ -29,6 +31,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = (
     "scipy", "scipy.linalg", "scipy.optimize", "scipy.integrate", "scipy.special",
     "numpy.polynomial", "numpy.ma", "concurrent.futures.process",
+    "numpy.random", "secrets", "_hashlib",
 )
 
 SCRIPT = """

@@ -386,6 +386,13 @@ class TestMinimizers:
         assert res.profile.values[-1] >= math.pi - 1e-2
         assert res.attached
 
+    def test_exterior_on_the_two_pi_branch_is_not_attached(self):
+        # the exterior minimizer ends at 2 pi here: its mirrored end value is
+        # -pi, which passes a one-sided test against ATTACH_TOL
+        glued = glue(0.0137, HopfParams(3, 2, 1.5, 0.5), n=2000)
+        assert glued.merged_profile().values[-1] == pytest.approx(2.0 * math.pi, abs=1e-4)
+        assert not glued.attached_pi
+
     def test_exterior_beats_flat_candidate_small_s(self, params_main):
         s = 0.05
         grid = interior_grid(HALF_PI - s, n=1000)
