@@ -58,8 +58,6 @@ class ScanRow:
     I_s1: float = math.nan
     I_s2: float = math.nan
     converged: bool = False
-    J_interior: float = math.nan
-    J_exterior: float = math.nan
     # why the glued solve failed; empty for converged rows, not written to CSV
     reason: str = ""
     # the solve behind the row, kept so a root at a scan point is not re-glued
@@ -117,8 +115,7 @@ def _glue_row(task: tuple[float, HopfParams, int, float]) -> ScanRow:
     except ConvergenceError as exc:
         return ScanRow(s=s, reason=str(exc))
     return ScanRow(s=s, l=g.l, l_tilde=g.l_tilde, I_s=g.I_s, I_s1=g.I_s1, I_s2=g.I_s2,
-                   converged=True, J_interior=g.J_interior, J_exterior=g.J_exterior,
-                   glued=g if abs(g.l) <= root_tol else None)
+                   converged=True, glued=g if abs(g.l) <= root_tol else None)
 
 
 def scan_jump(

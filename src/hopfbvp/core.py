@@ -148,27 +148,21 @@ class Grid:
         ):
             raise ValueError("junction index out of range")
 
-    @property
-    def n(self) -> int:
-        return self.nodes.size
 
-
-def graded_grid(a: float, b: float, n: int, exponent: float = 2.0) -> np.ndarray:
-    """Nodes on [a, b] clustered toward both ends with the given grading exponent.
+def graded_grid(a: float, b: float, n: int) -> np.ndarray:
+    """Nodes on [a, b] clustered toward both ends with grading exponent 2.
 
     A uniform parameter xi in [0, 1] is mapped through
-    ``zeta = xi**g / (xi**g + (1 - xi)**g)``, so the spacing near either end
-    scales like ``(b - a) * (k/n)**g``.  ``exponent=1`` gives a uniform grid.
+    ``zeta = xi**2 / (xi**2 + (1 - xi)**2)``, so the spacing near either end
+    scales like ``(b - a) * (k/n)**2``.  Every mesh of the package uses it.
     """
     if not (b > a):
         raise ValueError("need b > a")
     if n < 2:
         raise ValueError("need at least 2 nodes")
-    if exponent < 1.0:
-        raise ValueError("grading exponent must be >= 1")
     xi = np.linspace(0.0, 1.0, n)
-    num = xi**exponent
-    zeta = num / (num + (1.0 - xi) ** exponent)
+    num = xi**2.0
+    zeta = num / (num + (1.0 - xi) ** 2.0)
     out = a + (b - a) * zeta
     out[0] = a
     out[-1] = b

@@ -138,8 +138,6 @@ def orthmul_eval(m: OrthogonalMultiplication, x, y) -> np.ndarray:
             f"dimension mismatch: {m.kind} takes R^{m.k} x R^{m.l}, "
             f"got {x.shape[-1]} and {y.shape[-1]}"
         )
-    if x.ndim == 1 and y.ndim == 1:
-        return np.einsum("kij,i,j->k", m.tensor, x, y)
     return np.einsum("kij,...i,...j->...k", m.tensor, x, y)
 
 

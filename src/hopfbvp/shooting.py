@@ -85,7 +85,6 @@ class ShootState:
 
     c0: float
     c1: float
-    t_match: float
     mismatch: tuple[float, float]
 
 
@@ -96,8 +95,7 @@ class MatchResult:
     verdict: str  # "solution", "no_root", or "failed"
     state: Optional[ShootState]
     profile: Optional[Profile]
-    c0_scan: np.ndarray
-    c1_scan: np.ndarray
+    c0_scan: np.ndarray  # the amplitudes scanned, for c0 and c1 alike
     dalpha_map: np.ndarray
     ddalpha_map: np.ndarray
     message: str = ""
@@ -174,28 +172,20 @@ def _shoot(
     return HALF_PI - steps[0, ::-1], np.array([math.pi - steps[1, -1], steps[2, -1]]), mirrored
 
 
-def integrate_from_zero(
-    c0: float,
-    params: HopfParams,
-    t_end: float,
-    t_start: float = DEFAULT_T_OFFSET,
-    grid: Optional[Grid] = None,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> Profile:
-    """Integrate forward from the t = 0 end of the branch with amplitude c0.
+def integrate_from_zero(c0: float, params: HopfParams, t_end: float) -> Profile:
+    """The forward shot of amplitude c0 to t_end, as alpha at its step times.
 
-    The state at t_start comes from the three-term series seed (leading
-    behavior ``c0 * t**r0``).  Raises :class:`BlowUpError` (with the exit
-    time) if the trajectory leaves the band [-pi, 2*pi].
+    It is the shot :func:`match_shooting` makes: from the three-term series
+    seed (leading behavior ``c0 * t**r0``) at DEFAULT_T_OFFSET, at the
+    contract tolerances.  Raises :class:`BlowUpError` (with the exit time) if
+    the trajectory leaves the band [-pi, 2*pi].
     """
     if c0 <= 0:
         raise ValueError("amplitude c0 must be positive")
-    if not (0.0 < t_start < t_end < HALF_PI):
-        raise ValueError("need 0 < t_start < t_end < pi/2")
-    times, _, state = _shoot(params, c0, t_start, t_end, rtol, atol)
-    if grid is None:
-        grid = Grid(times if times.size >= 3 else np.linspace(t_start, t_end, 5))
+    if not (DEFAULT_T_OFFSET < t_end < HALF_PI):
+        raise ValueError(f"need {DEFAULT_T_OFFSET:g} < t_end < pi/2, got t_end={t_end}")
+    times, _, state = _shoot(params, c0, DEFAULT_T_OFFSET, t_end, DEFAULT_RTOL, DEFAULT_ATOL)
+    grid = Grid(times if times.size >= 3 else np.linspace(DEFAULT_T_OFFSET, t_end, 5))
     return Profile(grid, state(grid.nodes)[0])
 
 
@@ -207,7 +197,7 @@ def _scaled_residual(
     The merged trajectory comes from a high-order integrator, so the limiting
     factor here is the differentiation stencil; fourth-order weights keep the
     check's own truncation well below the certification level.  Stencils
-    straddling the seam at ``t_match`` are skipped: the branches join there
+    straddling the seam at ``T_MATCH`` are skipped: the branches join there
     only to the mismatch tolerance, which the matcher certifies separately.
     """
     t = profile.t
@@ -277,7 +267,7 @@ def match_shooting(params: HopfParams) -> MatchResult:
 
     def merged_values(root: ShootState, nodes: np.ndarray) -> np.ndarray:
         # a root's two shots stayed in band, so both dense states are cached
-        fwd, bwd, t = shots[(False, root.c0)][1], shots[(True, root.c1)][1], root.t_match
+        fwd, bwd, t = shots[(False, root.c0)][1], shots[(True, root.c1)][1], T_MATCH
         return np.where(nodes <= t, fwd(np.minimum(nodes, t))[0], bwd(np.maximum(nodes, t))[0])
 
     def mismatch(c0: float, c1: float) -> np.ndarray:
@@ -295,7 +285,7 @@ def match_shooting(params: HopfParams) -> MatchResult:
         """The root at (c0, c1) if its mismatch ``m`` is within tolerance, else None."""
         if not float(np.max(np.abs(m))) <= MISMATCH_TOL:
             return None
-        return ShootState(c0=c0, c1=c1, t_match=T_MATCH, mismatch=(float(m[0]), float(m[1])))
+        return ShootState(c0=c0, c1=c1, mismatch=(float(m[0]), float(m[1])))
 
     roots: list[ShootState] = []
     admissible: list[ShootState] = []
@@ -389,7 +379,7 @@ def match_shooting(params: HopfParams) -> MatchResult:
         for i, j, s, u in crossings:
             add_root(*polish(zs[i] + s * (zs[i + 1] - zs[i]), zs[j] + u * (zs[j + 1] - zs[j])))
 
-    scan = dict(c0_scan=cs, c1_scan=cs, dalpha_map=da, ddalpha_map=dd)
+    scan = dict(c0_scan=cs, dalpha_map=da, ddalpha_map=dd)
     pool = admissible or roots
     if not pool and (crossings or brackets):
         return MatchResult("failed", None, None, **scan, message=(
@@ -416,6 +406,6 @@ def match_shooting(params: HopfParams) -> MatchResult:
 
 def write_mismatch_csv(result: MatchResult, path) -> None:
     """Diagnostic dump of the coarse mismatch map: ``c0,c1,dalpha,ddalpha``, c0-major."""
-    c0, c1 = result.c0_scan, result.c1_scan
-    write_csv(path, "c0,c1,dalpha,ddalpha", np.repeat(c0, c1.size), np.tile(c1, c0.size),
+    c = result.c0_scan
+    write_csv(path, "c0,c1,dalpha,ddalpha", np.repeat(c, c.size), np.tile(c, c.size),
               result.dalpha_map.ravel(), result.ddalpha_map.ravel())

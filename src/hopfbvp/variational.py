@@ -72,8 +72,6 @@ __all__ = [
 ]
 
 DEFAULT_N = 2000
-# exponent of core.graded_grid on both sides
-GRADING = 2.0
 # distance of the free end nodes from the singular endpoints; the natural
 # boundary there perturbs the solution by ~ c * offset**min(r0, r1), which
 # must stay below the exact-recovery tolerances
@@ -116,11 +114,11 @@ def _gauss_x(n_el: int) -> np.ndarray:
     return x
 
 
-def interior_grid(s: float, n: int = DEFAULT_N, offset: float = DEFAULT_OFFSET) -> Grid:
-    """Graded grid on [offset, s] with the junction as its last node."""
-    if not (0.0 < offset < s < HALF_PI):
-        raise ValueError(f"need 0 < offset < s < pi/2, got offset={offset}, s={s}")
-    return Grid(graded_grid(offset, s, n, GRADING), junction_index=n - 1)
+def interior_grid(s: float, n: int = DEFAULT_N) -> Grid:
+    """Graded grid on [DEFAULT_OFFSET, s] with the junction as its last node."""
+    if not (DEFAULT_OFFSET < s < HALF_PI):
+        raise ValueError(f"need 0 < offset < s < pi/2, got offset={DEFAULT_OFFSET}, s={s}")
+    return Grid(graded_grid(DEFAULT_OFFSET, s, n), junction_index=n - 1)
 
 
 class DiscreteEnergy:
@@ -242,19 +240,19 @@ _Junction = collections.namedtuple("_Junction", "inner outer outer_grid union ro
 
 
 @functools.lru_cache(maxsize=1)
-def _junction(s: float, n: int, offset: float, p: int, q: int) -> _Junction:
+def _junction(s: float, n: int, p: int, q: int) -> _Junction:
     """What a glue at s builds without (lambda, mu), held for the last junction only.
 
-    The interior DiscreteEnergy on interior_grid(s, n, offset), the mirrored
-    exterior one on interior_grid(pi/2 - s, n, offset), the exterior grid
+    The interior DiscreteEnergy on interior_grid(s, n), the mirrored
+    exterior one on interior_grid(pi/2 - s, n), the exterior grid
     mapped back to t (its junction node s exactly), the union grid and its
     Simpson rows.  The next cell of a map glued at this s forms only its own
     Q f w (:meth:`DiscreteEnergy.with_params`) and sin^2 alpha.
     """
-    if not (0.0 < offset < s < HALF_PI - offset):
-        raise ValueError(f"need 0 < offset < s < pi/2 - offset, got offset={offset}, s={s}")
-    inner = DiscreteEnergy(interior_grid(s, n, offset), p, q)
-    outer = DiscreteEnergy(interior_grid(HALF_PI - s, n, offset), q, p)
+    if not (DEFAULT_OFFSET < s < HALF_PI - DEFAULT_OFFSET):
+        raise ValueError(f"need 0 < offset < s < pi/2 - offset, got offset={DEFAULT_OFFSET}, s={s}")
+    inner = DiscreteEnergy(interior_grid(s, n), p, q)
+    outer = DiscreteEnergy(interior_grid(HALF_PI - s, n), q, p)
     t = HALF_PI - outer.grid.nodes[::-1]
     t[0] = s
     union = Grid(np.concatenate([inner.grid.nodes, t[1:]]), junction_index=n - 1)
@@ -310,9 +308,7 @@ def _minimize(disc: DiscreteEnergy, params: HopfParams, what: str) -> MinimizeRe
     raise ConvergenceError(f"{what}: {failure} gradient norm {gnorm:.3e}", grad_norm=gnorm)
 
 
-def minimize_interior(
-    s: float, params: HopfParams, n: int = DEFAULT_N, offset: float = DEFAULT_OFFSET
-) -> MinimizeResult:
+def minimize_interior(s: float, params: HopfParams, n: int = DEFAULT_N) -> MinimizeResult:
     """Minimize the energy over (0, s] with alpha(s) = pi/2 pinned.
 
     The value at the innermost node is free (natural boundary); for p = 1 the
@@ -320,13 +316,11 @@ def minimize_interior(
     divergent energy.  Raises :class:`ConvergenceError` if Newton stops
     before its decrement test is met.
     """
-    disc = _junction(s, n, offset, params.p, params.q).inner.with_params(params)
+    disc = _junction(s, n, params.p, params.q).inner.with_params(params)
     return _minimize(disc, params, f"interior minimization at s={s}")
 
 
-def minimize_exterior(
-    s: float, params: HopfParams, n: int = DEFAULT_N, offset: float = DEFAULT_OFFSET
-) -> MinimizeResult:
+def minimize_exterior(s: float, params: HopfParams, n: int = DEFAULT_N) -> MinimizeResult:
     """Minimize the energy over [s, pi/2) with alpha(s) = pi/2 pinned.
 
     Solved as the interior problem at pi/2 - s for ``params.mirrored()``, in
@@ -336,7 +330,7 @@ def minimize_exterior(
     s the minimizer attaches to pi at the outer end; for larger s it may not,
     which is reported through ``attached=False`` rather than an error.
     """
-    held, mirrored = _junction(s, n, offset, params.p, params.q), params.mirrored()
+    held, mirrored = _junction(s, n, params.p, params.q), params.mirrored()
     res = _minimize(held.outer.with_params(mirrored), mirrored, f"exterior minimization at s={s}")
     values = math.pi - res.profile.values[::-1]
     return replace(res, profile=Profile(held.outer_grid, values))
@@ -431,7 +425,7 @@ def glue(s: float, params: HopfParams, n: int = DEFAULT_N) -> GluedSolution:
     """
     res_i = minimize_interior(s, params, n=n)
     res_e = minimize_exterior(s, params, n=n)
-    held = _junction(s, n, DEFAULT_OFFSET, params.p, params.q)
+    held = _junction(s, n, params.p, params.q)
     vi, ve = res_i.profile.values, res_e.profile.values
     d_minus, d_plus = res_i.slope, res_e.slope
     a_union = np.concatenate([vi, ve[1:]])

@@ -55,9 +55,15 @@ class TestScanJump:
         assert [r.l for r in a.rows] == [r.l for r in b.rows]
 
     def test_energy_bound_over_scan(self, params_main):
-        scan = scan_jump(params_main, 0.05, 1.45, 8, grid_n=800)
-        totals = [r.J_interior + r.J_exterior for r in scan.rows if r.converged]
+        # the glues of scan_jump(params_main, 0.05, 1.45, 8, grid_n=800)
+        s_values = np.geomspace(0.05, 1.45, 8)
+        glues = [variational.glue(float(s), params_main, n=800) for s in s_values]
+        totals = [g.J_interior + g.J_exterior for g in glues]
         assert max(totals) <= 10.0 * float(np.median(totals))
+
+    def test_needs_two_scan_points(self, params_main):
+        with pytest.raises(ValueError, match="need at least 2 scan points"):
+            scan_jump(params_main, 0.1, 1.0, 1)
 
     def test_csv_write(self, tmp_path, params_main):
         scan = scan_jump(params_main, 0.2, 1.0, 3, grid_n=400)
@@ -271,6 +277,11 @@ class TestComparison:
 
 
 class TestSolvabilityMap:
+    @pytest.mark.parametrize("lam_lo", [0.0, -1.0])
+    def test_lambda_range_must_be_positive(self, lam_lo):
+        with pytest.raises(ValueError, match="lambda and mu ranges must be positive"):
+            solvability_map(1, 2, (lam_lo, 1.0), (1.0, 2.0), 2, 2)
+
     def test_small_threshold_slice(self):
         cells = solvability_map(
             1, 2, (1.0, 2.0), (1.0, 4.0), 2, 3,

@@ -455,7 +455,7 @@ class TestConfig:
 
     def test_unknown_config_key_rejected(self, tmp_path):
         # grading and offset: the mesh exponent and the end-node distance are
-        # fixed at variational.GRADING and variational.DEFAULT_OFFSET
+        # fixed in core.graded_grid and at variational.DEFAULT_OFFSET
         for key in ("gradient_tol", "grading", "offset"):
             cfg = tmp_path / "run.cfg"
             cfg.write_text(f"n = 300\n{key} = 2.0\n")

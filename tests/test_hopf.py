@@ -42,6 +42,20 @@ class TestOrthogonalMultiplications:
         )
         assert np.max(err) <= 1e-12
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_one_pair_has_the_bits_of_the_unbatched_sum(self, kind):
+        # a single (x, y) takes the batched contraction: its bits are those of
+        # the unbatched "kij,i,j->k" and of the pair's row in a batch
+        m = multiplication_by_name(kind)
+        rng = np.random.default_rng(7)
+        x, y = rng.normal(size=(200, m.k)), rng.normal(size=(200, m.l))
+        batch = orthmul_eval(m, x, y)
+        for k in range(200):
+            one = orthmul_eval(m, x[k], y[k])
+            assert one.shape == (m.n_out,)
+            assert one.tobytes() == np.einsum("kij,i,j->k", m.tensor, x[k], y[k]).tobytes()
+            assert one.tobytes() == batch[k].tobytes()
+
     def test_complex_unit_times_i(self):
         m = complex_multiplication()
         out = orthmul_eval(m, np.array([1.0, 0.0]), np.array([0.0, 1.0]))

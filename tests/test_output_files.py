@@ -61,7 +61,7 @@ def reference_map_csv(cells) -> str:
 def reference_mismatch_csv(result) -> str:
     lines = ["c0,c1,dalpha,ddalpha"]
     for i, c0 in enumerate(result.c0_scan):
-        for j, c1 in enumerate(result.c1_scan):
+        for j, c1 in enumerate(result.c0_scan):
             lines.append(
                 f"{c0:.17g},{c1:.17g},"
                 f"{result.dalpha_map[i, j]:.17g},{result.ddalpha_map[i, j]:.17g}"
@@ -135,11 +135,13 @@ class TestWritersKeepTheirBytes:
         assert text.splitlines()[1] == "1,1,no_sign_change,"
 
     def test_mismatch_csv_is_c0_major(self, tmp_path):
+        # one amplitude axis for c0 and c1; the maps are not symmetric, so
+        # a c1-major file differs
         rng = np.random.default_rng(3)
-        c0, c1 = np.geomspace(0.1, 10.0, 3), np.geomspace(0.2, 5.0, 4)
-        da, dd = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        c = np.geomspace(0.1, 10.0, 4)
+        da, dd = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
         da[1, 2], dd[0, 3] = np.nan, -np.inf
-        result = MatchResult("no_root", None, None, c0, c1, da, dd)
+        result = MatchResult("no_root", None, None, c, da, dd)
         write_mismatch_csv(result, tmp_path / "mm.csv")
         assert (tmp_path / "mm.csv").read_text() == reference_mismatch_csv(result)
 

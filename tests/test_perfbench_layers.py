@@ -1,18 +1,25 @@
-"""Smoke test of the traced benchmark run: every name it wraps must exist.
+"""Smoke tests of the benchmark: every name it wraps or calls must exist.
 
 ``perfbench/layers.py`` replaces module attributes of hopfbvp (for example
 ``shooting.solve_ivp`` and ``shooting.root``) with counting wrappers for the
-length of a traced run.  A rename in the package breaks that run; this test
-catches it in the fast suite instead of the slow benchmark harness.
+length of a traced run, and ``perfbench/worker.py`` builds each workload's
+inputs and makes one warm-up call on its path.  A rename in the package
+breaks those runs; these tests catch it in the fast suite instead of the
+slow benchmark harness.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 from hopfbvp import variational
 from hopfbvp.core import HopfParams
 
-LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+LAYERS = PERFBENCH / "layers.py"
+WORKLOADS = ["main-regime", "unsolvable", "map-5x10", "certify-assemble"]
 
 
 def load_trace():
@@ -48,3 +55,23 @@ def test_newton_counters_see_a_glue():
     assert counts["newton_iters"] > 0
     assert counts["jump_integrals_s"] > 0  # glue reaches jump_integrals through the module too
     assert counts["gradient_calls"] == counts["newton_direction_calls"] == counts["newton_iters"]
+
+
+@pytest.fixture(scope="module")
+def worker():
+    # dataclasses look their module up in sys.modules while the class body runs
+    spec = importlib.util.spec_from_file_location("perfbench_worker", PERFBENCH / "worker.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_worker_setup_runs(worker, workload, tmp_path):
+    # the inputs and the warm-up call of each workload; the timed operations are not run
+    ops = worker.setup(workload, tmp_path, 1, {"verdicts": {}})
+    assert ops and all(callable(op.run) and callable(op.check) for op in ops)

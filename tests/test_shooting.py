@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp
 
 from hopfbvp import core, dop853, shooting
-from hopfbvp.core import HALF_PI, BlowUpError, Grid, HopfParams
+from hopfbvp.core import HALF_PI, BlowUpError, HopfParams
 from hopfbvp.shooting import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
@@ -20,37 +20,11 @@ from hopfbvp.shooting import (
 )
 
 
-class TestIntegrateFromZero:
-    def test_exact_straight_solution(self, params_flat):
-        grid = Grid(np.linspace(1e-4, HALF_PI - 1e-4, 800))
-        prof = integrate_from_zero(2.0, params_flat, HALF_PI - 1e-4, grid=grid)
-        assert np.max(np.abs(prof.values - 2.0 * prof.t)) <= 1e-6
-
-    def test_undershoot_for_small_amplitude(self, params_main):
-        # a tiny amplitude never reaches the equator on the bulk of the
-        # interval (it eventually dives near pi/2, which is the blow-up case)
-        prof = integrate_from_zero(1e-3, params_main, 1.4)
-        assert np.all(prof.values < HALF_PI)
-
-    def test_seed_step_invariance(self, params_main):
-        vals = []
-        for t_start in (1e-4, 5e-5):
-            grid = Grid(np.linspace(math.pi / 4, math.pi / 4 + 0.01, 5))
-            prof = integrate_from_zero(
-                1.0, params_main, math.pi / 4 + 0.01, t_start=t_start, grid=grid
-            )
-            vals.append(prof.values[0])
-        assert abs(vals[0] - vals[1]) <= 1e-8
-
-    def test_blow_up_reported_with_exit_time(self, params_main):
-        # the undershooting branch leaves the band below -pi near pi/2
-        with pytest.raises(BlowUpError) as exc:
-            integrate_from_zero(1e-3, params_main, HALF_PI - 1e-4)
-        assert 0.0 < exc.value.exit_time < HALF_PI
-
-    def test_amplitude_validation(self, params_flat):
-        with pytest.raises(ValueError):
-            integrate_from_zero(-1.0, params_flat, 1.0)
+def forward_values(c0, params, t_end, nodes=None, t_offset=DEFAULT_T_OFFSET,
+                   rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+    """alpha of the forward shot of amplitude c0 at nodes (default: its step times)."""
+    times, _, state = shooting._shoot(params, c0, t_offset, t_end, rtol, atol)
+    return state(times if nodes is None else nodes)[0]
 
 
 def backward_values(c1, params, t_start, nodes=None, t_offset=DEFAULT_T_OFFSET,
@@ -58,6 +32,50 @@ def backward_values(c1, params, t_start, nodes=None, t_offset=DEFAULT_T_OFFSET,
     """alpha of the backward shot of amplitude c1 at nodes (default: its step times)."""
     times, _, state = shooting._shoot(params, c1, t_offset, t_start, rtol, atol, backward=True)
     return state(times if nodes is None else nodes)[0]
+
+
+class TestIntegrateFromZero:
+    """The forward shot, which integrates from 0: ``_shoot(..., backward=False)``."""
+
+    def test_exact_straight_solution(self, params_flat):
+        nodes = np.linspace(1e-4, HALF_PI - 1e-4, 800)
+        values = forward_values(2.0, params_flat, HALF_PI - 1e-4, nodes)
+        assert np.max(np.abs(values - 2.0 * nodes)) <= 1e-6
+
+    def test_undershoot_for_small_amplitude(self, params_main):
+        # a tiny amplitude never reaches the equator on the bulk of the
+        # interval (it eventually dives near pi/2, which is the blow-up case)
+        values = forward_values(1e-3, params_main, 1.4)
+        assert np.all(values < HALF_PI)
+
+    def test_seed_step_invariance(self, params_main):
+        vals = []
+        for t_offset in (1e-4, 5e-5):
+            nodes = np.linspace(math.pi / 4, math.pi / 4 + 0.01, 5)
+            vals.append(forward_values(1.0, params_main, math.pi / 4 + 0.01, nodes,
+                                       t_offset=t_offset)[0])
+        assert abs(vals[0] - vals[1]) <= 1e-8
+
+    def test_blow_up_reported_with_exit_time(self, params_main):
+        # the undershooting branch leaves the band below -pi near pi/2
+        with pytest.raises(BlowUpError) as exc:
+            forward_values(1e-3, params_main, HALF_PI - 1e-4)
+        assert 0.0 < exc.value.exit_time < HALF_PI
+
+    def test_is_the_forward_shot_at_its_steps(self, params_main):
+        # the benchmark's warm-up: the forward shot, read at its step times
+        prof = integrate_from_zero(1.0, params_main, 0.5)
+        assert prof.values.tobytes() == forward_values(1.0, params_main, 0.5).tobytes()
+        assert prof.t[0] == DEFAULT_T_OFFSET and prof.t[-1] == 0.5
+
+    def test_amplitude_validation(self, params_flat):
+        with pytest.raises(ValueError):
+            integrate_from_zero(-1.0, params_flat, 1.0)
+
+    @pytest.mark.parametrize("t_end", [DEFAULT_T_OFFSET, 1e-5, HALF_PI])
+    def test_end_validation(self, params_flat, t_end):
+        with pytest.raises(ValueError, match=r"need 0.0001 < t_end < pi/2, got t_end="):
+            integrate_from_zero(1.0, params_flat, t_end)
 
 
 class TestIntegrateFromPi2:
@@ -267,17 +285,17 @@ class TestIntegratorAccuracy:
         # flat family checks only the error level; the main-regime shots over
         # most of the interval carry a truncation error that must fall with
         # the tolerance, measured against an rtol = 1e-13 reference
-        grid = Grid(np.linspace(0.5, 1.5, 11))
-        flat = integrate_from_zero(2.0, params_flat, 1.5, grid=grid, rtol=1e-9, atol=1e-11)
-        assert np.max(np.abs(flat.values - 2.0 * flat.t)) <= 1e-8
+        nodes = np.linspace(0.5, 1.5, 11)
+        flat = forward_values(2.0, params_flat, 1.5, nodes, rtol=1e-9, atol=1e-11)
+        assert np.max(np.abs(flat - 2.0 * nodes)) <= 1e-8
 
-        fwd_grid = Grid(np.linspace(DEFAULT_T_OFFSET, 1.2, 11))
+        fwd_nodes = np.linspace(DEFAULT_T_OFFSET, 1.2, 11)
         bwd_nodes = np.linspace(0.3, HALF_PI - DEFAULT_T_OFFSET, 11)
 
         def shots(rtol, atol):
-            fwd = integrate_from_zero(1.0, params_main, 1.2, grid=fwd_grid, rtol=rtol, atol=atol)
+            fwd = forward_values(1.0, params_main, 1.2, fwd_nodes, rtol=rtol, atol=atol)
             bwd = backward_values(1.0, params_main, 0.3, bwd_nodes, rtol=rtol, atol=atol)
-            return fwd.values, bwd
+            return fwd, bwd
 
         ref = shots(1e-13, 1e-15)
         errs = [
@@ -344,7 +362,7 @@ class TestIntegratorAccuracy:
         sol = self.scipy_shot(params_main, 1e-3, HALF_PI - 1e-4, events=[low, high])
         assert sol.status == 1
         with pytest.raises(BlowUpError) as exc:
-            integrate_from_zero(1e-3, params_main, HALF_PI - 1e-4)
+            forward_values(1e-3, params_main, HALF_PI - 1e-4)
         assert abs(exc.value.exit_time - min(te[0] for te in sol.t_events if te.size)) <= 1e-9
 
     def test_seed_outside_band_exits_at_t0(self, monkeypatch):
@@ -525,4 +543,4 @@ class TestMatchShooting:
         write_mismatch_csv(m, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "c0,c1,dalpha,ddalpha"
-        assert len(lines) == 1 + m.c0_scan.size * m.c1_scan.size
+        assert len(lines) == 1 + m.c0_scan.size**2

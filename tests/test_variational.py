@@ -9,7 +9,7 @@ from scipy.integrate import quad, simpson
 from hopfbvp.closed_forms import phi_limit
 from hopfbvp import analysis, core, variational
 from hopfbvp.analysis import scan_jump
-from hopfbvp.core import HALF_PI, ConvergenceError, DomainError, Grid, HopfParams
+from hopfbvp.core import HALF_PI, ConvergenceError, DomainError, Grid, HopfParams, graded_grid
 from hopfbvp.ode import coeff_Q, weight_f
 from hopfbvp.variational import (
     DiscreteEnergy,
@@ -24,6 +24,17 @@ from hopfbvp.variational import (
 def energy_on(grid, params):
     """The discrete energy of params on grid: its geometry, then Q f w."""
     return DiscreteEnergy(grid, params.p, params.q).with_params(params)
+
+
+def offset_grid(t_end, n, offset):
+    """interior_grid(t_end, n) with its free end node at ``offset`` instead of DEFAULT_OFFSET."""
+    return Grid(graded_grid(offset, t_end, n), junction_index=n - 1)
+
+
+def minimize_offset(t_end, params, n, offset):
+    """minimize_interior's Newton on offset_grid: the end node is no argument of the library."""
+    return variational._minimize(energy_on(offset_grid(t_end, n, offset), params), params,
+                                 f"interior minimization at s={t_end}")
 
 
 GEOMETRY_PARAMS = [HopfParams(1, 2, 1.0, 4.0), HopfParams(1, 3, 0.5, 6.0), HopfParams(2, 2, 2.0, 3.0)]
@@ -124,7 +135,7 @@ class TestSideMemo:
 
     def test_memo_hit_equals_a_fresh_build(self, params_main):
         variational._junction.cache_clear()
-        key = (0.6, 300, variational.DEFAULT_OFFSET, params_main.p, params_main.q)
+        key = (0.6, 300, params_main.p, params_main.q)
         built = variational._junction(*key)
         # the same (lambda, mu), then another, as the next cell of a map
         for params in (params_main, HopfParams(1, 2, 2.0, 5.0)):
@@ -151,7 +162,7 @@ class TestSideMemo:
                                          (0.5, params_main), (0.7, HopfParams(2, 3, 1.0, 1.0))]):
             glue(s, params, n=200)
             # one record: the last glue's interior at s and mirrored exterior at pi/2 - s
-            held = variational._junction(s, 200, variational.DEFAULT_OFFSET, params.p, params.q)
+            held = variational._junction(s, 200, params.p, params.q)
             assert variational._junction.cache_info().misses == [1, 1, 2, 3][k]
             assert variational._junction.cache_info().currsize == 1
             assert held.inner.grid.nodes[-1] == s and held.outer.grid.nodes[-1] == HALF_PI - s
@@ -307,7 +318,7 @@ class TestEvalFunctional:
 
     def test_matches_adaptive_quadrature_on_straight_profile(self, params_flat):
         s = math.pi / 4.0
-        grid = interior_grid(s, n=2000, offset=1e-6)
+        grid = offset_grid(s, 2000, 1e-6)
         disc = energy_on(grid, params_flat)
         value = disc.energy(2.0 * grid.nodes)
         integrand = lambda t: (
@@ -322,7 +333,7 @@ class TestEvalFunctional:
         s = 0.8
         vals = []
         for offset in (1e-3, 1e-4, 1e-5):
-            grid = interior_grid(s, n=2000, offset=offset)
+            grid = offset_grid(s, 2000, offset)
             disc = energy_on(grid, params_main)
             vals.append(disc.energy(np.full(2000, HALF_PI)))
         assert vals[0] < vals[1] < vals[2]
@@ -382,8 +393,10 @@ class TestMinimizers:
             assert disc.energy(cand) >= base - 1e-12
 
     def test_exterior_attaches_to_pi_for_small_s(self, params_main):
-        res = minimize_exterior(0.05, params_main, n=2000, offset=1e-4)
-        assert res.profile.values[-1] >= math.pi - 1e-2
+        # the exterior side solved as the mirrored interior one, then mapped back
+        res = minimize_offset(HALF_PI - 0.05, params_main.mirrored(), 2000, 1e-4)
+        values = math.pi - res.profile.values[::-1]
+        assert values[-1] >= math.pi - 1e-2
         assert res.attached
 
     def test_exterior_on_the_two_pi_branch_is_not_attached(self):
@@ -398,7 +411,7 @@ class TestMinimizers:
         grid = interior_grid(HALF_PI - s, n=1000)
         res = minimize_exterior(s, params_main, n=1000)
         disc = energy_on(grid, params_main.mirrored())
-        assert res.energy < disc.energy(np.full(grid.n, HALF_PI))
+        assert res.energy < disc.energy(np.full(grid.nodes.size, HALF_PI))
 
     def test_exterior_is_the_mirrored_interior(self, params_main):
         s = 0.3
@@ -411,10 +424,17 @@ class TestMinimizers:
         assert (outer.energy, outer.grad_norm, outer.iterations, outer.attached, outer.slope) == (
             inner.energy, inner.grad_norm, inner.iterations, inner.attached, inner.slope)
 
+    def test_offset_helper_is_minimize_interior(self, params_main):
+        # the tests that move the end node run minimize_interior's own Newton
+        ref = minimize_interior(0.4, params_main, n=300)
+        res = minimize_offset(0.4, params_main, 300, variational.DEFAULT_OFFSET)
+        assert np.array_equal(res.profile.t, ref.profile.t)
+        assert np.array_equal(res.profile.values, ref.profile.values)
+
     def test_interior_boundary_attachment_under_refinement(self, params_main):
         # the innermost value decreases as the grid reaches further toward 0
         vals = [
-            minimize_interior(0.4, params_main, n=1200, offset=off).profile.values[0]
+            minimize_offset(0.4, params_main, 1200, off).profile.values[0]
             for off in (1e-4, 1e-6)
         ]
         assert vals[1] < vals[0]
@@ -554,6 +574,14 @@ class TestWorkCounts:
 
 
 class TestGlue:
+    @pytest.mark.parametrize("s", [variational.DEFAULT_OFFSET, 1e-8,
+                                   HALF_PI - variational.DEFAULT_OFFSET, 1.6])
+    def test_junction_inside_the_end_nodes(self, params_main, s):
+        # both sides' free end nodes sit DEFAULT_OFFSET inside (0, pi/2)
+        with pytest.raises(ValueError, match=r"need 0 < offset < s < pi/2 - offset, "
+                                             rf"got offset=1e-07, s={s}$"):
+            glue(s, params_main, n=200)
+
     def test_straight_solution_no_kink(self, params_flat):
         g = glue(math.pi / 4.0, params_flat, n=2000)
         assert abs(g.l) <= 1e-5
@@ -635,15 +663,9 @@ class TestHeldJunction:
                  (0.3, a, 200)]
         fields = ("I_s", "I_s1", "I_s2", "l", "l_tilde")
         held = [glue(s, params, n=n) for s, params, n in glues]
-        # then a junction that differs from the held one only in the offset
-        off = minimize_interior(0.3, a, n=200, offset=1e-6).profile
         fresh = [_fresh_glue(s, params, n) for s, params, n in glues]
         for h, f in zip(held, fresh):
             assert [getattr(h, k) for k in fields] == [getattr(f, k) for k in fields]
-        variational._junction.cache_clear()
-        fresh_off = minimize_interior(0.3, a, n=200, offset=1e-6).profile
-        assert fresh_off.t[0] == 1e-6
-        assert np.array_equal(off.t, fresh_off.t) and np.array_equal(off.values, fresh_off.values)
 
     @pytest.mark.parametrize("params", [HopfParams(1, 2, 1.0, 4.0), HopfParams(2, 2, 2.0, 3.0),
                                         HopfParams(2, 1, 3.0, 1.0)])
