@@ -331,14 +331,14 @@ def fd_weights(nodes: np.ndarray, x0, max_order: int) -> np.ndarray:
 
 
 def nodal_first_derivative(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """First derivative at every node: 3-point stencils, one-sided at the two ends."""
+    """First derivative at every node of each row of y: 3-point stencils, one-sided at the ends."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.size < 3:
         raise ValueError("need at least 3 nodes for a 3-point derivative")
     c = np.clip(np.arange(t.size), 1, t.size - 2)  # the centre of each node's stencil
     w0, w1, w2 = fd3_first_weights(t[c - 1], t[c], t[c + 1], t)
-    return w0 * y[c - 1] + w1 * y[c] + w2 * y[c + 1]
+    return w0 * y[..., c - 1] + w1 * y[..., c] + w2 * y[..., c + 1]
 
 
 def simpson_weights(x: np.ndarray) -> np.ndarray:
@@ -381,8 +381,9 @@ def write_csv(path, header: str, *columns) -> None:
         return real % x if isinstance(x, float) else str(x)
 
     cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
-    # a column holding only floats is formatted by the line itself; any other is made text first
-    floats = [all(isinstance(x, float) for x in col) for col in cols]
+    # a float64 array or a column of only floats is formatted by the line itself; any other is made text
+    floats = [isinstance(c, np.ndarray) and c.dtype == float or all(isinstance(x, float) for x in col)
+              for c, col in zip(columns, cols)]
     cols = [col if only else [text(x) for x in col] for col, only in zip(cols, floats)]
     line = ",".join(real if only else "%s" for only in floats) + "\n"
     with open(path, "w") as fh:

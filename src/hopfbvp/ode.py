@@ -23,7 +23,8 @@ glued profiles; its first derivative is :func:`core.nodal_first_derivative`,
 which also gives the ``dalpha`` column of ``profile.csv``.  The 5-point
 stencil (Fornberg weights, fourth order) serves the shooting and closed-form
 checks, whose wide logarithmic grids would squeeze a 3-point stencil between
-truncation and rounding near the ends.  Every CSV is written by
+truncation and rounding near the ends.  A stack of profiles on one grid
+shares one build of the weights.  Every CSV is written by
 :func:`core.write_csv`.
 """
 
@@ -95,11 +96,13 @@ def drift_coeff(t, params: HopfParams):
 def stencil_residual(t, y, drift, potential, width: int = 3) -> np.ndarray:
     """``y'' + drift*y' - potential*sin(y)*cos(y)`` at every node.
 
-    ``drift`` and ``potential`` hold the coefficients at the nodes (or are
-    scalars).  Derivatives come from centred stencils of odd ``width`` on the
-    strictly increasing grid t; the ``width // 2`` nodes at each end, which
-    have no full stencil, get NaN.  Width 3 uses the closed-form weights,
-    wider stencils Fornberg's, computed for all windows in one call.
+    ``y`` holds one profile on the strictly increasing grid t, or a stack of
+    them along leading axes; ``drift`` and ``potential`` hold the coefficients
+    at the nodes (or are scalars) and broadcast to ``y``.  Derivatives come
+    from centred stencils of odd ``width``; the ``width // 2`` nodes at each
+    end, which have no full stencil, get NaN.  Width 3 uses the closed-form
+    weights, wider stencils Fornberg's, built in one call for all windows and
+    shared by the whole stack: each row has the bits of its own call.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -110,17 +113,17 @@ def stencil_residual(t, y, drift, potential, width: int = 3) -> np.ndarray:
     h = width // 2
     mid = slice(h, t.size - h)
     if width == 3:
-        d1 = nodal_first_derivative(t, y)[mid]
+        d1 = nodal_first_derivative(t, y)[..., mid]
         v0, v1, v2 = fd3_second_weights(t[:-2], t[1:-1], t[2:])
-        d2 = v0 * y[:-2] + v1 * y[1:-1] + v2 * y[2:]
+        d2 = v0 * y[..., :-2] + v1 * y[..., 1:-1] + v2 * y[..., 2:]
     else:
-        w = fd_weights(sliding_window_view(t, width), t[mid], 2)
-        d = (w * sliding_window_view(y, width)[:, None, :]).sum(axis=-1)
-        d1, d2 = d[:, 1], d[:, 2]
-    a = np.broadcast_to(drift, t.shape)[mid]
-    b = np.broadcast_to(potential, t.shape)[mid]
-    res = np.full(t.shape, np.nan)
-    res[mid] = d2 + a * d1 - b * np.sin(y[mid]) * np.cos(y[mid])
+        w = fd_weights(sliding_window_view(t, width), t[mid], 2)[:, 1:]
+        d = (w * sliding_window_view(y, width, axis=-1)[..., None, :]).sum(axis=-1)
+        d1, d2 = d[..., 0], d[..., 1]
+    a = np.broadcast_to(drift, y.shape)[..., mid]
+    b = np.broadcast_to(potential, y.shape)[..., mid]
+    res = np.full(y.shape, np.nan)
+    res[..., mid] = d2 + a * d1 - b * np.sin(y[..., mid]) * np.cos(y[..., mid])
     return res
 
 
@@ -164,7 +167,8 @@ def write_profile_csv(profile: Profile, params: HopfParams, path) -> None:
 
 def read_profile_csv(path) -> Profile:
     """Read a profile written by :func:`write_profile_csv` (t, alpha columns)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] < 2:
-        raise ValueError(f"{path} is not a profile CSV")
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=(0, 1))
+    except ValueError as exc:  # fewer than two columns, or a field that is not a number
+        raise ValueError(f"{path} is not a profile CSV: {exc}") from None
     return Profile(Grid(data[:, 0]), data[:, 1])

@@ -343,6 +343,14 @@ class TestHopfEval:
         assert summary["verdict"] == "error"
         assert "--samples" in summary["error"]
 
+    def test_one_column_csv_is_not_a_profile(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("t\n0.1\n0.2\n0.3\n")
+        assert run(tmp_path, "hopf-eval", "--profile", str(path), "--kind", "complex") == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["verdict"] == "error"
+        assert summary["error"].startswith(f"ValueError: {path} is not a profile CSV")
+
     @pytest.mark.parametrize("t_first, t_last", [(0.1, 1.5707963267948966), (0.0, 0.3), (-0.1, 0.3)])
     def test_profile_outside_open_interval(self, tmp_path, t_first, t_last):
         # the t column must lie in (0, pi/2): the grid's range check rejects the file

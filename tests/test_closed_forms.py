@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from hopfbvp import ode
 from hopfbvp.closed_forms import (
     blowup_constant,
     blowup_constant_exact,
@@ -16,6 +17,7 @@ from hopfbvp.closed_forms import (
     theta_threshold,
 )
 from hopfbvp.core import HALF_PI, DomainError, HopfParams, OutsideProvenRegimeWarning
+from hopfbvp.oracles import run_oracle_suite
 
 
 class TestPhiLimit:
@@ -217,3 +219,32 @@ class TestIdentitySolution:
         assert identity_solution(0.0) == 0.0
         assert identity_solution(HALF_PI) == pytest.approx(math.pi, abs=1e-15)
 
+
+class TestOracleSuite:
+    # the suite's values, to the last bit, as the per-profile residuals gave them
+    BITS = {
+        "limit_profile_residual": "0x1.a4eecp-28",
+        "comparison_profile_residual": "0x1.b1e3bd2p-22",
+        "slope_identity": "0x1.87092p-31",
+        "blowup_constant_lam4": "0x0p+0",
+        "blowup_constant_lam2p25": "0x0p+0",
+        "straight_profile_residual": "0x1.005ap-29",
+        "limit_profile_scaling": "0x0p+0",
+        "comparison_sin2_identity": "0x1.4p-51",
+    }
+
+    def test_values_keep_their_bits(self):
+        values = {row.name: row.value.hex() for row in run_oracle_suite()}
+        assert values == {name: float.fromhex(h).hex() for name, h in self.BITS.items()}
+
+    def test_stencil_weights_built_once_per_grid(self, monkeypatch):
+        # the limit profiles share the log grid, the comparison profiles the log-tan grid
+        grids, build = [], ode.fd_weights
+
+        def counted(nodes, x0, max_order):
+            grids.append(nodes.shape)
+            return build(nodes, x0, max_order)
+
+        monkeypatch.setattr(ode, "fd_weights", counted)
+        run_oracle_suite()
+        assert grids == [(1996, 5), (1996, 5)]

@@ -220,6 +220,45 @@ class TestStencilResidual:
         assert np.isnan(res[0]) and np.isnan(res[-1])
         assert np.allclose(res[1:-1], 2.0 + 2.0 * t[1:-1], rtol=0, atol=1e-10)
 
+    @given(
+        width=st.sampled_from([3, 5]),
+        rows=st.integers(1, 5),
+        n=st.integers(5, 60),
+        drift_kind=st.sampled_from(["scalar", "shared", "per_row"]),
+        potential_kind=st.sampled_from(["scalar", "shared", "per_row"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    def test_stack_has_the_bits_of_per_profile_calls(
+        self, width, rows, n, drift_kind, potential_kind, seed
+    ):
+        # a stack on one grid shares one weight build; each row keeps the
+        # bytes of its own call, NaN ends included, and a 5-point row those of
+        # the sum over a build of orders 0 to 2
+        rng = np.random.default_rng(seed)
+        t = 0.1 + np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 0.3, n - 1))))
+        y = rng.uniform(-4.0, 4.0, (rows, n))
+
+        def coefficient(kind):
+            return {"scalar": rng.normal(), "shared": rng.normal(size=n),
+                    "per_row": rng.normal(size=(rows, n))}[kind]
+
+        drift, potential = coefficient(drift_kind), coefficient(potential_kind)
+        stack = stencil_residual(t, y, drift, potential, width=width)
+        assert stack.shape == y.shape
+        for k in range(rows):
+            a = drift[k] if drift_kind == "per_row" else drift
+            b = potential[k] if potential_kind == "per_row" else potential
+            one = stencil_residual(t, y[k], a, b, width=width)
+            assert stack[k].tobytes() == one.tobytes()
+            if width == 5:
+                w = fd_weights(sliding_window_view(t, 5), t[2:-2], 2)
+                d = (w * sliding_window_view(y[k], 5)[:, None, :]).sum(axis=-1)
+                a, b = np.broadcast_to(a, t.shape)[2:-2], np.broadcast_to(b, t.shape)[2:-2]
+                mid = y[k, 2:-2]
+                ref = d[:, 2] + a * d[:, 1] - b * np.sin(mid) * np.cos(mid)
+                assert one[2:-2].tobytes() == ref.tobytes()
+
     def test_width_validation(self):
         t = np.linspace(0.1, 1.0, 4)
         with pytest.raises(ValueError):

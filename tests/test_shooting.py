@@ -396,6 +396,11 @@ class TestMatchShooting:
         assert math.pi - 1e-2 < m.profile.values[-1] < math.pi
         assert m.max_scaled_residual <= 1e-6
 
+    def test_main_regime_residual_bits(self, params_main):
+        # the 5-point residual of the merged profile, pinned to its last bit
+        m = match_shooting(params_main)
+        assert m.max_scaled_residual.hex() == float.fromhex("0x1.f22f94b41df21p-25").hex()
+
     def test_necessary_condition_violated_no_root(self):
         params = HopfParams(p=1, q=2, lam=1.0, mu=1.5)
         m = match_shooting(params)
