@@ -108,6 +108,11 @@ def _pool_map(fn, tasks: list, jobs: int, chunksize: int = 1) -> list:
         return list(pool.map(fn, tasks, chunksize=chunksize))
 
 
+def _is_root(glued: GluedSolution, root_tol: float) -> bool:
+    """The root rule of the search: the glue's jump meets the tolerance."""
+    return abs(glued.l) <= root_tol
+
+
 def _glue_row(task: tuple[float, HopfParams, int, float]) -> ScanRow:
     s, params, grid_n, root_tol = task
     try:
@@ -115,31 +120,30 @@ def _glue_row(task: tuple[float, HopfParams, int, float]) -> ScanRow:
     except ConvergenceError as exc:
         return ScanRow(s=s, reason=str(exc))
     return ScanRow(s=s, l=g.l, l_tilde=g.l_tilde, I_s=g.I_s, I_s1=g.I_s1, I_s2=g.I_s2,
-                   converged=True, glued=g if abs(g.l) <= root_tol else None)
+                   converged=True, glued=g if _is_root(g, root_tol) else None)
 
 
 def scan_jump(
-    params: HopfParams | Sequence[HopfParams],
+    cells: Sequence[HopfParams],
     s_min: float,
     s_max: float,
     n: int,
     grid_n: int = DEFAULT_N,
     jobs: int = 1,
     root_tol: float = ROOT_TOL,
-) -> ScanResult | list[ScanResult]:
-    """Glued solves at n geometrically spaced junctions; brackets extracted.
+) -> list[ScanResult]:
+    """Glued solves at n geometrically spaced junctions; one ScanResult per cell.
 
-    ``params`` may be a sequence (the cells of a map), one ScanResult each;
-    all are glued at one s before the next, so consecutive glues share the one
-    junction record that ``glue`` holds: both sides' geometry, the grids and
-    the Simpson rows.  A row keeps its glued solve only if ``|l| <= root_tol``.
-    Per-row convergence failures are recorded in the table, not raised.
+    All cells are glued at one s before the next, so consecutive glues share
+    the one junction record that ``glue`` holds: both sides' geometry, the
+    grids and the Simpson rows.  A row keeps its glued solve only if it is a
+    root (:func:`_is_root`).  Per-row convergence failures are recorded in the
+    table, not raised.
     """
     if not (0.0 < s_min < s_max < HALF_PI):
         raise ValueError("need 0 < s_min < s_max < pi/2")
     if n < 2:
         raise ValueError("need at least 2 scan points")
-    cells = [params] if isinstance(params, HopfParams) else list(params)
     tasks = [(float(s), cell, grid_n, root_tol)
              for s in np.geomspace(s_min, s_max, n) for cell in cells]
     rows = _pool_map(_glue_row, tasks, jobs, chunksize=len(cells))
@@ -149,7 +153,7 @@ def scan_jump(
         good = [r for r in cell_rows if r.converged and np.isfinite(r.l)]
         brackets = [(lo.s, hi.s) for lo, hi in zip(good[:-1], good[1:]) if lo.l * hi.l < 0.0]
         scans.append(ScanResult(params=cell, rows=cell_rows, brackets=brackets))
-    return scans[0] if isinstance(params, HopfParams) else scans
+    return scans
 
 
 def _certify(glued: GluedSolution, params: HopfParams) -> tuple[float, float, float]:
@@ -198,72 +202,67 @@ def find_solution(
 ) -> SolveOutcome:
     """Drive l(s) to zero by Brent's method over the first sign-change bracket.
 
-    The search stops at the first glue with ``|l| <= root_tol`` and certifies
-    that glue.  Returns ``no_sign_change`` (numerical evidence of
+    The search stops at the first glue that is a root (:func:`_is_root`) and
+    certifies that glue.  Returns ``no_sign_change`` (numerical evidence of
     unsolvability, not a proof) when the scan shows a single-signed jump,
     ``failed`` on numerical breakdown or when the bracket shrinks to rounding
     without meeting the tolerance, and ``solution_found`` with the
     residual-certified glued curve otherwise.
     """
-    scan = scan_jump(params, s_min, s_max, n_scan, grid_n=grid_n, jobs=jobs, root_tol=root_tol)
+    [scan] = scan_jump([params], s_min, s_max, n_scan, grid_n=grid_n, jobs=jobs, root_tol=root_tol)
     return _finish(scan, grid_n, root_tol)
 
 
 def _finish(scan: ScanResult, grid_n: int, root_tol: float) -> SolveOutcome:
     """The search after the scan: scan-point hit, else Brent in the first bracket; certify."""
-    params = scan.params
-    # a scanned junction may already satisfy the root tolerance (e.g. the
-    # q = 1, lambda = mu family, where the jump vanishes identically)
-    hit = next((r for r in scan.rows if r.converged and abs(r.l) <= root_tol), None)
+    # a scanned junction may already be a root (e.g. the q = 1, lambda = mu
+    # family, where the jump vanishes identically); the scan kept its solve
+    hit = next((r for r in scan.rows if r.glued is not None), None)
     for row in scan.rows:
         if row is not hit:
             row.glued = None  # the outcome keeps only the solve it certifies
-    if hit is not None:
-        max_res, b0, b1 = _certify(hit.glued, params)
-        return SolveOutcome(
-            "solution_found", hit.s, hit.glued, scan, max_res, b0, b1,
-            message="scan point already below the jump tolerance",
-        )
-
-    if not scan.brackets:
+    if hit is None and not scan.brackets:
         return SolveOutcome(
             "no_sign_change", None, None, scan,
             message="jump kept a single sign over the scanned junctions",
         )
+    try:
+        glued = hit.glued if hit is not None else _brent_root(scan, grid_n, root_tol)
+    except ConvergenceError as exc:
+        return SolveOutcome("failed", None, None, scan, message=str(exc))
+    max_res, b0, b1 = _certify(glued, scan.params)
+    message = "" if hit is None else "scan point already below the jump tolerance"
+    return SolveOutcome("solution_found", glued.s, glued, scan, max_res, b0, b1, message=message)
 
+
+def _brent_root(scan: ScanResult, grid_n: int, root_tol: float) -> GluedSolution:
+    """Brent's method on l over the first bracket: the glue that is a root, else ConvergenceError."""
     # Brent evaluates both ends first; glue is deterministic, so the scan's
     # values stand in for gluing them again
     known = {r.s: r.l for r in scan.rows if r.s in scan.brackets[0]}
     glued = None  # the last glue made
 
     def jump(s: float) -> float:
-        """l(s), read as 0 once it meets the tolerance: brentq returns at f == 0."""
+        """l(s), read as 0 at a root: brentq returns at f == 0."""
         nonlocal glued
         if s in known:
             return known[s]
         try:
-            glued = glue(s, params, n=grid_n)
+            glued = glue(s, scan.params, n=grid_n)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"glued solve failed at s={s}, root search stopped: {exc}"
             ) from None
-        return 0.0 if abs(glued.l) <= root_tol else glued.l
+        return 0.0 if _is_root(glued, root_tol) else glued.l
 
-    try:
-        brentq(jump, *scan.brackets[0])
-    except ConvergenceError as exc:
-        return SolveOutcome("failed", None, None, scan, message=str(exc))
+    brentq(jump, *scan.brackets[0])
+    if glued is not None and _is_root(glued, root_tol):
+        return glued
     # NaN when the bracket was already below brentq's xtol and no glue was made
     last_l = math.nan if glued is None else glued.l
-    if abs(last_l) <= root_tol:
-        max_res, b0, b1 = _certify(glued, params)
-        return SolveOutcome("solution_found", glued.s, glued, scan, max_res, b0, b1)
-    return SolveOutcome(
-        "failed", None, None, scan,
-        message=(
-            "root search shrank its bracket without reaching the jump "
-            f"tolerance (last |l| = {abs(last_l):.3e})"
-        ),
+    raise ConvergenceError(
+        "root search shrank its bracket without reaching the jump "
+        f"tolerance (last |l| = {abs(last_l):.3e})"
     )
 
 
@@ -451,12 +450,9 @@ def _map_cell(task: tuple[ScanResult, int, float]) -> SolvabilityCell:
     except (ValueError, ConvergenceError, RuntimeError) as exc:
         return SolvabilityCell(lam=lam, mu=mu, verdict="inconclusive",
                                reason=f"{type(exc).__name__}: {exc}")
-    if outcome.verdict == "solution_found":
-        return SolvabilityCell(lam=lam, mu=mu, verdict="solution_found",
-                               s_star=outcome.s_star)
-    if outcome.verdict == "no_sign_change":
-        return SolvabilityCell(lam=lam, mu=mu, verdict="no_sign_change")
-    return SolvabilityCell(lam=lam, mu=mu, verdict="inconclusive", reason=outcome.message)
+    failed = outcome.verdict == "failed"
+    return SolvabilityCell(lam=lam, mu=mu, verdict="inconclusive" if failed else outcome.verdict,
+                           s_star=outcome.s_star, reason=outcome.message if failed else "")
 
 
 def solvability_map(

@@ -114,18 +114,10 @@ def _parse_range(text: str) -> tuple[float, float, int]:
 
 def _write_json(path: Path, payload: dict, echo: bool = False) -> None:
     """The one JSON format of the output files: indented, keys sorted; echoed when asked."""
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     path.write_text(text + "\n")
     if echo:
         print(text)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _failed_rows(scan: analysis.ScanResult) -> list[dict]:
@@ -252,14 +244,16 @@ def cmd_solve(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     if ns.cross_check:
         match = match_shooting(params)
         summary["shooting_verdict"] = match.verdict
-        if match.verdict == "solution" and outcome.glued is not None:
-            prof = outcome.glued.merged_profile()
-            lo, hi = match.profile.t[0], match.profile.t[-1]
-            mask = (prof.t >= lo) & (prof.t <= hi)
-            diff = prof.values[mask] - match.profile.interpolate(prof.t[mask])
-            summary["pipeline_sup_distance"] = float(np.max(np.abs(diff)))
-            summary["shooting_c0"] = match.state.c0
-            summary["shooting_c1"] = match.state.c1
+        if match.verdict == "solution":
+            summary["shooting_max_scaled_residual"] = match.max_scaled_residual
+            if outcome.glued is not None:
+                prof = outcome.glued.merged_profile()
+                lo, hi = match.profile.t[0], match.profile.t[-1]
+                mask = (prof.t >= lo) & (prof.t <= hi)
+                diff = prof.values[mask] - match.profile.interpolate(prof.t[mask])
+                summary["pipeline_sup_distance"] = float(np.max(np.abs(diff)))
+                summary["shooting_c0"] = match.state.c0
+                summary["shooting_c1"] = match.state.c1
         if ns.mismatch_map is not None:
             write_mismatch_csv(match, out_dir / ns.mismatch_map)
             files.append(ns.mismatch_map)
@@ -269,14 +263,8 @@ def cmd_solve(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
 def cmd_scan_jump(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     cfg = RunConfig(**_given(ns))
     params = _params(ns)
-    scan = analysis.scan_jump(
-        params,
-        cfg.s_min,
-        cfg.s_max,
-        cfg.n_scan,
-        grid_n=cfg.n,
-        jobs=cfg.jobs,
-    )
+    [scan] = analysis.scan_jump([params], cfg.s_min, cfg.s_max, cfg.n_scan,
+                                grid_n=cfg.n, jobs=cfg.jobs)
     analysis.write_scan_csv(scan, out_dir / "scan.csv")
     summary = {
         "params": params.to_dict(),

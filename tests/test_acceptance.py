@@ -63,7 +63,7 @@ def test_criterion_2_exact_recovery():
     var_err = float(np.max(np.abs(prof.values - 2.0 * prof.t)))
     m = match_shooting(params)
     shoot_err = float(np.max(np.abs(m.profile.values - 2.0 * m.profile.t)))
-    scan = scan_jump(params, 0.3, 1.2, 5, grid_n=2000)
+    [scan] = scan_jump([params], 0.3, 1.2, 5, grid_n=2000)
     max_l = max(abs(r.l) for r in scan.rows)
     elapsed = time.perf_counter() - t0
     checks = {
@@ -81,7 +81,7 @@ def test_criterion_2_exact_recovery():
 def test_criterion_3_main_theorem_regime():
     params = HopfParams(p=1, q=2, lam=1.0, mu=4.0)
     t0 = time.perf_counter()
-    scan = scan_jump(params, 0.01, 1.5, 40, grid_n=2000)
+    [scan] = scan_jump([params], 0.01, 1.5, 40, grid_n=2000)
     _state["main_scan"] = scan
     has_bracket = bool(scan.brackets)
     out = find_solution(params, s_min=0.01, s_max=1.5, n_scan=40, grid_n=2000)
@@ -137,9 +137,7 @@ def test_criterion_4_sign_structure(tmp_path):
 def test_criterion_5_necessary_condition(tmp_path):
     results = {}
     for mu in (1.5, 1.9):
-        scan = scan_jump(
-            HopfParams(p=1, q=2, lam=1.0, mu=mu), 0.01, 1.5, 40, grid_n=1200
-        )
+        [scan] = scan_jump([HopfParams(p=1, q=2, lam=1.0, mu=mu)], 0.01, 1.5, 40, grid_n=1200)
         rc = cli_main([
             "solve", "--p", "1", "--q", "2", "--lambda", "1", "--mu", str(mu),
             "--n", "1200", "--n-scan", "40", "--s-min", "0.01", "--s-max", "1.5",

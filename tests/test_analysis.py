@@ -1,6 +1,7 @@
+import ast
 import math
-import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,12 +23,12 @@ from hopfbvp.core import HALF_PI, ConvergenceError, Grid, HopfParams, Profile, g
 
 class TestScanJump:
     def test_straight_family_zero_jump(self, params_flat):
-        scan = scan_jump(params_flat, 0.3, 1.2, 5, grid_n=1200)
+        [scan] = scan_jump([params_flat], 0.3, 1.2, 5, grid_n=1200)
         assert all(r.converged for r in scan.rows)
         assert all(abs(r.l) <= 1e-5 for r in scan.rows)
 
     def test_main_regime_has_bracket(self, params_main):
-        scan = scan_jump(params_main, 0.05, 1.45, 10, grid_n=800)
+        [scan] = scan_jump([params_main], 0.05, 1.45, 10, grid_n=800)
         assert scan.brackets
         svals = [r.s for r in scan.rows]
         assert svals == sorted(svals)
@@ -36,7 +37,7 @@ class TestScanJump:
         assert l_by_s[lo] * l_by_s[hi] < 0.0
 
     def test_sign_consistency_and_cross_check(self, params_main):
-        scan = scan_jump(params_main, 0.05, 1.45, 8, grid_n=800)
+        [scan] = scan_jump([params_main], 0.05, 1.45, 8, grid_n=800)
         for r in scan.rows:
             if r.converged and abs(r.l) > 1e-7:
                 assert math.copysign(1, r.l) == math.copysign(1, r.I_s)
@@ -44,18 +45,18 @@ class TestScanJump:
 
     def test_below_threshold_no_bracket(self):
         params = HopfParams(p=1, q=2, lam=1.0, mu=1.9)
-        scan = scan_jump(params, 0.05, 1.4, 8, grid_n=600)
+        [scan] = scan_jump([params], 0.05, 1.4, 8, grid_n=600)
         assert not scan.brackets
         assert all(r.l < 0 for r in scan.rows if r.converged)
 
     def test_parallel_matches_serial(self, params_main):
-        a = scan_jump(params_main, 0.1, 1.0, 4, grid_n=500, jobs=1)
-        b = scan_jump(params_main, 0.1, 1.0, 4, grid_n=500, jobs=2)
+        [a] = scan_jump([params_main], 0.1, 1.0, 4, grid_n=500, jobs=1)
+        [b] = scan_jump([params_main], 0.1, 1.0, 4, grid_n=500, jobs=2)
         assert [r.s for r in a.rows] == [r.s for r in b.rows]
         assert [r.l for r in a.rows] == [r.l for r in b.rows]
 
     def test_energy_bound_over_scan(self, params_main):
-        # the glues of scan_jump(params_main, 0.05, 1.45, 8, grid_n=800)
+        # the glues of scan_jump([params_main], 0.05, 1.45, 8, grid_n=800)
         s_values = np.geomspace(0.05, 1.45, 8)
         glues = [variational.glue(float(s), params_main, n=800) for s in s_values]
         totals = [g.J_interior + g.J_exterior for g in glues]
@@ -63,10 +64,10 @@ class TestScanJump:
 
     def test_needs_two_scan_points(self, params_main):
         with pytest.raises(ValueError, match="need at least 2 scan points"):
-            scan_jump(params_main, 0.1, 1.0, 1)
+            scan_jump([params_main], 0.1, 1.0, 1)
 
     def test_csv_write(self, tmp_path, params_main):
-        scan = scan_jump(params_main, 0.2, 1.0, 3, grid_n=400)
+        [scan] = scan_jump([params_main], 0.2, 1.0, 3, grid_n=400)
         path = tmp_path / "scan.csv"
         write_scan_csv(scan, path)
         lines = path.read_text().splitlines()
@@ -105,7 +106,7 @@ class TestFindSolution:
 
 
 class TestRootSearch:
-    """Brent's method on the jump: glue count and the two failure exits."""
+    """Brent's method on the jump: glue counts, every exit of the search and its root rule."""
 
     QUICK = dict(s_min=0.05, s_max=1.45, n_scan=8, grid_n=600)
 
@@ -135,16 +136,6 @@ class TestRootSearch:
         # the glue that met the tolerance is the one certified, not re-glued
         assert out.s_star == root_glues[-1] == out.glued.s
 
-    def test_convergence_error_at_root_glue(self, params_main, monkeypatch):
-        n_scan = self.QUICK["n_scan"]
-        seen = self.record_glues(monkeypatch, fail_after=n_scan)
-        out = find_solution(params_main, **self.QUICK)
-        assert out.verdict == "failed"
-        assert len(seen) == n_scan + 1  # no retry after the failure
-        assert f"s={seen[-1]}" in out.message
-        assert "root search stopped" in out.message
-        assert "last |l|" not in out.message
-
     def test_root_at_scan_point_glued_once(self, params_flat, monkeypatch):
         seen = self.record_glues(monkeypatch)
         out = find_solution(params_flat, s_min=0.3, s_max=1.2, n_scan=5, grid_n=800)
@@ -154,27 +145,57 @@ class TestRootSearch:
         assert seen[-1] == 1.2
         assert out.glued.s == out.s_star
 
-    def test_bracket_below_xtol_fails_without_a_glue(self, params_main, monkeypatch):
-        # brentq returns before its first step when the bracket is narrower
-        # than its xtol (2e-12): no glue is made, so no last jump is known
-        seen = self.record_glues(monkeypatch)
-        lo, hi = 0.5, 0.5 + 1e-12
-        rows = [analysis.ScanRow(s=lo, l=1e-3, converged=True),
-                analysis.ScanRow(s=hi, l=-1e-3, converged=True)]
-        scan = analysis.ScanResult(params_main, rows, brackets=[(lo, hi)])
-        out = analysis._finish(scan, grid_n=600, root_tol=analysis.ROOT_TOL)
-        assert seen == []
-        assert (out.verdict, out.s_star, out.glued) == ("failed", None, None)
-        assert out.message.endswith("(last |l| = nan)")
+    SHRANK = "root search shrank its bracket without reaching the jump tolerance (last |l| = {})"
 
-    def test_unreachable_tolerance_reports_last_jump(self, params_main):
-        # l is quantized by rounding near the root and can be exactly 0.0 there
-        # (at grid_n = 600 it is); at grid_n = 700 the search never meets 0
-        out = find_solution(params_main, root_tol=1e-300, **{**self.QUICK, "grid_n": 700})
-        assert out.verdict == "failed"
-        assert "root search stopped" not in out.message
-        last = float(re.search(r"last \|l\| = (\S+)\)", out.message).group(1))
-        assert 1e-300 < last < 1e-6
+    # the exits of the search after the scan: find_solution's keywords, the
+    # glues made before one fails, and the verdict, s_star, message ({s}: the
+    # last glue's s) and glues.  Keywords None finish a bracket narrower than
+    # brentq's xtol (2e-12): brentq returns before its first step, so no glue
+    # is made and no last jump is known.  l is quantized by rounding near the
+    # root and can be exactly 0.0 there (at grid_n = 600 it is); at grid_n = 700
+    # the search never meets a root_tol of 1e-300
+    @pytest.mark.parametrize("params, opts, fail_after, verdict, s_star, message, n_glues", [
+        pytest.param(HopfParams(1, 1, 1.0, 1.0), dict(s_min=0.3, s_max=1.2, n_scan=5, grid_n=800),
+                     None, "solution_found", 0.6, "scan point already below the jump tolerance", 5,
+                     id="scan_point_hit"),
+        pytest.param(HopfParams(1, 2, 1.0, 1.9), QUICK, None, "no_sign_change", None,
+                     "jump kept a single sign over the scanned junctions", 8, id="no_bracket"),
+        pytest.param(HopfParams(1, 2, 1.0, 4.0), QUICK, 8, "failed", None,
+                     "glued solve failed at s={s}, root search stopped: injected failure at s={s}",
+                     9, id="glue_failure_in_brent"),
+        pytest.param(HopfParams(1, 2, 1.0, 4.0), None, None, "failed", None, SHRANK.format("nan"),
+                     0, id="bracket_below_xtol"),
+        pytest.param(HopfParams(1, 2, 1.0, 4.0), {**QUICK, "grid_n": 700, "root_tol": 1e-300},
+                     None, "failed", None, SHRANK.format("5.821e-10"), 19, id="tolerance_not_met"),
+    ])
+    def test_exits_of_the_search(self, monkeypatch, params, opts, fail_after, verdict, s_star,
+                                 message, n_glues):
+        seen = self.record_glues(monkeypatch, fail_after)
+        if opts is None:
+            lo, hi = 0.5, 0.5 + 1e-12
+            rows = [analysis.ScanRow(s=lo, l=1e-3, converged=True),
+                    analysis.ScanRow(s=hi, l=-1e-3, converged=True)]
+            scan = analysis.ScanResult(params, rows, brackets=[(lo, hi)])
+            out = analysis._finish(scan, grid_n=600, root_tol=analysis.ROOT_TOL)
+        else:
+            out = find_solution(params, **opts)
+        assert (out.verdict, out.s_star) == (verdict, s_star)
+        assert out.message == message.format(s=seen[-1] if seen else None)
+        assert len(seen) == n_glues
+        assert (out.glued is None) == (verdict != "solution_found")
+
+    def test_root_tol_compared_only_in_is_root(self):
+        # the scan's kept solve, the scan-point hit, Brent's jump and the final
+        # check all read the one predicate, so a change of rule edits one place
+        def compares(node):
+            return [c for c in ast.walk(node) if isinstance(c, ast.Compare) and any(
+                getattr(n, "id", getattr(n, "attr", "")).lower() == "root_tol"
+                for n in ast.walk(c))]
+
+        tree = ast.parse(Path(analysis.__file__).read_text())
+        [rule] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_is_root"]
+        assert compares(tree) == compares(rule) != []
+        assert len(compares(ast.parse("g if abs(g.l) <= self.root_tol else ROOT_TOL > 0"))) == 2
 
 
 class TestBlowupCompare:

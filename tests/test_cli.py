@@ -520,7 +520,8 @@ class TestSummaryEnvelope:
     @pytest.mark.parametrize("argv, rc, keys", [
         (("solve", *PARAMS, *QUICK), 0, SOLVE),
         (("solve", *PARAMS, *QUICK, "--cross-check"), 0,
-         SOLVE | {"pipeline_sup_distance", "shooting_c0", "shooting_c1", "shooting_verdict"}),
+         SOLVE | {"pipeline_sup_distance", "shooting_c0", "shooting_c1",
+                  "shooting_max_scaled_residual", "shooting_verdict"}),
         (("scan-jump", *PARAMS, *QUICK), 0, {
             "brackets", "command", "config", "failed_rows", "files_written",
             "n_converged", "outside_proven_regime", "params", "verdict",

@@ -516,7 +516,7 @@ class TestStoppingRule:
         # the mirrored solve still names the caller's junction
         with pytest.raises(ConvergenceError, match="exterior minimization at s=0.3:"):
             minimize_exterior(0.3, params_main, n=400)
-        row = scan_jump(params_main, 0.3, 0.5, 2, grid_n=400).rows[0]
+        row = scan_jump([params_main], 0.3, 0.5, 2, grid_n=400)[0].rows[0]
         assert row.s == 0.3
         assert not row.converged and math.isnan(row.l)
         assert row.reason == str(info.value)
