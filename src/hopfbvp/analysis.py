@@ -97,7 +97,7 @@ class SolvabilityCell:
     reason: str = ""
 
 
-def _pool_map(fn, tasks: list, jobs: int, chunksize: int = 1) -> list:
+def _pool_map(fn, tasks: list, jobs: int) -> list:
     """[fn(t) for t in tasks], over ``jobs`` worker processes when jobs > 1."""
     if jobs <= 1:
         return [fn(t) for t in tasks]
@@ -105,7 +105,7 @@ def _pool_map(fn, tasks: list, jobs: int, chunksize: int = 1) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunksize))
+        return list(pool.map(fn, tasks))
 
 
 def _is_root(glued: GluedSolution, root_tol: float) -> bool:
@@ -113,14 +113,20 @@ def _is_root(glued: GluedSolution, root_tol: float) -> bool:
     return abs(glued.l) <= root_tol
 
 
-def _glue_row(task: tuple[float, HopfParams, int, float]) -> ScanRow:
-    s, params, grid_n, root_tol = task
-    try:
-        g = glue(s, params, n=grid_n)
-    except ConvergenceError as exc:
-        return ScanRow(s=s, reason=str(exc))
-    return ScanRow(s=s, l=g.l, l_tilde=g.l_tilde, I_s=g.I_s, I_s1=g.I_s1, I_s2=g.I_s2,
-                   converged=True, glued=g if _is_root(g, root_tol) else None)
+def _glue_junction(task: tuple[float, Sequence[HopfParams], int, float]) -> list[ScanRow]:
+    """The scan rows of all cells at junction s, in order (see :func:`scan_jump`)."""
+    s, cells, grid_n, root_tol = task
+    rows, start = [], None
+    for params in cells:
+        try:
+            g = glue(s, params, n=grid_n, start=start)
+        except ConvergenceError as exc:
+            rows.append(ScanRow(s=s, reason=str(exc)))
+            continue
+        start = g if g.attached_zero and g.attached_pi else start
+        rows.append(ScanRow(s=s, l=g.l, l_tilde=g.l_tilde, I_s=g.I_s, I_s1=g.I_s1, I_s2=g.I_s2,
+                            converged=True, glued=g if _is_root(g, root_tol) else None))
+    return rows
 
 
 def scan_jump(
@@ -134,22 +140,22 @@ def scan_jump(
 ) -> list[ScanResult]:
     """Glued solves at n geometrically spaced junctions; one ScanResult per cell.
 
-    All cells are glued at one s before the next, so consecutive glues share
-    the one junction record that ``glue`` holds: both sides' geometry, the
-    grids and the Simpson rows.  A row keeps its glued solve only if it is a
-    root (:func:`_is_root`).  Per-row convergence failures are recorded in the
-    table, not raised.
+    One task glues all cells at one s, so they share the junction record that
+    ``glue`` holds, and each cell starts both sides from the task's last glue
+    attached at both ends, if any (a flat side is no start; the minimizer's
+    closing step keeps l a cold start's, to rounding).  A row keeps its glued
+    solve only if it is a root (:func:`_is_root`).  Per-row convergence
+    failures are recorded in the table, not raised.
     """
     if not (0.0 < s_min < s_max < HALF_PI):
         raise ValueError("need 0 < s_min < s_max < pi/2")
     if n < 2:
         raise ValueError("need at least 2 scan points")
-    tasks = [(float(s), cell, grid_n, root_tol)
-             for s in np.geomspace(s_min, s_max, n) for cell in cells]
-    rows = _pool_map(_glue_row, tasks, jobs, chunksize=len(cells))
+    tasks = [(float(s), cells, grid_n, root_tol) for s in np.geomspace(s_min, s_max, n)]
+    rows = _pool_map(_glue_junction, tasks, jobs)
     scans = []
     for k, cell in enumerate(cells):
-        cell_rows = rows[k::len(cells)]
+        cell_rows = [junction[k] for junction in rows]
         good = [r for r in cell_rows if r.converged and np.isfinite(r.l)]
         brackets = [(lo.s, hi.s) for lo, hi in zip(good[:-1], good[1:]) if lo.l * hi.l < 0.0]
         scans.append(ScanResult(params=cell, rows=cell_rows, brackets=brackets))

@@ -252,8 +252,8 @@ def cmd_solve(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
                 mask = (prof.t >= lo) & (prof.t <= hi)
                 diff = prof.values[mask] - match.profile.interpolate(prof.t[mask])
                 summary["pipeline_sup_distance"] = float(np.max(np.abs(diff)))
-                summary["shooting_c0"] = match.state.c0
-                summary["shooting_c1"] = match.state.c1
+            summary["shooting_c0"] = match.state.c0
+            summary["shooting_c1"] = match.state.c1
         if ns.mismatch_map is not None:
             write_mismatch_csv(match, out_dir / ns.mismatch_map)
             files.append(ns.mismatch_map)

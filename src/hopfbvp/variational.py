@@ -34,8 +34,9 @@ at the Gauss points, the exterior grid mapped back to t, the union grid and
 its Simpson rows.  The cells of a map glued at one s build it once.  Minimization:
 damped Newton with one LAPACK ``dptsv`` (SPD tridiagonal) solve per step of a
 Levenberg shift ladder, ``info > 0`` meaning "not positive definite, next
-shift"; a strictly decreasing line search; and a single stopping rule on the
-Newton decrement.
+shift"; a strictly decreasing line search; a single stopping rule on the
+Newton decrement; and the closing step v + d, which reaches the discrete minimizer
+to rounding, so a side may start from a neighbour's minimizer at no cost to l.
 """
 
 from __future__ import annotations
@@ -225,9 +226,9 @@ class DiscreteEnergy:
 class MinimizeResult:
     """Outcome of one side's energy minimization."""
 
-    profile: Profile
-    energy: float
-    grad_norm: float
+    profile: Profile  # v + d: the last iterate v plus its closing Newton step
+    energy: float  # E(v); E(v + d) is lower by at most the decrement, below float64's resolution
+    grad_norm: float  # max|g(v)|
     iterations: int
     energy_history: np.ndarray
     # whether the free end reached its limit angle (0 inside, pi outside)
@@ -260,20 +261,21 @@ def _junction(s: float, n: int, p: int, q: int) -> _Junction:
                      _simpson_rows(union.nodes, p, q))
 
 
-def _minimize(disc: DiscreteEnergy, params: HopfParams, what: str) -> MinimizeResult:
-    """Damped Newton on disc's grid (0, s] with alpha(s) = pi/2, from the guess pi/2 (t/s)^r0.
+def _minimize(disc: DiscreteEnergy, params: HopfParams, what: str, start=None) -> MinimizeResult:
+    """Damped Newton on disc's grid (0, s] with alpha(s) = pi/2, from ``start`` or pi/2 (t/s)^r0.
 
     The one stopping rule is the Newton decrement of Boyd & Vandenberghe,
-    Convex Optimization, section 9.5.1: stop when the unshifted step predicts
+    Convex Optimization, section 9.5.1: stop when the unshifted step d predicts
     a decrease lambda^2/2 = -d.g/2 of at most DECREMENT_TOL*(1+|E|), i.e. one
-    that the float64 energy cannot resolve.  Every other end raises
-    :class:`ConvergenceError` naming ``what``, the exit that fired and the
-    gradient norm max|g| of the failing iterate, formed only there.
+    that the float64 energy cannot resolve, and return v + d.  That closing step
+    needs no kernel call and leaves the slope at s that of a cold start.  Every
+    other end raises :class:`ConvergenceError` naming ``what``, the exit that
+    fired and the gradient norm max|g| of the failing iterate, formed only there.
     """
     grid, t = disc.grid, disc.grid.nodes
     s = t[-1]
-    # the last node is s, so the guess is pinned there to pi/2
-    v = HALF_PI * np.minimum(1.0, (t / s) ** params.r0)
+    # the last node is s, so the guess is pinned there to pi/2, as a start must be
+    v = HALF_PI * np.minimum(1.0, (t / s) ** params.r0) if start is None else start
     # trig goes positionally: the traced benchmark wraps kernels as fn(disc, v, *rest)
     trig = disc.trig(v)
     e = disc.energy(v, trig)
@@ -287,6 +289,7 @@ def _minimize(disc: DiscreteEnergy, params: HopfParams, what: str) -> MinimizeRe
             break
         decrement = -0.5 * float(np.dot(d, g))
         if shift == 0.0 and decrement <= DECREMENT_TOL * (1.0 + abs(e)):
+            v = v + d  # d[-1] = 0 keeps the pin
             return MinimizeResult(Profile(grid, v), e, float(np.max(np.abs(g))), it,
                                   np.asarray(history), bool(abs(v[0]) <= ATTACH_TOL),
                                   _one_sided_slope(t[-3:], v[-3:], s))
@@ -308,30 +311,35 @@ def _minimize(disc: DiscreteEnergy, params: HopfParams, what: str) -> MinimizeRe
     raise ConvergenceError(f"{what}: {failure} gradient norm {gnorm:.3e}", grad_norm=gnorm)
 
 
-def minimize_interior(s: float, params: HopfParams, n: int = DEFAULT_N) -> MinimizeResult:
+def minimize_interior(s: float, params: HopfParams, n: int = DEFAULT_N,
+                      start: np.ndarray | None = None) -> MinimizeResult:
     """Minimize the energy over (0, s] with alpha(s) = pi/2 pinned.
 
     The value at the innermost node is free (natural boundary); for p = 1 the
     minimizer attaches to 0 there on its own, since the constant pi/2 has
-    divergent energy.  Raises :class:`ConvergenceError` if Newton stops
+    divergent energy.  Newton starts cold or from ``start``, values on
+    interior_grid(s, n).  Raises :class:`ConvergenceError` if Newton stops
     before its decrement test is met.
     """
     disc = _junction(s, n, params.p, params.q).inner.with_params(params)
-    return _minimize(disc, params, f"interior minimization at s={s}")
+    return _minimize(disc, params, f"interior minimization at s={s}", start)
 
 
-def minimize_exterior(s: float, params: HopfParams, n: int = DEFAULT_N) -> MinimizeResult:
+def minimize_exterior(s: float, params: HopfParams, n: int = DEFAULT_N,
+                      start: np.ndarray | None = None) -> MinimizeResult:
     """Minimize the energy over [s, pi/2) with alpha(s) = pi/2 pinned.
 
     Solved as the interior problem at pi/2 - s for ``params.mirrored()``, in
     tau = pi/2 - t and beta = pi - alpha, which has the same energy; the
-    result is mapped back to t with its junction node set to s exactly.  The
+    result is mapped back to t with its junction node set to s exactly, and a
+    ``start`` (values in t, pi/2 at s) is mapped the other way.  The
     junction slope needs no mapping, since beta'(tau) = alpha'(t).  For small
     s the minimizer attaches to pi at the outer end; for larger s it may not,
     which is reported through ``attached=False`` rather than an error.
     """
     held, mirrored = _junction(s, n, params.p, params.q), params.mirrored()
-    res = _minimize(held.outer.with_params(mirrored), mirrored, f"exterior minimization at s={s}")
+    res = _minimize(held.outer.with_params(mirrored), mirrored, f"exterior minimization at s={s}",
+                    None if start is None else math.pi - start[::-1])
     values = math.pi - res.profile.values[::-1]
     return replace(res, profile=Profile(held.outer_grid, values))
 
@@ -417,38 +425,31 @@ def jump_integrals(
     return i_s, ints[0], ints[1]
 
 
-def glue(s: float, params: HopfParams, n: int = DEFAULT_N) -> GluedSolution:
+def glue(s: float, params: HopfParams, n: int = DEFAULT_N,
+         start: GluedSolution | None = None) -> GluedSolution:
     """Solve both sides at junction s and assemble the glued curve.
 
     Both minimizers place their free end nodes DEFAULT_OFFSET inside the
-    singular endpoints.  Minimizer failures propagate as :class:`ConvergenceError`.
+    singular endpoints, and start cold or from the sides of ``start``, a glue at
+    the same s and n.  Minimizer failures propagate as :class:`ConvergenceError`.
     """
-    res_i = minimize_interior(s, params, n=n)
-    res_e = minimize_exterior(s, params, n=n)
+    curve = None if start is None else start.merged_profile().values
+    res_i = minimize_interior(s, params, n=n, start=None if curve is None else curve[:n])
+    res_e = minimize_exterior(s, params, n=n, start=None if curve is None else curve[n - 1:])
     held = _junction(s, n, params.p, params.q)
     vi, ve = res_i.profile.values, res_e.profile.values
     d_minus, d_plus = res_i.slope, res_e.slope
     a_union = np.concatenate([vi, ve[1:]])
     i_s, i1, i2 = jump_integrals(held.rows, a_union, params)
-    l = d_plus - d_minus
     # the square on f(s) comes from multiplying the conservation form by
     # f*alpha' and integrating by parts on each side of the junction
     denom = weight_f(s, params) ** 2 * (d_plus + d_minus)
-    l_tilde = i_s / denom if abs(denom) > 1e-300 else math.nan
     return GluedSolution(
-        s=s,
-        l=l,
-        l_tilde=l_tilde,
-        d_minus=d_minus,
-        d_plus=d_plus,
-        J_interior=res_i.energy,
-        J_exterior=res_e.energy,
-        I_s=i_s,
-        I_s1=i1,
-        I_s2=i2,
+        s=s, l=d_plus - d_minus, l_tilde=i_s / denom if abs(denom) > 1e-300 else math.nan,
+        d_minus=d_minus, d_plus=d_plus, J_interior=res_i.energy, J_exterior=res_e.energy,
+        I_s=i_s, I_s1=i1, I_s2=i2,
         _curve=Profile(held.union, a_union, d_left=d_minus, d_right=d_plus),
-        attached_zero=res_i.attached,
-        attached_pi=res_e.attached,
+        attached_zero=res_i.attached, attached_pi=res_e.attached,
         monotone_interior=bool(np.all(np.diff(vi) >= -1e-12)),
         monotone_exterior=bool(np.all(np.diff(ve) >= -1e-12)),
     )

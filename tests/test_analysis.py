@@ -1,6 +1,7 @@
 import ast
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,18 @@ class TestScanJump:
         [b] = scan_jump([params_main], 0.1, 1.0, 4, grid_n=500, jobs=2)
         assert [r.s for r in a.rows] == [r.s for r in b.rows]
         assert [r.l for r in a.rows] == [r.l for r in b.rows]
+
+    def test_no_start_from_a_glue_off_its_ends(self):
+        # the exterior minimizer of (1,2,0.3,0.2) is not attached at pi, and flat
+        # (alpha = pi/2 at its end) from s = 0.236 on.  Started from it, the next
+        # cell's exterior minimizations stop without a strict decrease at the last
+        # four junctions, and its bracket goes; the guard starts that cell cold
+        off_ends, cell = HopfParams(1, 2, 0.3, 0.2), HopfParams(1, 2, 0.3, 2.5)
+        _, after = scan_jump([off_ends, cell], 0.02, 1.5, 8, grid_n=600)
+        [alone] = scan_jump([cell], 0.02, 1.5, 8, grid_n=600)
+        assert [(r.converged, r.reason, r.l) for r in after.rows] == [
+            (r.converged, r.reason, r.l) for r in alone.rows]
+        assert after.brackets == alone.brackets == [(alone.rows[5].s, alone.rows[6].s)]
 
     def test_energy_bound_over_scan(self, params_main):
         # the glues of scan_jump([params_main], 0.05, 1.45, 8, grid_n=800)
@@ -111,8 +124,12 @@ class TestRootSearch:
     QUICK = dict(s_min=0.05, s_max=1.45, n_scan=8, grid_n=600)
 
     @staticmethod
-    def record_glues(monkeypatch, fail_after=None):
-        """Record the s of every glue; raise ConvergenceError after fail_after."""
+    def record_glues(monkeypatch, fail_after=None, step_at=None):
+        """Record the s of every glue; raise ConvergenceError after fail_after.
+
+        With ``step_at``, each glue's l becomes +1e-3 below it and -1e-3 from it
+        on: a jump that changes sign with no zero.
+        """
         seen = []
         real = analysis.glue
 
@@ -120,7 +137,8 @@ class TestRootSearch:
             seen.append(s)
             if fail_after is not None and len(seen) > fail_after:
                 raise ConvergenceError(f"injected failure at s={s}")
-            return real(s, *args, **kwargs)
+            glued = real(s, *args, **kwargs)
+            return glued if step_at is None else replace(glued, l=1e-3 if s < step_at else -1e-3)
 
         monkeypatch.setattr(analysis, "glue", glue)
         return seen
@@ -148,29 +166,28 @@ class TestRootSearch:
     SHRANK = "root search shrank its bracket without reaching the jump tolerance (last |l| = {})"
 
     # the exits of the search after the scan: find_solution's keywords, the
-    # glues made before one fails, and the verdict, s_star, message ({s}: the
+    # faults record_glues injects, and the verdict, s_star, message ({s}: the
     # last glue's s) and glues.  Keywords None finish a bracket narrower than
     # brentq's xtol (2e-12): brentq returns before its first step, so no glue
-    # is made and no last jump is known.  l is quantized by rounding near the
-    # root and can be exactly 0.0 there (at grid_n = 600 it is); at grid_n = 700
-    # the search never meets a root_tol of 1e-300
-    @pytest.mark.parametrize("params, opts, fail_after, verdict, s_star, message, n_glues", [
+    # is made and no last jump is known.  A jump that steps over zero has a
+    # sign change and no root, so Brent shrinks its bracket to xtol
+    @pytest.mark.parametrize("params, opts, inject, verdict, s_star, message, n_glues", [
         pytest.param(HopfParams(1, 1, 1.0, 1.0), dict(s_min=0.3, s_max=1.2, n_scan=5, grid_n=800),
-                     None, "solution_found", 0.6, "scan point already below the jump tolerance", 5,
+                     {}, "solution_found", 0.6, "scan point already below the jump tolerance", 5,
                      id="scan_point_hit"),
-        pytest.param(HopfParams(1, 2, 1.0, 1.9), QUICK, None, "no_sign_change", None,
+        pytest.param(HopfParams(1, 2, 1.0, 1.9), QUICK, {}, "no_sign_change", None,
                      "jump kept a single sign over the scanned junctions", 8, id="no_bracket"),
-        pytest.param(HopfParams(1, 2, 1.0, 4.0), QUICK, 8, "failed", None,
+        pytest.param(HopfParams(1, 2, 1.0, 4.0), QUICK, {"fail_after": 8}, "failed", None,
                      "glued solve failed at s={s}, root search stopped: injected failure at s={s}",
                      9, id="glue_failure_in_brent"),
-        pytest.param(HopfParams(1, 2, 1.0, 4.0), None, None, "failed", None, SHRANK.format("nan"),
+        pytest.param(HopfParams(1, 2, 1.0, 4.0), None, {}, "failed", None, SHRANK.format("nan"),
                      0, id="bracket_below_xtol"),
-        pytest.param(HopfParams(1, 2, 1.0, 4.0), {**QUICK, "grid_n": 700, "root_tol": 1e-300},
-                     None, "failed", None, SHRANK.format("5.821e-10"), 19, id="tolerance_not_met"),
+        pytest.param(HopfParams(1, 2, 1.0, 4.0), QUICK, {"step_at": 0.5}, "failed", None,
+                     SHRANK.format("1.000e-03"), 45, id="tolerance_not_met"),
     ])
-    def test_exits_of_the_search(self, monkeypatch, params, opts, fail_after, verdict, s_star,
+    def test_exits_of_the_search(self, monkeypatch, params, opts, inject, verdict, s_star,
                                  message, n_glues):
-        seen = self.record_glues(monkeypatch, fail_after)
+        seen = self.record_glues(monkeypatch, **inject)
         if opts is None:
             lo, hi = 0.5, 0.5 + 1e-12
             rows = [analysis.ScanRow(s=lo, l=1e-3, converged=True),
@@ -337,11 +354,13 @@ class TestSolvabilityMap:
         assert cell.reason == "ConvergenceError: injected failure"
 
     # a Brent root and no sign change (q = 2); the flat family lambda = mu,
-    # whose jump meets the tolerance at a scan point, and no sign change (q = 1)
+    # whose jump meets the tolerance at a scan point, and no sign change (q = 1);
+    # the map whose Newton work TestWorkCounts pins, at the map's own n_scan
     MAPS = {
         "brent": ((1, 2, (1.0, 2.0), (1.0, 4.0), 2, 2), dict(grid_n=300, n_scan=4)),
         "scan_point": ((1, 1, (1.0, 2.0), (1.0, 2.0), 2, 2),
                        dict(grid_n=500, n_scan=5, s_min=0.3, s_max=1.2)),
+        "work_counts": ((1, 2, (1.0, 2.0), (3.0, 5.0), 2, 2), dict(grid_n=300, n_scan=14)),
     }
 
     @pytest.mark.parametrize("kind", sorted(MAPS))
@@ -363,6 +382,24 @@ class TestSolvabilityMap:
         assert all(at_scan_point) if kind == "scan_point" else not any(at_scan_point)
         # and the same cells from two worker processes
         assert [repr(c) for c in solvability_map(*args, **opts, jobs=2)] == [repr(c) for c in cells]
+
+    def test_starts_stay_inside_one_junction(self, monkeypatch):
+        # a scan glue starts from the one before it at its s, the first cell of
+        # each junction and every root glue cold
+        starts, real = [], analysis.glue
+
+        def glue(s, params, n, start=None):
+            starts.append((s, None if start is None else (start.s, start.attached_pi)))
+            return real(s, params, n=n, start=start)
+
+        monkeypatch.setattr(analysis, "glue", glue)
+        args, opts = self.MAPS["brent"]
+        cells = solvability_map(*args, **opts)
+        n_scan_glues = opts["n_scan"] * len(cells)
+        scan, root = starts[:n_scan_glues], starts[n_scan_glues:]
+        assert [start for _, start in scan] == [
+            None if k % len(cells) == 0 else (s, True) for k, (s, _) in enumerate(scan)]
+        assert root and all(start is None for _, start in root)
 
     def test_one_side_geometry_per_junction_and_root_glue(self, monkeypatch):
         builds = []

@@ -92,6 +92,18 @@ class TestSolve:
         assert summary["shooting_verdict"] == "solution"
         assert summary["pipeline_sup_distance"] <= 1e-3
 
+    def test_cross_check_keeps_shooting_solution_without_a_variational_one(self, tmp_path):
+        # the scan over [1.0, 1.4] misses the root near 0.4845; shooting finds it
+        rc = run(tmp_path, "solve", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4",
+                 "--s-min", "1.0", "--s-max", "1.4", "--n-scan", "4", "--n", "600",
+                 "--cross-check")
+        assert rc == 2
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert (summary["verdict"], summary["shooting_verdict"]) == ("no_sign_change", "solution")
+        assert "pipeline_sup_distance" not in summary
+        assert summary["shooting_c0"] == pytest.approx(3.39, rel=1e-2)
+        assert summary["shooting_c1"] == pytest.approx(0.98, rel=1e-2)
+
     def test_invalid_grid_size_rejected(self, tmp_path):
         rc = run(tmp_path, "solve", "--p", "1", "--q", "2", "--lambda", "1",
                  "--mu", "4", "--n", "8")

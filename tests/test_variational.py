@@ -521,6 +521,25 @@ class TestStoppingRule:
         assert not row.converged and math.isnan(row.l)
         assert row.reason == str(info.value)
 
+    # the closing step v + d returns the discrete minimizer to rounding: four
+    # more unshifted Newton steps leave the junction slope's bits
+    @pytest.mark.parametrize("cell", [(1, 2, 1.0, 4.0), (1, 2, 2.0, 1.0), (2, 2, 3.0, 3.0)])
+    @pytest.mark.parametrize("s", [0.02, 0.1, 0.4845, 1.0, 1.5])
+    def test_closing_step_leaves_nothing_to_newton(self, cell, s):
+        params = HopfParams(*cell)
+        held = variational._junction(s, 600, params.p, params.q)
+        for res, disc, mirrored in [
+            (minimize_interior(s, params, n=600), held.inner.with_params(params), False),
+            (minimize_exterior(s, params, n=600), held.outer.with_params(params.mirrored()), True),
+        ]:
+            v = math.pi - res.profile.values[::-1] if mirrored else res.profile.values
+            for _ in range(4):
+                d, shift = disc.newton_direction(v, disc.gradient(v))
+                assert shift == 0.0
+                v = v + d
+            t = disc.grid.nodes
+            assert variational._one_sided_slope(t[-3:], v[-3:], t[-1]) == res.slope
+
     @pytest.mark.parametrize("setting, value, exit_", [
         ("MAX_SHIFTS", 0, "no descent direction after 0 Levenberg shifts at iteration 1,"),
         ("DECREMENT_TOL", -math.inf, "no strict decrease along the Newton direction"),
@@ -570,7 +589,7 @@ class TestWorkCounts:
         cells = analysis.solvability_map(1, 2, (1.0, 2.0), (3.0, 5.0), 2, 2, grid_n=300)
         assert [c.verdict for c in cells] == ["solution_found", "solution_found",
                                               "no_sign_change", "solution_found"]
-        assert counts == {"glues": 64, "iterations": 598, "dptsv": 803}
+        assert counts == {"glues": 64, "iterations": 529, "dptsv": 581}
 
 
 class TestGlue:
