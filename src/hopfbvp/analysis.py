@@ -113,17 +113,30 @@ def _is_root(glued: GluedSolution, root_tol: float) -> bool:
     return abs(glued.l) <= root_tol
 
 
+def _start(x: float, held: list) -> Optional[np.ndarray]:
+    """Newton start at x from [(x_k, union values)]: cold, a copy of one, or the secant of two."""
+    if len(held) < 2 or held[0][0] == held[1][0]:
+        return held[-1][1] if held else None
+    (xb, b), (xa, a) = held  # a + (a - b) c: the pin stays pi/2, where a - b is 0
+    return a + (a - b) * ((x - xa) / (xa - xb))
+
+
 def _glue_junction(task: tuple[float, Sequence[HopfParams], int, float]) -> list[ScanRow]:
     """The scan rows of all cells at junction s, in order (see :func:`scan_jump`)."""
     s, cells, grid_n, root_tol = task
-    rows, start = [], None
-    for params in cells:
+    rows, held, firsts = [], [], []  # the last two attached glues, and row starts
+    for k, params in enumerate(cells):
+        row = [(c.mu, v) for c, v in held if c.lam == params.lam]
+        col = [(c.lam, v) for c, v in firsts if c.mu == params.mu]
+        start = _start(params.mu, row) if len(row) == 2 else _start(params.lam, col or held[-1:])
         try:
             g = glue(s, params, n=grid_n, start=start)
         except ConvergenceError as exc:
             rows.append(ScanRow(s=s, reason=str(exc)))
             continue
-        start = g if g.attached_zero and g.attached_pi else start
+        if g.attached_zero and g.attached_pi:  # a flat side is no start
+            held = held[-1:] + [(params, g.merged_profile().values)]
+            firsts = firsts[-1:] + held[-1:] if k == 0 or params.lam != cells[k - 1].lam else firsts
         rows.append(ScanRow(s=s, l=g.l, l_tilde=g.l_tilde, I_s=g.I_s, I_s1=g.I_s1, I_s2=g.I_s2,
                             converged=True, glued=g if _is_root(g, root_tol) else None))
     return rows
@@ -140,12 +153,12 @@ def scan_jump(
 ) -> list[ScanResult]:
     """Glued solves at n geometrically spaced junctions; one ScanResult per cell.
 
-    One task glues all cells at one s, so they share the junction record that
-    ``glue`` holds, and each cell starts both sides from the task's last glue
-    attached at both ends, if any (a flat side is no start; the minimizer's
-    closing step keeps l a cold start's, to rounding).  A row keeps its glued
-    solve only if it is a root (:func:`_is_root`).  Per-row convergence
-    failures are recorded in the table, not raised.
+    One task glues all cells at one s (sharing ``glue``'s junction record) in a map's
+    lambda-major order.  A cell starts from the secant in mu through the task's last two
+    glues at its lambda, else in lambda through the last two first cells of rows at its
+    mu, else a copy of one, else of the last glue, else cold; only glues attached at both
+    ends count, and the closing step keeps l a cold start's, to rounding.  A row keeps
+    its solve only if it is a root (:func:`_is_root`); failures are rows, not raised.
     """
     if not (0.0 < s_min < s_max < HALF_PI):
         raise ValueError("need 0 < s_min < s_max < pi/2")
@@ -246,7 +259,7 @@ def _brent_root(scan: ScanResult, grid_n: int, root_tol: float) -> GluedSolution
     # Brent evaluates both ends first; glue is deterministic, so the scan's
     # values stand in for gluing them again
     known = {r.s: r.l for r in scan.rows if r.s in scan.brackets[0]}
-    glued = None  # the last glue made
+    glued, held = None, []  # the last glue made; the last two attached, (s, union values)
 
     def jump(s: float) -> float:
         """l(s), read as 0 at a root: brentq returns at f == 0."""
@@ -254,11 +267,13 @@ def _brent_root(scan: ScanResult, grid_n: int, root_tol: float) -> GluedSolution
         if s in known:
             return known[s]
         try:
-            glued = glue(s, scan.params, n=grid_n)
+            glued = glue(s, scan.params, n=grid_n, start=_start(s, held))
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"glued solve failed at s={s}, root search stopped: {exc}"
             ) from None
+        if glued.attached_zero and glued.attached_pi:
+            held[:] = held[-1:] + [(s, glued.merged_profile().values)]
         return 0.0 if _is_root(glued, root_tol) else glued.l
 
     brentq(jump, *scan.brackets[0])

@@ -36,7 +36,7 @@ damped Newton with one LAPACK ``dptsv`` (SPD tridiagonal) solve per step of a
 Levenberg shift ladder, ``info > 0`` meaning "not positive definite, next
 shift"; a strictly decreasing line search; a single stopping rule on the
 Newton decrement; and the closing step v + d, which reaches the discrete minimizer
-to rounding, so a side may start from a neighbour's minimizer at no cost to l.
+to rounding, so a side may start from (a secant through) neighbours at no cost to l.
 """
 
 from __future__ import annotations
@@ -274,6 +274,8 @@ def _minimize(disc: DiscreteEnergy, params: HopfParams, what: str, start=None) -
     """
     grid, t = disc.grid, disc.grid.nodes
     s = t[-1]
+    if start is not None and (np.shape(start) != (disc.n,) or start[-1] != HALF_PI):
+        raise ValueError(f"{what}: start needs {disc.n} values with pi/2 at the junction node")
     # the last node is s, so the guess is pinned there to pi/2, as a start must be
     v = HALF_PI * np.minimum(1.0, (t / s) ** params.r0) if start is None else start
     # trig goes positionally: the traced benchmark wraps kernels as fn(disc, v, *rest)
@@ -426,16 +428,17 @@ def jump_integrals(
 
 
 def glue(s: float, params: HopfParams, n: int = DEFAULT_N,
-         start: GluedSolution | None = None) -> GluedSolution:
+         start: np.ndarray | None = None) -> GluedSolution:
     """Solve both sides at junction s and assemble the glued curve.
 
-    Both minimizers place their free end nodes DEFAULT_OFFSET inside the
-    singular endpoints, and start cold or from the sides of ``start``, a glue at
-    the same s and n.  Minimizer failures propagate as :class:`ConvergenceError`.
+    Both minimizers place their free end nodes DEFAULT_OFFSET inside the singular
+    endpoints and start cold or from ``start``: 2n - 1 union values, pi/2 at index n - 1,
+    from glues at any s (all grids scale one graded layout).  Failures raise ConvergenceError.
     """
-    curve = None if start is None else start.merged_profile().values
-    res_i = minimize_interior(s, params, n=n, start=None if curve is None else curve[:n])
-    res_e = minimize_exterior(s, params, n=n, start=None if curve is None else curve[n - 1:])
+    if start is not None and (np.shape(start) != (2 * n - 1,) or start[n - 1] != HALF_PI):
+        raise ValueError(f"start needs 2n - 1 = {2 * n - 1} values with pi/2 at index {n - 1}")
+    res_i = minimize_interior(s, params, n=n, start=None if start is None else start[:n])
+    res_e = minimize_exterior(s, params, n=n, start=None if start is None else start[n - 1:])
     held = _junction(s, n, params.p, params.q)
     vi, ve = res_i.profile.values, res_e.profile.values
     d_minus, d_plus = res_i.slope, res_e.slope

@@ -343,6 +343,17 @@ class TestSolvabilityMap:
         assert by_pair[(1.0, 2.0)] == "no_sign_change"
         assert by_pair[(2.0, 1.0)] == "no_sign_change"
 
+    @pytest.mark.parametrize("lambda_range, mu_range, n_lambda, n_mu", [
+        ((1.0, 1.0), (4.0, 4.0), 1, 3), ((1.0, 1.0), (1.0, 4.0), 2, 3)])
+    def test_ranges_of_one_value(self, lambda_range, mu_range, n_lambda, n_mu):
+        # --mu 4:4:3 glues one cell three times at each s: two held glues share their mu,
+        # so the third copies the second instead of dividing by zero.  --lambda 1:1:2
+        # makes one long row, whose fourth cell extrapolates from mu = 2.5, 4 back to 1
+        opts = dict(grid_n=300, n_scan=6)
+        cells = solvability_map(1, 2, lambda_range, mu_range, n_lambda, n_mu, **opts)
+        alone = [find_solution(HopfParams(1, 2, c.lam, c.mu), **opts) for c in cells]
+        assert [(c.verdict, c.s_star) for c in cells] == [(o.verdict, o.s_star) for o in alone]
+
     def test_inconclusive_cell_keeps_the_exception(self, monkeypatch):
         # the map scans all cells together, then each cell finishes its search
         def failing(scan, grid_n, root_tol):
@@ -355,12 +366,15 @@ class TestSolvabilityMap:
 
     # a Brent root and no sign change (q = 2); the flat family lambda = mu,
     # whose jump meets the tolerance at a scan point, and no sign change (q = 1);
-    # the map whose Newton work TestWorkCounts pins, at the map's own n_scan
+    # the map whose Newton work TestWorkCounts pins, at the map's own n_scan; a 3x3
+    # map whose scan and root glues start from secants in mu, lambda and s (its
+    # counts are pinned too)
     MAPS = {
         "brent": ((1, 2, (1.0, 2.0), (1.0, 4.0), 2, 2), dict(grid_n=300, n_scan=4)),
         "scan_point": ((1, 1, (1.0, 2.0), (1.0, 2.0), 2, 2),
                        dict(grid_n=500, n_scan=5, s_min=0.3, s_max=1.2)),
         "work_counts": ((1, 2, (1.0, 2.0), (3.0, 5.0), 2, 2), dict(grid_n=300, n_scan=14)),
+        "secants": ((1, 2, (1.0, 2.0), (1.0, 6.0), 3, 3), dict(grid_n=300, n_scan=6)),
     }
 
     @pytest.mark.parametrize("kind", sorted(MAPS))
@@ -383,23 +397,63 @@ class TestSolvabilityMap:
         # and the same cells from two worker processes
         assert [repr(c) for c in solvability_map(*args, **opts, jobs=2)] == [repr(c) for c in cells]
 
+    # the start of each scan glue of the 3x3 "secants" map, by (lambda, mu) index:
+    # cold, a copy of one cell, or the secant in mu or lambda through two cells,
+    # all glued at the same s.  The task's glues are all attached at both ends here
+    SCAN_STARTS = {(0, 0): ("cold",), (0, 1): ("copy", (0, 0)), (0, 2): ("mu", (0, 0), (0, 1)),
+                   (1, 0): ("copy", (0, 0)), (1, 1): ("copy", (1, 0)),
+                   (1, 2): ("mu", (1, 0), (1, 1)), (2, 0): ("lambda", (0, 0), (1, 0)),
+                   (2, 1): ("copy", (2, 0)), (2, 2): ("mu", (2, 0), (2, 1))}
+
     def test_starts_stay_inside_one_junction(self, monkeypatch):
-        # a scan glue starts from the one before it at its s, the first cell of
-        # each junction and every root glue cold
-        starts, real = [], analysis.glue
+        # scan glues start from glues at their own s, root glues from their own cell's
+        made, real = [], analysis.glue
 
         def glue(s, params, n, start=None):
-            starts.append((s, None if start is None else (start.s, start.attached_pi)))
-            return real(s, params, n=n, start=start)
+            glued = real(s, params, n=n, start=start)
+            made.append((s, params, None if start is None else start.copy(), glued))
+            return glued
+
+        def secant(x, xb, b, xa, a):
+            return a + (a - b) * ((x - xa) / (xa - xb))
 
         monkeypatch.setattr(analysis, "glue", glue)
-        args, opts = self.MAPS["brent"]
+        args, opts = self.MAPS["secants"]
         cells = solvability_map(*args, **opts)
-        n_scan_glues = opts["n_scan"] * len(cells)
-        scan, root = starts[:n_scan_glues], starts[n_scan_glues:]
-        assert [start for _, start in scan] == [
-            None if k % len(cells) == 0 else (s, True) for k, (s, _) in enumerate(scan)]
-        assert root and all(start is None for _, start in root)
+        lams, mus = np.linspace(*args[2], 3), np.linspace(*args[3], 3)
+        scan, root = made[:9 * opts["n_scan"]], made[9 * opts["n_scan"]:]
+        assert all(g.attached_zero and g.attached_pi for *_, g in made)
+        for task in range(opts["n_scan"]):
+            at_s = scan[9 * task: 9 * task + 9]
+            assert [(s, p.lam, p.mu) for s, p, _, _ in at_s] == [
+                (at_s[0][0], c.lam, c.mu) for c in cells]
+            curve = {divmod(k, 3): g.merged_profile().values for k, (*_, g) in enumerate(at_s)}
+            for k, (_, _, start, _) in enumerate(at_s):
+                (i, j), (kind, *src) = divmod(k, 3), self.SCAN_STARTS[divmod(k, 3)]
+                if kind == "cold":
+                    assert start is None
+                elif kind == "copy":
+                    assert np.array_equal(start, curve[src[0]])
+                elif kind == "mu":
+                    (_, jb), (_, ja) = src
+                    assert np.array_equal(start, secant(mus[j], mus[jb], curve[src[0]],
+                                                        mus[ja], curve[src[1]]))
+                else:
+                    (ib, _), (ia, _) = src
+                    assert np.array_equal(start, secant(lams[i], lams[ib], curve[src[0]],
+                                                        lams[ia], curve[src[1]]))
+        # a cell's first root glue starts cold, its second from a copy of the first, every
+        # later one from the secant in s through the two before it; no start crosses cells
+        solved = [c for c in cells if c.verdict == "solution_found"]
+        by_cell = [[(s, st, g) for s, p, st, g in root if (p.lam, p.mu) == (c.lam, c.mu)]
+                   for c in solved]
+        assert sum(map(len, by_cell)) == len(root) and min(map(len, by_cell)) >= 3
+        for glues in by_cell:
+            assert glues[0][1] is None
+            assert np.array_equal(glues[1][1], glues[0][2].merged_profile().values)
+            for (sb, _, gb), (sa, _, ga), (s, start, _) in zip(glues, glues[1:], glues[2:]):
+                assert np.array_equal(start, secant(s, sb, gb.merged_profile().values,
+                                                    sa, ga.merged_profile().values))
 
     def test_one_side_geometry_per_junction_and_root_glue(self, monkeypatch):
         builds = []

@@ -565,8 +565,11 @@ class TestStoppingRule:
 
 
 class TestWorkCounts:
-    def test_small_map_takes_the_pinned_newton_path(self, monkeypatch):
-        # a kernel change that moves any iterate moves these counts
+    # a kernel change that moves any iterate moves these counts, and so does a change
+    # of the Newton starts: the first map only copies a glue or extrapolates in s, the
+    # second (TestSolvabilityMap.MAPS["secants"]) extrapolates in mu, lambda and s too
+    @staticmethod
+    def counted_map(monkeypatch, *args, **opts):
         counts = {"glues": 0, "iterations": 0, "dptsv": 0}
         dptsv, minimize, glue_ = variational._dptsv(), variational._minimize, analysis.glue
 
@@ -586,10 +589,21 @@ class TestWorkCounts:
         monkeypatch.setattr(variational, "_dptsv", lambda: counted_dptsv)
         monkeypatch.setattr(variational, "_minimize", counted_minimize)
         monkeypatch.setattr(analysis, "glue", counted_glue)
-        cells = analysis.solvability_map(1, 2, (1.0, 2.0), (3.0, 5.0), 2, 2, grid_n=300)
-        assert [c.verdict for c in cells] == ["solution_found", "solution_found",
-                                              "no_sign_change", "solution_found"]
-        assert counts == {"glues": 64, "iterations": 529, "dptsv": 581}
+        cells = analysis.solvability_map(*args, **opts)
+        return [c.verdict for c in cells], counts
+
+    def test_small_map_takes_the_pinned_newton_path(self, monkeypatch):
+        verdicts, counts = self.counted_map(monkeypatch, 1, 2, (1.0, 2.0), (3.0, 5.0), 2, 2,
+                                            grid_n=300)
+        assert verdicts == ["solution_found", "solution_found", "no_sign_change", "solution_found"]
+        assert counts == {"glues": 64, "iterations": 504, "dptsv": 556}
+
+    def test_secant_map_takes_the_pinned_newton_path(self, monkeypatch):
+        verdicts, counts = self.counted_map(monkeypatch, 1, 2, (1.0, 2.0), (1.0, 6.0), 3, 3,
+                                            grid_n=300, n_scan=6)
+        no, so = "no_sign_change", "solution_found"
+        assert verdicts == [no, so, so, no, so, so, no, no, so]
+        assert counts == {"glues": 73, "iterations": 492, "dptsv": 571}
 
 
 class TestGlue:
@@ -644,6 +658,33 @@ class TestGlue:
         assert np.array_equal(prof.t, np.concatenate([inner.t, outer.t[1:]]))
         assert np.array_equal(prof.values, np.concatenate([inner.values, outer.values[1:]]))
         assert outer.values[0] == prof.values[399] == HALF_PI
+
+    def test_start_is_checked_before_any_newton_step(self, params_main, monkeypatch):
+        # a start is Newton's first iterate: an unpinned one was taken silently, and a
+        # glue of another n was sliced into unpinned sides; both are refused up front
+        other_n = glue(0.5, params_main, n=1000)
+        trig_calls, trig = [], DiscreteEnergy.trig
+        monkeypatch.setattr(DiscreteEnergy, "trig",
+                            lambda *args: trig_calls.append(1) or trig(*args))
+        side = "minimization at s=0.5: start needs 300 values with pi/2 at the junction node"
+        with pytest.raises(ValueError, match=f"^interior {side}$"):
+            minimize_interior(0.5, params_main, n=300, start=np.full(300, 1.0))
+        with pytest.raises(ValueError, match=f"^exterior {side}$"):
+            minimize_exterior(0.5, params_main, n=300, start=np.full(301, HALF_PI))
+        union = r"^start needs 2n - 1 = 999 values with pi/2 at index 499$"
+        # 999 values whose index 499 is node 998 of the other glue's interior, not its s
+        unpinned = other_n.merged_profile().values[::2][:999]
+        for start in (other_n.merged_profile().values, other_n, unpinned):
+            with pytest.raises(ValueError, match=union):
+                glue(0.5, params_main, n=500, start=start)
+        assert trig_calls == []
+
+    def test_start_from_another_junction(self, params_main):
+        # every junction's grids scale one graded layout, so node k of a glue at s = 0.4
+        # starts node k at s = 0.5; the closing step leaves l that of a cold start
+        near = glue(0.4, params_main, n=300).merged_profile().values
+        warm, cold = glue(0.5, params_main, n=300, start=near), glue(0.5, params_main, n=300)
+        assert warm.l == pytest.approx(cold.l, rel=1e-12, abs=0.0)
 
 
 def _fresh_glue(s: float, params: HopfParams, n: int) -> GluedSolution:
