@@ -495,10 +495,14 @@ def solvability_map(
     All cells are scanned together (see :func:`scan_jump`), then each
     finishes its own search; the cells are find_solution's at any ``jobs``.
     They are laid out lambda-major; per-cell failures of the search are
-    marked ``inconclusive`` rather than raised.
+    marked ``inconclusive`` rather than raised.  A range with equal ends and
+    a count above 1 is refused, as it would solve one cell that many times.
     """
     if lambda_range[0] <= 0 or mu_range[0] <= 0:
         raise ValueError("lambda and mu ranges must be positive")
+    for name, (lo, hi), count in (("lambda", lambda_range, n_lambda), ("mu", mu_range, n_mu)):
+        if lo == hi and count > 1:
+            raise ValueError(f"{name} range {lo:g}:{hi:g}:{count} repeats one value; use count 1")
     lams = np.linspace(lambda_range[0], lambda_range[1], n_lambda)
     mus = np.linspace(mu_range[0], mu_range[1], n_mu)
     cells = [HopfParams(p=p, q=q, lam=lam, mu=mu) for lam in lams for mu in mus]

@@ -10,11 +10,11 @@ trajectories agree in value and slope at a matching point.
 The forward end state (alpha, alpha') at the matching point depends only on
 c0 and the backward one only on c1, so a matching pair is a crossing of two
 planar curves, Gamma_f(c0) and Gamma_b(c1).  Both curves are sampled once on
-a log grid of amplitudes; each crossing of the two polylines seeds a Newton
-iteration in (log c0, log c1) whose separable Jacobian costs one extra shot
-per side.  "No root" means that the sampled curves do not cross and the
-balanced diagonal c0 = c1 holds no bracket -- numerical evidence of
-unsolvability, distinct from a polish that fails.
+a log grid of amplitudes.  A Brent search on the diagonal c0 = c1 starts from
+their values at a bracket's ends, and each crossing of the polylines seeds a
+Newton iteration in (log c0, log c1) whose separable Jacobian costs one extra
+shot per side; one rule accepts the roots of both.  "No root" (no crossing, no
+diagonal bracket) is numerical evidence of unsolvability, not a failed search.
 
 Shots run the float DOP853 stepper of :mod:`hopfbvp.dop853` and keep only their
 step ends; a shot's dense state is built from them on first read (a root's pair), once.
@@ -189,9 +189,7 @@ def integrate_from_zero(c0: float, params: HopfParams, t_end: float) -> Profile:
     return Profile(grid, state(grid.nodes)[0])
 
 
-def _scaled_residual(
-    profile: Profile, params: HopfParams, seam: Optional[float] = None
-) -> float:
+def _scaled_residual(profile: Profile, params: HopfParams) -> float:
     """Max of |equation residual| / (1 + Q) using 5-point interior stencils.
 
     The merged trajectory comes from a high-order integrator, so the limiting
@@ -204,8 +202,7 @@ def _scaled_residual(
     q = coeff_Q(t, params)
     res = stencil_residual(t, profile.values, drift_coeff(t, params), q, width=5)
     res /= 1.0 + q
-    if seam is not None:
-        res[2:-2][(t[:-4] <= seam) & (seam <= t[4:])] = np.nan
+    res[2:-2][(t[:-4] <= T_MATCH) & (T_MATCH <= t[4:])] = np.nan
     return float(np.nanmax(np.abs(res)))
 
 
@@ -239,15 +236,16 @@ def match_shooting(params: HopfParams) -> MatchResult:
     Returns a :class:`MatchResult` whose verdict is ``"solution"`` (state,
     merged profile, and residual check populated), ``"no_root"`` (the sampled
     end-state curves do not cross and the diagonal holds no bracket), or
-    ``"failed"`` (crossings or brackets exist but no polish was accepted).
+    ``"failed"`` (crossings or brackets exist but no root was accepted).
 
     The boundary problem can carry several genuine trajectory pairs, and in
     degenerate cases a whole curve of them, so every accepted root is
     collected; the returned one is the increasing, in-band profile with the
     most balanced amplitudes (smallest ``|log(c0/c1)|``, ties to smaller c0).
-    The balanced diagonal c0 = c1 is searched first: a root there pins the
-    symmetric member of a degenerate family, and when admissible no other
-    root can beat it.
+    The balanced diagonal c0 = c1 is searched first (Brent, from the scan's
+    values at each bracket's ends): a root there pins the symmetric member of
+    a degenerate family, and when admissible no other root can beat it.  Both
+    searches hand their last pair to ``add_root``, the one acceptance rule.
     """
     # each shot is made once: its end state at T_MATCH, and its dense state
     # for the admissibility probe and the profile (None after a band exit)
@@ -258,9 +256,8 @@ def match_shooting(params: HopfParams) -> MatchResult:
         key = (backward, c)
         if key not in shots:
             try:
-                _, end, state = _shoot(params, c, DEFAULT_T_OFFSET, T_MATCH, DEFAULT_RTOL,
-                                       DEFAULT_ATOL, backward)
-                shots[key] = end, state
+                shots[key] = _shoot(params, c, DEFAULT_T_OFFSET, T_MATCH, DEFAULT_RTOL,
+                                    DEFAULT_ATOL, backward)[1:]
             except (BlowUpError, RuntimeError):
                 shots[key] = np.full(2, np.nan), None
         return shots[key][0]
@@ -270,9 +267,6 @@ def match_shooting(params: HopfParams) -> MatchResult:
         fwd, bwd, t = shots[(False, root.c0)][1], shots[(True, root.c1)][1], T_MATCH
         return np.where(nodes <= t, fwd(np.minimum(nodes, t))[0], bwd(np.maximum(nodes, t))[0])
 
-    def mismatch(c0: float, c1: float) -> np.ndarray:
-        return end_state(True, c1) - end_state(False, c0)
-
     # the two end-state curves, sampled once; the map is their difference
     cs = np.geomspace(C_RANGE[0], C_RANGE[1], SCAN_POINTS)
     zs = np.log(cs)
@@ -281,25 +275,19 @@ def match_shooting(params: HopfParams) -> MatchResult:
     da = bwd[None, :, 0] - fwd[:, None, 0]
     dd = bwd[None, :, 1] - fwd[:, None, 1]
 
-    def as_root(c0: float, c1: float, m: np.ndarray) -> Optional[ShootState]:
-        """The root at (c0, c1) if its mismatch ``m`` is within tolerance, else None."""
-        if not float(np.max(np.abs(m))) <= MISMATCH_TOL:
-            return None
-        return ShootState(c0=c0, c1=c1, mismatch=(float(m[0]), float(m[1])))
-
     roots: list[ShootState] = []
     admissible: list[ShootState] = []
     ends: Counter = Counter()
 
-    def add_root(state: Optional[ShootState], failure: str) -> None:
-        if state is None:
+    def add_root(c0: float, c1: float, failure: str) -> None:
+        """Accept (c0, c1) if its mismatch meets the tolerance, else tally ``failure``."""
+        m = end_state(True, c1) - end_state(False, c0)
+        if not float(np.max(np.abs(m))) <= MISMATCH_TOL:
             ends[failure] += 1
             return
-        if any(
-            abs(math.log(state.c0 / r.c0)) + abs(math.log(state.c1 / r.c1)) <= 1e-6
-            for r in roots
-        ):
+        if any(abs(math.log(c0 / r.c0)) + abs(math.log(c1 / r.c1)) <= 1e-6 for r in roots):
             return
+        state = ShootState(c0=c0, c1=c1, mismatch=(float(m[0]), float(m[1])))
         roots.append(state)
         probe = merged_values(
             state, graded_grid(DEFAULT_T_OFFSET, HALF_PI - DEFAULT_T_OFFSET, 401)
@@ -322,23 +310,23 @@ def match_shooting(params: HopfParams) -> MatchResult:
         )
     ]
 
-    def diag_value(z: float) -> float:
-        value = float(mismatch(math.exp(z), math.exp(z))[0])
-        if math.isnan(value):
-            raise BlowUpError("a diagonal shot left the band", exit_time=math.nan)
-        return value
+    # Brent's first two calls are a bracket's ends: there it reads the scan's shots
+    scanned = dict(zip(zs.tolist(), cs.tolist()))
+
+    def diag_mismatch(z: float) -> float:
+        c = scanned.get(z, math.exp(z))
+        return float(end_state(True, c)[0] - end_state(False, c)[0])
 
     for k in brackets:
         try:
-            z, converged = brentq(diag_value, zs[k], zs[k + 1])
-        except BlowUpError as exc:
-            ends[str(exc)] += 1
+            z, converged = brentq(diag_mismatch, zs[k], zs[k + 1])
+        except ValueError:  # the ends are finite and of opposite sign: a NaN inside
+            ends["a diagonal shot left the band"] += 1
             continue
         if not converged:
             ends["a diagonal Brent search did not converge"] += 1
             continue
-        c = math.exp(z)
-        add_root(as_root(c, c, mismatch(c, c)), "a diagonal root was not accepted")
+        add_root(math.exp(z), math.exp(z), "a diagonal root was not accepted")
 
     # forward-difference step in log c: balances truncation against the
     # integrator's relative error
@@ -348,31 +336,30 @@ def match_shooting(params: HopfParams) -> MatchResult:
     # without an actual zero crossing (widen C_RANGE to chase them)
     z_lo, z_hi = math.log(0.99 * C_RANGE[0]), math.log(1.01 * C_RANGE[1])
 
-    def polish(z0: float, z1: float) -> tuple[Optional[ShootState], str]:
-        """Newton on the mismatch in (log c0, log c1) from a crossing."""
+    def polish(z0: float, z1: float) -> tuple[float, float, str]:
+        """Newton in (log c0, log c1) from a crossing: its last pair, and why it stopped."""
         for _ in range(POLISH_MAX_ITER):
             c0, c1 = math.exp(z0), math.exp(z1)
             f, b = end_state(False, c0), end_state(True, c1)
             m = b - f
             if not np.all(np.isfinite(m)):
-                return None, "a shot left the band"
-            root = as_root(c0, c1, m)
-            if root is not None:
-                return root, ""
+                return c0, c1, "a shot left the band"
+            if float(np.max(np.abs(m))) <= MISMATCH_TOL:
+                return c0, c1, ""
             jac = np.column_stack((
                 (f - end_state(False, math.exp(z0 + h))) / h,
                 (end_state(True, math.exp(z1 + h)) - b) / h,
             ))
             if not np.all(np.isfinite(jac)):
-                return None, "a shot left the band"
+                return c0, c1, "a shot left the band"
             try:
                 step = np.linalg.solve(jac, -m)
             except np.linalg.LinAlgError:
-                return None, "the Jacobian was singular"
+                return c0, c1, "the Jacobian was singular"
             z0, z1 = z0 + float(step[0]), z1 + float(step[1])
             if not (z_lo <= z0 <= z_hi and z_lo <= z1 <= z_hi):
-                return None, "a step left the scanned box"
-        return None, f"no convergence in {POLISH_MAX_ITER} Newton steps"
+                return c0, c1, "a step left the scanned box"
+        return c0, c1, f"no convergence in {POLISH_MAX_ITER} Newton steps"
 
     crossings = _crossings(fwd, bwd)
     if not admissible:
@@ -384,7 +371,7 @@ def match_shooting(params: HopfParams) -> MatchResult:
     if not pool and (crossings or brackets):
         return MatchResult("failed", None, None, **scan, message=(
             f"{len(crossings)} curve crossings and {len(brackets)} diagonal "
-            "brackets, but no polish was accepted: "
+            "brackets, but no root was accepted: "
             + "; ".join(f"{n}x {reason}" for reason, n in ends.items())
         ))
     if not pool:
@@ -396,12 +383,9 @@ def match_shooting(params: HopfParams) -> MatchResult:
 
     # merged profile on a graded grid, forward branch up to T_MATCH
     nodes = graded_grid(DEFAULT_T_OFFSET, HALF_PI - DEFAULT_T_OFFSET, PROFILE_N)
-    grid = Grid(nodes)
-    profile = Profile(grid, merged_values(best, nodes))
-    max_scaled = _scaled_residual(profile, params, seam=T_MATCH)
-    return MatchResult(
-        "solution", best, profile, **scan, message="matched", max_scaled_residual=max_scaled
-    )
+    profile = Profile(Grid(nodes), merged_values(best, nodes))
+    return MatchResult("solution", best, profile, **scan, message="matched",
+                       max_scaled_residual=_scaled_residual(profile, params))
 
 
 def write_mismatch_csv(result: MatchResult, path) -> None:

@@ -345,14 +345,22 @@ class TestSolvabilityMap:
 
     @pytest.mark.parametrize("lambda_range, mu_range, n_lambda, n_mu", [
         ((1.0, 1.0), (4.0, 4.0), 1, 3), ((1.0, 1.0), (1.0, 4.0), 2, 3)])
-    def test_ranges_of_one_value(self, lambda_range, mu_range, n_lambda, n_mu):
-        # --mu 4:4:3 glues one cell three times at each s: two held glues share their mu,
-        # so the third copies the second instead of dividing by zero.  --lambda 1:1:2
-        # makes one long row, whose fourth cell extrapolates from mu = 2.5, 4 back to 1
-        opts = dict(grid_n=300, n_scan=6)
-        cells = solvability_map(1, 2, lambda_range, mu_range, n_lambda, n_mu, **opts)
-        alone = [find_solution(HopfParams(1, 2, c.lam, c.mu), **opts) for c in cells]
-        assert [(c.verdict, c.s_star) for c in cells] == [(o.verdict, o.s_star) for o in alone]
+    def test_ranges_of_one_value(self, monkeypatch, lambda_range, mu_range, n_lambda, n_mu):
+        # --mu 4:4:3 and --lambda 1:1:2 name one value several times: the map refuses
+        # them before it glues, where it would solve each repeated cell again
+        monkeypatch.setattr(analysis, "scan_jump", None)
+        with pytest.raises(ValueError, match=r"range 1:1:2 repeats|range 4:4:3 repeats"):
+            solvability_map(1, 2, lambda_range, mu_range, n_lambda, n_mu, grid_n=300, n_scan=6)
+
+    def test_repeated_cell_scans_as_one(self, params_main):
+        # scan_jump takes any list of cells.  The third copy's two held glues share
+        # their mu, so it copies the second instead of dividing by zero
+        scans = scan_jump([params_main] * 3, 0.02, 1.5, 6, grid_n=300)
+        [alone] = scan_jump([params_main], 0.02, 1.5, 6, grid_n=300)
+        assert alone.brackets
+        for scan in scans:
+            assert scan.brackets == alone.brackets
+            assert [r.l.hex() for r in scan.rows] == [r.l.hex() for r in alone.rows]
 
     def test_inconclusive_cell_keeps_the_exception(self, monkeypatch):
         # the map scans all cells together, then each cell finishes its search

@@ -242,6 +242,15 @@ class TestMap:
                  "--mu", "1:6:10")
         assert rc == 1
 
+    def test_repeated_cell_refused(self, tmp_path):
+        rc = run(tmp_path, "map", "--p", "1", "--q", "2", "--lambda", "1:1:1",
+                 "--mu", "4:4:3")
+        assert rc == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["verdict"] == "error" and summary["files_written"] == []
+        assert summary["error"] == "ValueError: mu range 4:4:3 repeats one value; use count 1"
+        assert not (tmp_path / "map.csv").exists()
+
 
 class TestFailureReasons:
     PARAMS = ("--p", "1", "--q", "2", "--lambda", "1", "--mu", "4")

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,7 +436,7 @@ class TestMatchShooting:
         monkeypatch.setattr(shooting, "POLISH_MAX_ITER", 1)
         m = match_shooting(params_main)
         assert m.verdict == "failed" and m.state is None
-        assert "no polish was accepted" in m.message
+        assert "no root was accepted" in m.message
         assert "no convergence in 1 Newton steps" in m.message
 
     def test_diagonal_brent_failures_tally_under_one_reason(self, monkeypatch):
@@ -445,9 +447,52 @@ class TestMatchShooting:
         m = match_shooting(HopfParams(p=2, q=2, lam=1.0, mu=1.0))
         assert m.verdict == "failed"
         assert m.message == (
-            "0 curve crossings and 3 diagonal brackets, but no polish was accepted: "
+            "0 curve crossings and 3 diagonal brackets, but no root was accepted: "
             "3x a diagonal Brent search did not converge"
         )
+
+    def test_diagonal_band_exit_is_recorded(self, monkeypatch):
+        # (2, 2, 1, 1) again, with every shot strictly inside a diagonal bracket
+        # leaving the band: each search stops at its first shot and says so
+        cs = np.geomspace(*shooting.C_RANGE, shooting.SCAN_POINTS)
+        inside = [(cs[k] * (1 + 1e-9), cs[k + 1] * (1 - 1e-9)) for k in (6, 8, 10)]
+        shoot = shooting._shoot
+
+        def leaving(params, c, *args):
+            if any(lo < c < hi for lo, hi in inside):
+                raise BlowUpError("left the band", exit_time=0.5)
+            return shoot(params, c, *args)
+
+        monkeypatch.setattr(shooting, "_crossings", lambda a, b: [])
+        monkeypatch.setattr(shooting, "_shoot", leaving)
+        m = match_shooting(HopfParams(p=2, q=2, lam=1.0, mu=1.0))
+        assert m.verdict == "failed"
+        assert m.message == (
+            "0 curve crossings and 3 diagonal brackets, but no root was accepted: "
+            "3x a diagonal shot left the band"
+        )
+
+    def test_roots_accepted_only_in_add_root(self):
+        # both searches hand their amplitudes to the one acceptance rule, and a band
+        # exit is an exception only where a shot leaves the band
+        def calls(node, name):
+            return [c for c in ast.walk(node)
+                    if isinstance(c, ast.Call) and getattr(c.func, "id", "") == name]
+
+        def blowups(node):
+            return [r for r in ast.walk(node) if isinstance(r, ast.Raise) and r.exc is not None
+                    and "BlowUpError" in ast.unparse(r.exc).split("(")[0]]
+
+        def function(tree, name):
+            [f] = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name]
+            return f
+
+        package = Path(shooting.__file__).parent
+        src = {f.name: ast.parse(f.read_text()) for f in package.glob("*.py")}
+        tree = src["shooting.py"]
+        assert calls(tree, "ShootState") == calls(function(tree, "add_root"), "ShootState") != []
+        assert sum(map(blowups, src.values()), []) == blowups(function(tree, "_shoot")) != []
+        assert len(blowups(ast.parse("raise core.BlowUpError('x', exit_time=1.0)"))) == 1
 
     @pytest.mark.parametrize(
         "params, bound",
@@ -469,9 +514,10 @@ class TestMatchShooting:
         match_shooting(params)
         assert len(calls) <= bound
 
-    def test_each_shot_made_once(self, monkeypatch, params_main):
-        # the admissibility probe and the profile reuse the matched pair's
-        # shots: 13 + 13 scan shots and the diagonal Brent solve, 40 in all
+    def test_each_shot_made_once(self, monkeypatch):
+        # the diagonal Brent search reads its bracket ends from the scan, and the
+        # admissibility probe and the profile reuse the matched pair's shots: in the
+        # main regime that is 13 + 13 scan shots and the polish's 14, 40 in all
         shots, ivps = [], []
         shoot, solve = shooting._shoot, dop853.solve
 
@@ -485,9 +531,18 @@ class TestMatchShooting:
 
         monkeypatch.setattr(shooting, "_shoot", recorded)
         monkeypatch.setattr(dop853, "solve", counted)
-        assert match_shooting(params_main).verdict == "solution"
-        assert len(shots) == len(set(shots))
-        assert len(ivps) == 40
+        for params, n_ivps in [(HopfParams(1, 2, 1.0, 4.0), 40),
+                               (HopfParams(2, 2, 2.0, 2.0), 64),
+                               (HopfParams(2, 3, 1.0, 4.0), 126)]:
+            shots.clear()
+            ivps.clear()
+            assert match_shooting(params).verdict == "solution"
+            assert len(shots) == len(set(shots))
+            assert len(ivps) == n_ivps
+            # nor does a side shoot an amplitude again under another rounding
+            for side in (False, True):
+                cs = sorted(c for _, c, backward in shots if backward == side)
+                assert all(b - a > 4 * math.ulp(b) for a, b in zip(cs, cs[1:]))
 
     def test_dense_state_built_once_per_shot(self, monkeypatch, params_main):
         # the probe and the profile each read both shots of the root
@@ -504,6 +559,8 @@ class TestMatchShooting:
     @pytest.mark.parametrize("params, counts", [
         (HopfParams(1, 2, 1.0, 4.0), (40, 2506, 191, 32444)),
         (HopfParams(1, 2, 1.0, 1.5), (26, 1630, 129, 21160)),  # the scan shots alone
+        (HopfParams(2, 2, 2.0, 2.0), (64, 3518, 362, 46688)),
+        (HopfParams(2, 3, 1.0, 4.0), (126, 12909, 493, 161076)),
     ])
     def test_work_counts(self, monkeypatch, params, counts):
         # solves, accepted steps, rejected tries and right-hand sides (12 per try, 2
