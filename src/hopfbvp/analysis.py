@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -97,8 +97,8 @@ class SolvabilityCell:
     reason: str = ""
 
 
-def _pool_map(fn, tasks: list, jobs: int) -> list:
-    """[fn(t) for t in tasks], over ``jobs`` worker processes when jobs > 1."""
+def _pool_map(fn, tasks: Iterable, jobs: int) -> list:
+    """[fn(t) for t in tasks], over ``jobs`` processes if jobs > 1; tasks are drawn one at a time."""
     if jobs <= 1:
         return [fn(t) for t in tasks]
     # imported here: concurrent.futures.process loads multiprocessing, socket and logging
@@ -121,24 +121,31 @@ def _start(x: float, held: list) -> Optional[np.ndarray]:
     return a + (a - b) * ((x - xa) / (xa - xb))
 
 
-def _glue_junction(task: tuple[float, Sequence[HopfParams], int, float]) -> list[ScanRow]:
-    """The scan rows of all cells at junction s, in order (see :func:`scan_jump`)."""
-    s, cells, grid_n, root_tol = task
+def _scan_glue(s: float, params: HopfParams, grid_n: int, root_tol: float,
+               start: Optional[np.ndarray]) -> tuple[ScanRow, Optional[np.ndarray]]:
+    """A scan glue's row, and its curve if attached at both ends: a flat side is no start."""
+    try:
+        g = glue(s, params, n=grid_n, start=start)
+    except ConvergenceError as exc:
+        return ScanRow(s=s, reason=str(exc)), None
+    row = ScanRow(s=s, l=g.l, l_tilde=g.l_tilde, I_s=g.I_s, I_s1=g.I_s1, I_s2=g.I_s2,
+                  converged=True, glued=g if _is_root(g, root_tol) else None)
+    return row, g.merged_profile().values if g.attached_zero and g.attached_pi else None
+
+
+def _glue_junction(task: tuple[float, Sequence[HopfParams], int, float, tuple]) -> list[ScanRow]:
+    """The scan rows of all cells at junction s, the first one given (see :func:`scan_jump`)."""
+    s, cells, grid_n, root_tol, lead = task
     rows, held, firsts = [], [], []  # the last two attached glues, and row starts
     for k, params in enumerate(cells):
         row = [(c.mu, v) for c, v in held if c.lam == params.lam]
         col = [(c.lam, v) for c, v in firsts if c.mu == params.mu]
         start = _start(params.mu, row) if len(row) == 2 else _start(params.lam, col or held[-1:])
-        try:
-            g = glue(s, params, n=grid_n, start=start)
-        except ConvergenceError as exc:
-            rows.append(ScanRow(s=s, reason=str(exc)))
-            continue
-        if g.attached_zero and g.attached_pi:  # a flat side is no start
-            held = held[-1:] + [(params, g.merged_profile().values)]
+        scan_row, values = _scan_glue(s, params, grid_n, root_tol, start) if k else lead
+        if values is not None:
+            held = held[-1:] + [(params, values)]
             firsts = firsts[-1:] + held[-1:] if k == 0 or params.lam != cells[k - 1].lam else firsts
-        rows.append(ScanRow(s=s, l=g.l, l_tilde=g.l_tilde, I_s=g.I_s, I_s1=g.I_s1, I_s2=g.I_s2,
-                            converged=True, glued=g if _is_root(g, root_tol) else None))
+        rows.append(scan_row)
     return rows
 
 
@@ -153,22 +160,30 @@ def scan_jump(
 ) -> list[ScanResult]:
     """Glued solves at n geometrically spaced junctions; one ScanResult per cell.
 
-    One task glues all cells at one s (sharing ``glue``'s junction record) in a map's
-    lambda-major order.  A cell starts from the secant in mu through the task's last two
-    glues at its lambda, else in lambda through the last two first cells of rows at its
-    mu, else a copy of one, else of the last glue, else cold; only glues attached at both
-    ends count, and the closing step keeps l a cold start's, to rounding.  A row keeps
-    its solve only if it is a root (:func:`_is_root`); failures are rows, not raised.
+    The first cell is glued here, junction by junction, from the secant in log s through
+    its last two glues (the junctions are even in log s), else a copy, else cold.  A task
+    glues the others at that s (sharing ``glue``'s junction record) in lambda-major order,
+    from the secant in mu through its last two glues at their lambda, else in lambda
+    through the last two first cells of rows at their mu, else a copy, else of the last
+    glue, else cold.  Only glues attached at both ends count; the closing step keeps l a
+    cold start's, to rounding.  Starts read only earlier glues: rows match at any ``jobs``.
+    A row keeps its solve only if a root (:func:`_is_root`); failures are rows, not raised.
     """
     if not (0.0 < s_min < s_max < HALF_PI):
         raise ValueError("need 0 < s_min < s_max < pi/2")
     if n < 2:
         raise ValueError("need at least 2 scan points")
-    tasks = [(float(s), cells, grid_n, root_tol) for s in np.geomspace(s_min, s_max, n)]
-    rows = _pool_map(_glue_junction, tasks, jobs)
+
+    def tasks():
+        held = []  # the first cell's last two attached glues, (log s, union values)
+        for s in map(float, np.geomspace(s_min, s_max, n)):
+            lead = _scan_glue(s, cells[0], grid_n, root_tol, _start(math.log(s), held))
+            held = held if lead[1] is None else held[-1:] + [(math.log(s), lead[1])]
+            yield s, cells, grid_n, root_tol, lead
+
+    rows = _pool_map(_glue_junction, tasks(), jobs)
     scans = []
-    for k, cell in enumerate(cells):
-        cell_rows = [junction[k] for junction in rows]
+    for cell, cell_rows in zip(cells, map(list, zip(*rows))):
         good = [r for r in cell_rows if r.converged and np.isfinite(r.l)]
         brackets = [(lo.s, hi.s) for lo, hi in zip(good[:-1], good[1:]) if lo.l * hi.l < 0.0]
         scans.append(ScanResult(params=cell, rows=cell_rows, brackets=brackets))
@@ -217,7 +232,6 @@ def find_solution(
     n_scan: int = N_SCAN,
     grid_n: int = DEFAULT_N,
     root_tol: float = ROOT_TOL,
-    jobs: int = 1,
 ) -> SolveOutcome:
     """Drive l(s) to zero by Brent's method over the first sign-change bracket.
 
@@ -228,7 +242,7 @@ def find_solution(
     without meeting the tolerance, and ``solution_found`` with the
     residual-certified glued curve otherwise.
     """
-    [scan] = scan_jump([params], s_min, s_max, n_scan, grid_n=grid_n, jobs=jobs, root_tol=root_tol)
+    [scan] = scan_jump([params], s_min, s_max, n_scan, grid_n=grid_n, root_tol=root_tol)
     return _finish(scan, grid_n, root_tol)
 
 

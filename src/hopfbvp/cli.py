@@ -128,7 +128,7 @@ _HELP = {
     "n": f"grid nodes per side (default {DEFAULT_N})",
     "jobs": "parallel solves",
 }
-_SCAN_KEYS = ("s_min", "s_max", "n_scan", "jobs")
+_SCAN_KEYS = ("s_min", "s_max", "n_scan")
 
 
 def _add_command(sub, name: str, func, help: str, *keys: str,
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                  *_SCAN_KEYS)
 
     sp = _add_command(sub, "map", cmd_map, "solvability verdicts over a (lambda, mu) grid",
-                      "root_tol", *_SCAN_KEYS, problem=False)
+                      "root_tol", *_SCAN_KEYS, "jobs", problem=False)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", required=True, help="min:max:count")
@@ -217,8 +217,7 @@ def cmd_solve(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     cfg = RunConfig(**_given(ns))
     params = _params(ns)
     outcome = analysis.find_solution(
-        params, cfg.s_min, cfg.s_max, cfg.n_scan, grid_n=cfg.n,
-        root_tol=cfg.root_tol, jobs=cfg.jobs,
+        params, cfg.s_min, cfg.s_max, cfg.n_scan, grid_n=cfg.n, root_tol=cfg.root_tol,
     )
     files = []
     summary = {
@@ -263,8 +262,7 @@ def cmd_solve(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
 def cmd_scan_jump(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     cfg = RunConfig(**_given(ns))
     params = _params(ns)
-    [scan] = analysis.scan_jump([params], cfg.s_min, cfg.s_max, cfg.n_scan,
-                                grid_n=cfg.n, jobs=cfg.jobs)
+    [scan] = analysis.scan_jump([params], cfg.s_min, cfg.s_max, cfg.n_scan, grid_n=cfg.n)
     analysis.write_scan_csv(scan, out_dir / "scan.csv")
     summary = {
         "params": params.to_dict(),

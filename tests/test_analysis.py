@@ -50,11 +50,60 @@ class TestScanJump:
         assert not scan.brackets
         assert all(r.l < 0 for r in scan.rows if r.converged)
 
-    def test_parallel_matches_serial(self, params_main):
-        [a] = scan_jump([params_main], 0.1, 1.0, 4, grid_n=500, jobs=1)
-        [b] = scan_jump([params_main], 0.1, 1.0, 4, grid_n=500, jobs=2)
-        assert [r.s for r in a.rows] == [r.s for r in b.rows]
-        assert [r.l for r in a.rows] == [r.l for r in b.rows]
+    def test_parallel_matches_serial(self):
+        # the first cell's glues run in the calling process and the others in the pool's
+        # junction tasks: both take the same starts at any jobs
+        cells = [HopfParams(1, 2, lam, mu) for lam in (1.0, 2.0) for mu in (3.0, 5.0)]
+        serial = scan_jump(cells, 0.1, 1.0, 4, grid_n=500, jobs=1)
+        pooled = scan_jump(cells, 0.1, 1.0, 4, grid_n=500, jobs=2)
+
+        def bits(scan):
+            return [(r.converged, r.reason, repr(r.l), repr(r.l_tilde), repr(r.I_s))
+                    for r in scan.rows]
+
+        assert [bits(a) for a in serial] == [bits(b) for b in pooled]
+        assert [a.brackets for a in serial] == [b.brackets for b in pooled]
+
+    # a bracket; l moves at s = 1.5, where |l| = 49; attached at both ends only at the
+    # 3rd and 4th junctions; attached at the first six only; the flat family
+    CHAIN_CELLS = [(1, 2, 1, 4), (1, 3, 1, 1), (1, 2, 0.2, 0.5), (2, 2, 2, 0.5), (1, 1, 1, 1)]
+
+    @pytest.mark.parametrize("cell", CHAIN_CELLS)
+    def test_continuation_in_s_keeps_the_cold_answers(self, cell, monkeypatch):
+        # a one-cell scan starts each junction from the secant in log s through the
+        # cell's last two glues attached at both ends, else a copy of one, else cold
+        params, made, real = HopfParams(*cell), [], analysis.glue
+
+        def glue(s, params, n, start=None):
+            glued = real(s, params, n=n, start=start)
+            made.append((s, None if start is None else start.copy(), glued))
+            return glued
+
+        monkeypatch.setattr(analysis, "glue", glue)
+        [scan] = scan_jump([params], 0.02, 1.5, 8, grid_n=600)
+        cold = []  # (converged, reason, l) of a cold glue at each junction
+        for r in scan.rows:
+            try:
+                cold.append((True, "", variational.glue(r.s, params, n=600).l))
+            except ConvergenceError as exc:
+                cold.append((False, str(exc), math.nan))
+        assert [(r.converged, r.reason) for r in scan.rows] == [c[:2] for c in cold]
+        good = [(r.s, l) for r, (ok, _, l) in zip(scan.rows, cold) if ok]
+        assert scan.brackets == [(a, b) for (a, la), (b, lb) in zip(good, good[1:]) if la * lb < 0]
+        # 1.9e-10 at (1,3,1,1), s = 1.5; no other row moves
+        assert all(abs(r.l - l) <= 2.3e-10 * abs(l) for r, (ok, _, l) in zip(scan.rows, cold) if ok)
+        # the guard: no start is built from a glue off one of its ends
+        held = []
+        for s, start, glued in made:
+            if not held:
+                assert start is None
+            elif len(held) == 1:
+                assert np.array_equal(start, held[0][1])
+            else:
+                (xb, b), (xa, a) = held
+                assert np.array_equal(start, a + (a - b) * ((math.log(s) - xa) / (xa - xb)))
+            if glued.attached_zero and glued.attached_pi:
+                held = held[-1:] + [(math.log(s), glued.merged_profile().values)]
 
     def test_no_start_from_a_glue_off_its_ends(self):
         # the exterior minimizer of (1,2,0.3,0.2) is not attached at pi, and flat
@@ -406,15 +455,18 @@ class TestSolvabilityMap:
         assert [repr(c) for c in solvability_map(*args, **opts, jobs=2)] == [repr(c) for c in cells]
 
     # the start of each scan glue of the 3x3 "secants" map, by (lambda, mu) index:
-    # cold, a copy of one cell, or the secant in mu or lambda through two cells,
-    # all glued at the same s.  The task's glues are all attached at both ends here
-    SCAN_STARTS = {(0, 0): ("cold",), (0, 1): ("copy", (0, 0)), (0, 2): ("mu", (0, 0), (0, 1)),
+    # a copy of one cell, or the secant in mu or lambda through two cells, all glued at
+    # the same s.  Cell (0, 0) continues along s instead: cold at junction 0, at junction
+    # 1 a copy of its glue at junction 0, then the secant in log s through its glues at
+    # the two junctions before.  The map's glues are all attached at both ends here
+    SCAN_STARTS = {(0, 0): ("s",), (0, 1): ("copy", (0, 0)), (0, 2): ("mu", (0, 0), (0, 1)),
                    (1, 0): ("copy", (0, 0)), (1, 1): ("copy", (1, 0)),
                    (1, 2): ("mu", (1, 0), (1, 1)), (2, 0): ("lambda", (0, 0), (1, 0)),
                    (2, 1): ("copy", (2, 0)), (2, 2): ("mu", (2, 0), (2, 1))}
 
-    def test_starts_stay_inside_one_junction(self, monkeypatch):
-        # scan glues start from glues at their own s, root glues from their own cell's
+    def test_starts_cross_junctions_in_the_first_cell_only(self, monkeypatch):
+        # scan glues start from glues at their own s, except the first cell's, which start
+        # from its own glues at earlier junctions; root glues from their own cell's
         made, real = [], analysis.glue
 
         def glue(s, params, n, start=None):
@@ -431,6 +483,7 @@ class TestSolvabilityMap:
         lams, mus = np.linspace(*args[2], 3), np.linspace(*args[3], 3)
         scan, root = made[:9 * opts["n_scan"]], made[9 * opts["n_scan"]:]
         assert all(g.attached_zero and g.attached_pi for *_, g in made)
+        firsts = []  # cell (0, 0) at each junction so far, (log s, union values)
         for task in range(opts["n_scan"]):
             at_s = scan[9 * task: 9 * task + 9]
             assert [(s, p.lam, p.mu) for s, p, _, _ in at_s] == [
@@ -438,8 +491,11 @@ class TestSolvabilityMap:
             curve = {divmod(k, 3): g.merged_profile().values for k, (*_, g) in enumerate(at_s)}
             for k, (_, _, start, _) in enumerate(at_s):
                 (i, j), (kind, *src) = divmod(k, 3), self.SCAN_STARTS[divmod(k, 3)]
-                if kind == "cold":
-                    assert start is None
+                if kind == "s" and task < 2:
+                    assert start is None if task == 0 else np.array_equal(start, firsts[0][1])
+                elif kind == "s":
+                    (xb, b), (xa, a) = firsts[-2:]
+                    assert np.array_equal(start, secant(math.log(at_s[0][0]), xb, b, xa, a))
                 elif kind == "copy":
                     assert np.array_equal(start, curve[src[0]])
                 elif kind == "mu":
@@ -450,6 +506,7 @@ class TestSolvabilityMap:
                     (ib, _), (ia, _) = src
                     assert np.array_equal(start, secant(lams[i], lams[ib], curve[src[0]],
                                                         lams[ia], curve[src[1]]))
+            firsts.append((math.log(at_s[0][0]), curve[(0, 0)]))
         # a cell's first root glue starts cold, its second from a copy of the first, every
         # later one from the secant in s through the two before it; no start crosses cells
         solved = [c for c in cells if c.verdict == "solution_found"]

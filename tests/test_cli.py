@@ -126,6 +126,8 @@ class TestSolve:
         ("solve", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4", "--grading", "2"),
         # flags of settings the command does not read
         ("blowup", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4", "--jobs", "2"),
+        # a one-cell scan glues every junction in the calling process
+        ("solve", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4", "--jobs", "2"),
         ("compare", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4", "--s", "0.01",
          "--s-min", "0.1"),
         ("scan-jump", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4", "--root-tol", "1e-8"),
@@ -170,19 +172,19 @@ class TestScanJump:
             tmp_path / "b/scan.csv"
         ).read_bytes()
 
+
+class TestMap:
     def test_parallel_matches_serial_bytes(self, tmp_path):
         base = [
-            "scan-jump", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4",
+            "map", "--p", "1", "--q", "2", "--lambda", "1:2:2", "--mu", "2:5:2",
             "--n", "400", "--n-scan", "4", "--s-min", "0.2", "--s-max", "1.0",
         ]
         run(tmp_path / "serial", *base, "--jobs", "1")
         run(tmp_path / "par", *base, "--jobs", "2")
-        assert (tmp_path / "serial/scan.csv").read_bytes() == (
-            tmp_path / "par/scan.csv"
+        assert (tmp_path / "serial/map.csv").read_bytes() == (
+            tmp_path / "par/map.csv"
         ).read_bytes()
 
-
-class TestMap:
     def test_range_syntax_and_csv(self, tmp_path):
         rc = run(
             tmp_path, "map", "--p", "1", "--q", "1", "--lambda", "1:2:2",

@@ -567,9 +567,11 @@ class TestStoppingRule:
 class TestWorkCounts:
     # a kernel change that moves any iterate moves these counts, and so does a change
     # of the Newton starts: the first map only copies a glue or extrapolates in s, the
-    # second (TestSolvabilityMap.MAPS["secants"]) extrapolates in mu, lambda and s too
+    # second (TestSolvabilityMap.MAPS["secants"]) extrapolates in mu, lambda and s too;
+    # a one-cell scan extrapolates each junction in log s from the junctions before
     @staticmethod
-    def counted_map(monkeypatch, *args, **opts):
+    def counters(monkeypatch) -> dict:
+        """Glues, Newton iterations and dptsv calls from here on, counted in the dict."""
         counts = {"glues": 0, "iterations": 0, "dptsv": 0}
         dptsv, minimize, glue_ = variational._dptsv(), variational._minimize, analysis.glue
 
@@ -589,6 +591,11 @@ class TestWorkCounts:
         monkeypatch.setattr(variational, "_dptsv", lambda: counted_dptsv)
         monkeypatch.setattr(variational, "_minimize", counted_minimize)
         monkeypatch.setattr(analysis, "glue", counted_glue)
+        return counts
+
+    @classmethod
+    def counted_map(cls, monkeypatch, *args, **opts):
+        counts = cls.counters(monkeypatch)
         cells = analysis.solvability_map(*args, **opts)
         return [c.verdict for c in cells], counts
 
@@ -596,14 +603,22 @@ class TestWorkCounts:
         verdicts, counts = self.counted_map(monkeypatch, 1, 2, (1.0, 2.0), (3.0, 5.0), 2, 2,
                                             grid_n=300)
         assert verdicts == ["solution_found", "solution_found", "no_sign_change", "solution_found"]
-        assert counts == {"glues": 64, "iterations": 504, "dptsv": 556}
+        assert counts == {"glues": 64, "iterations": 466, "dptsv": 481}
 
     def test_secant_map_takes_the_pinned_newton_path(self, monkeypatch):
         verdicts, counts = self.counted_map(monkeypatch, 1, 2, (1.0, 2.0), (1.0, 6.0), 3, 3,
                                             grid_n=300, n_scan=6)
         no, so = "no_sign_change", "solution_found"
         assert verdicts == [no, so, so, no, so, so, no, no, so]
-        assert counts == {"glues": 73, "iterations": 492, "dptsv": 571}
+        assert counts == {"glues": 73, "iterations": 486, "dptsv": 538}
+
+    # find_solution at its defaults (n_scan 16, n 2000): the main regime and mu = 1.5
+    @pytest.mark.parametrize("mu, verdict, work", [
+        (4.0, "solution_found", (18, 118, 124)), (1.5, "no_sign_change", (16, 105, 111))])
+    def test_one_cell_solve_takes_the_pinned_newton_path(self, monkeypatch, mu, verdict, work):
+        counts = self.counters(monkeypatch)
+        assert analysis.find_solution(HopfParams(1, 2, 1.0, mu)).verdict == verdict
+        assert counts == dict(zip(("glues", "iterations", "dptsv"), work))
 
 
 class TestGlue:
