@@ -2,12 +2,12 @@
 
 The glued curve alpha_s solves the full boundary problem exactly when its
 derivative jump l(s) vanishes.  This module scans l over geometrically spaced
-junction values, extracts sign-change brackets, finds a root in the first one
-by Brent's method, and turns the asymptotic statements about the small-s
-regime into finite numerical trend checks.  :func:`small_s_report` reads
-three of them from one glue per s: convergence of the stretched profiles to
-the limit profile, growth of s^-2 I_s^1, and smallness of I_s^2 relative to
-I_s^1.  :func:`comparison_check` tests the comparison-family ordering.
+junction values, finds a root by Brent's method in one bracket, and turns the
+asymptotic statements about the small-s regime into finite numerical trend
+checks.  :func:`small_s_report` reads three of them from one glue per s:
+convergence of the stretched profiles to the limit profile, growth of s^-2
+I_s^1, and smallness of I_s^2 relative to I_s^1.  :func:`comparison_check`
+tests the comparison-family ordering.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ class ScanRow:
     converged: bool = False
     # why the glued solve failed; empty for converged rows, not written to CSV
     reason: str = ""
-    # the solve behind the row, kept so a root at a scan point is not re-glued
-    glued: Optional[GluedSolution] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -108,9 +106,9 @@ def _pool_map(fn, tasks: Iterable, jobs: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _is_root(glued: GluedSolution, root_tol: float) -> bool:
-    """The root rule of the search: the glue's jump meets the tolerance."""
-    return abs(glued.l) <= root_tol
+def _is_root(l: float, root_tol: float) -> bool:
+    """The root rule of the search: the jump meets the tolerance (never for NaN)."""
+    return abs(l) <= root_tol
 
 
 def _start(x: float, held: list) -> Optional[np.ndarray]:
@@ -121,7 +119,7 @@ def _start(x: float, held: list) -> Optional[np.ndarray]:
     return a + (a - b) * ((x - xa) / (xa - xb))
 
 
-def _scan_glue(s: float, params: HopfParams, grid_n: int, root_tol: float,
+def _scan_glue(s: float, params: HopfParams, grid_n: int,
                start: Optional[np.ndarray]) -> tuple[ScanRow, Optional[np.ndarray]]:
     """A scan glue's row, and its curve if attached at both ends: a flat side is no start."""
     try:
@@ -129,19 +127,19 @@ def _scan_glue(s: float, params: HopfParams, grid_n: int, root_tol: float,
     except ConvergenceError as exc:
         return ScanRow(s=s, reason=str(exc)), None
     row = ScanRow(s=s, l=g.l, l_tilde=g.l_tilde, I_s=g.I_s, I_s1=g.I_s1, I_s2=g.I_s2,
-                  converged=True, glued=g if _is_root(g, root_tol) else None)
+                  converged=True)
     return row, g.merged_profile().values if g.attached_zero and g.attached_pi else None
 
 
-def _glue_junction(task: tuple[float, Sequence[HopfParams], int, float, tuple]) -> list[ScanRow]:
+def _glue_junction(task: tuple[float, Sequence[HopfParams], int, tuple]) -> list[ScanRow]:
     """The scan rows of all cells at junction s, the first one given (see :func:`scan_jump`)."""
-    s, cells, grid_n, root_tol, lead = task
+    s, cells, grid_n, lead = task
     rows, held, firsts = [], [], []  # the last two attached glues, and row starts
     for k, params in enumerate(cells):
         row = [(c.mu, v) for c, v in held if c.lam == params.lam]
         col = [(c.lam, v) for c, v in firsts if c.mu == params.mu]
         start = _start(params.mu, row) if len(row) == 2 else _start(params.lam, col or held[-1:])
-        scan_row, values = _scan_glue(s, params, grid_n, root_tol, start) if k else lead
+        scan_row, values = _scan_glue(s, params, grid_n, start) if k else lead
         if values is not None:
             held = held[-1:] + [(params, values)]
             firsts = firsts[-1:] + held[-1:] if k == 0 or params.lam != cells[k - 1].lam else firsts
@@ -156,7 +154,6 @@ def scan_jump(
     n: int,
     grid_n: int = DEFAULT_N,
     jobs: int = 1,
-    root_tol: float = ROOT_TOL,
 ) -> list[ScanResult]:
     """Glued solves at n geometrically spaced junctions; one ScanResult per cell.
 
@@ -167,7 +164,7 @@ def scan_jump(
     through the last two first cells of rows at their mu, else a copy, else of the last
     glue, else cold.  Only glues attached at both ends count; the closing step keeps l a
     cold start's, to rounding.  Starts read only earlier glues: rows match at any ``jobs``.
-    A row keeps its solve only if a root (:func:`_is_root`); failures are rows, not raised.
+    Rows hold a glue's values, not the glue, and read no root rule; failures are rows.
     """
     if not (0.0 < s_min < s_max < HALF_PI):
         raise ValueError("need 0 < s_min < s_max < pi/2")
@@ -177,9 +174,9 @@ def scan_jump(
     def tasks():
         held = []  # the first cell's last two attached glues, (log s, union values)
         for s in map(float, np.geomspace(s_min, s_max, n)):
-            lead = _scan_glue(s, cells[0], grid_n, root_tol, _start(math.log(s), held))
+            lead = _scan_glue(s, cells[0], grid_n, _start(math.log(s), held))
             held = held if lead[1] is None else held[-1:] + [(math.log(s), lead[1])]
-            yield s, cells, grid_n, root_tol, lead
+            yield s, cells, grid_n, lead
 
     rows = _pool_map(_glue_junction, tasks(), jobs)
     scans = []
@@ -242,41 +239,32 @@ def find_solution(
     without meeting the tolerance, and ``solution_found`` with the
     residual-certified glued curve otherwise.
     """
-    [scan] = scan_jump([params], s_min, s_max, n_scan, grid_n=grid_n, root_tol=root_tol)
+    [scan] = scan_jump([params], s_min, s_max, n_scan, grid_n=grid_n)
     return _finish(scan, grid_n, root_tol)
 
 
 def _finish(scan: ScanResult, grid_n: int, root_tol: float) -> SolveOutcome:
-    """The search after the scan: scan-point hit, else Brent in the first bracket; certify."""
-    # a scanned junction may already be a root (e.g. the q = 1, lambda = mu
-    # family, where the jump vanishes identically); the scan kept its solve
-    hit = next((r for r in scan.rows if r.glued is not None), None)
-    for row in scan.rows:
-        if row is not hit:
-            row.glued = None  # the outcome keeps only the solve it certifies
-    if hit is None and not scan.brackets:
+    """Brent's method on l over one bracket, then the certificate of its root glue.
+
+    The bracket is (s, s) at the first scan row that is a root (:func:`_is_root`;
+    e.g. the q = 1, lambda = mu family, where l vanishes identically), else the
+    first sign change: a root row wins over every bracket, also one before it in s.
+    """
+    root = next((r.s for r in scan.rows if _is_root(r.l, root_tol)), None)
+    bracket = (root, root) if root is not None else next(iter(scan.brackets), None)
+    if bracket is None:
         return SolveOutcome(
             "no_sign_change", None, None, scan,
             message="jump kept a single sign over the scanned junctions",
         )
-    try:
-        glued = hit.glued if hit is not None else _brent_root(scan, grid_n, root_tol)
-    except ConvergenceError as exc:
-        return SolveOutcome("failed", None, None, scan, message=str(exc))
-    max_res, b0, b1 = _certify(glued, scan.params)
-    message = "" if hit is None else "scan point already below the jump tolerance"
-    return SolveOutcome("solution_found", glued.s, glued, scan, max_res, b0, b1, message=message)
-
-
-def _brent_root(scan: ScanResult, grid_n: int, root_tol: float) -> GluedSolution:
-    """Brent's method on l over the first bracket: the glue that is a root, else ConvergenceError."""
     # Brent evaluates both ends first; glue is deterministic, so the scan's
-    # values stand in for gluing them again
-    known = {r.s: r.l for r in scan.rows if r.s in scan.brackets[0]}
+    # values stand in for gluing them again, except at a root: that end is
+    # glued (cold), so the certified glue is one that Brent made
+    known = {r.s: r.l for r in scan.rows if r.s in bracket and not _is_root(r.l, root_tol)}
     glued, held = None, []  # the last glue made; the last two attached, (s, union values)
 
     def jump(s: float) -> float:
-        """l(s), read as 0 at a root: brentq returns at f == 0."""
+        """l(s), read as 0 at a root: brentq returns at f == 0.  Each s is glued once."""
         nonlocal glued
         if s in known:
             return known[s]
@@ -288,17 +276,21 @@ def _brent_root(scan: ScanResult, grid_n: int, root_tol: float) -> GluedSolution
             ) from None
         if glued.attached_zero and glued.attached_pi:
             held[:] = held[-1:] + [(s, glued.merged_profile().values)]
-        return 0.0 if _is_root(glued, root_tol) else glued.l
+        known[s] = 0.0 if _is_root(glued.l, root_tol) else glued.l
+        return known[s]
 
-    brentq(jump, *scan.brackets[0])
-    if glued is not None and _is_root(glued, root_tol):
-        return glued
-    # NaN when the bracket was already below brentq's xtol and no glue was made
-    last_l = math.nan if glued is None else glued.l
-    raise ConvergenceError(
-        "root search shrank its bracket without reaching the jump "
-        f"tolerance (last |l| = {abs(last_l):.3e})"
-    )
+    try:
+        brentq(jump, *bracket)
+    except ConvergenceError as exc:
+        return SolveOutcome("failed", None, None, scan, message=str(exc))
+    if glued is None or not _is_root(glued.l, root_tol):
+        # NaN when the bracket was already below brentq's xtol and no glue was made
+        last_l = math.nan if glued is None else glued.l
+        return SolveOutcome("failed", None, None, scan, message=(
+            "root search shrank its bracket without reaching the jump "
+            f"tolerance (last |l| = {abs(last_l):.3e})"))
+    max_res, b0, b1 = _certify(glued, scan.params)
+    return SolveOutcome("solution_found", glued.s, glued, scan, max_res, b0, b1)
 
 
 @dataclass
@@ -520,7 +512,7 @@ def solvability_map(
     lams = np.linspace(lambda_range[0], lambda_range[1], n_lambda)
     mus = np.linspace(mu_range[0], mu_range[1], n_mu)
     cells = [HopfParams(p=p, q=q, lam=lam, mu=mu) for lam in lams for mu in mus]
-    scans = scan_jump(cells, s_min, s_max, n_scan, grid_n=grid_n, jobs=jobs, root_tol=root_tol)
+    scans = scan_jump(cells, s_min, s_max, n_scan, grid_n=grid_n, jobs=jobs)
     return _pool_map(_map_cell, [(scan, grid_n, root_tol) for scan in scans], jobs)
 
 

@@ -19,9 +19,10 @@ and :func:`main` writes every ``summary.json`` into the output directory
 failure; a usage error writes none.  ``solve`` and ``scan-jump`` list each
 failed scan row there with its reason, ``map`` each inconclusive cell.  A
 flat ``key=value`` config file supplies defaults for the settings a command
-reads (its other keys are ignored); command-line flags override it.  The end
-nodes' distance from the singular endpoints is no setting: it is fixed at
-``variational.DEFAULT_OFFSET``.
+reads, those it has flags for (its other keys are ignored); command-line flags
+override it, and the ``config`` of ``summary.json`` lists just those settings.
+The end nodes' distance from the singular endpoints is no setting: it is fixed
+at ``variational.DEFAULT_OFFSET``.
 """
 
 from __future__ import annotations
@@ -96,6 +97,11 @@ def _given(ns: argparse.Namespace) -> dict:
         if val is not None:
             given[key] = val
     return given
+
+
+def _config(cfg: RunConfig, ns: argparse.Namespace) -> dict:
+    """summary.json's config: the settings the command reads, those its parser has flags for."""
+    return {k: v for k, v in asdict(cfg).items() if hasattr(ns, k)}
 
 
 def _params(ns: argparse.Namespace) -> HopfParams:
@@ -223,7 +229,7 @@ def cmd_solve(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     summary = {
         "params": params.to_dict(),
         "outside_proven_regime": params.outside_proven_regime,
-        "config": asdict(cfg),
+        "config": _config(cfg, ns),
         "verdict": outcome.verdict,
         "s_star": outcome.s_star,
         "max_residual": outcome.max_residual_away,
@@ -267,7 +273,7 @@ def cmd_scan_jump(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     summary = {
         "params": params.to_dict(),
         "outside_proven_regime": params.outside_proven_regime,
-        "config": asdict(cfg),
+        "config": _config(cfg, ns),
         "verdict": "sign_change" if scan.brackets else "no_sign_change",
         "brackets": scan.brackets,
         "n_converged": sum(r.converged for r in scan.rows),
@@ -304,7 +310,7 @@ def cmd_map(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     verdicts = [c.verdict for c in cells]
     summary = {
         "params": {"p": ns.p, "q": ns.q, "lambda": ns.lam, "mu": ns.mu},
-        "config": asdict(cfg),
+        "config": _config(cfg, ns),
         "used": used,
         "verdict": "done",
         "n_solution_found": verdicts.count("solution_found"),
@@ -328,7 +334,7 @@ def cmd_blowup(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
               [r.s for r in rows], [r.sup_distance for r in rows])
     summary = {
         "params": params.to_dict(),
-        "config": asdict(cfg),
+        "config": _config(cfg, ns),
         "eps": ns.eps,
         "rows": [asdict(r) for r in rows],
         "decreasing": all(
@@ -350,7 +356,7 @@ def cmd_compare(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     report = analysis.comparison_check(s, d, t0, params, grid_n=cfg.n)
     summary = {
         "params": params.to_dict(),
-        "config": asdict(cfg),
+        "config": _config(cfg, ns),
         "verdict": (
             "ordering_holds"
             if report.hypothesis_met and report.ordering_ok

@@ -1,7 +1,8 @@
 import ast
+import inspect
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -207,10 +208,26 @@ class TestRootSearch:
         seen = self.record_glues(monkeypatch)
         out = find_solution(params_flat, s_min=0.3, s_max=1.2, n_scan=5, grid_n=800)
         assert out.verdict == "solution_found"
-        # the scan's five glues and no sixth for the certified scan point
-        assert seen == [r.s for r in out.scan.rows]
-        assert seen[-1] == 1.2
-        assert out.glued.s == out.s_star
+        # the scan's five glues, then one of Brent's over (s, s) at the root row: it
+        # glues that end once, reads 0 at the other without a glue, and returns there
+        assert seen == [r.s for r in out.scan.rows] + [out.s_star]
+        assert out.glued.s == out.s_star == out.scan.rows[2].s
+
+    def test_root_row_wins_over_an_earlier_bracket(self, monkeypatch):
+        # (1,1,1,1) at n = 600 has a sign change between its 4th and 5th rows, before
+        # its 7th, a root row: the search reads the root row, not that bracket
+        seen = self.record_glues(monkeypatch)
+        out = find_solution(HopfParams(1, 1, 1.0, 1.0), n_scan=8, grid_n=600)
+        lo, hi = out.scan.brackets[0]
+        assert (round(lo, 3), round(hi, 3)) == (0.127, 0.236)
+        assert (out.verdict, out.s_star, out.message) == ("solution_found", 0.8095158645366202, "")
+        assert seen[8:] == [out.s_star]
+
+    def test_scan_reads_no_root_rule(self):
+        # rows hold values, not solves: the scan.csv columns and the reason of a failure
+        assert "root_tol" not in inspect.signature(scan_jump).parameters
+        columns = "s,l,l_tilde,I_s,I_s1,I_s2,converged".split(",")
+        assert [f.name for f in fields(analysis.ScanRow)] == columns + ["reason"]
 
     SHRANK = "root search shrank its bracket without reaching the jump tolerance (last |l| = {})"
 
@@ -222,8 +239,7 @@ class TestRootSearch:
     # sign change and no root, so Brent shrinks its bracket to xtol
     @pytest.mark.parametrize("params, opts, inject, verdict, s_star, message, n_glues", [
         pytest.param(HopfParams(1, 1, 1.0, 1.0), dict(s_min=0.3, s_max=1.2, n_scan=5, grid_n=800),
-                     {}, "solution_found", 0.6, "scan point already below the jump tolerance", 5,
-                     id="scan_point_hit"),
+                     {}, "solution_found", 0.6, "", 6, id="scan_point_hit"),
         pytest.param(HopfParams(1, 2, 1.0, 1.9), QUICK, {}, "no_sign_change", None,
                      "jump kept a single sign over the scanned junctions", 8, id="no_bracket"),
         pytest.param(HopfParams(1, 2, 1.0, 4.0), QUICK, {"fail_after": 8}, "failed", None,
@@ -251,8 +267,8 @@ class TestRootSearch:
         assert (out.glued is None) == (verdict != "solution_found")
 
     def test_root_tol_compared_only_in_is_root(self):
-        # the scan's kept solve, the scan-point hit, Brent's jump and the final
-        # check all read the one predicate, so a change of rule edits one place
+        # the choice of a root row, Brent's jump and the final check all read the
+        # one predicate, so a change of rule edits one place
         def compares(node):
             return [c for c in ast.walk(node) if isinstance(c, ast.Compare) and any(
                 getattr(n, "id", getattr(n, "attr", "")).lower() == "root_tol"

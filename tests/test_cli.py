@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hopfbvp import analysis, core
-from hopfbvp.cli import _parse_range, _sample, main
+from hopfbvp.cli import RunConfig, _parse_range, _sample, build_parser, main
 from hopfbvp.closed_forms import identity_solution
 from hopfbvp.core import ConvergenceError
 from hopfbvp.ode import write_profile_csv
@@ -508,8 +508,7 @@ class TestConfig:
         out = tmp_path / "blowup"
         assert run(out, "blowup", *params, "--s-list", "0.04") == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["config"]["n"] == 300
-        assert summary["config"]["s_max"] == 1.5  # the default, not the file's 2
+        assert summary["config"] == {"n": 300}  # no s_max: blowup has no flag for it
         out = tmp_path / "solve"
         assert run(out, "solve", *params) == 1
         summary = json.loads((out / "summary.json").read_text())
@@ -539,6 +538,31 @@ class TestSummaryEnvelope:
         path = tmp_path / "p.csv"
         path.write_text("t,alpha,dalpha,residual\n0.1,0.2,2,0\n0.2,0.4,2,0\n0.3,0.6,2,0\n")
         return str(path)
+
+    # the settings each solver command has flags for; verify and hopf-eval have none
+    SETTINGS = {
+        "solve": {"n", "root_tol", "s_min", "s_max", "n_scan"},
+        "scan-jump": {"n", "s_min", "s_max", "n_scan"},
+        "map": {"n", "root_tol", "s_min", "s_max", "n_scan", "jobs"},
+        "blowup": {"n"},
+        "compare": {"n"},
+    }
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", *PARAMS, "--n", "200", "--n-scan", "4"),
+        ("scan-jump", *PARAMS, "--n", "200", "--n-scan", "4"),
+        ("map", "--p", "1", "--q", "2", "--lambda", "1:1:1", "--mu", "4:4:1", "--n", "200",
+         "--n-scan", "4"),
+        ("blowup", *PARAMS, "--s-list", "0.04", "--n", "200"),
+        ("compare", *PARAMS, "--s", "0.01", "--n", "200"),
+    ], ids=lambda argv: argv[0])
+    def test_config_lists_the_settings_the_command_reads(self, tmp_path, argv):
+        flags = set(vars(build_parser().parse_args(argv))) & set(RunConfig.__dataclass_fields__)
+        assert flags == self.SETTINGS[argv[0]]
+        assert run(tmp_path, *argv) in (0, 2)
+        config = json.loads((tmp_path / "summary.json").read_text())["config"]
+        assert set(config) == flags
+        assert config["n"] == 200 and config.get("n_scan", 4) == 4
 
     @pytest.mark.parametrize("argv, rc, keys", [
         (("solve", *PARAMS, *QUICK), 0, SOLVE),

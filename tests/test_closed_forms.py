@@ -221,21 +221,15 @@ class TestIdentitySolution:
 
 
 class TestOracleSuite:
-    # the suite's values, to the last bit, as the per-profile residuals gave them
-    BITS = {
-        "limit_profile_residual": "0x1.a4eecp-28",
-        "comparison_profile_residual": "0x1.b1e3bd2p-22",
-        "slope_identity": "0x1.87092p-31",
-        "blowup_constant_lam4": "0x0p+0",
-        "blowup_constant_lam2p25": "0x0p+0",
-        "straight_profile_residual": "0x1.005ap-29",
-        "limit_profile_scaling": "0x0p+0",
-        "comparison_sin2_identity": "0x1.4p-51",
-    }
-
     def test_values_keep_their_bits(self):
-        values = {row.name: row.value.hex() for row in run_oracle_suite()}
-        assert values == {name: float.fromhex(h).hex() for name, h in self.BITS.items()}
+        # only limit_profile_scaling is exact by construction: phi_limit(t, s) and
+        # phi_limit(t / s, 1) apply the same operations to the same values.  The others
+        # are rounding, and numpy's SIMD kernels, chosen per CPU, move their last bits
+        # (without AVX-512, limit_profile_residual goes 0x1.a4eecp-28 -> 0x1.00432p-27
+        # and blowup_constant_lam2p25 0 -> 0x1p-51): they are bound by verify's tolerance
+        values = {row.name: (row.value, row.tol) for row in run_oracle_suite()}
+        assert len(values) == 8 and values["limit_profile_scaling"][0] == 0.0
+        assert all(value <= tol for value, tol in values.values())
 
     def test_stencil_weights_built_once_per_grid(self, monkeypatch):
         # the limit profiles share the log grid, the comparison profiles the log-tan grid
