@@ -249,10 +249,17 @@ def _finish(scan: ScanResult, grid_n: int, root_tol: float) -> SolveOutcome:
     The bracket is (s, s) at the first scan row that is a root (:func:`_is_root`;
     e.g. the q = 1, lambda = mu family, where l vanishes identically), else the
     first sign change: a root row wins over every bracket, also one before it in s.
+    With neither, fewer than two converged rows are ``failed``, not ``no_sign_change``.
     """
     root = next((r.s for r in scan.rows if _is_root(r.l, root_tol)), None)
     bracket = (root, root) if root is not None else next(iter(scan.brackets), None)
     if bracket is None:
+        converged = sum(r.converged for r in scan.rows)
+        if converged < 2:  # too few jump values for a sign change
+            first = next(r for r in scan.rows if not r.converged)
+            return SolveOutcome("failed", None, None, scan, message=(
+                f"{converged} of {len(scan.rows)} scan rows converged, too few to show a "
+                f"sign; the first failure, at s={first.s}: {first.reason}"))
         return SolveOutcome(
             "no_sign_change", None, None, scan,
             message="jump kept a single sign over the scanned junctions",

@@ -18,6 +18,7 @@ The shared numerics live here too, among them the one 3-point first derivative
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -81,7 +82,7 @@ class HopfParams:
     p, q : int
         Sphere exponents of the two factors (p, q >= 1).
     lam, mu : float
-        Eigenvalues of the bi-eigenmap in the two factors (both > 0).
+        Eigenvalues of the bi-eigenmap in the two factors (both finite and > 0).
     r0, r1 : float
         Positive indicial exponents at t = 0 and t = pi/2.
     """
@@ -98,8 +99,8 @@ class HopfParams:
             raise ValueError("p and q must be integers")
         if self.p < 1 or self.q < 1:
             raise ValueError(f"p, q must be >= 1, got p={self.p}, q={self.q}")
-        if not (self.lam > 0 and self.mu > 0):
-            raise ValueError(f"lambda, mu must be > 0, got {self.lam}, {self.mu}")
+        if not (0 < self.lam < math.inf and 0 < self.mu < math.inf):
+            raise ValueError(f"lambda, mu must be finite and > 0, got {self.lam}, {self.mu}")
         object.__setattr__(self, "p", int(self.p))
         object.__setattr__(self, "q", int(self.q))
         object.__setattr__(self, "lam", float(self.lam))
@@ -136,7 +137,7 @@ class Grid:
         self.nodes = np.asarray(self.nodes, dtype=float)
         if self.nodes.ndim != 1 or self.nodes.size < 2:
             raise ValueError("grid needs a 1-d array of at least 2 nodes")
-        if np.any(np.diff(self.nodes) <= 0):
+        if not np.all(np.diff(self.nodes) > 0):  # False for a NaN node too
             raise ValueError("grid nodes must be strictly increasing")
         if self.nodes[0] <= 0.0 or self.nodes[-1] >= HALF_PI:
             raise DomainError(
@@ -149,21 +150,30 @@ class Grid:
             raise ValueError("junction index out of range")
 
 
+@functools.lru_cache(maxsize=8)
+def _graded_layout(n: int) -> np.ndarray:
+    """zeta on n nodes for :func:`graded_grid`, one read-only array per n."""
+    xi = np.linspace(0.0, 1.0, n)
+    num = xi**2.0
+    zeta = num / (num + (1.0 - xi) ** 2.0)
+    zeta.flags.writeable = False
+    return zeta
+
+
 def graded_grid(a: float, b: float, n: int) -> np.ndarray:
     """Nodes on [a, b] clustered toward both ends with grading exponent 2.
 
     A uniform parameter xi in [0, 1] is mapped through
     ``zeta = xi**2 / (xi**2 + (1 - xi)**2)``, so the spacing near either end
     scales like ``(b - a) * (k/n)**2``.  Every mesh of the package uses it.
+    zeta is built once per n and kept (:func:`_graded_layout`), so a grid costs
+    a + (b - a) * zeta, with the bits of building zeta each time.
     """
     if not (b > a):
         raise ValueError("need b > a")
     if n < 2:
         raise ValueError("need at least 2 nodes")
-    xi = np.linspace(0.0, 1.0, n)
-    num = xi**2.0
-    zeta = num / (num + (1.0 - xi) ** 2.0)
-    out = a + (b - a) * zeta
+    out = a + (b - a) * _graded_layout(n)
     out[0] = a
     out[-1] = b
     return out

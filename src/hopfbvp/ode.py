@@ -30,6 +30,8 @@ shares one build of the weights.  Every CSV is written by
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -62,26 +64,62 @@ __all__ = [
 H_FLOOR = 1e-5
 
 
+def _trig_squares(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sin t cos t, sin^2 t, cos^2 t) from one ``tan`` pass, T = tan t.
+
+    cos^2 = 1/(1+T^2), sin^2 = T^2 cos^2 and sin t cos t = T cos^2.  numpy vectorises
+    float64 tan on CPUs with AVX-512 and runs sin and cos through scalar libm, so this
+    is the cheap trigonometric pass.  Exact at t = 0; at t = fl(pi/2), T = 1.6e16 and
+    every value is finite.
+    """
+    sc = np.tan(t)
+    sin2 = sc * sc
+    cos2 = 1.0 / (sin2 + 1.0)
+    sin2 *= cos2
+    sc *= cos2
+    return sc, sin2, cos2
+
+
+def _sin_cos_power(squares: tuple, a: int, b: int) -> np.ndarray:
+    """sin^a t cos^b t on [0, pi/2] from :func:`_trig_squares`, for integers a >= 0, b, a + b > 0.
+
+    (sin^2)^(a//2) (cos^2)^(b//2), times sin t cos t when a and b are odd and times
+    sqrt(sin^2) or sqrt(cos^2) when one is: a ``sqrt`` only for an odd a + b.  Each
+    factor but a negative power of cos^2 is at most 1, so no power of tan t can
+    overflow.  A single factor is returned as it is, so it may be one of ``squares``.
+    """
+    sc, sin2, cos2 = squares
+    factors = [x if k == 1 else x**k for x, k in ((sin2, a // 2), (cos2, b // 2)) if k]
+    if a % 2 and b % 2:
+        factors.append(sc)
+    elif a % 2 or b % 2:
+        factors.append(np.sqrt(sin2 if a % 2 else cos2))
+    return functools.reduce(np.multiply, factors)
+
+
 def coeff_Q(t, params: HopfParams):
     """Potential coefficient ``Q(t) = lambda/sin^2(t) + mu/cos^2(t)``.
 
-    Defined (and positive) on the open interval (0, pi/2) only.
+    Defined (and positive) on the open interval (0, pi/2) only.  sin^2 and
+    cos^2 come from one ``tan`` pass (:func:`_trig_squares`), the values that
+    ``variational.DiscreteEnergy`` uses.
     """
     ta = np.asarray(t, dtype=float)
     if np.any(ta <= 0.0) or np.any(ta >= HALF_PI):
         raise DomainError("coeff_Q requires t in the open interval (0, pi/2)")
-    out = params.lam / np.sin(ta) ** 2 + params.mu / np.cos(ta) ** 2
-    return _maybe_scalar(out, t)
+    _, sin2, cos2 = _trig_squares(ta)
+    return _maybe_scalar(params.lam / sin2 + params.mu / cos2, t)
 
 
 def weight_f(t, params: HopfParams):
     """Reduction weight ``f(t) = sin^p(t) * cos^q(t)``.
 
-    Total on [0, pi/2]: zero at both endpoints, positive inside.
+    Total on [0, pi/2]: zero at both endpoints, positive inside.  Formed from
+    one ``tan`` pass (:func:`_sin_cos_power`), the values that
+    ``variational.DiscreteEnergy`` uses.
     """
     ta = np.asarray(t, dtype=float)
-    out = np.sin(ta) ** params.p * np.cos(ta) ** params.q
-    return _maybe_scalar(out, t)
+    return _maybe_scalar(_sin_cos_power(_trig_squares(ta), params.p, params.q), t)
 
 
 def drift_coeff(t, params: HopfParams):

@@ -31,7 +31,9 @@ along the elements, and one ``tan`` pass gives the kernels' sin^2 a and
 sin a cos a.  Everything a glue at s builds without (lambda, mu) is one
 record, held for the last junction only: both sides' grids and their geometry
 at the Gauss points, the exterior grid mapped back to t, the union grid and
-its Simpson rows.  The cells of a map glued at one s build it once.  Minimization:
+its Simpson rows.  Each of its trigonometric tables (a side's geometry, the
+Simpson rows) comes from one ``tan`` pass too (:func:`ode._trig_squares`).
+The cells of a map glued at one s build it once.  Minimization:
 damped Newton with one LAPACK ``dptsv`` (SPD tridiagonal) solve per step of a
 Levenberg shift ladder, ``info > 0`` meaning "not positive definite, next
 shift"; a strictly decreasing line search; a single stopping rule on the
@@ -60,7 +62,7 @@ from .core import (
     scipy_module,
     simpson_weights,
 )
-from .ode import weight_f
+from .ode import _sin_cos_power, _trig_squares, weight_f
 
 __all__ = [
     "GluedSolution",
@@ -126,7 +128,7 @@ class DiscreteEnergy:
     """Piecewise-linear discretization of J on a fixed grid whose last node is pinned to pi/2.
 
     ``DiscreteEnergy(grid, p, q)`` is the geometry, built once: quadrature
-    points, f and sin^2, cos^2 there (one sin/cos pass, the values of
+    points, f and sin^2, cos^2 there (one tan pass, the values of
     ode.weight_f) and the stiffness 2f/h^2.  :meth:`with_params` adds Q f w for
     one (lambda, mu), the values of ode.coeff_Q, and gives the energy.  Grid
     keeps the nodes, and so every quadrature point, inside (0, pi/2).
@@ -143,10 +145,9 @@ class DiscreteEnergy:
         self.grid, self.n = grid, t.size
         self.h = np.diff(t)
         self._x = _gauss_x(self.h.size)
-        x = t[:-1] + self._x * self.h  # (4, n_el) quadrature points
-        sn, cs = np.sin(x), np.cos(x)
-        self._sin2, self._cos2 = sn**2, cs**2
-        self.fw = sn**p * cs**q * (_GL_W01[:, None] * self.h)
+        squares = _trig_squares(t[:-1] + self._x * self.h)  # at the (4, n_el) quadrature points
+        self._sin2, self._cos2 = squares[1:]
+        self.fw = _sin_cos_power(squares, p, q) * (_GL_W01[:, None] * self.h)
         self.f_el = self.fw.sum(axis=0)  # integral of f over each element
         self.f_el2 = 2.0 * self.f_el
         self.stiff = self.f_el2 / self.h**2
@@ -389,13 +390,14 @@ def _simpson_rows(t: np.ndarray, p: int, q: int) -> np.ndarray:
 
     W holds :func:`core.simpson_weights` (odd node count), and m_k
     are the monomials of :func:`jump_integrals`: those of I_s1 and I_s2, and
-    for p > 1 the three of (f^2 Q)', all finite on [0, pi/2] there.
+    for p > 1 the three of (f^2 Q)', all finite on [0, pi/2] there.  Each is
+    sin^a cos^b with a and b odd, so all come from one tan pass with no sqrt.
     """
     ts = np.concatenate(([0.0], t, [HALF_PI]))
     powers = [(1, 2 * q - 1), (3, 2 * q - 3)] + (p > 1) * [
         (2 * p - 1, 2 * q - 1), (2 * p + 1, 2 * q - 3), (2 * p - 3, 2 * q + 1)]
-    sn, cs = np.sin(ts), np.cos(ts)
-    return np.stack([sn**a * cs**b for a, b in powers]) * simpson_weights(ts)
+    squares = _trig_squares(ts)
+    return np.stack([_sin_cos_power(squares, a, b) for a, b in powers]) * simpson_weights(ts)
 
 
 def jump_integrals(

@@ -111,6 +111,15 @@ class TestSolve:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert "n must be >= 16" in summary["error"]
 
+    @pytest.mark.parametrize("flag", ["--lambda", "--mu"])
+    def test_infinite_eigenvalue_is_an_error(self, tmp_path, flag):
+        argv = ["--p", "1", "--q", "2", "--lambda", "1", "--mu", "4"]
+        argv[argv.index(flag) + 1] = "inf"
+        assert run(tmp_path, "solve", *argv) == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["verdict"] == "error"
+        assert summary["error"].startswith("ValueError: lambda, mu must be finite and > 0")
+
     def test_usage_error_exit_code(self, tmp_path):
         rc = run(tmp_path, "solve", "--p", "1", "--q", "2", "--lambda", "1",
                  "--mu", "-1")
@@ -284,6 +293,15 @@ class TestFailureReasons:
         rows = (tmp_path / "scan.csv").read_text().splitlines()[1:]
         assert [row.endswith(",0") for row in rows] == [i == 2 for i in range(8)]
 
+    def test_scan_without_two_converged_rows_is_failed(self, tmp_path, monkeypatch):
+        # no jump value, so no sign: not the no_sign_change exit code 2
+        seen = self.fail_glue(monkeypatch, lambda i: True)
+        assert run(tmp_path, "solve", *self.PARAMS, *self.QUICK) == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["verdict"] == "failed"
+        assert summary["message"].startswith("0 of 8 scan rows converged")
+        assert summary["message"].endswith(f"at s={seen[0]}: injected failure at s={seen[0]}")
+
     def test_inconclusive_map_cell_keeps_its_reason(self, tmp_path, monkeypatch):
         # the scan glues succeed, the first root-search glue fails
         seen = self.fail_glue(monkeypatch, lambda i: i >= 8)
@@ -387,6 +405,14 @@ class TestHopfEval:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["verdict"] == "error"
         assert summary["error"].startswith("DomainError: grid nodes must lie in (0, ")
+
+    def test_nan_node_is_an_error(self, tmp_path):
+        (tmp_path / "p.csv").write_text("t,alpha,dalpha,residual\n0.1,0.2,2,0\nnan,0.4,2,0\n0.3,0.6,2,0\n")
+        rc = run(tmp_path, "hopf-eval", "--profile", str(tmp_path / "p.csv"), "--kind", "complex")
+        assert rc == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["verdict"] == "error"
+        assert summary["error"] == "ValueError: grid nodes must be strictly increasing"
 
     @pytest.mark.parametrize("kind", ["complex", "quaternion", "octonion",
                                       "restricted3", "restricted5", "restricted9"])

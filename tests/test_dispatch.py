@@ -2,9 +2,11 @@
 
 numpy picks its SIMD kernels at run time by CPU feature, and the environment
 variable ``NPY_DISABLE_CPU_FEATURES`` switches features off for one process.
-The oracle suite and one small ``find_solution`` run in a child process under
-``REDUCED`` and here under the default path: verdicts and work counts must be
-equal, and values close.  The whole suite can be run on the reduced path with
+The oracle suite, one small ``find_solution`` and the tables of one junction
+record run in a child process under ``REDUCED`` and here under the default
+path: verdicts and work counts must be equal, and values close.  The tables
+follow numpy's ``tan``, as the Newton kernels do.  The whole suite can be run
+on the reduced path with
 
     NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" python -m pytest -q
 """
@@ -31,13 +33,17 @@ def fingerprint(monkeypatch) -> dict:
     """Oracle rows, the verdict, s* and work counts of one small find_solution, and the kernels.
 
     The counts are those of ``TestWorkCounts.counters``: glues, Newton iterations
-    and ``dptsv`` calls.  ``monkeypatch`` needs only a ``setattr``.
+    and ``dptsv`` calls.  ``tables`` are ``junction_tables`` of one record whose sides
+    and Simpson rows take every branch of the powers.  ``monkeypatch`` needs only a
+    ``setattr``.
     """
     counts = test_variational.TestWorkCounts.counters(monkeypatch)
     rows = [(r.name, r.value, r.tol) for r in run_oracle_suite()]
     out = analysis.find_solution(HopfParams(1, 2, 1.0, 4.0), s_min=0.05, s_max=1.45,
                                  n_scan=8, grid_n=600)
+    tables = test_variational.junction_tables(0.7, 200, HopfParams(2, 3, 1.3, 2.7))
     return {"oracles": rows, "verdict": out.verdict, "s_star": out.s_star, "counts": counts,
+            "tables": {name: values.ravel().tolist() for name, (values, _) in tables.items()},
             "kernels": _reducible()}
 
 
@@ -66,6 +72,11 @@ def test_reduced_dispatch_gives_the_same_answers(monkeypatch):
     assert (reduced["kernels"], default["kernels"]) == ([], features)  # the child ran reduced
     assert (reduced["verdict"], reduced["counts"]) == (default["verdict"], default["counts"])
     assert abs(reduced["s_star"] - default["s_star"]) <= S_STAR_BOUND
+    # both paths meet the bound of the math reference, which covers the one-ulp tan difference
+    bounds = test_variational.junction_tables(0.7, 200, HopfParams(2, 3, 1.3, 2.7))
+    assert reduced["tables"].keys() == default["tables"].keys() == bounds.keys()
+    for name, (_, ulps) in bounds.items():
+        assert test_variational.ulps_apart(reduced["tables"][name], default["tables"][name]) <= ulps
     # the oracle values are rounding: each path meets the tolerance verify applies
     assert [r[0] for r in reduced["oracles"]] == [r[0] for r in default["oracles"]]
     assert all(value <= tol for rows in (reduced, default) for _, value, tol in rows["oracles"])

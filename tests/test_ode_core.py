@@ -8,6 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import simpson
 from scipy.optimize import brentq as scipy_brentq
 
+from hopfbvp import core
 from hopfbvp.closed_forms import phi_limit, psi_comparison
 from hopfbvp.core import (
     HALF_PI,
@@ -62,6 +63,12 @@ class TestParams:
             HopfParams(p=1, q=1, lam=-1.0, mu=1.0)
         with pytest.raises(ValueError):
             HopfParams(p=1, q=1, lam=1.0, mu=0.0)
+
+    @pytest.mark.parametrize("lam, mu", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+                                         (1.0, math.nan)])
+    def test_nonfinite_eigenvalue_rejected(self, lam, mu):
+        with pytest.raises(ValueError, match="lambda, mu must be finite and > 0"):
+            HopfParams(p=1, q=2, lam=lam, mu=mu)
 
     def test_outside_proven_regime_flag(self):
         assert HopfParams(p=1, q=2, lam=0.5, mu=4.0).outside_proven_regime
@@ -359,6 +366,30 @@ class TestGrids:
             Grid(np.array([0.3, 0.2, 0.5]))
         with pytest.raises(DomainError):
             Grid(np.array([0.1, 2.0]))  # beyond pi/2
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_nan_node_rejected(self, k):
+        # every comparison with NaN is False, so "no step <= 0" would let it through
+        nodes = np.array([0.1, 0.2, 0.3])
+        nodes[k] = math.nan
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Grid(nodes)
+
+    def test_layout_is_cached_read_only(self):
+        layout = core._graded_layout(401)
+        assert core._graded_layout(401) is layout
+        assert not layout.flags.writeable
+        with pytest.raises(ValueError):
+            layout[1] = 0.5
+
+    @pytest.mark.parametrize("n", [2, 3, 401, 1000, 2000, 2001])
+    def test_graded_grid_keeps_the_direct_bits(self, n):
+        xi = np.linspace(0.0, 1.0, n)
+        zeta = xi**2.0 / (xi**2.0 + (1.0 - xi) ** 2.0)
+        for a, b in [(1e-7, 0.02), (1e-7, HALF_PI - 1e-7), (0.0, 1.0), (0.3, 1.2), (-2.0, 5.0)]:
+            direct = a + (b - a) * zeta
+            direct[0], direct[-1] = a, b
+            assert np.array_equal(graded_grid(a, b, n), direct)
 
 
 class TestFdWeights:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -91,7 +92,7 @@ class TestDiscreteEnergy:
 
     @pytest.mark.parametrize("params", GEOMETRY_PARAMS + [p.mirrored() for p in GEOMETRY_PARAMS])
     def test_geometry_is_weight_f_and_coeff_Q(self, params):
-        # f and Q come from one sin/cos pass; they must be the ode values bit for bit
+        # f and Q come from one tan pass, as in ode; they must be its values bit for bit
         grid = interior_grid(0.7, n=150)
         disc = energy_on(grid, params)
         t = grid.nodes
@@ -620,6 +621,13 @@ class TestWorkCounts:
         assert analysis.find_solution(HopfParams(1, 2, 1.0, mu)).verdict == verdict
         assert counts == dict(zip(("glues", "iterations", "dptsv"), work))
 
+    @pytest.mark.parametrize("mu, builds", [(4.0, 18), (1.5, 16)])
+    def test_one_cell_solve_builds_one_junction_per_glue(self, mu, builds):
+        # every glue of a default solve is at a new s; a map's cells share each build
+        variational._junction.cache_clear()
+        analysis.find_solution(HopfParams(1, 2, 1.0, mu))
+        assert variational._junction.cache_info().misses == builds
+
 
 class TestGlue:
     @pytest.mark.parametrize("s", [variational.DEFAULT_OFFSET, 1e-8,
@@ -708,8 +716,67 @@ def _fresh_glue(s: float, params: HopfParams, n: int) -> GluedSolution:
     return glue(s, params, n=n)
 
 
+def junction_tables(s: float, n: int, params: HopfParams) -> dict:
+    """The trigonometric tables of the junction record at s: name -> (values, bound in ulps).
+
+    Each table is a monomial sin^a cos^b times float weights, or Q f w.  Its bound is
+    3 (a + |b|) + 2 ulps relative, with a + |b| = p + q + 2 for Q f w (see ulps_apart).
+    """
+    held, tables = variational._junction(s, n, params.p, params.q), {}
+    for name, prm in (("inner", params), ("outer", params.mirrored())):
+        disc, a, b = getattr(held, name), prm.p, prm.q
+        tables.update({f"{name} sin2": (disc._sin2, 8), f"{name} cos2": (disc._cos2, 8),
+                       f"{name} fw": (disc.fw, 3 * (a + b) + 2),
+                       f"{name} qfw": (disc.with_params(prm).qfw, 3 * (a + b + 2) + 2)})
+    for k, (a, b) in enumerate(simpson_powers(params.p, params.q)):
+        tables[f"rows {a},{b}"] = (held.rows[k], 3 * (a + abs(b)) + 2)
+    return tables
+
+
+def simpson_powers(p: int, q: int) -> list[tuple[int, int]]:
+    """(a, b) of the monomials sin^a cos^b of _simpson_rows, in its order."""
+    return [(1, 2 * q - 1), (3, 2 * q - 3)] + (p > 1) * [
+        (2 * p - 1, 2 * q - 1), (2 * p + 1, 2 * q - 3), (2 * p - 3, 2 * q + 1)]
+
+
+def ulps_apart(got, ref) -> float:
+    """max |got - ref| / (eps |ref|) over entries with ref != 0, which must be equal where ref == 0."""
+    got, ref = np.asarray(got, dtype=np.longdouble), np.asarray(ref, dtype=np.longdouble)
+    zero = ref == 0.0
+    assert np.array_equal(got[zero], ref[zero])
+    return float(np.max(np.abs(got[~zero] - ref[~zero]) / np.abs(ref[~zero]))
+                 / np.finfo(float).eps)
+
+
 class TestHeldJunction:
     """Grids and Simpson rows held for the last glue's junction."""
+
+    @pytest.mark.parametrize("s", [1e-3, 0.02, math.pi / 4, 1.5, HALF_PI - 1e-3])
+    def test_tables_match_math_sin_and_cos(self, s):
+        # the reference: math.sin and math.cos at the same float points, raised to
+        # their powers in long double (exact to ~1e-19), times the same float weights
+        def sin_cos(x):
+            return [np.array([fn(v) for v in x.ravel()], dtype=np.longdouble).reshape(x.shape)
+                    for fn in (math.sin, math.cos)]
+
+        for p, q in itertools.product((1, 2, 3), repeat=2):
+            params = HopfParams(p, q, 1.3, 2.7)
+            held, refs = variational._junction(s, 60, p, q), {}
+            for name, prm in (("inner", params), ("outer", params.mirrored())):
+                disc, a, b = getattr(held, name), prm.p, prm.q
+                sn, cs = sin_cos(disc.grid.nodes[:-1] + variational._gauss_x(59) * disc.h)
+                fw = sn**a * cs**b * (variational._GL_W01[:, None] * disc.h)
+                refs.update({f"{name} sin2": sn**2, f"{name} cos2": cs**2, f"{name} fw": fw,
+                             f"{name} qfw": (prm.lam / sn**2 + prm.mu / cs**2) * fw})
+            # the padded nodes 0 and fl(pi/2): exact zeros at 0, the relative bound at pi/2
+            ts = np.concatenate(([0.0], held.union.nodes, [HALF_PI]))
+            sn, cs = sin_cos(ts)
+            for a, b in simpson_powers(p, q):
+                refs[f"rows {a},{b}"] = sn**a * cs**b * core.simpson_weights(ts)
+            tables = junction_tables(s, 60, params)
+            assert tables.keys() == refs.keys()
+            for name, (got, ulps) in tables.items():
+                assert ulps_apart(got, refs[name]) <= ulps, (p, q, name)
 
     def test_cells_at_one_junction_build_no_grid(self, params_main, monkeypatch):
         variational._junction.cache_clear()
