@@ -89,6 +89,7 @@ DECREMENT_TOL = 8.0 * float(np.finfo(float).eps)
 # Levenberg shifts tried per Newton direction: 0, then 1e-10 growing tenfold
 MAX_SHIFTS = 30
 ATTACH_TOL = 1e-2
+_OVERFLOW = "Q f w is not finite: lambda={0.lam:g}, mu={0.mu:g} overflow float64 on this grid"
 
 # numpy.polynomial.legendre.leggauss(4) bit for bit; the closed forms differ in the last bits
 _GL_X = np.array([-0.8611363115940526, -0.33998104358485626,
@@ -153,11 +154,18 @@ class DiscreteEnergy:
         self.stiff = self.f_el2 / self.h**2
 
     def with_params(self, params: HopfParams) -> DiscreteEnergy:
-        """The energy on this geometry for (lambda, mu) and the same (p, q): it adds Q f w."""
+        """The energy on this geometry for (lambda, mu) and the same (p, q): it adds Q f w.
+
+        Raises :class:`ConvergenceError` naming lambda and mu when Q f w overflows float64
+        at a quadrature point (:func:`minimize_exterior` names the caller's, not the mirror's).
+        """
         disc = copy.copy(self)
-        disc.qfw = np.divide(params.lam, self._sin2)
-        disc.qfw += params.mu / self._cos2
-        disc.qfw *= self.fw
+        with np.errstate(over="ignore", invalid="ignore"):
+            disc.qfw = np.divide(params.lam, self._sin2)
+            disc.qfw += params.mu / self._cos2
+            disc.qfw *= self.fw
+        if not math.isfinite(disc.qfw.max()):  # Q f w >= 0, and max keeps a NaN
+            raise ConvergenceError(_OVERFLOW.format(params))
         return disc
 
     def trig(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -341,7 +349,11 @@ def minimize_exterior(s: float, params: HopfParams, n: int = DEFAULT_N,
     which is reported through ``attached=False`` rather than an error.
     """
     held, mirrored = _junction(s, n, params.p, params.q), params.mirrored()
-    res = _minimize(held.outer.with_params(mirrored), mirrored, f"exterior minimization at s={s}",
+    try:
+        disc = held.outer.with_params(mirrored)
+    except ConvergenceError:  # the mirror swaps lambda and mu: name the caller's
+        raise ConvergenceError(_OVERFLOW.format(params)) from None
+    res = _minimize(disc, mirrored, f"exterior minimization at s={s}",
                     None if start is None else math.pi - start[::-1])
     values = math.pi - res.profile.values[::-1]
     return replace(res, profile=Profile(held.outer_grid, values))

@@ -167,6 +167,18 @@ class TestFindSolution:
         assert out.verdict == "solution_found"
         assert abs(out.glued.l) <= 1e-6
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("params, named", [
+        (HopfParams(1, 2, 1e300, 4.0), "lambda=1e+300, mu=4"),
+        (HopfParams(1, 2, 1.0, 1e300), "lambda=1, mu=1e+300"),  # overflows on the exterior
+    ])
+    def test_overflowing_potential_names_its_cause(self, params, named):
+        # Q f w is formed silently and rejected with lambda and mu, not a NaN gradient
+        out = find_solution(params, n_scan=3, grid_n=200)
+        assert out.verdict == "failed"
+        assert out.message.startswith("0 of 3 scan rows converged")
+        assert out.message.endswith(f"Q f w is not finite: {named} overflow float64 on this grid")
+
 
 class TestRootSearch:
     """Brent's method on the jump: glue counts, every exit of the search and its root rule."""

@@ -120,6 +120,14 @@ class TestSolve:
         assert summary["verdict"] == "error"
         assert summary["error"].startswith("ValueError: lambda, mu must be finite and > 0")
 
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would end the run
+    def test_overflowing_eigenvalue_fails_without_warnings(self, tmp_path):
+        argv = ["--p", "1", "--q", "2", "--lambda", "1e300", "--mu", "4", "--n", "200"]
+        assert run(tmp_path, "solve", *argv) == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["verdict"] == "failed"
+        assert "Q f w is not finite: lambda=1e+300, mu=4 overflow float64" in summary["message"]
+
     def test_usage_error_exit_code(self, tmp_path):
         rc = run(tmp_path, "solve", "--p", "1", "--q", "2", "--lambda", "1",
                  "--mu", "-1")

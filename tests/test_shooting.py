@@ -1,5 +1,7 @@
 import ast
+import inspect
 import math
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,8 @@ from hopfbvp.shooting import (
     match_shooting,
     write_mismatch_csv,
 )
+
+import test_variational
 
 
 def forward_values(c0, params, t_end, nodes=None, t_offset=DEFAULT_T_OFFSET,
@@ -164,10 +168,10 @@ def loop_solve(params, t0, y0, t1, rtol, atol, band):
     """
     p, q, lam, mu = params.p, params.q, params.lam, params.mu
 
-    def accel(t, a, da):
-        sn, cs = math.sin(t), math.cos(t)
-        drift, qq = p * cs / sn - q * sn / cs, lam / sn**2 + mu / cs**2
-        return -drift * da + qq * math.sin(a) * math.cos(a)
+    def accel(t, a, da):  # Q and the drift from T = tan t, sin a cos a from u = tan a
+        tt, u = math.tan(t), math.tan(a)
+        qq = (lam / (tt * tt) + mu) * (1.0 + tt * tt)
+        return -(p / tt - q * tt) * da + qq * (u / (1.0 + u * u))
 
     def rms(x, y):
         return math.sqrt(x * x + y * y) / math.sqrt(2.0)
@@ -211,8 +215,8 @@ def loop_solve(params, t0, y0, t1, rtol, atol, band):
                 e51 += w5 * k1[j]
             sa = atol + max(abs(a), abs(a_new)) * rtol
             sd = atol + max(abs(da), abs(da_new)) * rtol
-            n3 = (e30 / sa) ** 2 + (e31 / sd) ** 2
-            n5 = (e50 / sa) ** 2 + (e51 / sd) ** 2
+            x3, y3, x5, y5 = e30 / sa, e31 / sd, e50 / sa, e51 / sd
+            n3, n5 = x3 * x3 + y3 * y3, x5 * x5 + y5 * y5
             err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt(2.0 * (n5 + 0.01 * n3))
             if err < 1.0:
                 factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.125)
@@ -280,6 +284,47 @@ class TestGeneratedAttempt:
             assert terms[0] == "0.0"  # the loop's start: an all-zero sum stays +0.0
             assert [float(term.split(" * ")[0]) for term in terms[1:]] == [w for w in row if w]
 
+    def test_a_try_makes_23_tans_and_no_sin_cos_or_power(self):
+        # one tan per stage angle (12) and per distinct stage time (11: stages 11 and 12
+        # share t + h), two in accel; no sin, cos or power in either
+        tree = ast.parse(dop853._source())
+        funcs = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+        for name, n_tan in (("accel", 2), ("attempt", 23)):
+            calls = [c for c in ast.walk(funcs[name]) if isinstance(c, ast.Call)]
+            assert {c.func.id for c in calls} == {"tan"} and len(calls) == n_tan
+            assert not any(isinstance(b, ast.Pow) for b in ast.walk(funcs[name]))
+        args = [ast.unparse(c.args[0]) for c in calls]  # attempt's
+        times = [arg for arg in args if arg != "ys"]
+        assert len(args) - len(times) == 12 and len(set(times)) == len(times) == 11
+        # and the step's error norm squares by products
+        solve = ast.parse(textwrap.dedent(inspect.getsource(dop853.solve)))
+        assert not [b for b in ast.walk(solve) if isinstance(b, ast.BinOp)
+                    and isinstance(b.op, ast.Pow) and ast.unparse(b.right) == "2"]
+
+    @pytest.mark.parametrize("p, q, lam, mu", [(2, 3, 1.3, 2.7), (1, 2, 1.0, 4.0)])
+    def test_accel_against_long_double(self, p, q, lam, mu):
+        # alpha'' from tan t and tan alpha, against sin and cos in long double (~1e-19) at
+        # the same float points.  With tan within 1 ulp and each operation rounding once:
+        # Q = (lam/T^2 + mu)(1 + T^2) within 7 eps, u/(1 + u^2) within 4.5 eps, so
+        # Q sin a cos a within 12 eps relative; p/T - q T within 2 eps (p cot t + q tan t),
+        # absolute, since the drift crosses 0 at tan^2 t = p/q
+        accel, _ = dop853._compiled()(p, q, lam, mu)
+        rng = np.random.default_rng(7)
+        logs = rng.uniform(math.log(1e-4), math.log(math.pi / 4), (2, 400))
+        t = np.concatenate([np.exp(logs[0]), HALF_PI - np.exp(logs[1])])
+        a = np.concatenate([rng.uniform(-math.pi, 2 * math.pi, 400),
+                            np.repeat(np.arange(4) * HALF_PI, 100) + rng.uniform(-1e-6, 1e-6, 400)])
+        rng.shuffle(a)
+        tl, al = t.astype(np.longdouble), a.astype(np.longdouble)
+        sn, cs = np.sin(tl), np.cos(tl)
+        potential = (lam / (sn * sn) + mu / (cs * cs)) * np.sin(al) * np.cos(al)
+        got = [accel(ti, ai, 0.0) for ti, ai in zip(t, a)]
+        assert test_variational.ulps_apart(got, potential) <= 12.0
+        drift = p * cs / sn - q * sn / cs
+        got = np.array([accel(ti, 0.0, 1.0) for ti in t], dtype=np.longdouble)
+        scale = p * np.abs(cs / sn) + q * np.abs(sn / cs)
+        assert float(np.max(np.abs(got + drift) / scale)) <= 2.0 * np.finfo(float).eps
+
 
 class TestIntegratorAccuracy:
     def test_error_drops_with_tolerance(self, params_flat, params_main):
@@ -313,11 +358,10 @@ class TestIntegratorAccuracy:
         """solve_ivp's DOP853 from the series seed, the reference for the stepper."""
         p, q, lam, mu = params.p, params.q, params.lam, params.mu
 
-        def rhs(t, y):
-            sn, cs = math.sin(t), math.cos(t)
-            drift = p * cs / sn - q * sn / cs
-            qq = lam / sn**2 + mu / cs**2
-            return (y[1], -drift * y[1] + qq * math.sin(y[0]) * math.cos(y[0]))
+        def rhs(t, y):  # the stepper's formula: tan of t and of alpha
+            tt, u = math.tan(t), math.tan(y[0])
+            qq = (lam / (tt * tt) + mu) * (1.0 + tt * tt)
+            return (y[1], -(p / tt - q * tt) * y[1] + qq * (u / (1.0 + u * u)))
 
         seed = shooting._series_seed(c, params, DEFAULT_T_OFFSET)
         return solve_ivp(rhs, (DEFAULT_T_OFFSET, t_end), seed, method="DOP853",
@@ -401,7 +445,7 @@ class TestMatchShooting:
     def test_main_regime_residual_bits(self, params_main):
         # the 5-point residual of the merged profile, pinned to its last bit
         m = match_shooting(params_main)
-        assert m.max_scaled_residual.hex() == float.fromhex("0x1.f22f94b41df21p-25").hex()
+        assert m.max_scaled_residual.hex() == float.fromhex("0x1.f27c96bf96dbep-25").hex()
 
     def test_necessary_condition_violated_no_root(self):
         params = HopfParams(p=1, q=2, lam=1.0, mu=1.5)
@@ -559,7 +603,7 @@ class TestMatchShooting:
     @pytest.mark.parametrize("params, counts", [
         (HopfParams(1, 2, 1.0, 4.0), (40, 2506, 191, 32444)),
         (HopfParams(1, 2, 1.0, 1.5), (26, 1630, 129, 21160)),  # the scan shots alone
-        (HopfParams(2, 2, 2.0, 2.0), (64, 3518, 362, 46688)),
+        (HopfParams(2, 2, 2.0, 2.0), (64, 3520, 362, 46712)),
         (HopfParams(2, 3, 1.0, 4.0), (126, 12909, 493, 161076)),
     ])
     def test_work_counts(self, monkeypatch, params, counts):
