@@ -21,7 +21,7 @@ from .core import (
     indicial_exponents,
 )
 from .ode import (
-    coeff_Q,
+    coefficients,
     read_profile_csv,
     residual,
     stencil_residual,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .closed_forms import phi_limit, psi_comparison, theta_threshold
 from .core import HALF_PI, ConvergenceError, Grid, HopfParams, Profile, brentq, simpson_weights, write_csv
-from .ode import residual
+from .ode import _sin_cos_power, _trig_squares, residual
 from .variational import DEFAULT_N, GluedSolution, glue
 
 __all__ = [
@@ -170,6 +170,8 @@ def scan_jump(
         raise ValueError("need 0 < s_min < s_max < pi/2")
     if n < 2:
         raise ValueError("need at least 2 scan points")
+    if not cells:
+        raise ValueError("need at least one cell to scan")
 
     def tasks():
         held = []  # the first cell's last two attached glues, (log s, union values)
@@ -367,7 +369,7 @@ def _split_Is2(prof: Profile, q: int, cut: float) -> tuple[float, float]:
     t, v = prof.t, prof.values
 
     def chunk(ts: np.ndarray, vs: np.ndarray) -> float:
-        g = np.sin(ts) ** 3 * np.cos(ts) ** (2 * q - 3) * np.sin(vs) ** 2
+        g = _sin_cos_power(_trig_squares(ts), 3, 2 * q - 3) * _trig_squares(vs)[1]
         return float(simpson_weights(ts) @ g)
 
     v_cut = float(prof.interpolate(cut))
@@ -508,12 +510,14 @@ def solvability_map(
     All cells are scanned together (see :func:`scan_jump`), then each
     finishes its own search; the cells are find_solution's at any ``jobs``.
     They are laid out lambda-major; per-cell failures of the search are
-    marked ``inconclusive`` rather than raised.  A range with equal ends and
-    a count above 1 is refused, as it would solve one cell that many times.
+    marked ``inconclusive`` rather than raised.  A range with a count below 1 is refused,
+    and so is one with equal ends and a count above 1: it would solve one cell that often.
     """
     if lambda_range[0] <= 0 or mu_range[0] <= 0:
         raise ValueError("lambda and mu ranges must be positive")
     for name, (lo, hi), count in (("lambda", lambda_range, n_lambda), ("mu", mu_range, n_mu)):
+        if count < 1:
+            raise ValueError(f"{name} range {lo:g}:{hi:g}:{count} has no values; use count >= 1")
         if lo == hi and count > 1:
             raise ValueError(f"{name} range {lo:g}:{hi:g}:{count} repeats one value; use count 1")
     lams = np.linspace(lambda_range[0], lambda_range[1], n_lambda)

@@ -284,14 +284,13 @@ def cmd_scan_jump(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
 
 
 def cmd_map(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
-    given = _given(ns)
+    # the map runs its cells on coarser meshes than a single solve, and on
+    # fewer scan points unless the user sets n_scan
+    given = {"n_scan": analysis.MAP_N_SCAN, **_given(ns)}
+    given["n"] = min(given.get("n", DEFAULT_N), analysis.MAP_GRID_N)
     cfg = RunConfig(**given)
     lam_lo, lam_hi, n_lam = _parse_range(ns.lam)
     mu_lo, mu_hi, n_mu = _parse_range(ns.mu)
-    # the map runs its cells on coarser meshes than a single solve, and on
-    # fewer scan points unless the user sets n_scan
-    used = {"n": min(cfg.n, analysis.MAP_GRID_N),
-            "n_scan": given.get("n_scan", analysis.MAP_N_SCAN)}
     cells = analysis.solvability_map(
         ns.p,
         ns.q,
@@ -299,8 +298,8 @@ def cmd_map(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
         (mu_lo, mu_hi),
         n_lam,
         n_mu,
-        grid_n=used["n"],
-        n_scan=used["n_scan"],
+        grid_n=cfg.n,
+        n_scan=cfg.n_scan,
         jobs=cfg.jobs,
         s_min=cfg.s_min,
         s_max=cfg.s_max,
@@ -311,7 +310,6 @@ def cmd_map(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     summary = {
         "params": {"p": ns.p, "q": ns.q, "lambda": ns.lam, "mu": ns.mu},
         "config": _config(cfg, ns),
-        "used": used,
         "verdict": "done",
         "n_solution_found": verdicts.count("solution_found"),
         "n_no_sign_change": verdicts.count("no_sign_change"),

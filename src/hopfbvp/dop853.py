@@ -6,7 +6,8 @@ takes solve_ivp's accepted steps without its per-step event and interpolant work
 one call of straight-line code that :func:`_source` writes from the tableau and the first shot
 compiles.  Its alpha'' takes Q and the drift from one ``tan`` of each distinct stage time and
 sin(alpha) cos(alpha) from one ``tan`` of each stage angle: 23 ``tan`` calls and no ``sin``,
-``cos`` or power, 7.3 us per try on a 2-vCPU Xeon against 9.2 us for the sin/cos form.
+``cos`` or power, 7.3 us per try on a 2-vCPU Xeon against 9.2 us for the sin/cos form.  The
+dense output replays the stages with the same alpha'', compiled with ``np.tan`` for arrays.
 The tableau is scipy's ``integrate._ivp.dop853_coefficients``, run by :func:`core.scipy_module`
 and sliced as scipy's ``DOP853`` class slices it: that file imports only numpy, so no scipy
 package is imported; if it moves, import raises ImportError.
@@ -21,7 +22,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import HopfParams, brentq, scipy_module
-from .ode import coeff_Q, drift_coeff
 
 __all__ = ["solve", "dense_state"]
 
@@ -42,8 +42,9 @@ _RHS = "u = tan({a}); {out} = -drift * {da} + Q * (u / (1.0 + u * u))"
 
 
 def _source() -> str:
-    """``make(p, q, lam, mu) -> (accel, attempt)`` as Python source, written from the tableau.
+    """``make(p, q, lam, mu, tan) -> (accel, attempt)`` as Python source, written from the tableau.
 
+    ``tan`` is ``math.tan`` in :func:`solve` and ``np.tan`` for :func:`dense_state`'s arrays.
     ``attempt(t, a, da, dda, h)`` returns (alpha, alpha', alpha'') at t + h and the error sums
     e3, e5 of alpha and alpha'.  Stages 1-11 weigh by A, stage 12 (the step end) by B.  A sum
     is ``0.0 + w * k_j + ...`` over the row's nonzero weights in order: a loop's running sum
@@ -54,7 +55,7 @@ def _source() -> str:
     def total(row, k: str) -> str:
         return " + ".join(["0.0", *(f"{float(w)!r} * {k}{j}" for j, w in enumerate(row) if w)])
 
-    src = ["def make(p, q, lam, mu):", "  def accel(t, a, da):", "    " + _TIME.format(t="t"),
+    src = ["def make(p, q, lam, mu, tan):", "  def accel(t, a, da):", "    " + _TIME.format(t="t"),
            "    " + _RHS.format(out="dda", a="a", da="da"), "    return dda",
            "  def attempt(t, a, k0_0, k1_0, h):"]
     last = None
@@ -72,8 +73,7 @@ def _source() -> str:
 @functools.cache
 def _compiled() -> Callable:
     """:func:`_source`'s ``make``, compiled on first use: an import never pays for it."""
-    namespace = {"tan": math.tan}
-    exec(compile(_source(), "<dop853 attempt>", "exec"), namespace)
+    exec(compile(_source(), "<dop853 attempt>", "exec"), namespace := {})
     return namespace["make"]
 
 
@@ -86,7 +86,7 @@ def solve(params: HopfParams, t0: float, y0, t1: float, rtol: float, atol: float
     solve_ivp locates a terminal event.
     Raises RuntimeError when the step size falls below the spacing of t.
     """
-    accel, attempt = _compiled()(params.p, params.q, params.lam, params.mu)
+    accel, attempt = _compiled()(params.p, params.q, params.lam, params.mu, math.tan)
 
     def rms(x: float, y: float) -> float:
         return math.sqrt(x * x + y * y) / _SQRT2
@@ -137,16 +137,17 @@ def solve(params: HopfParams, t0: float, y0, t1: float, rtol: float, atol: float
 def dense_state(params: HopfParams, steps: np.ndarray) -> Callable:
     """DOP853's 7th-order dense output over recorded steps, ``t -> (alpha, alpha')``.
 
-    One numpy pass replays every step's stages and forms scipy's ``Dop853DenseOutput``
-    coefficients; outside the steps' span the end pieces extrapolate.
+    One numpy pass replays every step's stages with the stepper's ``accel`` on ``np.tan`` and
+    forms scipy's ``Dop853DenseOutput`` coefficients; outside the steps' span the ends extrapolate.
     """
+    accel = _compiled()(params.p, params.q, params.lam, params.mu, np.tan)[0]
     t, y, dy = steps[0], steps[1:3], steps[2:4]
     t0, h, y0 = t[:-1], np.diff(t), y[:, :-1]
     k = np.empty((16, 2, t0.size))
     k[0], k[12] = dy[:, :-1], dy[:, 1:]
     for s, c, a in _REPLAY:
         ts, (ys, dys) = t0 + c * h, y0 + np.tensordot(a, k[:s], axes=1) * h
-        k[s] = dys, coeff_Q(ts, params) * np.sin(ys) * np.cos(ys) - drift_coeff(ts, params) * dys
+        k[s] = dys, accel(ts, ys, dys)
     delta, high = y[:, 1:] - y0, h * np.tensordot(D, k, axes=1)
     coeffs = [*high[::-1], 2.0 * delta - h * (k[12] + k[0]), h * k[0] - delta, delta]
 

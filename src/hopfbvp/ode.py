@@ -5,10 +5,10 @@ Every equation checked in this package has the form
     y'' + a(t) y' - b(t) sin(y) cos(y) = 0
 
 and :func:`stencil_residual` evaluates its left-hand side for given drift a
-and potential b on any strictly increasing grid:
+and potential b on any strictly increasing grid, with sin(y) cos(y) = u/(1+u^2), u = tan y:
 
-* original:  a = p*cot t - q*tan t,  b = Q = lambda/sin^2 t + mu/cos^2 t
-  (:func:`residual`);
+* original:  a = p*cot t - q*tan t,  b = Q = lambda/sin^2 t + mu/cos^2 t, both from one
+  ``tan`` pass of :func:`coefficients` (:func:`residual`);
 * rescaled:  gamma(t) = alpha(s t) solves it with a = s*a(s t), b = s^2 Q(s t);
 * limit:     a = 1/t, b = lambda/t^2 on (0, inf), solved by ``phi_limit``;
 * comparison: a = cot t - tan t, b = lambda/(sin t cos t)^2 on (0, pi/2),
@@ -50,9 +50,8 @@ from .core import (
 
 __all__ = [
     "H_FLOOR",
-    "coeff_Q",
+    "coefficients",
     "weight_f",
-    "drift_coeff",
     "stencil_residual",
     "residual",
     "write_profile_csv",
@@ -97,18 +96,19 @@ def _sin_cos_power(squares: tuple, a: int, b: int) -> np.ndarray:
     return functools.reduce(np.multiply, factors)
 
 
-def coeff_Q(t, params: HopfParams):
-    """Potential coefficient ``Q(t) = lambda/sin^2(t) + mu/cos^2(t)``.
+def coefficients(t, params: HopfParams):
+    """(drift, Q): ``p*cot(t) - q*tan(t)`` and ``lambda/sin^2(t) + mu/cos^2(t)``.
 
-    Defined (and positive) on the open interval (0, pi/2) only.  sin^2 and
-    cos^2 come from one ``tan`` pass (:func:`_trig_squares`), the values that
-    ``variational.DiscreteEnergy`` uses.
+    Defined (Q positive) on the open interval (0, pi/2) only.  Both take one ``tan`` pass
+    (:func:`_trig_squares`): Q sin^2 and cos^2, the values of ``variational.DiscreteEnergy``,
+    the drift cot t = cos^2/(sin t cos t) and tan t = (sin t cos t)/cos^2.
     """
     ta = np.asarray(t, dtype=float)
     if np.any(ta <= 0.0) or np.any(ta >= HALF_PI):
-        raise DomainError("coeff_Q requires t in the open interval (0, pi/2)")
-    _, sin2, cos2 = _trig_squares(ta)
-    return _maybe_scalar(params.lam / sin2 + params.mu / cos2, t)
+        raise DomainError("the coefficients require t in the open interval (0, pi/2)")
+    sc, sin2, cos2 = _trig_squares(ta)
+    drift = params.p * (cos2 / sc) - params.q * (sc / cos2)
+    return _maybe_scalar(drift, t), _maybe_scalar(params.lam / sin2 + params.mu / cos2, t)
 
 
 def weight_f(t, params: HopfParams):
@@ -120,15 +120,6 @@ def weight_f(t, params: HopfParams):
     """
     ta = np.asarray(t, dtype=float)
     return _maybe_scalar(_sin_cos_power(_trig_squares(ta), params.p, params.q), t)
-
-
-def drift_coeff(t, params: HopfParams):
-    """First-order coefficient ``p*cot(t) - q*tan(t)``."""
-    ta = np.asarray(t, dtype=float)
-    if np.any(ta <= 0.0) or np.any(ta >= HALF_PI):
-        raise DomainError("drift_coeff requires t in (0, pi/2)")
-    out = params.p * np.cos(ta) / np.sin(ta) - params.q * np.tan(ta)
-    return _maybe_scalar(out, t)
 
 
 def stencil_residual(t, y, drift, potential, width: int = 3) -> np.ndarray:
@@ -161,7 +152,8 @@ def stencil_residual(t, y, drift, potential, width: int = 3) -> np.ndarray:
     a = np.broadcast_to(drift, y.shape)[..., mid]
     b = np.broadcast_to(potential, y.shape)[..., mid]
     res = np.full(y.shape, np.nan)
-    res[..., mid] = d2 + a * d1 - b * np.sin(y[..., mid]) * np.cos(y[..., mid])
+    u = np.tan(y[..., mid])  # sin y cos y = u/(1 + u^2)
+    res[..., mid] = d2 + a * d1 - b * (u / (1.0 + u * u))
     return res
 
 
@@ -174,9 +166,7 @@ def residual(profile: Profile, params: HopfParams) -> np.ndarray:
     :data:`H_FLOOR`.
     """
     t = profile.t
-    res = stencil_residual(
-        t, profile.values, drift_coeff(t, params), coeff_Q(t, params)
-    )
+    res = stencil_residual(t, profile.values, *coefficients(t, params))
     h = np.diff(t)
     res[1:-1][np.minimum(h[:-1], h[1:]) < H_FLOOR] = np.nan
     j = profile.grid.junction_index

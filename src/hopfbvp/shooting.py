@@ -42,7 +42,7 @@ from .core import (
     write_csv,
 )
 from .core import fd_weights  # noqa: F401  (bound here for perfbench's traced run)
-from .ode import coeff_Q, drift_coeff, stencil_residual
+from .ode import coefficients, stencil_residual
 
 __all__ = [
     "ShootState",
@@ -199,8 +199,8 @@ def _scaled_residual(profile: Profile, params: HopfParams) -> float:
     only to the mismatch tolerance, which the matcher certifies separately.
     """
     t = profile.t
-    q = coeff_Q(t, params)
-    res = stencil_residual(t, profile.values, drift_coeff(t, params), q, width=5)
+    drift, q = coefficients(t, params)
+    res = stencil_residual(t, profile.values, drift, q, width=5)
     res /= 1.0 + q
     res[2:-2][(t[:-4] <= T_MATCH) & (T_MATCH <= t[4:])] = np.nan
     return float(np.nanmax(np.abs(res)))
@@ -236,7 +236,8 @@ def match_shooting(params: HopfParams) -> MatchResult:
     Returns a :class:`MatchResult` whose verdict is ``"solution"`` (state,
     merged profile, and residual check populated), ``"no_root"`` (the sampled
     end-state curves do not cross and the diagonal holds no bracket), or
-    ``"failed"`` (crossings or brackets exist but no root was accepted).
+    ``"failed"`` (no scan shot pair stayed finite, or crossings or brackets
+    exist but no root was accepted).
 
     The boundary problem can carry several genuine trajectory pairs, and in
     degenerate cases a whole curve of them, so every accepted root is
@@ -368,6 +369,9 @@ def match_shooting(params: HopfParams) -> MatchResult:
 
     scan = dict(c0_scan=cs, dalpha_map=da, ddalpha_map=dd)
     pool = admissible or roots
+    if not np.isfinite(da).any():
+        return MatchResult("failed", None, None, **scan, message="no pair of scan shots "
+                           "stayed finite: every entry of the mismatch map is NaN")
     if not pool and (crossings or brackets):
         return MatchResult("failed", None, None, **scan, message=(
             f"{len(crossings)} curve crossings and {len(brackets)} diagonal "

@@ -131,7 +131,7 @@ class DiscreteEnergy:
     ``DiscreteEnergy(grid, p, q)`` is the geometry, built once: quadrature
     points, f and sin^2, cos^2 there (one tan pass, the values of
     ode.weight_f) and the stiffness 2f/h^2.  :meth:`with_params` adds Q f w for
-    one (lambda, mu), the values of ode.coeff_Q, and gives the energy.  Grid
+    one (lambda, mu), with the values of ode.coefficients' Q, and gives the energy.  Grid
     keeps the nodes, and so every quadrature point, inside (0, pi/2).
     Per iterate, :meth:`trig` makes the one trigonometric pass in two (4, n_el) buffers:
     the angles a (Gauss layout shared by all geometries with n_el elements), t = tan a,

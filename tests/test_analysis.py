@@ -129,6 +129,10 @@ class TestScanJump:
         with pytest.raises(ValueError, match="need at least 2 scan points"):
             scan_jump([params_main], 0.1, 1.0, 1)
 
+    def test_needs_a_cell(self):
+        with pytest.raises(ValueError, match="need at least one cell to scan"):
+            scan_jump([], 0.1, 1.0, 4)
+
     def test_csv_write(self, tmp_path, params_main):
         [scan] = scan_jump([params_main], 0.2, 1.0, 3, grid_n=400)
         path = tmp_path / "scan.csv"
@@ -428,6 +432,14 @@ class TestSolvabilityMap:
         monkeypatch.setattr(analysis, "scan_jump", None)
         with pytest.raises(ValueError, match=r"range 1:1:2 repeats|range 4:4:3 repeats"):
             solvability_map(1, 2, lambda_range, mu_range, n_lambda, n_mu, grid_n=300, n_scan=6)
+
+    @pytest.mark.parametrize("n_lambda, n_mu, named", [
+        (0, 2, "lambda range 1:2:0"), (2, -1, "mu range 3:4:-1")])
+    def test_empty_range_refused(self, monkeypatch, n_lambda, n_mu, named):
+        # a count below 1 names no cell: refused before any glue, naming the range
+        monkeypatch.setattr(analysis, "scan_jump", None)
+        with pytest.raises(ValueError, match=f"^{named} has no values; use count >= 1$"):
+            solvability_map(1, 2, (1.0, 2.0), (3.0, 4.0), n_lambda, n_mu)
 
     def test_repeated_cell_scans_as_one(self, params_main):
         # scan_jump takes any list of cells.  The third copy's two held glues share

@@ -128,6 +128,12 @@ class TestSolve:
         assert summary["verdict"] == "failed"
         assert "Q f w is not finite: lambda=1e+300, mu=4 overflow float64" in summary["message"]
 
+    def test_overflowing_eigenvalue_cross_check_fails_shooting_too(self, tmp_path):
+        argv = ["--p", "1", "--q", "2", "--lambda", "1e300", "--mu", "4", "--n", "200"]
+        assert run(tmp_path, "solve", *argv, "--cross-check") == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["verdict"] == "failed" and summary["shooting_verdict"] == "failed"
+
     def test_usage_error_exit_code(self, tmp_path):
         rc = run(tmp_path, "solve", "--p", "1", "--q", "2", "--lambda", "1",
                  "--mu", "-1")
@@ -215,9 +221,9 @@ class TestMap:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["n_solution_found"] == 2
         assert summary["n_no_sign_change"] == 2
-        assert summary["used"]["n_scan"] == 6
+        assert summary["config"]["n_scan"] == 6
 
-    def test_forwards_mesh_settings_and_records_used(self, tmp_path, monkeypatch):
+    def test_forwards_mesh_settings_and_records_them(self, tmp_path, monkeypatch):
         seen = {}
 
         def fake_map(p, q, lam_range, mu_range, n_lam, n_mu, **opts):
@@ -236,8 +242,11 @@ class TestMap:
         assert seen["root_tol"] == 1e-7  # from the config file
         assert seen["s_min"] == 0.05  # the flag overrides the config
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["used"] == {"n": seen["grid_n"], "n_scan": seen["n_scan"]}
-        assert summary["used"] == {"n": analysis.MAP_GRID_N, "n_scan": 6}
+        config = summary["config"]
+        assert {"n": config["n"], "n_scan": config["n_scan"]} == {
+            "n": seen["grid_n"], "n_scan": seen["n_scan"]}
+        assert (config["n"], config["n_scan"]) == (analysis.MAP_GRID_N, 6)
+        assert (config["root_tol"], config["s_min"]) == (1e-7, 0.05)
 
     def test_n_scan_from_config_else_map_default(self, tmp_path, monkeypatch):
         seen = []
@@ -254,7 +263,8 @@ class TestMap:
         assert run(tmp_path, *args) == 0
         assert seen == [5, analysis.MAP_N_SCAN]
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["used"]["n_scan"] == analysis.MAP_N_SCAN
+        assert summary["config"]["n_scan"] == analysis.MAP_N_SCAN
+        assert summary["config"]["n"] == analysis.MAP_GRID_N
 
     def test_bad_range(self, tmp_path):
         rc = run(tmp_path, "map", "--p", "1", "--q", "2", "--lambda", "1:2",
@@ -609,7 +619,7 @@ class TestSummaryEnvelope:
         }),
         (("map", "--p", "1", "--q", "2", "--lambda", "1:1:1", "--mu", "4:4:1", *QUICK), 0, {
             "command", "config", "files_written", "inconclusive_cells", "n_inconclusive",
-            "n_no_sign_change", "n_solution_found", "params", "used", "verdict",
+            "n_no_sign_change", "n_solution_found", "params", "verdict",
         }),
         (("blowup", *PARAMS, "--s-list", "0.04", "--n", "400"), 0,
          {"command", "config", "decreasing", "eps", "files_written", "params", "rows"}),

@@ -8,7 +8,7 @@ here under the default path: verdicts and work counts must be equal, and values
 close.  The tables follow numpy's ``tan``, as the Newton kernels do.  The shooting
 stepper calls ``math`` only, so the shots and their end states, c0 and c1, must keep
 their bits; the merged profile's dense output and its scaled residual use numpy's
-``sin``, ``cos`` and ``tan``, so the residual is compared within a bound.  The whole
+``tan``, so the residual is compared within a bound.  The whole
 suite can be run on the reduced path with
 
     NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" python -m pytest -q
@@ -32,8 +32,8 @@ import test_variational
 REDUCED = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
 S_STAR_BOUND = 1e-9  # rounding in l moves Brent's root by ~1e-12 here; 0 was measured
 # one ulp in every value of the main regime's merged profile (alpha < pi) moves its 5-point
-# residual over 1 + Q by at most 1.18e-10; random 2-ulp noise in numpy's sin, cos and tan
-# moved it by 1.2e-12; 0 was measured
+# residual over 1 + Q by at most 1.18e-10; random 2-ulp noise in numpy's tan moved it by
+# 1.5e-16; 0 was measured
 RESIDUAL_BOUND = 1.2e-10
 
 

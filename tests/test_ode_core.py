@@ -1,4 +1,7 @@
+import ast
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import simpson
 from scipy.optimize import brentq as scipy_brentq
 
-from hopfbvp import core
+from hopfbvp import analysis, core, dop853, ode, shooting, variational
 from hopfbvp.closed_forms import phi_limit, psi_comparison
 from hopfbvp.core import (
     HALF_PI,
@@ -27,8 +30,7 @@ from hopfbvp.core import (
 )
 from hopfbvp.ode import (
     H_FLOOR,
-    coeff_Q,
-    drift_coeff,
+    coefficients,
     read_profile_csv,
     residual,
     stencil_residual,
@@ -92,24 +94,65 @@ class TestIndicialExponents:
         assert r0 == pytest.approx(math.sqrt(lam), rel=1e-13)
 
 
-class TestCoeffQ:
+class TestCoefficients:
     def test_quarter_pi(self):
         p = HopfParams(p=1, q=1, lam=1.0, mu=4.0)
-        assert coeff_Q(math.pi / 4.0, p) == pytest.approx(10.0, rel=1e-13)
+        assert coefficients(math.pi / 4.0, p)[1] == pytest.approx(10.0, rel=1e-13)
 
     def test_sixth_pi(self):
         p = HopfParams(p=1, q=1, lam=1.0, mu=1.0)
-        assert coeff_Q(math.pi / 6.0, p) == pytest.approx(16.0 / 3.0, rel=1e-13)
+        assert coefficients(math.pi / 6.0, p)[1] == pytest.approx(16.0 / 3.0, rel=1e-13)
+
+    def test_drift_values(self):
+        # p cot t - q tan t: 1 - 2 at pi/4, and sqrt(3) - 3/sqrt(3) = 0 at pi/6 for q = 3
+        assert coefficients(math.pi / 4.0, HopfParams(1, 2, 1.0, 1.0))[0] == (
+            pytest.approx(-1.0, rel=1e-13)
+        )
+        assert abs(coefficients(math.pi / 6.0, HopfParams(1, 3, 1.0, 1.0))[0]) < 1e-14
 
     def test_endpoint_asymptotic(self):
         p = HopfParams(p=1, q=1, lam=1.0, mu=1.0)
-        assert coeff_Q(1e-6, p) == pytest.approx(1e12, rel=1e-4)
+        assert coefficients(1e-6, p)[1] == pytest.approx(1e12, rel=1e-4)
 
     def test_domain_errors(self):
         p = HopfParams(p=1, q=1, lam=1.0, mu=1.0)
         for t in (0.0, HALF_PI, -0.1, 2.0):
             with pytest.raises(DomainError):
-                coeff_Q(t, p)
+                coefficients(t, p)
+
+    def test_scalar_and_array_shapes(self):
+        p = HopfParams(p=1, q=2, lam=1.0, mu=4.0)
+        drift, q = coefficients(0.5, p)
+        assert type(drift) is float and type(q) is float
+        t = np.array([[0.2, 0.5], [0.9, 1.3]])
+        drift, q = coefficients(t, p)
+        assert drift.shape == q.shape == t.shape
+        assert drift[0, 1] == coefficients(0.5, p)[0] and q[0, 1] == coefficients(0.5, p)[1]
+
+    @pytest.mark.parametrize("p, q, lam, mu", [(1, 2, 1.0, 4.0), (2, 3, 1.3, 2.7), (3, 1, 0.5, 9.0)])
+    def test_against_long_double(self, p, q, lam, mu):
+        # one tan pass against sin and cos in long double (~1e-19) at the same float
+        # points, 1e-6 to pi/4 from either end.  With T = tan t within 1 eps relative
+        # (measured: 0.84 for math.tan, 0.51 for np.tan) and each operation rounding
+        # once (eps/2): cot t = cos^2/(T cos^2) loses only the rounding of T cos^2 and
+        # of the division, since cos^2's own error cancels, so it is within eps + eps
+        # and so is tan t; the products by p and q and the difference add eps/2 each
+        # on the scale p|cot t| + q|tan t|: the drift within 3 eps of that scale.
+        # Q = lam/T^2 + (lam + mu) + mu T^2 moves by at most 2 dT/T relative, and its
+        # seven roundings (T^2, + 1, 1/, T^2 cos^2, the two quotients, the sum) add at
+        # most eps/2 each: Q within 2 eps + 3.5 eps = 5.5 eps relative.
+        params = HopfParams(p, q, lam, mu)
+        rng = np.random.default_rng(11)
+        logs = rng.uniform(math.log(1e-6), math.log(math.pi / 4), (2, 20000))
+        t = np.concatenate([np.exp(logs[0]), HALF_PI - np.exp(logs[1])])
+        drift, potential = coefficients(t, params)
+        tl = t.astype(np.longdouble)
+        sn, cs = np.sin(tl), np.cos(tl)
+        eps = np.finfo(float).eps
+        scale = p * cs / sn + q * sn / cs
+        assert float(np.max(np.abs(drift - (p * cs / sn - q * sn / cs)) / scale)) <= 3.0 * eps
+        ref = lam / (sn * sn) + mu / (cs * cs)
+        assert float(np.max(np.abs(potential - ref) / ref)) <= 5.5 * eps
 
     @given(
         t=st.floats(min_value=0.01, max_value=HALF_PI - 0.01),
@@ -118,9 +161,43 @@ class TestCoeffQ:
     )
     @settings(max_examples=100)
     def test_reflection_symmetry(self, t, lam, mu):
-        a = coeff_Q(t, HopfParams(p=1, q=1, lam=lam, mu=mu))
-        b = coeff_Q(HALF_PI - t, HopfParams(p=1, q=1, lam=mu, mu=lam))
+        # Q and the drift of p = q = 1 map to Q and minus the drift under
+        # t -> pi/2 - t with lambda and mu swapped
+        da, a = coefficients(t, HopfParams(p=1, q=1, lam=lam, mu=mu))
+        db, b = coefficients(HALF_PI - t, HopfParams(p=1, q=1, lam=mu, mu=lam))
         assert a == pytest.approx(b, rel=1e-10)
+        assert da == pytest.approx(-db, rel=1e-10, abs=1e-12)
+
+
+class TestNoSinOrCos:
+    """The solver side forms every sine and cosine from ``tan``."""
+
+    @staticmethod
+    def calls(tree: ast.AST) -> set:
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                names.add(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None))
+        return names
+
+    @pytest.mark.parametrize("obj", [ode, dop853, shooting, variational, analysis._split_Is2],
+                             ids=["ode", "dop853", "shooting", "variational", "_split_Is2"])
+    def test_calls_no_sin_or_cos(self, obj):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(obj)))
+        assert not self.calls(tree) & {"sin", "cos"}
+
+    def test_dense_state_replays_the_compiled_accel(self):
+        # dop853 takes nothing from ode: the replay calls the stepper's own alpha''
+        tree = ast.parse(inspect.getsource(dop853))
+        imported = [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        assert "ode" not in imported
+        dense = ast.parse(textwrap.dedent(inspect.getsource(dop853.dense_state)))
+        called = self.calls(dense)
+        assert {"_compiled", "accel"} <= called
+        own = {name for name, f in vars(ode).items()
+               if inspect.isfunction(f) and f.__module__ == ode.__name__}
+        assert "coefficients" in own and not called & own
 
 
 class TestWeightF:
@@ -175,11 +252,17 @@ class TestResidual:
         d1 = w0 * y[:-2] + w1 * y[1:-1] + w2 * y[2:]
         v0, v1, v2 = fd3_second_weights(tm, t0, tp)
         d2 = v0 * y[:-2] + v1 * y[1:-1] + v2 * y[2:]
+        # the coefficients from one tan of t, sin y cos y from one tan of y
+        p, q, lam, mu = params_main.p, params_main.q, params_main.lam, params_main.mu
+        tt = np.tan(t0)
+        cos2 = 1.0 / (tt * tt + 1.0)
+        sin2, sc = tt * tt * cos2, tt * cos2
+        u = np.tan(y[1:-1])
         ref = np.full_like(y, np.nan)
         ref[1:-1] = (
             d2
-            + drift_coeff(t0, params_main) * d1
-            - coeff_Q(t0, params_main) * np.sin(y[1:-1]) * np.cos(y[1:-1])
+            + (p * (cos2 / sc) - q * (sc / cos2)) * d1
+            - (lam / sin2 + mu / cos2) * (u / (1.0 + u * u))
         )
         ref[1400] = np.nan
         h = np.diff(t)
@@ -262,8 +345,8 @@ class TestStencilResidual:
                 w = fd_weights(sliding_window_view(t, 5), t[2:-2], 2)
                 d = (w * sliding_window_view(y[k], 5)[:, None, :]).sum(axis=-1)
                 a, b = np.broadcast_to(a, t.shape)[2:-2], np.broadcast_to(b, t.shape)[2:-2]
-                mid = y[k, 2:-2]
-                ref = d[:, 2] + a * d[:, 1] - b * np.sin(mid) * np.cos(mid)
+                u = np.tan(y[k, 2:-2])  # sin y cos y = u/(1 + u^2)
+                ref = d[:, 2] + a * d[:, 1] - b * (u / (1.0 + u * u))
                 assert one[2:-2].tobytes() == ref.tobytes()
 
     def test_width_validation(self):
@@ -327,30 +410,24 @@ class TestRescaledResidual:
         # stretched equation vanishes up to stencil rounding
         s = 0.3
         t = np.linspace(0.05, 3.0, 1500)
-        res = stencil_residual(
-            t,
-            2.0 * s * t,
-            s * drift_coeff(s * t, params_flat),
-            s**2 * coeff_Q(s * t, params_flat),
-        )
+        drift, q = coefficients(s * t, params_flat)
+        res = stencil_residual(t, 2.0 * s * t, s * drift, s**2 * q)
         assert np.nanmax(np.abs(res)) < 1e-8
 
     def test_small_s_drift_limit(self, params_main):
         s = 1e-4
-        drift = s * drift_coeff(s * 1.0, params_main)
+        drift = s * coefficients(s * 1.0, params_main)[0]
         assert abs(drift - 1.0) < 1e-6
 
     def test_small_s_potential_limit(self, params_main):
         s = 1e-4
-        val = s**2 * coeff_Q(s * 1.0, params_main)
+        val = s**2 * coefficients(s * 1.0, params_main)[1]
         assert abs(val - params_main.lam) < 1e-6
 
     def test_domain_error(self, params_main):
         st_ = 0.2 * np.linspace(0.5, 20.0, 100)  # s*t exceeds pi/2
         with pytest.raises(DomainError):
-            drift_coeff(st_, params_main)
-        with pytest.raises(DomainError):
-            coeff_Q(st_, params_main)
+            coefficients(st_, params_main)
 
 
 class TestGrids:

@@ -11,7 +11,7 @@ from hopfbvp.closed_forms import phi_limit
 from hopfbvp import analysis, core, variational
 from hopfbvp.analysis import scan_jump
 from hopfbvp.core import HALF_PI, ConvergenceError, DomainError, Grid, HopfParams, graded_grid
-from hopfbvp.ode import coeff_Q, weight_f
+from hopfbvp.ode import coefficients, weight_f
 from hopfbvp.variational import (
     DiscreteEnergy,
     GluedSolution,
@@ -91,7 +91,7 @@ class TestDiscreteEnergy:
         assert np.array_equal(d_stored, d) and shift_stored == shift
 
     @pytest.mark.parametrize("params", GEOMETRY_PARAMS + [p.mirrored() for p in GEOMETRY_PARAMS])
-    def test_geometry_is_weight_f_and_coeff_Q(self, params):
+    def test_geometry_is_weight_f_and_coefficients(self, params):
         # f and Q come from one tan pass, as in ode; they must be its values bit for bit
         grid = interior_grid(0.7, n=150)
         disc = energy_on(grid, params)
@@ -99,7 +99,7 @@ class TestDiscreteEnergy:
         x = t[:-1] + np.outer(variational._GL_X01, disc.h)  # (4, n_el)
         fw = weight_f(x, params) * (variational._GL_W01[:, None] * disc.h)
         assert np.array_equal(disc.fw, fw)
-        assert np.array_equal(disc.qfw, coeff_Q(x, params) * fw)
+        assert np.array_equal(disc.qfw, coefficients(x, params)[1] * fw)
 
     def test_quadrature_point_outside_open_interval_raises(self, params_main):
         # the grid's node range check keeps every Gauss point inside (0, pi/2)
@@ -323,7 +323,7 @@ class TestEvalFunctional:
         disc = energy_on(grid, params_flat)
         value = disc.energy(2.0 * grid.nodes)
         integrand = lambda t: (
-            4.0 + coeff_Q(t, params_flat) * math.sin(2 * t) ** 2
+            4.0 + coefficients(t, params_flat)[1] * math.sin(2 * t) ** 2
         ) * weight_f(t, params_flat)
         expected = quad(integrand, 1e-6, s, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
         assert value == pytest.approx(expected, abs=1e-8)
