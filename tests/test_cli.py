@@ -223,7 +223,7 @@ class TestMap:
         assert summary["n_no_sign_change"] == 2
         assert summary["config"]["n_scan"] == 6
 
-    def test_forwards_mesh_settings_and_records_them(self, tmp_path, monkeypatch):
+    def test_forwards_mesh_settings_and_records_used(self, tmp_path, monkeypatch):
         seen = {}
 
         def fake_map(p, q, lam_range, mu_range, n_lam, n_mu, **opts):

@@ -94,7 +94,9 @@ class TestIndicialExponents:
         assert r0 == pytest.approx(math.sqrt(lam), rel=1e-13)
 
 
-class TestCoefficients:
+class TestCoeffQ:
+    """Q, the potential coefficient of ``ode.coefficients``."""
+
     def test_quarter_pi(self):
         p = HopfParams(p=1, q=1, lam=1.0, mu=4.0)
         assert coefficients(math.pi / 4.0, p)[1] == pytest.approx(10.0, rel=1e-13)
@@ -102,13 +104,6 @@ class TestCoefficients:
     def test_sixth_pi(self):
         p = HopfParams(p=1, q=1, lam=1.0, mu=1.0)
         assert coefficients(math.pi / 6.0, p)[1] == pytest.approx(16.0 / 3.0, rel=1e-13)
-
-    def test_drift_values(self):
-        # p cot t - q tan t: 1 - 2 at pi/4, and sqrt(3) - 3/sqrt(3) = 0 at pi/6 for q = 3
-        assert coefficients(math.pi / 4.0, HopfParams(1, 2, 1.0, 1.0))[0] == (
-            pytest.approx(-1.0, rel=1e-13)
-        )
-        assert abs(coefficients(math.pi / 6.0, HopfParams(1, 3, 1.0, 1.0))[0]) < 1e-14
 
     def test_endpoint_asymptotic(self):
         p = HopfParams(p=1, q=1, lam=1.0, mu=1.0)
@@ -119,6 +114,31 @@ class TestCoefficients:
         for t in (0.0, HALF_PI, -0.1, 2.0):
             with pytest.raises(DomainError):
                 coefficients(t, p)
+
+    @given(
+        t=st.floats(min_value=0.01, max_value=HALF_PI - 0.01),
+        lam=st.floats(min_value=0.1, max_value=10.0),
+        mu=st.floats(min_value=0.1, max_value=10.0),
+    )
+    @settings(max_examples=100)
+    def test_reflection_symmetry(self, t, lam, mu):
+        # Q and the drift of p = q = 1 map to Q and minus the drift under
+        # t -> pi/2 - t with lambda and mu swapped
+        da, a = coefficients(t, HopfParams(p=1, q=1, lam=lam, mu=mu))
+        db, b = coefficients(HALF_PI - t, HopfParams(p=1, q=1, lam=mu, mu=lam))
+        assert a == pytest.approx(b, rel=1e-10)
+        assert da == pytest.approx(-db, rel=1e-10, abs=1e-12)
+
+
+class TestCoefficients:
+    """The drift and the two together."""
+
+    def test_drift_values(self):
+        # p cot t - q tan t: 1 - 2 at pi/4, and sqrt(3) - 3/sqrt(3) = 0 at pi/6 for q = 3
+        assert coefficients(math.pi / 4.0, HopfParams(1, 2, 1.0, 1.0))[0] == (
+            pytest.approx(-1.0, rel=1e-13)
+        )
+        assert abs(coefficients(math.pi / 6.0, HopfParams(1, 3, 1.0, 1.0))[0]) < 1e-14
 
     def test_scalar_and_array_shapes(self):
         p = HopfParams(p=1, q=2, lam=1.0, mu=4.0)
@@ -153,20 +173,6 @@ class TestCoefficients:
         assert float(np.max(np.abs(drift - (p * cs / sn - q * sn / cs)) / scale)) <= 3.0 * eps
         ref = lam / (sn * sn) + mu / (cs * cs)
         assert float(np.max(np.abs(potential - ref) / ref)) <= 5.5 * eps
-
-    @given(
-        t=st.floats(min_value=0.01, max_value=HALF_PI - 0.01),
-        lam=st.floats(min_value=0.1, max_value=10.0),
-        mu=st.floats(min_value=0.1, max_value=10.0),
-    )
-    @settings(max_examples=100)
-    def test_reflection_symmetry(self, t, lam, mu):
-        # Q and the drift of p = q = 1 map to Q and minus the drift under
-        # t -> pi/2 - t with lambda and mu swapped
-        da, a = coefficients(t, HopfParams(p=1, q=1, lam=lam, mu=mu))
-        db, b = coefficients(HALF_PI - t, HopfParams(p=1, q=1, lam=mu, mu=lam))
-        assert a == pytest.approx(b, rel=1e-10)
-        assert da == pytest.approx(-db, rel=1e-10, abs=1e-12)
 
 
 class TestNoSinOrCos:

@@ -301,21 +301,14 @@ class TestGeneratedAttempt:
         assert not [b for b in ast.walk(solve) if isinstance(b, ast.BinOp)
                     and isinstance(b.op, ast.Pow) and ast.unparse(b.right) == "2"]
 
-    @pytest.mark.parametrize("tan", [math.tan, np.tan], ids=["math-scalars", "numpy-arrays"])
     @pytest.mark.parametrize("p, q, lam, mu", [(2, 3, 1.3, 2.7), (1, 2, 1.0, 4.0)])
-    def test_accel_against_long_double(self, p, q, lam, mu, tan):
+    def test_accel_against_long_double(self, p, q, lam, mu):
         # alpha'' from tan t and tan alpha, against sin and cos in long double (~1e-19) at
         # the same float points.  With tan within 1 ulp and each operation rounding once:
         # Q = (lam/T^2 + mu)(1 + T^2) within 7 eps, u/(1 + u^2) within 4.5 eps, so
         # Q sin a cos a within 12 eps relative; p/T - q T within 2 eps (p cot t + q tan t),
         # absolute, since the drift crosses 0 at tan^2 t = p/q.  Both instantiations: a
         # try's math.tan on floats, the dense replay's np.tan on arrays
-        accel_ = dop853._compiled()(p, q, lam, mu, tan)[0]
-
-        def accel(t, a, da):  # at the arrays t and a
-            if tan is np.tan:
-                return accel_(t, a, da)
-            return np.array([accel_(ti, ai, da) for ti, ai in zip(t, a)])
         rng = np.random.default_rng(7)
         logs = rng.uniform(math.log(1e-4), math.log(math.pi / 4), (2, 400))
         t = np.concatenate([np.exp(logs[0]), HALF_PI - np.exp(logs[1])])
@@ -325,11 +318,18 @@ class TestGeneratedAttempt:
         tl, al = t.astype(np.longdouble), a.astype(np.longdouble)
         sn, cs = np.sin(tl), np.cos(tl)
         potential = (lam / (sn * sn) + mu / (cs * cs)) * np.sin(al) * np.cos(al)
-        assert test_variational.ulps_apart(accel(t, a, 0.0), potential) <= 12.0
         drift = p * cs / sn - q * sn / cs
-        got = accel(t, np.zeros_like(t), 1.0).astype(np.longdouble)
         scale = p * np.abs(cs / sn) + q * np.abs(sn / cs)
-        assert float(np.max(np.abs(got + drift) / scale)) <= 2.0 * np.finfo(float).eps
+        for tan in (math.tan, np.tan):
+            accel_ = dop853._compiled()(p, q, lam, mu, tan)[0]
+
+            def accel(t, a, da):  # at the arrays t and a
+                if tan is np.tan:
+                    return accel_(t, a, da)
+                return np.array([accel_(ti, ai, da) for ti, ai in zip(t, a)])
+            assert test_variational.ulps_apart(accel(t, a, 0.0), potential) <= 12.0
+            got = accel(t, np.zeros_like(t), 1.0).astype(np.longdouble)
+            assert float(np.max(np.abs(got + drift) / scale)) <= 2.0 * np.finfo(float).eps
 
 
 class TestIntegratorAccuracy:

@@ -91,7 +91,7 @@ class TestDiscreteEnergy:
         assert np.array_equal(d_stored, d) and shift_stored == shift
 
     @pytest.mark.parametrize("params", GEOMETRY_PARAMS + [p.mirrored() for p in GEOMETRY_PARAMS])
-    def test_geometry_is_weight_f_and_coefficients(self, params):
+    def test_geometry_is_weight_f_and_coeff_Q(self, params):
         # f and Q come from one tan pass, as in ode; they must be its values bit for bit
         grid = interior_grid(0.7, n=150)
         disc = energy_on(grid, params)
