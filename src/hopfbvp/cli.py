@@ -249,6 +249,7 @@ def cmd_solve(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     if ns.cross_check:
         match = match_shooting(params)
         summary["shooting_verdict"] = match.verdict
+        summary["shooting_message"] = match.message
         if match.verdict == "solution":
             summary["shooting_max_scaled_residual"] = match.max_scaled_residual
             if outcome.glued is not None:

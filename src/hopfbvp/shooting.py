@@ -10,11 +10,12 @@ trajectories agree in value and slope at a matching point.
 The forward end state (alpha, alpha') at the matching point depends only on
 c0 and the backward one only on c1, so a matching pair is a crossing of two
 planar curves, Gamma_f(c0) and Gamma_b(c1).  Both curves are sampled once on
-a log grid of amplitudes.  A Brent search on the diagonal c0 = c1 starts from
-their values at a bracket's ends, and each crossing of the polylines seeds a
-Newton iteration in (log c0, log c1) whose separable Jacobian costs one extra
-shot per side; one rule accepts the roots of both.  "No root" (no crossing, no
-diagonal bracket) is numerical evidence of unsolvability, not a failed search.
+a log grid of amplitudes, at the match tolerance.  A Brent search on the diagonal
+c0 = c1 starts from their values at a bracket's ends, and each crossing of the
+polylines seeds a Newton iteration in (log c0, log c1) whose separable Jacobian
+costs one extra shot per side; both shoot at the contract tolerance, and one rule
+accepts their roots.  "No root" (no crossing, no diagonal bracket) is numerical
+evidence of unsolvability, not a failed search.
 
 Shots run the float DOP853 stepper of :mod:`hopfbvp.dop853` and keep only their
 step ends; a shot's dense state is built from them on first read (a root's pair), once.
@@ -56,6 +57,11 @@ DEFAULT_T_OFFSET = 1e-4
 DEFAULT_RTOL = 1e-11
 DEFAULT_ATOL = 1e-12
 MISMATCH_TOL = 1e-8
+# (rtol, atol) of the scan: it only places the searches, whose shots (and so every
+# accepted or certified root) run at the contract pair.  Its end states land within
+# 2e-7 of those, and at the acceptance tolerance (atol = rtol/10, as in the contract
+# pair) a shot takes about half the steps, as DOP853's grow like tol**(-1/8)
+SCAN_TOL = (MISMATCH_TOL, MISMATCH_TOL / 10)
 T_MATCH = math.pi / 4.0
 # amplitudes c0, c1 scanned on a log grid of SCAN_POINTS values over C_RANGE
 C_RANGE = (1e-3, 1e3)
@@ -175,7 +181,7 @@ def _shoot(
 def integrate_from_zero(c0: float, params: HopfParams, t_end: float) -> Profile:
     """The forward shot of amplitude c0 to t_end, as alpha at its step times.
 
-    It is the shot :func:`match_shooting` makes: from the three-term series
+    It is the shot :func:`match_shooting`'s searches make: from the three-term series
     seed (leading behavior ``c0 * t**r0``) at DEFAULT_T_OFFSET, at the
     contract tolerances.  Raises :class:`BlowUpError` (with the exit time) if
     the trajectory leaves the band [-pi, 2*pi].
@@ -247,32 +253,35 @@ def match_shooting(params: HopfParams) -> MatchResult:
     values at each bracket's ends): a root there pins the symmetric member of
     a degenerate family, and when admissible no other root can beat it.  Both
     searches hand their last pair to ``add_root``, the one acceptance rule.
+    The scan shoots at ``SCAN_TOL`` and so decides only where each search
+    starts: every other shot runs at ``DEFAULT_RTOL`` and ``DEFAULT_ATOL``.
     """
-    # each shot is made once: its end state at T_MATCH, and its dense state
-    # for the admissibility probe and the profile (None after a band exit)
-    shots: dict[tuple[bool, float], tuple[np.ndarray, Optional[Callable]]] = {}
+    contract = (DEFAULT_RTOL, DEFAULT_ATOL)
+    # each shot is made once per tolerance: its end state at T_MATCH, and its dense
+    # state for the admissibility probe and the profile (None after a band exit)
+    shots: dict[tuple[bool, float, tuple], tuple[np.ndarray, Optional[Callable]]] = {}
 
-    def end_state(backward: bool, c: float) -> np.ndarray:
+    def end_state(backward: bool, c: float, tol: tuple = contract) -> np.ndarray:
         """(alpha, alpha') at T_MATCH, NaN when the shot leaves the band."""
-        key = (backward, c)
+        key = (backward, c, tol)
         if key not in shots:
             try:
-                shots[key] = _shoot(params, c, DEFAULT_T_OFFSET, T_MATCH, DEFAULT_RTOL,
-                                    DEFAULT_ATOL, backward)[1:]
+                shots[key] = _shoot(params, c, DEFAULT_T_OFFSET, T_MATCH, *tol, backward)[1:]
             except (BlowUpError, RuntimeError):
                 shots[key] = np.full(2, np.nan), None
         return shots[key][0]
 
     def merged_values(root: ShootState, nodes: np.ndarray) -> np.ndarray:
-        # a root's two shots stayed in band, so both dense states are cached
-        fwd, bwd, t = shots[(False, root.c0)][1], shots[(True, root.c1)][1], T_MATCH
+        # add_root read the root's two contract shots, which stayed in band
+        fwd, bwd = shots[(False, root.c0, contract)][1], shots[(True, root.c1, contract)][1]
+        t = T_MATCH
         return np.where(nodes <= t, fwd(np.minimum(nodes, t))[0], bwd(np.maximum(nodes, t))[0])
 
-    # the two end-state curves, sampled once; the map is their difference
+    # the two end-state curves, sampled once at the scan tolerance; the map is their difference
     cs = np.geomspace(C_RANGE[0], C_RANGE[1], SCAN_POINTS)
     zs = np.log(cs)
-    fwd = np.array([end_state(False, float(c)) for c in cs])
-    bwd = np.array([end_state(True, float(c)) for c in cs])
+    fwd = np.array([end_state(False, float(c), SCAN_TOL) for c in cs])
+    bwd = np.array([end_state(True, float(c), SCAN_TOL) for c in cs])
     da = bwd[None, :, 0] - fwd[:, None, 0]
     dd = bwd[None, :, 1] - fwd[:, None, 1]
 
@@ -311,12 +320,13 @@ def match_shooting(params: HopfParams) -> MatchResult:
         )
     ]
 
-    # Brent's first two calls are a bracket's ends: there it reads the scan's shots
+    # Brent's first two calls are a bracket's ends: there it reads the scan's
+    # shots; every iterate inside the bracket is a contract shot
     scanned = dict(zip(zs.tolist(), cs.tolist()))
 
     def diag_mismatch(z: float) -> float:
-        c = scanned.get(z, math.exp(z))
-        return float(end_state(True, c)[0] - end_state(False, c)[0])
+        c, tol = (scanned[z], SCAN_TOL) if z in scanned else (math.exp(z), contract)
+        return float(end_state(True, c, tol)[0] - end_state(False, c, tol)[0])
 
     for k in brackets:
         try:
@@ -393,7 +403,7 @@ def match_shooting(params: HopfParams) -> MatchResult:
 
 
 def write_mismatch_csv(result: MatchResult, path) -> None:
-    """Diagnostic dump of the coarse mismatch map: ``c0,c1,dalpha,ddalpha``, c0-major."""
+    """Dump of the scan's mismatch map (at ``SCAN_TOL``): ``c0,c1,dalpha,ddalpha``, c0-major."""
     c = result.c0_scan
     write_csv(path, "c0,c1,dalpha,ddalpha", np.repeat(c, c.size), np.tile(c, c.size),
               result.dalpha_map.ravel(), result.ddalpha_map.ravel())

@@ -133,6 +133,9 @@ class TestSolve:
         assert run(tmp_path, "solve", *argv, "--cross-check") == 1
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["verdict"] == "failed" and summary["shooting_verdict"] == "failed"
+        assert summary["shooting_message"] == (
+            "no pair of scan shots stayed finite: every entry of the mismatch map is NaN"
+        )
 
     def test_usage_error_exit_code(self, tmp_path):
         rc = run(tmp_path, "solve", "--p", "1", "--q", "2", "--lambda", "1",
@@ -612,7 +615,7 @@ class TestSummaryEnvelope:
         (("solve", *PARAMS, *QUICK), 0, SOLVE),
         (("solve", *PARAMS, *QUICK, "--cross-check"), 0,
          SOLVE | {"pipeline_sup_distance", "shooting_c0", "shooting_c1",
-                  "shooting_max_scaled_residual", "shooting_verdict"}),
+                  "shooting_max_scaled_residual", "shooting_message", "shooting_verdict"}),
         (("scan-jump", *PARAMS, *QUICK), 0, {
             "brackets", "command", "config", "failed_rows", "files_written",
             "n_converged", "outside_proven_regime", "params", "verdict",

@@ -451,7 +451,7 @@ class TestMatchShooting:
     def test_main_regime_residual_bits(self, params_main):
         # the 5-point residual of the merged profile, pinned to its last bit
         m = match_shooting(params_main)
-        assert m.max_scaled_residual.hex() == float.fromhex("0x1.f27c96bf96dbep-25").hex()
+        assert m.max_scaled_residual.hex() == float.fromhex("0x1.f262004985c91p-25").hex()
 
     def test_necessary_condition_violated_no_root(self):
         params = HopfParams(p=1, q=2, lam=1.0, mu=1.5)
@@ -576,14 +576,15 @@ class TestMatchShooting:
         assert len(calls) <= bound
 
     def test_each_shot_made_once(self, monkeypatch):
-        # the diagonal Brent search reads its bracket ends from the scan, and the
-        # admissibility probe and the profile reuse the matched pair's shots: in the
-        # main regime that is 13 + 13 scan shots and the polish's 14, 40 in all
+        # once per amplitude and tolerance: the diagonal Brent search reads its bracket
+        # ends from the scan, and the admissibility probe and the profile reuse the
+        # matched pair's shots: in the main regime that is 13 + 13 scan shots and the
+        # polish's 14, 40 in all
         shots, ivps = [], []
         shoot, solve = shooting._shoot, dop853.solve
 
         def recorded(params, c, t_offset, t_end, rtol, atol, backward=False):
-            shots.append((params, c, backward))
+            shots.append((params, c, backward, rtol, atol))
             return shoot(params, c, t_offset, t_end, rtol, atol, backward)
 
         def counted(*args):
@@ -593,17 +594,86 @@ class TestMatchShooting:
         monkeypatch.setattr(shooting, "_shoot", recorded)
         monkeypatch.setattr(dop853, "solve", counted)
         for params, n_ivps in [(HopfParams(1, 2, 1.0, 4.0), 40),
-                               (HopfParams(2, 2, 2.0, 2.0), 64),
-                               (HopfParams(2, 3, 1.0, 4.0), 126)]:
+                               (HopfParams(2, 2, 2.0, 2.0), 66),
+                               (HopfParams(2, 3, 1.0, 4.0), 124)]:
             shots.clear()
             ivps.clear()
             assert match_shooting(params).verdict == "solution"
             assert len(shots) == len(set(shots))
             assert len(ivps) == n_ivps
-            # nor does a side shoot an amplitude again under another rounding
-            for side in (False, True):
-                cs = sorted(c for _, c, backward in shots if backward == side)
+            # nor does a side shoot an amplitude again at one tolerance under another rounding
+            for side_tol in {shot[2:] for shot in shots}:
+                cs = sorted(c for _, c, *rest in shots if tuple(rest) == side_tol)
                 assert all(b - a > 4 * math.ulp(b) for a, b in zip(cs, cs[1:]))
+
+    @pytest.mark.parametrize("params", [HopfParams(1, 2, 1.0, 4.0), HopfParams(1, 2, 1.0, 1.5),
+                                        HopfParams(2, 2, 2.0, 2.0)])
+    def test_only_the_scan_shoots_at_the_scan_tolerance(self, monkeypatch, params):
+        # the 26 scan shots run at SCAN_TOL; every root is accepted on the mismatch of
+        # its two contract shots, and the probe and the profile read contract shots only
+        contract = (DEFAULT_RTOL, DEFAULT_ATOL)
+        calls, ends, read, states = [], {}, [], []
+        shoot, shoot_state = shooting._shoot, shooting.ShootState
+
+        def recorded(params, c, t_offset, t_end, rtol, atol, backward=False):
+            key = (c, backward, (rtol, atol))
+            calls.append(key)
+            times, end, dense = shoot(params, c, t_offset, t_end, rtol, atol, backward)
+            ends[key] = end
+
+            def reading(t):
+                read.append(key)
+                return dense(t)
+
+            return times, end, reading
+
+        def state(**fields):
+            states.append(shoot_state(**fields))
+            return states[-1]
+
+        monkeypatch.setattr(shooting, "_shoot", recorded)
+        monkeypatch.setattr(shooting, "ShootState", state)
+        m = match_shooting(params)
+        cs = np.geomspace(*shooting.C_RANGE, shooting.SCAN_POINTS).tolist()
+        assert sorted(k for k in calls if k[2] == shooting.SCAN_TOL) == sorted(
+            (c, backward, shooting.SCAN_TOL) for c in cs for backward in (False, True))
+        assert {k[2] for k in calls} - {shooting.SCAN_TOL} <= {contract}
+        assert {k[2] for k in read} <= {contract}
+        for r in states:
+            m_contract = ends[(r.c1, True, contract)] - ends[(r.c0, False, contract)]
+            assert r.mismatch == tuple(m_contract.tolist())
+        if m.verdict == "solution":
+            assert m.state in states and read
+        else:
+            assert len(calls) == 26 and not states and not read
+
+    @pytest.mark.parametrize("mu", [4.0, 1.5])
+    def test_scan_end_states_near_the_contract_shots(self, mu):
+        # measured: at most 1.8e-7 (mu = 4) and 1.1e-7 (mu = 1.5) apart.  The bound
+        # allows 5x that and is still 1/3900 of the smallest move of an end state
+        # between neighbouring scan amplitudes (3.9e-3), so the scan's polylines
+        # keep their signs and crossings
+        params = HopfParams(1, 2, 1.0, mu)
+        for c in np.geomspace(*shooting.C_RANGE, shooting.SCAN_POINTS):
+            for backward in (False, True):
+                scan, full = (shooting._shoot(params, float(c), DEFAULT_T_OFFSET, T_MATCH, *tol,
+                                              backward)[1]
+                              for tol in (shooting.SCAN_TOL, (DEFAULT_RTOL, DEFAULT_ATOL)))
+                assert np.max(np.abs(scan - full)) <= 1e-6
+
+    def test_scan_tolerance_keeps_the_answers(self, monkeypatch):
+        # the scan decides only where each search starts: a contract-tolerance scan
+        # gives the same verdicts, messages and roots
+        sets = [HopfParams(1, 2, 1.0, 4.0), HopfParams(1, 2, 1.0, 1.5), HopfParams(1, 1, 1.0, 1.0),
+                HopfParams(2, 2, 2.0, 2.0), HopfParams(2, 3, 1.0, 4.0), HopfParams(3, 2, 1.0, 4.0)]
+        coarse = [match_shooting(params) for params in sets]
+        monkeypatch.setattr(shooting, "SCAN_TOL", (DEFAULT_RTOL, DEFAULT_ATOL))
+        for params, m in zip(sets, coarse):
+            full = match_shooting(params)
+            assert (m.verdict, m.message) == (full.verdict, full.message)
+            if m.verdict == "solution":
+                assert (m.state.c0, m.state.c1) == pytest.approx(
+                    (full.state.c0, full.state.c1), rel=1e-9)
 
     def test_dense_state_built_once_per_shot(self, monkeypatch, params_main):
         # the probe and the profile each read both shots of the root
@@ -618,10 +688,10 @@ class TestMatchShooting:
         assert len(built) == 2
 
     @pytest.mark.parametrize("params, counts", [
-        (HopfParams(1, 2, 1.0, 4.0), (40, 2506, 191, 32444)),
-        (HopfParams(1, 2, 1.0, 1.5), (26, 1630, 129, 21160)),  # the scan shots alone
-        (HopfParams(2, 2, 2.0, 2.0), (64, 3520, 362, 46712)),
-        (HopfParams(2, 3, 1.0, 4.0), (126, 12909, 493, 161076)),
+        (HopfParams(1, 2, 1.0, 4.0), (40, 1607, 185, 21584)),
+        (HopfParams(1, 2, 1.0, 1.5), (26, 786, 119, 10912)),  # the scan shots alone
+        (HopfParams(2, 2, 2.0, 2.0), (66, 2906, 360, 39324)),
+        (HopfParams(2, 3, 1.0, 4.0), (124, 11487, 475, 143792)),
     ])
     def test_work_counts(self, monkeypatch, params, counts):
         # solves, accepted steps, rejected tries and right-hand sides (12 per try, 2
