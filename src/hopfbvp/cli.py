@@ -48,7 +48,10 @@ from .variational import DEFAULT_N
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved solver settings: defaults, then config file, then flags."""
+    """Resolved solver settings: defaults, then config file, then flags.
+
+    The scan range and ``n_scan`` are checked where they are read, by ``analysis.scan_jump``.
+    """
 
     n: int = DEFAULT_N
     root_tol: float = analysis.ROOT_TOL
@@ -62,10 +65,8 @@ class RunConfig:
             raise ValueError(f"grid size n must be >= 16, got {self.n}")
         if self.root_tol <= 0.0:
             raise ValueError("root_tol must be > 0")
-        if not (0.0 < self.s_min < self.s_max < math.pi / 2):
-            raise ValueError("scan range needs 0 < s_min < s_max < pi/2")
-        if self.jobs < 1 or self.n_scan < 2:
-            raise ValueError("jobs must be >= 1 and n_scan >= 2")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
 
 
 _CASTS = {"n": int, "n_scan": int, "jobs": int}
@@ -112,10 +113,7 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"range flag must be min:max:count, got {text!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1:
-        raise ValueError("range count must be >= 1")
-    return lo, hi, count
+    return float(parts[0]), float(parts[1]), int(parts[2])
 
 
 def _write_json(path: Path, payload: dict, echo: bool = False) -> None:

@@ -274,6 +274,15 @@ class TestMap:
                  "--mu", "1:6:10")
         assert rc == 1
 
+    def test_empty_range_refused(self, tmp_path):
+        rc = run(tmp_path, "map", "--p", "1", "--q", "2", "--lambda", "1:2:5",
+                 "--mu", "1:6:0")
+        assert rc == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["verdict"] == "error" and summary["files_written"] == []
+        assert summary["error"] == "ValueError: mu range 1:6:0 has no values; use count >= 1"
+        assert not (tmp_path / "map.csv").exists()
+
     def test_repeated_cell_refused(self, tmp_path):
         rc = run(tmp_path, "map", "--p", "1", "--q", "2", "--lambda", "1:1:1",
                  "--mu", "4:4:3")
@@ -559,7 +568,7 @@ class TestConfig:
         out = tmp_path / "solve"
         assert run(out, "solve", *params) == 1
         summary = json.loads((out / "summary.json").read_text())
-        assert "scan range needs 0 < s_min < s_max < pi/2" in summary["error"]
+        assert summary["error"] == "ValueError: need 0 < s_min < s_max < pi/2"
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOPF_OUT_DIR", str(tmp_path / "envout"))

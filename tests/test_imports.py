@@ -1,11 +1,13 @@
-"""Start-up cost: every command imports numpy and at most one LAPACK extension, nothing heavier.
+"""Start-up cost: every command imports numpy and at most two of scipy's extension modules.
 
 ``scipy``'s package ``__init__`` and ``scipy.linalg`` take about twice as long to
 import as numpy, and ``scipy.optimize``, ``scipy.integrate`` and ``scipy.special``
 as long again.  ``variational`` takes ``dptsv`` from scipy's f2py module
-``scipy.linalg._flapack``, and ``dop853`` its tableau from scipy's coefficient
-file, both through ``core.scipy_module``, which runs neither ``__init__``.
-``dptsv`` is loaded by the first Newton direction, so ``verify`` and
+``scipy.linalg._flapack``, ``core.brentq`` runs Brent's loop in
+``scipy.optimize._zeros`` and ``dop853`` takes its tableau from scipy's coefficient
+file, all through ``core.scipy_module``, which runs no package ``__init__``; no
+module of the package imports scipy otherwise.  ``dptsv`` is loaded by the first
+Newton direction and ``_zeros`` by the first root search, so ``verify`` and
 ``hopf-eval`` load no scipy module at all.  ``hopf-eval`` draws its samples
 without ``numpy.random``, which would load ``secrets`` and OpenSSL's
 ``_hashlib``.  The Gauss-Legendre points are literals (no
@@ -17,6 +19,7 @@ blowup and small-s included, runs on numpy alone.
 No wall time is asserted.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -28,8 +31,9 @@ import pytest
 from hopfbvp import core
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+ZEROS = "scipy.optimize._zeros"  # Brent's loop, loaded by the first root search
 HEAVY = (
-    "scipy", "scipy.linalg", "scipy.optimize", "scipy.integrate", "scipy.special",
+    "scipy", "scipy.linalg", "scipy.optimize", "scipy.integrate", "scipy.special", ZEROS,
     "numpy.polynomial", "numpy.ma", "concurrent.futures.process",
     "numpy.random", "secrets", "_hashlib",
 )
@@ -53,6 +57,7 @@ assert cli.main(["verify", "--out-dir", out]) == 0
 argv = ["hopf-eval", "--profile", out + "/identity.csv", "--kind", "complex", "--out-dir", out]
 assert cli.main(argv) == 0
 scipy_before_newton = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+record("verify, hopf-eval")
 params = HopfParams(p=1, q=2, lam=1.0, mu=4.0)
 glued = variational.glue(0.5, params, n=200)
 record("glue")
@@ -95,11 +100,14 @@ def test_solver_paths_do_not_import_optimize_integrate_special(tmp_path):
     same_dptsv = loaded.pop("same_dptsv")
     assert loaded.pop("scipy_before_newton") == []  # not even scipy.linalg._flapack
     assert list(loaded) == [
-        "import", "glue", "integrate_from_zero", "find_solution", "solvability_map",
-        "match_shooting", "hopf-eval", "blowup_constant", "verify", "small_s_report",
+        "import", "verify, hopf-eval", "glue", "integrate_from_zero", "find_solution",
+        "solvability_map", "match_shooting", "hopf-eval", "blowup_constant", "verify",
+        "small_s_report",
     ]
-    for step in loaded:
-        assert loaded[step] == [], step
+    # _zeros from the first root search on, and never scipy.optimize, whose __init__ it skips
+    first_search = list(loaded).index("find_solution")
+    for k, step in enumerate(loaded):
+        assert loaded[step] == ([ZEROS] if k >= first_search else []), step
     # a later scipy.linalg wraps the extension module that the glues loaded
     assert same_dptsv
 
@@ -130,3 +138,30 @@ print(dop853._compiled.cache_info().misses)
 def test_scipy_module_names_what_it_did_not_find():
     with pytest.raises(ImportError, match=r"scipy\.linalg\._no_such_module in .*linalg"):
         core.scipy_module("linalg._no_such_module")
+
+
+def _scipy_imports(tree):
+    """The import statements in ``tree`` that name scipy or one of its modules."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            yield node
+
+
+def test_scipy_reached_only_through_scipy_module():
+    # every compiled routine comes through core.scipy_module; the one import statement
+    # is shooting.__getattr__'s lazy binding of solve_ivp and root, which the benchmark wraps
+    for path in sorted((SRC / "hopfbvp").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = []
+        if path.name == "shooting.py":
+            [lazy] = [node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"]
+            allowed = list(_scipy_imports(lazy))
+            assert len(allowed) == 1
+        assert list(_scipy_imports(tree)) == allowed, path.name

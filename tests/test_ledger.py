@@ -75,6 +75,34 @@ LEDGER = [
     # solution, and the root of l-tilde converges in n at s = 0.00294
     row("6", "follow the jump below s_min", solve, (1, 2, 1.0, 2.111), {},
         {"solution_found"}, (0.00294, 1e-5), id="below_s_min_1_2_1_2.111"),
+    # today: solution with c0 = 296.8, seeded at w = c t0^r near 0.4; p = 1 and
+    # mu <= lambda q, so item 5's g < 0 forbids a root
+    row("1", "seed each shot on the leading-order profile", shoot, (1, 2, 0.5, 0.5), {},
+        {"no_root"}, id="shoot_1_2_0.5_0.5"),
+    # today: solution with c0 = 250.2; the same g < 0
+    row("1", "seed each shot on the leading-order profile", shoot, (1, 2, 0.5, 1.0), {},
+        {"no_root"}, id="shoot_1_2_0.5_1"),
+    # today: solution with c0 = 321.8; the same g < 0
+    row("1", "seed each shot on the leading-order profile", shoot, (1, 3, 0.5, 0.5), {},
+        {"no_root"}, id="shoot_1_3_0.5_0.5"),
+    # today: solution with c0 = 300.0; the same g < 0
+    row("1", "seed each shot on the leading-order profile", shoot, (1, 3, 0.5, 1.0), {},
+        {"no_root"}, id="shoot_1_3_0.5_1"),
+    # today: solution with c1 = 296.8, the mirror of (1, 2, 0.5, 0.5); q = 1 and
+    # mu p >= lambda, so g > 0 forbids a root
+    row("1", "seed each shot on the leading-order profile", shoot, (2, 1, 0.5, 0.5), {},
+        {"no_root"}, id="shoot_2_1_0.5_0.5"),
+    # today: no_sign_change from s_min = 0.02; the root of l-tilde is 0.0069404,
+    # 0.0069409 and 0.0069410 at n = 1000, 2000 and 4000, and shooting crosses pi/2 there
+    row("6", "follow the jump below s_min", solve, (1, 3, 0.5, 2.0), N600,
+        {"solution_found"}, (0.006941, 1e-5), id="below_s_min_1_3_0.5_2"),
+    # today: solution_found at s = 0.81 (0.8435 at the default mesh) on a flat glue:
+    # the boundary error is 1.57 at both ends, and shooting says no_root
+    row("2, 8", "a flat glue is no root", solve, (3, 3, 0.5, 1.0), N600, NOT_FOUND,
+        id="flat_glue_3_3_0.5_1"),
+    # today: the same at s = 0.81 (0.4743 at the default mesh)
+    row("2, 8", "a flat glue is no root", solve, (3, 3, 1.0, 0.5), N600, NOT_FOUND,
+        id="flat_glue_3_3_1_0.5"),
 ]
 
 

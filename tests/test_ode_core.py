@@ -15,6 +15,7 @@ from hopfbvp import analysis, core, dop853, ode, shooting, variational
 from hopfbvp.closed_forms import phi_limit, psi_comparison
 from hopfbvp.core import (
     HALF_PI,
+    ConvergenceError,
     DomainError,
     Grid,
     HopfParams,
@@ -622,3 +623,33 @@ class TestBrentq:
                 solver(lambda x: math.nan, 0.0, 1.0)
             with pytest.raises(ValueError):  # NaN inside the bracket, after the ends
                 solver(lambda x: x - 0.75 if abs(x - 0.5) > 0.4 else math.nan, 0.0, 1.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_error_in_f_leaves_at_its_call(self, k):
+        # as _finish's jump raises a failed glue: the compiled loop makes no further
+        # call of f and hands the exception on with its type and message
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if len(calls) == k:
+                raise ConvergenceError(f"glued solve failed at s={x}")
+            return x * x - 2.0
+
+        with pytest.raises(ConvergenceError) as info:
+            brentq(f, 0.0, 2.0)
+        assert type(info.value) is ConvergenceError
+        assert str(info.value) == f"glued solve failed at s={calls[-1]}"
+        assert len(calls) == k
+
+    def test_nan_at_an_interior_iterate_names_x(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.nan if len(calls) == 4 else x * x - 2.0
+
+        with pytest.raises(ValueError) as info:
+            brentq(f, 0.0, 2.0)
+        assert len(calls) == 4 and 0.0 < calls[-1] < 2.0
+        assert str(info.value) == f"the function value at x={calls[-1]} is NaN"
