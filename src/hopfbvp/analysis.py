@@ -128,7 +128,7 @@ def _scan_glue(s: float, params: HopfParams, grid_n: int,
         return ScanRow(s=s, reason=str(exc)), None
     row = ScanRow(s=s, l=g.l, l_tilde=g.l_tilde, I_s=g.I_s, I_s1=g.I_s1, I_s2=g.I_s2,
                   converged=True)
-    return row, g.merged_profile().values if g.attached_zero and g.attached_pi else None
+    return row, g.merged_profile().values if g.attached else None
 
 
 def _glue_junction(task: tuple[float, Sequence[HopfParams], int, tuple]) -> list[ScanRow]:
@@ -167,9 +167,9 @@ def scan_jump(
     Rows hold a glue's values, not the glue, and read no root rule; failures are rows.
     """
     if not (0.0 < s_min < s_max < HALF_PI):
-        raise ValueError("need 0 < s_min < s_max < pi/2")
+        raise ValueError(f"need 0 < s_min < s_max < pi/2, got s_min={s_min}, s_max={s_max}")
     if n < 2:
-        raise ValueError("need at least 2 scan points")
+        raise ValueError(f"need at least 2 scan points, got n_scan={n}")
     if not cells:
         raise ValueError("need at least one cell to scan")
 
@@ -189,8 +189,8 @@ def scan_jump(
     return scans
 
 
-def _certify(glued: GluedSolution, params: HopfParams) -> tuple[float, float, float]:
-    """Max equation residual away from the endpoints, plus boundary errors.
+def _certify(glued: GluedSolution, params: HopfParams) -> float:
+    """Max equation residual away from the endpoints; the boundary errors are the glue's.
 
     "Away" means more than ``RESIDUAL_MARGIN`` from each endpoint.  The
     residual is evaluated on a strided subset of the union nodes (about 700
@@ -209,19 +209,13 @@ def _certify(glued: GluedSolution, params: HopfParams) -> tuple[float, float, fl
     ke = max(1, (t.size - j) // 700)
     # sorted and unique as they stand (np.union1d would import numpy.ma for np.unique)
     idx = np.concatenate((np.arange(0, j, ki), np.arange(j, t.size - 1, ke), [t.size - 1]))
-    j_pos = int(np.nonzero(idx == j)[0][0])
-    sub = Profile(
-        Grid(t[idx], junction_index=j_pos),
-        v[idx],
-        d_left=glued.d_minus,
-        d_right=glued.d_plus,
-    )
+    ts, j_pos = t[idx], int(np.nonzero(idx == j)[0][0])
+    sub = Profile(Grid(ts, junction_index=j_pos), v[idx],
+                  d_left=glued.d_minus, d_right=glued.d_plus)
     res = residual(sub, params)
-    ts = t[idx]
     band = (ts > RESIDUAL_MARGIN) & (ts < HALF_PI - RESIDUAL_MARGIN)
     vals = np.abs(res[band])
-    max_res = float(np.nanmax(vals)) if vals.size else math.nan
-    return max_res, float(abs(v[0])), float(abs(math.pi - v[-1]))
+    return float(np.nanmax(vals)) if vals.size else math.nan
 
 
 def find_solution(
@@ -283,7 +277,7 @@ def _finish(scan: ScanResult, grid_n: int, root_tol: float) -> SolveOutcome:
             raise ConvergenceError(
                 f"glued solve failed at s={s}, root search stopped: {exc}"
             ) from None
-        if glued.attached_zero and glued.attached_pi:
+        if glued.attached:
             held[:] = held[-1:] + [(s, glued.merged_profile().values)]
         known[s] = 0.0 if _is_root(glued.l, root_tol) else glued.l
         return known[s]
@@ -298,8 +292,8 @@ def _finish(scan: ScanResult, grid_n: int, root_tol: float) -> SolveOutcome:
         return SolveOutcome("failed", None, None, scan, message=(
             "root search shrank its bracket without reaching the jump "
             f"tolerance (last |l| = {abs(last_l):.3e})"))
-    max_res, b0, b1 = _certify(glued, scan.params)
-    return SolveOutcome("solution_found", glued.s, glued, scan, max_res, b0, b1)
+    return SolveOutcome("solution_found", glued.s, glued, scan, _certify(glued, scan.params),
+                        glued.boundary_error_zero, glued.boundary_error_pi)
 
 
 @dataclass
@@ -510,12 +504,13 @@ def solvability_map(
     All cells are scanned together (see :func:`scan_jump`), then each
     finishes its own search; the cells are find_solution's at any ``jobs``.
     They are laid out lambda-major; per-cell failures of the search are
-    marked ``inconclusive`` rather than raised.  A range with a count below 1 is refused,
-    and so is one with equal ends and a count above 1: it would solve one cell that often.
+    marked ``inconclusive`` rather than raised.  A range is refused with an end not in (0, inf),
+    a count below 1, or equal ends and a count above 1 (it would solve one cell that often).
     """
-    if lambda_range[0] <= 0 or mu_range[0] <= 0:
-        raise ValueError("lambda and mu ranges must be positive")
     for name, (lo, hi), count in (("lambda", lambda_range, n_lambda), ("mu", mu_range, n_mu)):
+        if not (0 < lo < math.inf and 0 < hi < math.inf):
+            raise ValueError(f"lambda and mu ranges must be positive and finite, got {name} "
+                             f"range {lo:g}:{hi:g}:{count}")
         if count < 1:
             raise ValueError(f"{name} range {lo:g}:{hi:g}:{count} has no values; use count >= 1")
         if lo == hi and count > 1:

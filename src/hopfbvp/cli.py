@@ -63,10 +63,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.n < 16:
             raise ValueError(f"grid size n must be >= 16, got {self.n}")
-        if self.root_tol <= 0.0:
-            raise ValueError("root_tol must be > 0")
+        if not self.root_tol > 0.0:
+            raise ValueError(f"root_tol must be > 0, got {self.root_tol}")
         if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 _CASTS = {"n": int, "n_scan": int, "jobs": int}
@@ -86,7 +86,12 @@ def _read_config(path: str | None) -> dict:
         key = key.replace("-", "_")
         if key not in RunConfig.__dataclass_fields__:
             raise ValueError(f"unknown config key {key!r} in {path}")
-        out[key] = _CASTS.get(key, float)(value)
+        cast = _CASTS.get(key, float)
+        try:
+            out[key] = cast(value)
+        except ValueError:
+            raise ValueError(f"config key {key!r} in {path} needs {cast.__name__}, "
+                             f"got {value!r}") from None
     return out
 
 
@@ -110,10 +115,12 @@ def _params(ns: argparse.Namespace) -> HopfParams:
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"range flag must be min:max:count, got {text!r}")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, count = text.split(":")
+        return float(lo), float(hi), int(count)
+    except ValueError:  # not three fields, or one that does not parse
+        raise ValueError(f"range flag must be min:max:count, count an integer, "
+                         f"got {text!r}") from None
 
 
 def _write_json(path: Path, payload: dict, echo: bool = False) -> None:
@@ -291,18 +298,8 @@ def cmd_map(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     lam_lo, lam_hi, n_lam = _parse_range(ns.lam)
     mu_lo, mu_hi, n_mu = _parse_range(ns.mu)
     cells = analysis.solvability_map(
-        ns.p,
-        ns.q,
-        (lam_lo, lam_hi),
-        (mu_lo, mu_hi),
-        n_lam,
-        n_mu,
-        grid_n=cfg.n,
-        n_scan=cfg.n_scan,
-        jobs=cfg.jobs,
-        s_min=cfg.s_min,
-        s_max=cfg.s_max,
-        root_tol=cfg.root_tol,
+        ns.p, ns.q, (lam_lo, lam_hi), (mu_lo, mu_hi), n_lam, n_mu, grid_n=cfg.n,
+        n_scan=cfg.n_scan, jobs=cfg.jobs, s_min=cfg.s_min, s_max=cfg.s_max, root_tol=cfg.root_tol,
     )
     analysis.write_map_csv(cells, out_dir / "map.csv")
     verdicts = [c.verdict for c in cells]

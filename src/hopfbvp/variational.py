@@ -233,15 +233,13 @@ class DiscreteEnergy:
 
 @dataclass
 class MinimizeResult:
-    """Outcome of one side's energy minimization."""
+    """Outcome of one side's energy minimization; :func:`glue` measures its free end."""
 
     profile: Profile  # v + d: the last iterate v plus its closing Newton step
     energy: float  # E(v); E(v + d) is lower by at most the decrement, below float64's resolution
     grad_norm: float  # max|g(v)|
     iterations: int
     energy_history: np.ndarray
-    # whether the free end reached its limit angle (0 inside, pi outside)
-    attached: bool
     # one-sided slope at the junction, from the three nodes nearest it
     slope: float
 
@@ -302,8 +300,7 @@ def _minimize(disc: DiscreteEnergy, params: HopfParams, what: str, start=None) -
         if shift == 0.0 and decrement <= DECREMENT_TOL * (1.0 + abs(e)):
             v = v + d  # d[-1] = 0 keeps the pin
             return MinimizeResult(Profile(grid, v), e, float(np.max(np.abs(g))), it,
-                                  np.asarray(history), bool(abs(v[0]) <= ATTACH_TOL),
-                                  _one_sided_slope(t[-3:], v[-3:], s))
+                                  np.asarray(history), _one_sided_slope(t[-3:], v[-3:], s))
         for k in range(60):
             vt = v + 0.5**k * d if k else v + d  # step 1, 1/2, 1/4, ...
             trig_t = disc.trig(vt)
@@ -346,7 +343,7 @@ def minimize_exterior(s: float, params: HopfParams, n: int = DEFAULT_N,
     ``start`` (values in t, pi/2 at s) is mapped the other way.  The
     junction slope needs no mapping, since beta'(tau) = alpha'(t).  For small
     s the minimizer attaches to pi at the outer end; for larger s it may not,
-    which is reported through ``attached=False`` rather than an error.
+    which :func:`glue` reports in ``boundary_error_pi`` rather than as an error.
     """
     held, mirrored = _junction(s, n, params.p, params.q), params.mirrored()
     try:
@@ -361,7 +358,7 @@ def minimize_exterior(s: float, params: HopfParams, n: int = DEFAULT_N,
 
 @dataclass
 class GluedSolution:
-    """Two one-sided minimizers joined at s, with jump and integral data."""
+    """Two one-sided minimizers joined at s: jump and integral data, and the end record."""
 
     s: float
     l: float
@@ -373,14 +370,20 @@ class GluedSolution:
     I_s: float
     I_s1: float
     I_s2: float
+    # the end record, measured once by glue: |alpha| at the first node, |pi - alpha| at the last
+    boundary_error_zero: float
+    boundary_error_pi: float
     # the glued curve on the union grid, from merged_profile()
     _curve: Profile = field(repr=False)
-    attached_zero: bool = True
-    attached_pi: bool = True
     # observed node-to-node monotonicity of the converged minimizers; nothing
     # downstream assumes it, a False here flags an unexpected solution shape
     monotone_interior: bool = True
     monotone_exterior: bool = True
+
+    @property
+    def attached(self) -> bool:
+        """Whether both ends reach their limits, 0 and pi, within ATTACH_TOL: the one end test."""
+        return self.boundary_error_zero <= ATTACH_TOL and self.boundary_error_pi <= ATTACH_TOL
 
     def merged_profile(self) -> Profile:
         """The glued curve: one grid with the junction node, one-sided slopes there."""
@@ -465,8 +468,8 @@ def glue(s: float, params: HopfParams, n: int = DEFAULT_N,
         s=s, l=d_plus - d_minus, l_tilde=i_s / denom if abs(denom) > 1e-300 else math.nan,
         d_minus=d_minus, d_plus=d_plus, J_interior=res_i.energy, J_exterior=res_e.energy,
         I_s=i_s, I_s1=i1, I_s2=i2,
+        boundary_error_zero=float(abs(vi[0])), boundary_error_pi=float(abs(math.pi - ve[-1])),
         _curve=Profile(held.union, a_union, d_left=d_minus, d_right=d_plus),
-        attached_zero=res_i.attached, attached_pi=res_e.attached,
         monotone_interior=bool(np.all(np.diff(vi) >= -1e-12)),
         monotone_exterior=bool(np.all(np.diff(ve) >= -1e-12)),
     )

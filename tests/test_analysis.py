@@ -103,7 +103,7 @@ class TestScanJump:
             else:
                 (xb, b), (xa, a) = held
                 assert np.array_equal(start, a + (a - b) * ((math.log(s) - xa) / (xa - xb)))
-            if glued.attached_zero and glued.attached_pi:
+            if glued.attached:
                 held = held[-1:] + [(math.log(s), glued.merged_profile().values)]
 
     def test_no_start_from_a_glue_off_its_ends(self):
@@ -522,7 +522,7 @@ class TestSolvabilityMap:
         cells = solvability_map(*args, **opts)
         lams, mus = np.linspace(*args[2], 3), np.linspace(*args[3], 3)
         scan, root = made[:9 * opts["n_scan"]], made[9 * opts["n_scan"]:]
-        assert all(g.attached_zero and g.attached_pi for *_, g in made)
+        assert all(g.attached for *_, g in made)
         firsts = []  # cell (0, 0) at each junction so far, (log s, union values)
         for task in range(opts["n_scan"]):
             at_s = scan[9 * task: 9 * task + 9]

@@ -51,9 +51,18 @@ class TestSolve:
         assert glued["s"] == summary["s_star"]
         assert set(glued) >= {
             "s", "l", "l_tilde", "d_minus", "d_plus", "I_s", "I_s1", "I_s2",
-            "J_interior", "J_exterior",
+            "J_interior", "J_exterior", "boundary_error_zero", "boundary_error_pi",
         }
         assert "converged_interior" not in glued and "converged_exterior" not in glued
+        assert "attached_zero" not in glued and "attached_pi" not in glued
+
+    def test_boundary_errors_are_the_glue_record(self, tmp_path):
+        # the certificate reports the root glue's end record, not a second measurement
+        assert run(tmp_path, "solve", "--p", "1", "--q", "2", "--lambda", "1", "--mu", "4") == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        glued = json.loads((tmp_path / "glued.json").read_text())
+        for key in ("boundary_error_zero", "boundary_error_pi"):
+            assert summary[key] == glued[key] <= 1e-3
 
     def test_no_sign_change_exit_code(self, tmp_path):
         rc = run(
@@ -524,8 +533,10 @@ class TestSampler:
 class TestConfig:
     def test_parse_range(self):
         assert _parse_range("1:2:5") == (1.0, 2.0, 5)
-        with pytest.raises(ValueError):
-            _parse_range("1:2")
+        for text in ("1:2", "1:2:3:4", "1:2:2.5", "1:x:3"):
+            with pytest.raises(ValueError, match=f"^range flag must be min:max:count, count an "
+                                                 f"integer, got '{text}'$"):
+                _parse_range(text)
 
     def test_config_file_and_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -568,7 +579,43 @@ class TestConfig:
         out = tmp_path / "solve"
         assert run(out, "solve", *params) == 1
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["error"] == "ValueError: need 0 < s_min < s_max < pi/2"
+        assert summary["error"] == (
+            "ValueError: need 0 < s_min < s_max < pi/2, got s_min=0.02, s_max=2.0")
+
+    PROBLEM = ("--p", "1", "--q", "2", "--lambda", "1", "--mu", "4")
+
+    @pytest.mark.parametrize("argv, error", [
+        (("scan-jump", *PROBLEM, "--s-min", "0.5", "--s-max", "0.2"),
+         "need 0 < s_min < s_max < pi/2, got s_min=0.5, s_max=0.2"),
+        (("scan-jump", *PROBLEM, "--n-scan", "1"), "need at least 2 scan points, got n_scan=1"),
+        (("solve", *PROBLEM, "--root-tol", "0"), "root_tol must be > 0, got 0.0"),
+        (("solve", *PROBLEM, "--root-tol", "nan"), "root_tol must be > 0, got nan"),
+        (("map", "--p", "1", "--q", "2", "--lambda", "1:2:2", "--mu", "1:6:2", "--jobs", "0"),
+         "jobs must be >= 1, got 0"),
+        # the upper end: the range would reach a cell at lambda = 0
+        (("map", "--p", "1", "--q", "2", "--lambda", "1:-1:3", "--mu", "1:6:10"),
+         "lambda and mu ranges must be positive and finite, got lambda range 1:-1:3"),
+        (("map", "--p", "1", "--q", "2", "--lambda", "1:2:2", "--mu", "0:6:2"),
+         "lambda and mu ranges must be positive and finite, got mu range 0:6:2"),
+        (("map", "--p", "1", "--q", "2", "--lambda", "1:inf:3", "--mu", "1:6:2"),
+         "lambda and mu ranges must be positive and finite, got lambda range 1:inf:3"),
+    ])
+    def test_refusal_names_its_values(self, tmp_path, argv, error):
+        assert run(tmp_path, *argv) == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert (summary["verdict"], summary["files_written"]) == ("error", [])
+        assert summary["error"] == "ValueError: " + error
+
+    @pytest.mark.parametrize("line, error", [
+        ("n = 2.5", "config key 'n' in {} needs int, got '2.5'"),
+        ("s_min = small", "config key 's_min' in {} needs float, got 'small'"),
+    ])
+    def test_bad_config_value_names_key_and_file(self, tmp_path, line, error):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert run(tmp_path, "scan-jump", *self.PROBLEM, "--config", str(cfg)) == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["error"] == "ValueError: " + error.format(cfg)
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOPF_OUT_DIR", str(tmp_path / "envout"))

@@ -398,14 +398,18 @@ class TestMinimizers:
         res = minimize_offset(HALF_PI - 0.05, params_main.mirrored(), 2000, 1e-4)
         values = math.pi - res.profile.values[::-1]
         assert values[-1] >= math.pi - 1e-2
-        assert res.attached
+        assert abs(math.pi - values[-1]) <= variational.ATTACH_TOL  # the end test of the record
+        # and glued at the fixed end-node offset, the end record says the same
+        glued = glue(0.05, params_main, n=2000)
+        assert glued.boundary_error_pi <= 1e-2 and glued.attached
 
     def test_exterior_on_the_two_pi_branch_is_not_attached(self):
-        # the exterior minimizer ends at 2 pi here: its mirrored end value is
-        # -pi, which passes a one-sided test against ATTACH_TOL
+        # the exterior minimizer ends at 2 pi here: pi - alpha is -pi at the last
+        # node, which passes a one-sided test against ATTACH_TOL
         glued = glue(0.0137, HopfParams(3, 2, 1.5, 0.5), n=2000)
         assert glued.merged_profile().values[-1] == pytest.approx(2.0 * math.pi, abs=1e-4)
-        assert not glued.attached_pi
+        assert glued.boundary_error_pi == pytest.approx(math.pi, abs=1e-4)
+        assert not glued.attached
 
     def test_exterior_beats_flat_candidate_small_s(self, params_main):
         s = 0.05
@@ -422,8 +426,11 @@ class TestMinimizers:
         assert np.array_equal(outer.profile.t[1:], HALF_PI - inner.profile.t[::-1][1:])
         assert np.array_equal(outer.profile.values, math.pi - inner.profile.values[::-1])
         assert np.array_equal(outer.energy_history, inner.energy_history)
-        assert (outer.energy, outer.grad_norm, outer.iterations, outer.attached, outer.slope) == (
-            inner.energy, inner.grad_norm, inner.iterations, inner.attached, inner.slope)
+        assert (outer.energy, outer.grad_norm, outer.iterations, outer.slope) == (
+            inner.energy, inner.grad_norm, inner.iterations, inner.slope)
+        # glue's |pi - alpha| at the last node is the mirror's |beta| at its first, to an ulp of pi
+        end_pi, end_zero = abs(math.pi - outer.profile.values[-1]), abs(inner.profile.values[0])
+        assert abs(end_pi - end_zero) <= math.ulp(math.pi)
 
     def test_offset_helper_is_minimize_interior(self, params_main):
         # the tests that move the end node run minimize_interior's own Newton
@@ -681,6 +688,20 @@ class TestGlue:
         assert np.array_equal(prof.t, np.concatenate([inner.t, outer.t[1:]]))
         assert np.array_equal(prof.values, np.concatenate([inner.values, outer.values[1:]]))
         assert outer.values[0] == prof.values[399] == HALF_PI
+
+    def test_end_record_is_the_union_ends(self, params_main):
+        g = glue(0.7, params_main, n=400)
+        values = g.merged_profile().values
+        assert g.boundary_error_zero == abs(values[0]) <= 1e-3
+        assert g.boundary_error_pi == abs(math.pi - values[-1]) <= 1e-3
+        assert g.attached
+
+    def test_end_off_its_limit_is_not_attached(self):
+        # the cold exterior minimizer of (2,2,1,0.5) at s = 1.5 stops 0.047 short of pi
+        g = glue(1.5, HopfParams(2, 2, 1.0, 0.5), n=2000)
+        assert g.boundary_error_zero <= 1e-3
+        assert g.boundary_error_pi == pytest.approx(0.0471, abs=1e-3)
+        assert not g.attached
 
     def test_start_is_checked_before_any_newton_step(self, params_main, monkeypatch):
         # a start is Newton's first iterate: an unpinned one was taken silently, and a
