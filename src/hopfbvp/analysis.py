@@ -96,8 +96,13 @@ class SolvabilityCell:
 
 
 def _pool_map(fn, tasks: Iterable, jobs: int) -> list:
-    """[fn(t) for t in tasks], over ``jobs`` processes if jobs > 1; tasks are drawn one at a time."""
-    if jobs <= 1:
+    """[fn(t) for t in tasks], over ``jobs`` processes if jobs > 1; tasks are drawn one at a time.
+
+    Every pool of the library runs here, so here it refuses jobs < 1, before drawing a task.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1:
         return [fn(t) for t in tasks]
     # imported here: concurrent.futures.process loads multiprocessing, socket and logging
     from concurrent.futures import ProcessPoolExecutor

@@ -17,12 +17,13 @@ and :func:`main` writes every ``summary.json`` into the output directory
 (``--out-dir``, else env ``HOPF_OUT_DIR``, else ``.``) and echoes it under
 ``--json``.  Every run that gets past argument parsing writes one, even on
 failure; a usage error writes none.  ``solve`` and ``scan-jump`` list each
-failed scan row there with its reason, ``map`` each inconclusive cell.  A
-flat ``key=value`` config file supplies defaults for the settings a command
-reads, those it has flags for (its other keys are ignored); command-line flags
-override it, and the ``config`` of ``summary.json`` lists just those settings.
-The end nodes' distance from the singular endpoints is no setting: it is fixed
-at ``variational.DEFAULT_OFFSET``.
+failed scan row there with its reason, ``map`` each inconclusive cell.
+:data:`SETTINGS` is the one table of settings, flags and config keys.  :func:`main`
+resolves those a command has flags for once: each from its flag, else a flat
+``key=value`` config file (whose other keys are neither applied nor parsed), else its
+default; the ``config`` of ``summary.json`` lists them.  The library refuses n < 16 and
+jobs < 1, the CLI root_tol <= 0 (see :func:`_resolve`).  The end nodes' distance from
+the singular endpoints is no setting: it is ``variational.DEFAULT_OFFSET``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -46,37 +47,25 @@ from .shooting import match_shooting, write_mismatch_csv
 from .variational import DEFAULT_N
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved solver settings: defaults, then config file, then flags.
+SETTINGS = {  # key: (type, default, help); the one list of setting flags and config keys
+    "n": (int, DEFAULT_N, f"grid nodes per side (default {DEFAULT_N})"),
+    "root_tol": (float, analysis.ROOT_TOL, "largest |l| accepted as a root"),
+    "s_min": (float, analysis.S_MIN, "first junction of the scan"),
+    "s_max": (float, analysis.S_MAX, "last junction of the scan"),
+    "n_scan": (int, analysis.N_SCAN, "scan junctions, even in log s"),
+    "jobs": (int, 1, "parallel solves"),
+}
 
-    The scan range and ``n_scan`` are checked where they are read, by ``analysis.scan_jump``.
+
+def _resolve(ns: argparse.Namespace) -> dict:
+    """The settings the command reads: each its flag, else its config value, else its default.
+
+    The config file holds flat ``key=value`` lines over the keys of :data:`SETTINGS`, a value
+    parsed only for a setting the command reads.  root_tol is checked here: the library
+    reads it only in its root rule, where a tolerance that no jump meets gives ``failed``.
     """
-
-    n: int = DEFAULT_N
-    root_tol: float = analysis.ROOT_TOL
-    s_min: float = analysis.S_MIN
-    s_max: float = analysis.S_MAX
-    n_scan: int = analysis.N_SCAN
-    jobs: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n < 16:
-            raise ValueError(f"grid size n must be >= 16, got {self.n}")
-        if not self.root_tol > 0.0:
-            raise ValueError(f"root_tol must be > 0, got {self.root_tol}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-
-
-_CASTS = {"n": int, "n_scan": int, "jobs": int}
-
-
-def _read_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    out = {}
-    for raw in Path(path).read_text().splitlines():
+    path, given = getattr(ns, "config", None), {}
+    for raw in Path(path).read_text().splitlines() if path else ():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -84,30 +73,22 @@ def _read_config(path: str | None) -> dict:
             raise ValueError(f"config line without '=': {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in RunConfig.__dataclass_fields__:
+        if key not in SETTINGS:
             raise ValueError(f"unknown config key {key!r} in {path}")
-        cast = _CASTS.get(key, float)
-        try:
-            out[key] = cast(value)
-        except ValueError:
-            raise ValueError(f"config key {key!r} in {path} needs {cast.__name__}, "
-                             f"got {value!r}") from None
-    return out
-
-
-def _given(ns: argparse.Namespace) -> dict:
-    """The settings the user gave: config-file keys the command's parser defines, then flags."""
-    given = {k: v for k, v in _read_config(getattr(ns, "config", None)).items() if hasattr(ns, k)}
-    for key in RunConfig.__dataclass_fields__:
-        val = getattr(ns, key, None)
-        if val is not None:
-            given[key] = val
-    return given
-
-
-def _config(cfg: RunConfig, ns: argparse.Namespace) -> dict:
-    """summary.json's config: the settings the command reads, those its parser has flags for."""
-    return {k: v for k, v in asdict(cfg).items() if hasattr(ns, k)}
+        given[key] = value
+    cfg = {}
+    for key, default in ns.settings.items():
+        value, cast = getattr(ns, key), SETTINGS[key][0]
+        if value is None and key in given:
+            try:
+                value = cast(given[key])
+            except ValueError:
+                raise ValueError(f"config key {key!r} in {path} needs {cast.__name__}, "
+                                 f"got {given[key]!r}") from None
+        cfg[key] = default if value is None else value
+    if "root_tol" in cfg and not cfg["root_tol"] > 0.0:
+        raise ValueError(f"root_tol must be > 0, got {cfg['root_tol']}")
+    return cfg
 
 
 def _params(ns: argparse.Namespace) -> HopfParams:
@@ -135,10 +116,6 @@ def _failed_rows(scan: analysis.ScanResult) -> list[dict]:
     return [{"s": r.s, "reason": r.reason} for r in scan.rows if not r.converged]
 
 
-_HELP = {
-    "n": f"grid nodes per side (default {DEFAULT_N})",
-    "jobs": "parallel solves",
-}
 _SCAN_KEYS = ("s_min", "s_max", "n_scan")
 
 
@@ -148,7 +125,8 @@ def _add_command(sub, name: str, func, help: str, *keys: str,
 
     The four problem flags unless ``problem`` is false; unless ``settings`` is
     false, ``--n``, a flag for each further setting the command reads, and
-    ``--config``; and ``--out-dir`` and ``--json`` for every command.
+    ``--config``; and ``--out-dir`` and ``--json`` for every command.  The
+    namespace's ``settings`` maps the keys of those settings to their defaults.
     """
     sp = sub.add_parser(name, help=help)
     if problem:
@@ -156,14 +134,15 @@ def _add_command(sub, name: str, func, help: str, *keys: str,
         sp.add_argument("--q", type=int, required=True)
         sp.add_argument("--lambda", dest="lam", type=float, required=True)
         sp.add_argument("--mu", type=float, required=True)
+    keys = ("n", *keys) if settings else ()
+    for key in keys:
+        cast, _, text = SETTINGS[key]
+        sp.add_argument("--" + key.replace("_", "-"), dest=key, type=cast, help=text)
     if settings:
-        for key in ("n", *keys):
-            sp.add_argument("--" + key.replace("_", "-"), dest=key,
-                            type=_CASTS.get(key, float), help=_HELP.get(key))
         sp.add_argument("--config", help="flat key=value config file")
     sp.add_argument("--out-dir", dest="out_dir")
     sp.add_argument("--json", action="store_true", help="echo summary.json to stdout")
-    sp.set_defaults(func=func)
+    sp.set_defaults(func=func, settings={key: SETTINGS[key][1] for key in keys})
     return sp
 
 
@@ -194,6 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = _add_command(sub, "map", cmd_map, "solvability verdicts over a (lambda, mu) grid",
                       "root_tol", *_SCAN_KEYS, "jobs", problem=False)
+    # the map scans fewer junctions than a single solve unless the user sets n_scan
+    sp.get_default("settings")["n_scan"] = analysis.MAP_N_SCAN
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", required=True, help="min:max:count")
@@ -224,17 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_solve(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
-    cfg = RunConfig(**_given(ns))
+def cmd_solve(ns: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[dict, int]:
     params = _params(ns)
-    outcome = analysis.find_solution(
-        params, cfg.s_min, cfg.s_max, cfg.n_scan, grid_n=cfg.n, root_tol=cfg.root_tol,
-    )
+    outcome = analysis.find_solution(params, cfg["s_min"], cfg["s_max"], cfg["n_scan"],
+                                     grid_n=cfg["n"], root_tol=cfg["root_tol"])
     files = []
     summary = {
         "params": params.to_dict(),
         "outside_proven_regime": params.outside_proven_regime,
-        "config": _config(cfg, ns),
         "verdict": outcome.verdict,
         "s_star": outcome.s_star,
         "max_residual": outcome.max_residual_away,
@@ -271,15 +249,14 @@ def cmd_solve(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     return summary, {"solution_found": 0, "no_sign_change": 2}.get(outcome.verdict, 1)
 
 
-def cmd_scan_jump(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
-    cfg = RunConfig(**_given(ns))
+def cmd_scan_jump(ns: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[dict, int]:
     params = _params(ns)
-    [scan] = analysis.scan_jump([params], cfg.s_min, cfg.s_max, cfg.n_scan, grid_n=cfg.n)
+    [scan] = analysis.scan_jump([params], cfg["s_min"], cfg["s_max"], cfg["n_scan"],
+                                grid_n=cfg["n"])
     analysis.write_scan_csv(scan, out_dir / "scan.csv")
     summary = {
         "params": params.to_dict(),
         "outside_proven_regime": params.outside_proven_regime,
-        "config": _config(cfg, ns),
         "verdict": "sign_change" if scan.brackets else "no_sign_change",
         "brackets": scan.brackets,
         "n_converged": sum(r.converged for r in scan.rows),
@@ -289,23 +266,19 @@ def cmd_scan_jump(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     return summary, 0
 
 
-def cmd_map(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
-    # the map runs its cells on coarser meshes than a single solve, and on
-    # fewer scan points unless the user sets n_scan
-    given = {"n_scan": analysis.MAP_N_SCAN, **_given(ns)}
-    given["n"] = min(given.get("n", DEFAULT_N), analysis.MAP_GRID_N)
-    cfg = RunConfig(**given)
+def cmd_map(ns: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[dict, int]:
+    cfg["n"] = min(cfg["n"], analysis.MAP_GRID_N)  # the cells run on coarser meshes than a solve
     lam_lo, lam_hi, n_lam = _parse_range(ns.lam)
     mu_lo, mu_hi, n_mu = _parse_range(ns.mu)
     cells = analysis.solvability_map(
-        ns.p, ns.q, (lam_lo, lam_hi), (mu_lo, mu_hi), n_lam, n_mu, grid_n=cfg.n,
-        n_scan=cfg.n_scan, jobs=cfg.jobs, s_min=cfg.s_min, s_max=cfg.s_max, root_tol=cfg.root_tol,
+        ns.p, ns.q, (lam_lo, lam_hi), (mu_lo, mu_hi), n_lam, n_mu, grid_n=cfg["n"],
+        n_scan=cfg["n_scan"], jobs=cfg["jobs"], s_min=cfg["s_min"], s_max=cfg["s_max"],
+        root_tol=cfg["root_tol"],
     )
     analysis.write_map_csv(cells, out_dir / "map.csv")
     verdicts = [c.verdict for c in cells]
     summary = {
         "params": {"p": ns.p, "q": ns.q, "lambda": ns.lam, "mu": ns.mu},
-        "config": _config(cfg, ns),
         "verdict": "done",
         "n_solution_found": verdicts.count("solution_found"),
         "n_no_sign_change": verdicts.count("no_sign_change"),
@@ -319,16 +292,14 @@ def cmd_map(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     return summary, 0
 
 
-def cmd_blowup(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
-    cfg = RunConfig(**_given(ns))
+def cmd_blowup(ns: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[dict, int]:
     params = _params(ns)
     s_values = [float(tok) for tok in ns.s_list.split(",") if tok.strip()]
-    rows = analysis.small_s_report(params, s_values, ns.eps, grid_n=cfg.n)
+    rows = analysis.small_s_report(params, s_values, ns.eps, grid_n=cfg["n"])
     write_csv(out_dir / "blowup.csv", "s,sup_distance",
               [r.s for r in rows], [r.sup_distance for r in rows])
     summary = {
         "params": params.to_dict(),
-        "config": _config(cfg, ns),
         "eps": ns.eps,
         "rows": [asdict(r) for r in rows],
         "decreasing": all(
@@ -339,18 +310,16 @@ def cmd_blowup(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     return summary, 0
 
 
-def cmd_compare(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
-    cfg = RunConfig(**_given(ns))
+def cmd_compare(ns: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[dict, int]:
     params = _params(ns)
     s, d, t0 = ns.s, ns.d, ns.t0
     if d is None or t0 is None:
         s, d_auto, t0_auto = analysis.auto_comparison_config(s, params, R=ns.R)
         d = d if d is not None else d_auto
         t0 = t0 if t0 is not None else t0_auto
-    report = analysis.comparison_check(s, d, t0, params, grid_n=cfg.n)
+    report = analysis.comparison_check(s, d, t0, params, grid_n=cfg["n"])
     summary = {
         "params": params.to_dict(),
-        "config": _config(cfg, ns),
         "verdict": (
             "ordering_holds"
             if report.hypothesis_met and report.ordering_ok
@@ -362,7 +331,7 @@ def cmd_compare(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
     return summary, 0
 
 
-def cmd_verify(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
+def cmd_verify(ns: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[dict, int]:
     rows = oracles.run_oracle_suite()
     width = max(len(r.name) for r in rows)
     print(f"{'oracle':<{width}}  {'max error':>12}  {'tolerance':>10}  status")
@@ -427,7 +396,7 @@ def _sample(seed: int, count: int, t_lo: float, t_hi: float,
     return t, x, y
 
 
-def cmd_hopf_eval(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
+def cmd_hopf_eval(ns: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[dict, int]:
     profile = read_profile_csv(ns.profile)
     mult = multiplication_by_name(ns.kind)
     if ns.samples < 0:
@@ -455,7 +424,10 @@ def cmd_hopf_eval(ns: argparse.Namespace, out_dir: Path) -> tuple[dict, int]:
 
 
 def main(argv=None) -> int:
-    """Parse, run the command, and write its ``summary.json``: the error envelope on failure."""
+    """Parse, resolve the settings, run the command, and write its ``summary.json``.
+
+    It stamps the command and the settings run with (``config``), or is the error envelope.
+    """
     parser = build_parser()
     ns = parser.parse_args(argv)
     if getattr(ns, "mismatch_map", None) is not None and not ns.cross_check:
@@ -463,7 +435,10 @@ def main(argv=None) -> int:
     out_dir = Path(ns.out_dir or os.environ.get("HOPF_OUT_DIR") or ".")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        summary, code = ns.func(ns, out_dir)
+        cfg = _resolve(ns)
+        summary, code = ns.func(ns, cfg, out_dir)
+        if cfg:
+            summary["config"] = cfg
         _write_json(out_dir / "summary.json", {"command": ns.command, **summary}, ns.json)
         return code
     except Exception as exc:  # usage or numerical failure: report, exit 1

@@ -119,7 +119,12 @@ def _gauss_x(n_el: int) -> np.ndarray:
 
 
 def interior_grid(s: float, n: int = DEFAULT_N) -> Grid:
-    """Graded grid on [DEFAULT_OFFSET, s] with the junction as its last node."""
+    """Graded grid on [DEFAULT_OFFSET, s] with the junction as its last node.
+
+    Every glue and minimizer builds its grids here, so here the library refuses n < 16.
+    """
+    if n < 16:
+        raise ValueError(f"grid size n must be >= 16, got {n}")
     if not (DEFAULT_OFFSET < s < HALF_PI):
         raise ValueError(f"need 0 < offset < s < pi/2, got offset={DEFAULT_OFFSET}, s={s}")
     return Grid(graded_grid(DEFAULT_OFFSET, s, n), junction_index=n - 1)

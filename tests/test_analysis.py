@@ -441,6 +441,16 @@ class TestSolvabilityMap:
         with pytest.raises(ValueError, match=f"^{named} has no values; use count >= 1$"):
             solvability_map(1, 2, (1.0, 2.0), (3.0, 4.0), n_lambda, n_mu)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_refused_before_a_glue(self, params_main, monkeypatch, jobs):
+        # the pool refuses them before it draws a task; they would run serially
+        seen = TestRootSearch.record_glues(monkeypatch)
+        with pytest.raises(ValueError, match=rf"^jobs must be >= 1, got {jobs}$"):
+            scan_jump([params_main], 0.05, 1.45, 8, grid_n=600, jobs=jobs)
+        with pytest.raises(ValueError, match=rf"^jobs must be >= 1, got {jobs}$"):
+            solvability_map(1, 2, (1.0, 2.0), (1.0, 4.0), 2, 2, grid_n=300, n_scan=4, jobs=jobs)
+        assert seen == []
+
     def test_repeated_cell_scans_as_one(self, params_main):
         # scan_jump takes any list of cells.  The third copy's two held glues share
         # their mu, so it copies the second instead of dividing by zero

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from hopfbvp import analysis, core
-from hopfbvp.cli import RunConfig, _parse_range, _sample, build_parser, main
+from hopfbvp.cli import SETTINGS, _parse_range, _sample, build_parser, main
 from hopfbvp.closed_forms import identity_solution
 from hopfbvp.core import ConvergenceError
 from hopfbvp.ode import write_profile_csv
@@ -567,15 +568,18 @@ class TestConfig:
             assert f"unknown config key {key!r}" in summary["error"]
 
     def test_config_key_the_command_does_not_read_is_ignored(self, tmp_path):
-        # blowup reads no scan range, so the file's s_max is neither applied
-        # nor checked there; solve reads it and rejects it
+        # blowup reads no scan setting, so the file's s_max and n_scan are neither
+        # applied nor parsed there (2.5 is no int); solve reads s_max and rejects it
+        unread = tmp_path / "unread.cfg"
+        unread.write_text("n = 300\nn_scan = 2.5\n")
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = 300\ns_max = 2\n")
         params = ("--p", "1", "--q", "2", "--lambda", "1", "--mu", "4", "--config", str(cfg))
-        out = tmp_path / "blowup"
-        assert run(out, "blowup", *params, "--s-list", "0.04") == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["config"] == {"n": 300}  # no s_max: blowup has no flag for it
+        for path in (unread, cfg):
+            out = tmp_path / "blowup"
+            assert run(out, "blowup", *params[:-1], str(path), "--s-list", "0.04") == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["config"] == {"n": 300}  # blowup has flags for no other setting
         out = tmp_path / "solve"
         assert run(out, "solve", *params) == 1
         summary = json.loads((out / "summary.json").read_text())
@@ -616,6 +620,35 @@ class TestConfig:
         assert run(tmp_path, "scan-jump", *self.PROBLEM, "--config", str(cfg)) == 1
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["error"] == "ValueError: " + error.format(cfg)
+
+    @pytest.mark.parametrize("argv, library", [
+        (("solve", *PROBLEM), "find_solution"),
+        (("map", "--p", "1", "--q", "2", "--lambda", "1:1:1", "--mu", "4:4:1"), "solvability_map"),
+    ], ids=["solve", "map"])
+    def test_defaults_are_the_library_defaults(self, tmp_path, monkeypatch, argv, library):
+        # with no setting flag, a command passes each setting the library reads at the
+        # library's own default, and its config lists those values
+        real = getattr(analysis, library)
+        signature = inspect.signature(real)
+        seen = {}
+
+        def record(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            seen.update(bound.arguments)
+            bound.arguments.update(grid_n=200, n_scan=4)  # a quick run in their place
+            return real(*bound.args, **bound.kwargs)
+
+        monkeypatch.setattr(analysis, library, record)
+        run(tmp_path, *argv)
+        config = json.loads((tmp_path / "summary.json").read_text())["config"]
+        name = {"n": "grid_n"}
+        defaults = {k: v.default for k, v in signature.parameters.items()
+                    if v.default is not inspect.Parameter.empty}
+        assert {name.get(k, k) for k in config} == set(defaults)
+        assert {k: seen[name.get(k, k)] for k in config} == config
+        assert {k: defaults[name.get(k, k)] for k in config} == config
+        if library == "solvability_map":
+            assert (config["n"], config["n_scan"], config["jobs"]) == (1000, 14, 1)
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOPF_OUT_DIR", str(tmp_path / "envout"))
@@ -660,7 +693,7 @@ class TestSummaryEnvelope:
         ("compare", *PARAMS, "--s", "0.01", "--n", "200"),
     ], ids=lambda argv: argv[0])
     def test_config_lists_the_settings_the_command_reads(self, tmp_path, argv):
-        flags = set(vars(build_parser().parse_args(argv))) & set(RunConfig.__dataclass_fields__)
+        flags = set(vars(build_parser().parse_args(argv))) & set(SETTINGS)
         assert flags == self.SETTINGS[argv[0]]
         assert run(tmp_path, *argv) in (0, 2)
         config = json.loads((tmp_path / "summary.json").read_text())["config"]

@@ -645,6 +645,17 @@ class TestGlue:
                                              rf"got offset=1e-07, s={s}$"):
             glue(s, params_main, n=200)
 
+    @pytest.mark.parametrize("n", [2, 15])
+    def test_grid_below_16_nodes_refused(self, params_main, n):
+        # every glue and minimizer builds its grids in interior_grid, which refuses them;
+        # n = 2 would fail inside LAPACK and n = 15 would glue
+        calls = (lambda: interior_grid(0.5, n), lambda: minimize_interior(0.5, params_main, n=n),
+                 lambda: glue(0.5, params_main, n=n))
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"^grid size n must be >= 16, got {n}$"):
+                call()
+        assert interior_grid(0.5, 16).nodes.size == 16
+
     def test_straight_solution_no_kink(self, params_flat):
         g = glue(math.pi / 4.0, params_flat, n=2000)
         assert abs(g.l) <= 1e-5
