@@ -124,6 +124,20 @@ def _start(x: float, held: list) -> Optional[np.ndarray]:
     return a + (a - b) * ((x - xa) / (xa - xb))
 
 
+def _row_start(mu: float, row: list) -> np.ndarray:
+    """Newton start at mu from 2 or 3 glues [(mu_k, union values)] of its row: the Lagrange fit
+    in mu of the interior values, in log mu of the exterior ones (r1(mu) moves along the row),
+    and pi/2 at the pin.  A repeated log mu, so any repeated mu, gives a copy of the last."""
+    logs = [math.log(m) for m, _ in row]
+    if len(set(logs)) < len(logs):
+        return row[-1][1]
+    n, start = (row[-1][1].size + 1) // 2, np.full_like(row[-1][1], HALF_PI)
+    for side, x, xs in ((np.s_[:n - 1], mu, [m for m, _ in row]), (np.s_[n:], math.log(mu), logs)):
+        start[side] = sum(math.prod((x - xj) / (xk - xj) for xj in xs if xj != xk) * v[side]
+                          for xk, (_, v) in zip(xs, row))
+    return start
+
+
 def _scan_glue(s: float, params: HopfParams, grid_n: int,
                start: Optional[np.ndarray]) -> tuple[ScanRow, Optional[np.ndarray]]:
     """A scan glue's row, and its curve if attached at both ends: a flat side is no start."""
@@ -137,16 +151,17 @@ def _scan_glue(s: float, params: HopfParams, grid_n: int,
 
 
 def _glue_junction(task: tuple[float, Sequence[HopfParams], int, tuple]) -> list[ScanRow]:
-    """The scan rows of all cells at junction s, the first one given (see :func:`scan_jump`)."""
+    """The scan rows of all cells at junction s, the first one given (see :func:`scan_jump`);
+    it holds the last three attached glues, and a row start reads those at the cell's lambda."""
     s, cells, grid_n, lead = task
-    rows, held, firsts = [], [], []  # the last two attached glues, and row starts
+    rows, held, firsts = [], [], []  # the last three attached glues, and row starts
     for k, params in enumerate(cells):
         row = [(c.mu, v) for c, v in held if c.lam == params.lam]
         col = [(c.lam, v) for c, v in firsts if c.mu == params.mu]
-        start = _start(params.mu, row) if len(row) == 2 else _start(params.lam, col or held[-1:])
+        start = _row_start(params.mu, row) if len(row) > 1 else _start(params.lam, col or held[-1:])
         scan_row, values = _scan_glue(s, params, grid_n, start) if k else lead
         if values is not None:
-            held = held[-1:] + [(params, values)]
+            held = held[-2:] + [(params, values)]
             firsts = firsts[-1:] + held[-1:] if k == 0 or params.lam != cells[k - 1].lam else firsts
         rows.append(scan_row)
     return rows
@@ -165,11 +180,11 @@ def scan_jump(
     The first cell is glued here, junction by junction, from the secant in log s through
     its last two glues (the junctions are even in log s), else a copy, else cold.  A task
     glues the others at that s (sharing ``glue``'s junction record) in lambda-major order,
-    from the secant in mu through its last two glues at their lambda, else in lambda
-    through the last two first cells of rows at their mu, else a copy, else of the last
-    glue, else cold.  Only glues attached at both ends count; the closing step keeps l a
-    cold start's, to rounding.  Starts read only earlier glues: rows match at any ``jobs``.
-    Rows hold a glue's values, not the glue, and read no root rule; failures are rows.
+    fitting each side through its row's last two or three glues (:func:`_row_start`), else
+    by the secant in lambda through the last two first cells of rows at their mu, else a
+    copy, else of the last glue, else cold.  Only attached glues count; the closing step
+    keeps l a cold start's, to rounding.  Starts read only earlier glues: rows match at any
+    ``jobs``.  Rows hold a glue's values, not the glue, and read no root rule; failures are rows.
     """
     if not (0.0 < s_min < s_max < HALF_PI):
         raise ValueError(f"need 0 < s_min < s_max < pi/2, got s_min={s_min}, s_max={s_max}")
@@ -233,19 +248,22 @@ def find_solution(
 ) -> SolveOutcome:
     """Drive l(s) to zero by Brent's method over the first sign-change bracket.
 
-    The search stops at the first glue that is a root (:func:`_is_root`) and
-    certifies that glue.  Returns ``no_sign_change`` (numerical evidence of
-    unsolvability, not a proof) when the scan shows a single-signed jump,
+    The search stops at the first glue that is a root (:func:`_is_root`), and
+    :func:`_certify` measures that glue's residual here.  Returns ``no_sign_change``
+    (numerical evidence of unsolvability, not a proof) when the scan shows a single-signed jump,
     ``failed`` on numerical breakdown or when the bracket shrinks to rounding
     without meeting the tolerance, and ``solution_found`` with the
     residual-certified glued curve otherwise.
     """
     [scan] = scan_jump([params], s_min, s_max, n_scan, grid_n=grid_n)
-    return _finish(scan, grid_n, root_tol)
+    outcome = _finish(scan, grid_n, root_tol)
+    if outcome.glued is not None:
+        outcome.max_residual_away = _certify(outcome.glued, params)
+    return outcome
 
 
 def _finish(scan: ScanResult, grid_n: int, root_tol: float) -> SolveOutcome:
-    """Brent's method on l over one bracket, then the certificate of its root glue.
+    """Brent's method on l over one bracket; the map reads no certificate, so none is made.
 
     The bracket is (s, s) at the first scan row that is a root (:func:`_is_root`;
     e.g. the q = 1, lambda = mu family, where l vanishes identically), else the
@@ -297,7 +315,7 @@ def _finish(scan: ScanResult, grid_n: int, root_tol: float) -> SolveOutcome:
         return SolveOutcome("failed", None, None, scan, message=(
             "root search shrank its bracket without reaching the jump "
             f"tolerance (last |l| = {abs(last_l):.3e})"))
-    return SolveOutcome("solution_found", glued.s, glued, scan, _certify(glued, scan.params),
+    return SolveOutcome("solution_found", glued.s, glued, scan, math.nan,
                         glued.boundary_error_zero, glued.boundary_error_pi)
 
 

@@ -48,7 +48,7 @@ from .variational import DEFAULT_N
 
 
 SETTINGS = {  # key: (type, default, help); the one list of setting flags and config keys
-    "n": (int, DEFAULT_N, f"grid nodes per side (default {DEFAULT_N})"),
+    "n": (int, DEFAULT_N, "grid nodes per side"),
     "root_tol": (float, analysis.ROOT_TOL, "largest |l| accepted as a root"),
     "s_min": (float, analysis.S_MIN, "first junction of the scan"),
     "s_max": (float, analysis.S_MAX, "last junction of the scan"),
@@ -119,14 +119,14 @@ def _failed_rows(scan: analysis.ScanResult) -> list[dict]:
 _SCAN_KEYS = ("s_min", "s_max", "n_scan")
 
 
-def _add_command(sub, name: str, func, help: str, *keys: str,
-                 problem: bool = True, settings: bool = True) -> argparse.ArgumentParser:
+def _add_command(sub, name: str, func, help: str, *keys: str, problem: bool = True,
+                 settings: bool = True, defaults: dict | None = None) -> argparse.ArgumentParser:
     """A subcommand's parser with the flags the commands share.
 
-    The four problem flags unless ``problem`` is false; unless ``settings`` is
-    false, ``--n``, a flag for each further setting the command reads, and
-    ``--config``; and ``--out-dir`` and ``--json`` for every command.  The
-    namespace's ``settings`` maps the keys of those settings to their defaults.
+    The four problem flags unless ``problem`` is false; unless ``settings`` is false,
+    ``--n``, a flag for each further setting the command reads, and ``--config``; and
+    ``--out-dir`` and ``--json`` for every command.  The namespace's ``settings`` maps their
+    keys to the command's ``defaults``, else those of :data:`SETTINGS`; each help states its.
     """
     sp = sub.add_parser(name, help=help)
     if problem:
@@ -135,14 +135,16 @@ def _add_command(sub, name: str, func, help: str, *keys: str,
         sp.add_argument("--lambda", dest="lam", type=float, required=True)
         sp.add_argument("--mu", type=float, required=True)
     keys = ("n", *keys) if settings else ()
+    own = {key: SETTINGS[key][1] for key in keys} | (defaults or {})
     for key in keys:
         cast, _, text = SETTINGS[key]
-        sp.add_argument("--" + key.replace("_", "-"), dest=key, type=cast, help=text)
+        sp.add_argument("--" + key.replace("_", "-"), dest=key, type=cast,
+                        help=f"{text} (default {own[key]})")
     if settings:
         sp.add_argument("--config", help="flat key=value config file")
     sp.add_argument("--out-dir", dest="out_dir")
     sp.add_argument("--json", action="store_true", help="echo summary.json to stdout")
-    sp.set_defaults(func=func, settings={key: SETTINGS[key][1] for key in keys})
+    sp.set_defaults(func=func, settings=own)
     return sp
 
 
@@ -172,9 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
                  *_SCAN_KEYS)
 
     sp = _add_command(sub, "map", cmd_map, "solvability verdicts over a (lambda, mu) grid",
-                      "root_tol", *_SCAN_KEYS, "jobs", problem=False)
-    # the map scans fewer junctions than a single solve unless the user sets n_scan
-    sp.get_default("settings")["n_scan"] = analysis.MAP_N_SCAN
+                      "root_tol", *_SCAN_KEYS, "jobs", problem=False,
+                      defaults={"n": analysis.MAP_GRID_N, "n_scan": analysis.MAP_N_SCAN})
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", required=True, help="min:max:count")
@@ -320,11 +321,8 @@ def cmd_compare(ns: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[dict,
     report = analysis.comparison_check(s, d, t0, params, grid_n=cfg["n"])
     summary = {
         "params": params.to_dict(),
-        "verdict": (
-            "ordering_holds"
-            if report.hypothesis_met and report.ordering_ok
-            else ("hypothesis_not_met" if not report.hypothesis_met else "ordering_violated")
-        ),
+        "verdict": ("hypothesis_not_met" if not report.hypothesis_met
+                    else "ordering_holds" if report.ordering_ok else "ordering_violated"),
         "report": asdict(report),
         "files_written": [],
     }

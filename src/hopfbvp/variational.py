@@ -47,7 +47,7 @@ import collections
 import copy
 import functools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -357,13 +357,13 @@ def minimize_exterior(s: float, params: HopfParams, n: int = DEFAULT_N,
         raise ConvergenceError(_OVERFLOW.format(params)) from None
     res = _minimize(disc, mirrored, f"exterior minimization at s={s}",
                     None if start is None else math.pi - start[::-1])
-    values = math.pi - res.profile.values[::-1]
-    return replace(res, profile=Profile(held.outer_grid, values))
+    res.profile = Profile(held.outer_grid, math.pi - res.profile.values[::-1])
+    return res
 
 
 @dataclass
 class GluedSolution:
-    """Two one-sided minimizers joined at s: jump and integral data, and the end record."""
+    """Two one-sided minimizers joined at s: jump and integral data, the end record, the curve."""
 
     s: float
     l: float
@@ -380,10 +380,15 @@ class GluedSolution:
     boundary_error_pi: float
     # the glued curve on the union grid, from merged_profile()
     _curve: Profile = field(repr=False)
-    # observed node-to-node monotonicity of the converged minimizers; nothing
-    # downstream assumes it, a False here flags an unexpected solution shape
-    monotone_interior: bool = True
-    monotone_exterior: bool = True
+
+    # observed node-to-node monotonicity of each minimizer, read from the curve when asked;
+    # nothing downstream assumes it, a False flags an unexpected solution shape (glued.json)
+    monotone_interior = property(lambda self: self._rises(0))
+    monotone_exterior = property(lambda self: self._rises(1))
+
+    def _rises(self, side: int) -> bool:
+        j, v = self._curve.grid.junction_index, self._curve.values
+        return bool(np.all(np.diff((v[:j + 1], v[j:])[side]) >= -1e-12))
 
     @property
     def attached(self) -> bool:
@@ -395,8 +400,9 @@ class GluedSolution:
         return self._curve
 
     def to_dict(self) -> dict:
-        """The scalar fields: everything but the glued curve."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "_curve"}
+        """The scalar fields and the monotone flags: everything but the glued curve."""
+        names = [f.name for f in fields(self) if f.name != "_curve"]
+        return {k: getattr(self, k) for k in names + ["monotone_interior", "monotone_exterior"]}
 
 
 def _one_sided_slope(t: np.ndarray, v: np.ndarray, x: float) -> float:
@@ -475,6 +481,4 @@ def glue(s: float, params: HopfParams, n: int = DEFAULT_N,
         I_s=i_s, I_s1=i1, I_s2=i2,
         boundary_error_zero=float(abs(vi[0])), boundary_error_pi=float(abs(math.pi - ve[-1])),
         _curve=Profile(held.union, a_union, d_left=d_minus, d_right=d_plus),
-        monotone_interior=bool(np.all(np.diff(vi) >= -1e-12)),
-        monotone_exterior=bool(np.all(np.diff(ve) >= -1e-12)),
     )

@@ -23,6 +23,29 @@ from hopfbvp.analysis import (
 from hopfbvp.core import HALF_PI, ConvergenceError, Grid, HopfParams, Profile, graded_grid
 
 
+def lagrange(x, xs, ys):
+    """The polynomial through the points (xs[k], ys[k]) at x, term by term in Lagrange's form."""
+    total = 0
+    for k, (xk, yk) in enumerate(zip(xs, ys)):
+        weight = 1
+        for j, xj in enumerate(xs):
+            if j != k:
+                weight *= (x - xj) / (xk - xj)
+        total = total + weight * yk
+    return total
+
+
+def row_fit(mu, mus, curves):
+    """A map cell's start from cells of its row: the interior values (the first n of 2n - 1)
+    fitted in mu, the exterior ones (the last n) in log mu, then pi/2 at the pin."""
+    n = (curves[0].size + 1) // 2
+    inner = lagrange(mu, mus, [c[:n] for c in curves])
+    outer = lagrange(math.log(mu), [math.log(m) for m in mus], [c[n - 1:] for c in curves])
+    start = np.concatenate((inner, outer[1:]))
+    start[n - 1] = HALF_PI
+    return start
+
+
 class TestScanJump:
     def test_straight_family_zero_jump(self, params_flat):
         [scan] = scan_jump([params_flat], 0.3, 1.2, 5, grid_n=1200)
@@ -474,14 +497,16 @@ class TestSolvabilityMap:
     # a Brent root and no sign change (q = 2); the flat family lambda = mu,
     # whose jump meets the tolerance at a scan point, and no sign change (q = 1);
     # the map whose Newton work TestWorkCounts pins, at the map's own n_scan; a 3x3
-    # map whose scan and root glues start from secants in mu, lambda and s (its
-    # counts are pinned too)
+    # map whose scan and root glues start from fits through two cells of a row and from
+    # secants in lambda and s; a 2x5 map whose rows give fits through three cells (the
+    # counts of the last two are pinned too)
     MAPS = {
         "brent": ((1, 2, (1.0, 2.0), (1.0, 4.0), 2, 2), dict(grid_n=300, n_scan=4)),
         "scan_point": ((1, 1, (1.0, 2.0), (1.0, 2.0), 2, 2),
                        dict(grid_n=500, n_scan=5, s_min=0.3, s_max=1.2)),
         "work_counts": ((1, 2, (1.0, 2.0), (3.0, 5.0), 2, 2), dict(grid_n=300, n_scan=14)),
         "secants": ((1, 2, (1.0, 2.0), (1.0, 6.0), 3, 3), dict(grid_n=300, n_scan=6)),
+        "quadratic": ((1, 2, (1.0, 2.0), (1.0, 6.0), 2, 5), dict(grid_n=300, n_scan=6)),
     }
 
     @pytest.mark.parametrize("kind", sorted(MAPS))
@@ -505,10 +530,11 @@ class TestSolvabilityMap:
         assert [repr(c) for c in solvability_map(*args, **opts, jobs=2)] == [repr(c) for c in cells]
 
     # the start of each scan glue of the 3x3 "secants" map, by (lambda, mu) index:
-    # a copy of one cell, or the secant in mu or lambda through two cells, all glued at
-    # the same s.  Cell (0, 0) continues along s instead: cold at junction 0, at junction
-    # 1 a copy of its glue at junction 0, then the secant in log s through its glues at
-    # the two junctions before.  The map's glues are all attached at both ends here
+    # a copy of one cell, the row fit through two cells of its lambda (row_fit) or the
+    # secant in lambda through two cells, all glued at the same s.  Cell (0, 0) continues
+    # along s instead: cold at junction 0, at junction 1 a copy of its glue at junction 0,
+    # then the secant in log s through its glues at the two junctions before.  The map's
+    # glues are all attached at both ends here
     SCAN_STARTS = {(0, 0): ("s",), (0, 1): ("copy", (0, 0)), (0, 2): ("mu", (0, 0), (0, 1)),
                    (1, 0): ("copy", (0, 0)), (1, 1): ("copy", (1, 0)),
                    (1, 2): ("mu", (1, 0), (1, 1)), (2, 0): ("lambda", (0, 0), (1, 0)),
@@ -517,17 +543,10 @@ class TestSolvabilityMap:
     def test_starts_cross_junctions_in_the_first_cell_only(self, monkeypatch):
         # scan glues start from glues at their own s, except the first cell's, which start
         # from its own glues at earlier junctions; root glues from their own cell's
-        made, real = [], analysis.glue
-
-        def glue(s, params, n, start=None):
-            glued = real(s, params, n=n, start=start)
-            made.append((s, params, None if start is None else start.copy(), glued))
-            return glued
-
         def secant(x, xb, b, xa, a):
             return a + (a - b) * ((x - xa) / (xa - xb))
 
-        monkeypatch.setattr(analysis, "glue", glue)
+        made = self.record_starts(monkeypatch)
         args, opts = self.MAPS["secants"]
         cells = solvability_map(*args, **opts)
         lams, mus = np.linspace(*args[2], 3), np.linspace(*args[3], 3)
@@ -549,9 +568,8 @@ class TestSolvabilityMap:
                 elif kind == "copy":
                     assert np.array_equal(start, curve[src[0]])
                 elif kind == "mu":
-                    (_, jb), (_, ja) = src
-                    assert np.array_equal(start, secant(mus[j], mus[jb], curve[src[0]],
-                                                        mus[ja], curve[src[1]]))
+                    assert np.array_equal(start, row_fit(mus[j], [mus[jk] for _, jk in src],
+                                                         [curve[c] for c in src]))
                 else:
                     (ib, _), (ia, _) = src
                     assert np.array_equal(start, secant(lams[i], lams[ib], curve[src[0]],
@@ -569,6 +587,64 @@ class TestSolvabilityMap:
             for (sb, _, gb), (sa, _, ga), (s, start, _) in zip(glues, glues[1:], glues[2:]):
                 assert np.array_equal(start, secant(s, sb, gb.merged_profile().values,
                                                     sa, ga.merged_profile().values))
+
+    @staticmethod
+    def record_starts(monkeypatch) -> list:
+        """(s, params, a copy of the start, the glue) of every glue from here on."""
+        made, real = [], analysis.glue
+
+        def glue(s, params, n, start=None):
+            glued = real(s, params, n=n, start=start)
+            made.append((s, params, None if start is None else start.copy(), glued))
+            return glued
+
+        monkeypatch.setattr(analysis, "glue", glue)
+        return made
+
+    def test_row_starts_fit_each_side_through_two_or_three_cells(self, monkeypatch):
+        # in the 2x5 map a row's third cell starts from the fit through the two before it,
+        # each later one from the fit through the three before it: the interior values by
+        # Lagrange in mu, the exterior ones in log mu, and the pin exactly pi/2
+        made = self.record_starts(monkeypatch)
+        args, opts = self.MAPS["quadratic"]
+        solvability_map(*args, **opts)
+        mus, n = np.linspace(*args[3], 5), opts["grid_n"]
+        scan = made[:10 * opts["n_scan"]]
+        assert all(g.attached for *_, g in scan)
+        for task in range(opts["n_scan"]):
+            at_s = scan[10 * task: 10 * task + 10]
+            curve = {divmod(k, 5): g.merged_profile().values for k, (*_, g) in enumerate(at_s)}
+            for k, (_, params, start, _) in enumerate(at_s):
+                i, j = divmod(k, 5)
+                if j < 2:
+                    continue
+                src = range(max(0, j - 3), j)  # the row's cells among the last three glued
+                assert np.array_equal(start, row_fit(mus[j], mus[src], [curve[i, c] for c in src]))
+                assert start[n - 1] == HALF_PI
+                assert params.mu == mus[j]
+
+    def test_row_start_copies_the_last_cell_at_a_repeated_mu(self):
+        # two cells of one mu would divide by zero: the start is the last cell's curve, as
+        # analysis._start copies; so are two mu whose logarithms round to one float
+        a, b, c = (np.full(5, HALF_PI) + k for k in range(3))
+        assert analysis._row_start(5.0, [(2.0, a), (4.0, b), (4.0, c)]) is c
+        assert analysis._row_start(5.0, [(4.0, b), (4.0, c)]) is c
+        close = np.nextafter(1e10, 2e10)
+        assert close != 1e10 and math.log(close) == math.log(1e10)
+        assert analysis._row_start(2e10, [(1e10, b), (close, c)]) is c
+
+    def test_only_find_solution_certifies(self, params_main, monkeypatch):
+        # find_solution measures its root glue's residual once; the map reads none
+        calls, real = [], analysis._certify
+        monkeypatch.setattr(analysis, "_certify", lambda *a: calls.append(a) or real(*a))
+        out = find_solution(params_main, **TestRootSearch.QUICK)
+        assert out.verdict == "solution_found"
+        assert calls == [(out.glued, params_main)]
+        assert out.max_residual_away == real(out.glued, params_main) <= 5e-3
+        calls.clear()
+        args, opts = self.MAPS["brent"]
+        cells = solvability_map(*args, **opts)
+        assert "solution_found" in {c.verdict for c in cells} and calls == []
 
     def test_one_side_geometry_per_junction_and_root_glue(self, monkeypatch):
         builds = []

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import math
@@ -649,6 +650,26 @@ class TestConfig:
         assert {k: defaults[name.get(k, k)] for k in config} == config
         if library == "solvability_map":
             assert (config["n"], config["n_scan"], config["jobs"]) == (1000, 14, 1)
+
+    COMMANDS = ["solve", "scan-jump", "map", "blowup", "compare", "verify", "hopf-eval"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_states_the_command_defaults(self, capsys, command):
+        # each setting flag's help names the default that command runs with: map's own
+        # 1000 nodes and 14 junctions, not the 2000 and 16 of a single solve
+        [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == sorted(self.COMMANDS)
+        settings = sub.choices[command].get_default("settings")
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert text.count("(default ") == len(settings)
+        for key, default in settings.items():
+            flag = "--" + key.replace("_", "-")
+            assert f"{flag} {key.upper()} {SETTINGS[key][2]} (default {default})" in text
+        if command == "map":
+            assert (settings["n"], settings["n_scan"]) == (1000, 14)
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOPF_OUT_DIR", str(tmp_path / "envout"))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -575,8 +576,10 @@ class TestStoppingRule:
 class TestWorkCounts:
     # a kernel change that moves any iterate moves these counts, and so does a change
     # of the Newton starts: the first map only copies a glue or extrapolates in s, the
-    # second (TestSolvabilityMap.MAPS["secants"]) extrapolates in mu, lambda and s too;
-    # a one-cell scan extrapolates each junction in log s from the junctions before
+    # second (TestSolvabilityMap.MAPS["secants"]) extrapolates in mu (interior) and log mu
+    # (exterior) through two cells of a row, and in lambda and s; the third
+    # (MAPS["quadratic"]) fits rows through three cells too; a one-cell scan extrapolates
+    # each junction in log s from the junctions before
     @staticmethod
     def counters(monkeypatch) -> dict:
         """Glues, Newton iterations and dptsv calls from here on, counted in the dict."""
@@ -618,7 +621,14 @@ class TestWorkCounts:
                                             grid_n=300, n_scan=6)
         no, so = "no_sign_change", "solution_found"
         assert verdicts == [no, so, so, no, so, so, no, no, so]
-        assert counts == {"glues": 73, "iterations": 486, "dptsv": 538}
+        assert counts == {"glues": 73, "iterations": 476, "dptsv": 528}
+
+    def test_quadratic_map_takes_the_pinned_newton_path(self, monkeypatch):
+        verdicts, counts = self.counted_map(monkeypatch, 1, 2, (1.0, 2.0), (1.0, 6.0), 2, 5,
+                                            grid_n=300, n_scan=6)
+        no, so = "no_sign_change", "solution_found"
+        assert verdicts == [no, so, so, so, so, no, no, no, so, so]
+        assert counts == {"glues": 82, "iterations": 489, "dptsv": 535}
 
     # find_solution at its defaults (n_scan 16, n 2000): the main regime and mu = 1.5
     @pytest.mark.parametrize("mu, verdict, work", [
@@ -896,3 +906,11 @@ class TestJumpIntegral:
         assert np.all(np.diff(prof.values[j:]) >= -1e-12)
         assert g.monotone_interior and g.monotone_exterior
         assert g.to_dict()["monotone_interior"] is True
+        # the flags are read from the glued curve when asked: a dip on the exterior side
+        # clears that flag alone, and glued.json's dict lists both
+        values = prof.values.copy()
+        values[j + 5] -= 1e-3
+        dipped = dataclasses.replace(g, _curve=core.Profile(prof.grid, values))
+        assert dipped.monotone_interior and not dipped.monotone_exterior
+        assert {k: v for k, v in dipped.to_dict().items() if k.startswith("monotone")} == {
+            "monotone_interior": True, "monotone_exterior": False}
