@@ -30,21 +30,20 @@ pi/2.  Gauss-point arrays are laid out (4, n_el), so every broadcast runs
 along the elements, and one ``tan`` pass gives the kernels' sin^2 a and
 sin a cos a.  Everything a glue at s builds without (lambda, mu) is one
 record, held for the last junction only: both sides' grids and their geometry
-at the Gauss points, the exterior grid mapped back to t, the union grid and
-its Simpson rows.  Each of its trigonometric tables (a side's geometry, the
-Simpson rows) comes from one ``tan`` pass too (:func:`ode._trig_squares`).
-The cells of a map glued at one s build it once.  Minimization:
-damped Newton with one LAPACK ``dptsv`` (SPD tridiagonal) solve per step of a
-Levenberg shift ladder, ``info > 0`` meaning "not positive definite, next
-shift"; a strictly decreasing line search; a single stopping rule on the
-Newton decrement; and the closing step v + d, which reaches the discrete minimizer
-to rounding, so a side may start from (a secant through) neighbours at no cost to l.
+at the Gauss points, the exterior grid mapped back to t, the union grid, its
+Simpson rows and f(s)^2 for l~'s denominator, with ode.weight_f's bits.  Each
+of its tables (a side's geometry, the Simpson rows, f) takes one ``tan`` pass
+too (:func:`ode._trig_squares`).  The cells of a map glued at one s build it
+once.  Minimization: damped Newton with one LAPACK ``dptsv`` (SPD tridiagonal) solve
+per step of a Levenberg shift ladder, ``info > 0`` meaning "not positive definite, next
+shift"; a strictly decreasing line search; a single stopping rule on the Newton
+decrement; and the closing step v + d, which reaches the discrete minimizer to rounding,
+so a side may start from (a secant through) neighbours at no cost to l.
 """
 
 from __future__ import annotations
 
 import collections
-import copy
 import functools
 import math
 from dataclasses import dataclass, field, fields
@@ -62,7 +61,7 @@ from .core import (
     scipy_module,
     simpson_weights,
 )
-from .ode import _sin_cos_power, _trig_squares, weight_f
+from .ode import _sin_cos_power, _trig_squares
 
 __all__ = [
     "GluedSolution",
@@ -164,7 +163,8 @@ class DiscreteEnergy:
         Raises :class:`ConvergenceError` naming lambda and mu when Q f w overflows float64
         at a quadrature point (:func:`minimize_exterior` names the caller's, not the mirror's).
         """
-        disc = copy.copy(self)
+        disc = object.__new__(DiscreteEnergy)  # a flat copy: the geometry's arrays are shared
+        disc.__dict__.update(self.__dict__)
         with np.errstate(over="ignore", invalid="ignore"):
             disc.qfw = np.divide(params.lam, self._sin2)
             disc.qfw += params.mu / self._cos2
@@ -242,25 +242,24 @@ class MinimizeResult:
 
     profile: Profile  # v + d: the last iterate v plus its closing Newton step
     energy: float  # E(v); E(v + d) is lower by at most the decrement, below float64's resolution
-    grad_norm: float  # max|g(v)|
     iterations: int
     energy_history: np.ndarray
     # one-sided slope at the junction, from the three nodes nearest it
     slope: float
 
 
-_Junction = collections.namedtuple("_Junction", "inner outer outer_grid union rows")
+_Junction = collections.namedtuple("_Junction", "inner outer outer_grid union rows f2")
 
 
 @functools.lru_cache(maxsize=1)
 def _junction(s: float, n: int, p: int, q: int) -> _Junction:
     """What a glue at s builds without (lambda, mu), held for the last junction only.
 
-    The interior DiscreteEnergy on interior_grid(s, n), the mirrored
-    exterior one on interior_grid(pi/2 - s, n), the exterior grid
-    mapped back to t (its junction node s exactly), the union grid and its
-    Simpson rows.  The next cell of a map glued at this s forms only its own
-    Q f w (:meth:`DiscreteEnergy.with_params`) and sin^2 alpha.
+    The interior DiscreteEnergy on interior_grid(s, n), the mirrored exterior one on
+    interior_grid(pi/2 - s, n), the exterior grid mapped back to t (its junction node s
+    exactly), the union grid, its Simpson rows and f2 = f(s)^2, with ode.weight_f's bits.
+    The next cell of a map glued at this s forms only its own Q f w
+    (:meth:`DiscreteEnergy.with_params`) and sin^2 alpha.
     """
     if not (DEFAULT_OFFSET < s < HALF_PI - DEFAULT_OFFSET):
         raise ValueError(f"need 0 < offset < s < pi/2 - offset, got offset={DEFAULT_OFFSET}, s={s}")
@@ -270,7 +269,8 @@ def _junction(s: float, n: int, p: int, q: int) -> _Junction:
     t[0] = s
     union = Grid(np.concatenate([inner.grid.nodes, t[1:]]), junction_index=n - 1)
     return _Junction(inner, outer, Grid(t, junction_index=0), union,
-                     _simpson_rows(union.nodes, p, q))
+                     _simpson_rows(union.nodes, p, q),
+                     float(_sin_cos_power(_trig_squares(s), p, q)) ** 2)
 
 
 def _minimize(disc: DiscreteEnergy, params: HopfParams, what: str, start=None) -> MinimizeResult:
@@ -304,8 +304,8 @@ def _minimize(disc: DiscreteEnergy, params: HopfParams, what: str, start=None) -
         decrement = -0.5 * float(np.dot(d, g))
         if shift == 0.0 and decrement <= DECREMENT_TOL * (1.0 + abs(e)):
             v = v + d  # d[-1] = 0 keeps the pin
-            return MinimizeResult(Profile(grid, v), e, float(np.max(np.abs(g))), it,
-                                  np.asarray(history), _one_sided_slope(t[-3:], v[-3:], s))
+            return MinimizeResult(Profile(grid, v), e, it, np.asarray(history),
+                                  _one_sided_slope(t[-3:], v[-3:], s))
         for k in range(60):
             vt = v + 0.5**k * d if k else v + d  # step 1, 1/2, 1/4, ...
             trig_t = disc.trig(vt)
@@ -406,9 +406,9 @@ class GluedSolution:
 
 
 def _one_sided_slope(t: np.ndarray, v: np.ndarray, x: float) -> float:
-    """Second-order slope at x from the three nodes (t, v) nearest it."""
-    w0, w1, w2 = fd3_first_weights(t[0], t[1], t[2], x)
-    return float(w0 * v[0] + w1 * v[1] + w2 * v[2])
+    """Second-order slope at x from the three nodes (t, v) nearest it, in Python floats."""
+    (w0, w1, w2), (v0, v1, v2) = fd3_first_weights(*t.tolist(), float(x)), v.tolist()
+    return w0 * v0 + w1 * v1 + w2 * v2
 
 
 def _simpson_rows(t: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -445,8 +445,8 @@ def jump_integrals(
     matrix-vector product.
     """
     p, q, lam, mu = params.p, params.q, params.lam, params.mu
-    tn = np.tan(np.concatenate(([0.0], alpha, [math.pi])))
-    ints = [float(i) for i in rows @ (tn * tn / (1.0 + tn * tn))]
+    tn2 = np.square(np.tan(np.concatenate(([0.0], alpha, [math.pi]))))
+    ints = [float(i) for i in rows @ (tn2 / (1.0 + tn2))]
     # (f^2 Q)' = 2(mu p - lam q) m1 - 2 mu (q-1) m2 + 2 (p-1) lam m0; for p = 1
     # m1, m2 are the monomials of I_s1, I_s2 and m0 (a negative power) drops out
     j = ints[2:] if p > 1 else ints + [0.0]
@@ -474,7 +474,7 @@ def glue(s: float, params: HopfParams, n: int = DEFAULT_N,
     i_s, i1, i2 = jump_integrals(held.rows, a_union, params)
     # the square on f(s) comes from multiplying the conservation form by
     # f*alpha' and integrating by parts on each side of the junction
-    denom = weight_f(s, params) ** 2 * (d_plus + d_minus)
+    denom = held.f2 * (d_plus + d_minus)
     return GluedSolution(
         s=s, l=d_plus - d_minus, l_tilde=i_s / denom if abs(denom) > 1e-300 else math.nan,
         d_minus=d_minus, d_plus=d_plus, J_interior=res_i.energy, J_exterior=res_e.energy,
